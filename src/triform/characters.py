@@ -79,7 +79,7 @@ def _dlog_table(p: int, c: int) -> dict:
 class SmoothCharacter:
     """A smooth character of F*, with minimal (effective) conductor exponent."""
 
-    __slots__ = ("ctx", "c", "images", "value_at_pi")
+    __slots__ = ("ctx", "c", "images", "value_at_pi", "_powers")
 
     def __init__(self, ctx: Context, c: int, images: tuple, value_at_pi: Scalar):
         gens = unit_group_generators(ctx.p, c)
@@ -100,6 +100,7 @@ class SmoothCharacter:
         self.c = c
         self.images = images
         self.value_at_pi = value_at_pi
+        self._powers: dict[int, Scalar] = {}  # v -> value_at_pi ** v; Scalars are immutable
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -134,7 +135,9 @@ class SmoothCharacter:
         if x.is_zero():
             raise ZeroDivisionError("character evaluated at 0")
         v = x.val()
-        out = self.value_at_pi**v
+        out = self._powers.get(v)
+        if out is None:
+            out = self._powers[v] = self.value_at_pi**v
         if self.c:
             out = out * self.ctx.scalar(self.unit_image(x.unit_residue(self.c)))
         return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import RootOfUnity
-from .scalars import FieldSpec, Poly, Scalar, parse_scalar
+from .scalars import FieldSpec, Scalar, parse_scalar
 
 SUPPORTED_PRIMES = (2, 3, 5)
 MAX_LEVEL = 8
@@ -84,9 +84,6 @@ class Context:
         if key not in self._caches:
             self._caches[key] = build()
         return self._caches[key]
-
-    def poly_const(self, x) -> Poly:
-        return Poly.const(self.field, x)
 
     def __repr__(self):
         return f"Context(p={self.p}, M={self.field.m})"

@@ -11,14 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .context import Context
+from .context import Context, LevelTooDeepError
 from .matrices import GroupElement
 
 ENUMERATION_CAP = 300_000
-
-
-class LevelTooDeepError(Exception):
-    pass
 
 
 def units_mod(p: int, m: int) -> list[int]:

@@ -112,10 +112,13 @@ class Cyclo:
         return acc.co
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.co)
+        return not any(self.co)
+
+    def is_one(self) -> bool:
+        return self.co[0] == 1 and not any(self.co[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.co[1:])
+        return not any(self.co[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():

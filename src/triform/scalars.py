@@ -6,7 +6,16 @@ cutting out the third representation, and r is a formal square root of q.
 Every certificate the engine emits is ultimately an `is_zero` question about
 one of these Scalars, so all arithmetic is exact and zero-testing syntactic:
 a Scalar is an expanded numerator polynomial over a multiset of monic, r-free
-denominator factors, cancelled by trial division.
+denominator factors.
+
+Cancellation has two parts.  Monomial content (powers of a, b, u) is split
+off every denominator factor and cancelled against the numerator's content by
+subtracting exponents, with no division.  The remaining factors are then
+tried against the numerator by exact division, which keeps its remainder in
+one dict and subtracts only the non-leading terms of the divisor at each step
+(the divisor is r-free, so no r^2 -> q rewrite arises there).  A product with
+a monomial skips the trial divisions: a factor that did not divide a
+canonical numerator does not divide it times a monomial.
 """
 
 from __future__ import annotations
@@ -46,12 +55,13 @@ def _grlex_key(mono: tuple[int, int, int, int]):
 class Poly:
     """Multivariate polynomial in (a, b, u, r) over Q(zeta_M), with r^2 -> q."""
 
-    __slots__ = ("field", "terms", "_lead")
+    __slots__ = ("field", "terms", "_lead", "_den_key")
 
     def __init__(self, field: FieldSpec, terms: dict):
         self.field = field
         self.terms = {mo: c for mo, c in terms.items() if not c.is_zero()}
         self._lead = None
+        self._den_key = None
 
     @classmethod
     def _raw(cls, field: FieldSpec, terms: dict) -> "Poly":
@@ -60,6 +70,7 @@ class Poly:
         out.field = field
         out.terms = terms
         out._lead = None
+        out._den_key = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -101,6 +112,13 @@ class Poly:
 
     def trailing_monomial(self):
         return min(self.terms, key=_grlex_key)
+
+    def den_key(self) -> str:
+        """The order of denominator factors: the repr of the grlex-descending terms."""
+        if self._den_key is None:
+            terms = sorted(((mo, c.co) for mo, c in self.terms.items()), key=lambda t: _grlex_key(t[0]), reverse=True)
+            self._den_key = repr(terms)
+        return self._den_key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -149,22 +167,50 @@ class Poly:
         return Poly._raw(self.field, {mo: (-c if mo[3] else c) for mo, c in self.terms.items()})
 
     def divexact(self, f: "Poly") -> "Poly | None":
-        """Exact quotient self / f, or None when f does not divide self."""
+        """Exact quotient self / f, or None when f does not divide self.
+
+        f must be r-free (every denominator factor is), so no product below
+        carries r^2 and the remainder is updated in place: each step takes the
+        leading term off the remainder and subtracts only the non-leading terms
+        of f times the new quotient term.
+        """
         if f.is_zero():
             raise ZeroDivisionError
-        rem = Poly(self.field, dict(self.terms))
+        assert not f.has_r(), "divisors must be r-free"
         fmo, fc = f.leading()
-        fc_inv = fc.inverse()
+        f0, f1, f2, _ = fmo
+        fc_inv = None if fc.is_one() else fc.inverse()
+        ftail = [(mo, c) for mo, c in f.terms.items() if mo != fmo]
+        rem = dict(self.terms)
         quot: dict = {}
-        while not rem.is_zero():
-            mo, c = rem.leading()
-            dm = tuple(a - b for a, b in zip(mo, fmo))
-            if any(e < 0 for e in dm):
+        while rem:
+            mo = max(rem, key=_grlex_key)
+            dm = (mo[0] - f0, mo[1] - f1, mo[2] - f2, mo[3])
+            if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
                 return None
-            qc = c * fc_inv
+            qc = rem.pop(mo)
+            if fc_inv is not None:
+                qc = qc * fc_inv
             quot[dm] = qc
-            rem = rem - Poly(self.field, {dm: qc}) * f
-        return Poly(self.field, quot)
+            for tm, tc in ftail:
+                m = (dm[0] + tm[0], dm[1] + tm[1], dm[2] + tm[2], dm[3])
+                c = qc * tc
+                if m in rem:
+                    c = rem[m] - c
+                    if c.is_zero():
+                        del rem[m]
+                    else:
+                        rem[m] = c
+                else:
+                    rem[m] = -c
+        return Poly._raw(self.field, quot)
+
+    def shift_down(self, mono: tuple[int, int, int, int]) -> "Poly":
+        """self / mono for a monomial dividing every term: exponents shift, coefficients stay."""
+        e0, e1, e2, e3 = mono
+        return Poly._raw(
+            self.field, {(m0 - e0, m1 - e1, m2 - e2, m3 - e3): c for (m0, m1, m2, m3), c in self.terms.items()}
+        )
 
     def substitute(self, assignment: dict) -> "Poly":
         """Substitute exact rational/cyclotomic values for a subset of a, b, u."""
@@ -253,9 +299,9 @@ class Scalar:
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: FieldSpec, num: Poly, den: tuple = ()):
+    def __init__(self, field: FieldSpec, num: Poly, den: tuple = (), trial: bool = True):
         self.field = field
-        num, den = _canonicalize(field, num, den)
+        num, den = _canonicalize(field, num, den, trial)
         self.num = num
         self.den = den
 
@@ -358,7 +404,11 @@ class Scalar:
             return other
         if not other.den and other.num == _ONE_POLY.get(other.field, None):
             return self
-        return Scalar(self.field, self.num * other.num, self.den + other.den)
+        # A canonical numerator has no den factor dividing it, and a monomial
+        # multiplier cannot change that (den factors have no monomial content),
+        # so only the monomial cancellation is needed.
+        monomial = (not self.den and len(self.num.terms) == 1) or (not other.den and len(other.num.terms) == 1)
+        return Scalar(self.field, self.num * other.num, self.den + other.den, trial=not monomial)
 
     __rmul__ = __mul__
 
@@ -407,9 +457,7 @@ class Scalar:
 
     # -- specialization -----------------------------------------------------
     def specialize(self, assignment: dict) -> "Scalar":
-        num = self.num.substitute(assignment)
-        out = Scalar.from_rational(self.field, 1)
-        out = Scalar(self.field, num)
+        out = Scalar(self.field, self.num.substitute(assignment))
         for f in self.den:
             fv = f.substitute(assignment)
             if fv.is_zero():
@@ -441,7 +489,10 @@ def _content_monomial(poly: Poly) -> tuple[int, int, int, int]:
     return mono or (0, 0, 0, 0)
 
 
-def _canonicalize(field: FieldSpec, num: Poly, den: tuple) -> tuple[Poly, tuple]:
+def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -> tuple[Poly, tuple]:
+    """Cancel monomial content, make factors monic, then (when `trial`) try
+    each factor against the numerator; trial=False is for callers that know no
+    non-monomial factor can divide num."""
     if num.is_zero():
         return Poly.zero(field), ()
     out: list[Poly] = []
@@ -457,15 +508,13 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple) -> tuple[Poly, tuple]
         # split off the monomial content so a*b-powers cancel transparently
         mono = _content_monomial(f)
         if any(mono):
-            q = f.divexact(Poly(field, {mono: Cyclo.from_rational(field.m, 1)}))
-            assert q is not None
-            f = q
+            f = f.shift_down(mono)
             den_mono = tuple(x + y for x, y in zip(den_mono, mono))
         if f.is_constant():
             num = num.scale(f.constant_value().inverse())
             continue
         _, lc = f.leading()
-        if not (lc.is_rational() and lc.rational_value() == 1):
+        if not lc.is_one():
             f = f.scale(lc.inverse())
             num = num.scale(lc.inverse())
         out.append(f)
@@ -475,9 +524,7 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple) -> tuple[Poly, tuple]
         common = tuple(min(x, y) for x, y in zip(num_mono, den_mono))
         left = tuple(x - y for x, y in zip(den_mono, common))
         if any(common):
-            q = num.divexact(Poly(field, {common: Cyclo.from_rational(field.m, 1)}))
-            assert q is not None
-            num = q
+            num = num.shift_down(common)
         if any(left):
             if left[3]:  # keep denominators r-free: r / r^2 -> rewrite via r^2 = q
                 raise AssertionError("denominator factors must be r-free")
@@ -485,7 +532,7 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple) -> tuple[Poly, tuple]
     # cancel factors dividing the numerator (with cheap divisibility prefilters:
     # both the leading and the trailing monomial of a divisor must divide the
     # numerator's, and a monomial can only be divided by a monomial)
-    changed = True
+    changed = trial
     while changed and out:
         changed = False
         if num.is_constant():
@@ -518,7 +565,8 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple) -> tuple[Poly, tuple]
                 out.pop(i)
                 changed = True
                 break
-    out.sort(key=lambda f: sorted(((mo, c.co) for mo, c in f.terms.items()), key=lambda t: _grlex_key(t[0]), reverse=True).__repr__())
+    if len(out) > 1:
+        out.sort(key=Poly.den_key)
     return num, tuple(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import SmoothCharacter, parse_character_spec, unit_group_generators
-from .context import Context, SUPPORTED_PRIMES
+from .context import MAX_LEVEL, SUPPORTED_PRIMES, Context
 from .cosets import (
     enumerate_iwahori_mod,
     enumerate_K_mod,
@@ -141,6 +141,9 @@ class ScenarioConfig:
             )
         if self.level is not None and self.level < self.n:
             raise ConfigError("need level >= n")
+        level = max(self.level or 0, self.n)
+        if level > MAX_LEVEL:
+            raise ConfigError(f"level {level} exceeds the cap {MAX_LEVEL}")
         if self.scenario != "all" and self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; known: {', '.join(SCENARIOS)}")
 

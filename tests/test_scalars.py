@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
 from triform.cyclo import Cyclo, RootOfUnity, cyclotomic_polynomial
-from triform.scalars import parse_scalar
+from triform.scalars import Poly, Scalar, parse_scalar
 
 ctx = Context(3, zeta_order=2)
 ctx4 = Context(5, zeta_order=4)
@@ -155,3 +155,143 @@ def test_zeta_in_scalars():
     s = ctx4.scalar(z)
     assert s * s == ctx4.scalar(-1)
     assert (s**4).is_one()
+
+
+# -- Poly.divexact: exact quotients, refusals and the monomial shortcut ------
+
+def _coeffs(m):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if m == 2:
+        return small.map(lambda x: Cyclo.from_rational(2, x))
+    return st.tuples(small, small).map(lambda xy: Cyclo(4, xy))
+
+
+def polys(c, r_free=False, max_terms=4, min_terms=0):
+    """Polys over c's field; exponents stay small, r appears at most linearly."""
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.just(0) if r_free else st.integers(0, 1))
+    return st.dictionaries(mono, _coeffs(c.field.m), min_size=min_terms, max_size=max_terms).map(
+        lambda terms: Poly(c.field, terms)
+    )
+
+
+nonzero_divisors = st.sampled_from([ctx, ctx4]).flatmap(
+    lambda c: st.tuples(polys(c), polys(c, r_free=True, max_terms=3, min_terms=1).filter(lambda f: not f.is_zero()))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_divisors)
+def test_divexact_recovers_the_cofactor(gf):
+    g, f = gf
+    assert (g * f).divexact(f) == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ctx, ctx4]).flatmap(lambda c: st.tuples(polys(c, max_terms=5), polys(c, r_free=True, max_terms=2, min_terms=1))))
+def test_divexact_result_is_exact(nf):
+    num, f = nf
+    if f.is_zero():
+        return
+    q = num.divexact(f)
+    if q is not None:
+        assert q * f == num
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_divisors, st.sampled_from([1, -2, Fraction(1, 3)]))
+def test_divexact_refuses_a_non_divisor(gf, c):
+    g, f = gf
+    if f.is_constant():
+        return
+    # f does not divide g*f + c: it would divide the nonzero constant c
+    assert (g * f + Poly.const(f.field, c)).divexact(f) is None
+
+
+def test_divexact_cases():
+    F, F4 = ctx.field, ctx4.field
+    a, b, u, r = (Poly.var(F, v) for v in "abur")
+    two = Poly.const(F, 2)
+    # a numerator with r over a non-monic divisor
+    f = two * a - b
+    g = a * r + u * u - r * b
+    assert (g * f).divexact(f) == g
+    # a quotient step that lands on monomials the remainder does not hold yet
+    assert (a * a - b * b).divexact(a - b) == a + b
+    assert (a * a * a - b * b * b).divexact(a - b) == a * a + a * b + b * b
+    # a monomial divisor, and a numerator it does not divide
+    m = Poly.const(F, 3) * a * a * b
+    assert (g * m).divexact(m) == g
+    assert (g * m + b).divexact(m) is None
+    # the failing shape from the benchmark: -3/2*a^2 + 3/2*a*b by a - 2*b
+    num = Poly.const(F, Fraction(-3, 2)) * a * a + Poly.const(F, Fraction(3, 2)) * a * b
+    assert num.divexact(a - two * b) is None
+    assert num.divexact(a - b) == Poly.const(F, Fraction(-3, 2)) * a
+    # coefficients in Q(zeta4), divisor with a non-rational leading coefficient
+    z = Poly(F4, {(0, 0, 0, 0): Cyclo.zeta_power(4, 1)})
+    a4, r4 = Poly.var(F4, "a"), Poly.var(F4, "r")
+    f4 = z * a4 + Poly.const(F4, 1)
+    g4 = a4 * r4 + z
+    assert (g4 * f4).divexact(f4) == g4
+    assert (g4 * f4 + r4).divexact(f4) is None
+    with pytest.raises(AssertionError):
+        g.divexact(a + r)  # divisors are r-free
+    with pytest.raises(ZeroDivisionError):
+        g.divexact(Poly.zero(F))
+
+
+def test_shift_down():
+    a, b, r = (Poly.var(ctx.field, v) for v in "abr")
+    p = a * a * b + a * b * r
+    assert p.shift_down((1, 1, 0, 0)) == a + r
+    assert p.shift_down((1, 1, 0, 0)) * a * b == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), st.sampled_from([ctx.a, ctx.b * ctx.r, ctx.scalar(Fraction(-2, 3)), ctx.a * ctx.a * ctx.u]))
+def test_monomial_product_skips_no_cancellation(x, m):
+    """Multiplying by a monomial takes a shortcut past trial division; it must
+    land on the canonical form the full cancellation gives."""
+    y = x / (1 - ctx.a * ctx.b) / (ctx.a - 2 * ctx.u)
+    for s in (x, y, y.inverse() if not y.is_zero() else y):
+        got = s * m
+        full = Scalar(ctx.field, s.num * m.num, s.den + m.den)
+        assert got.num == full.num and got.den == full.den
+        assert (m * s).num == full.num and (m * s).den == full.den
+
+
+# rendered on the commit before the in-place division: the canonical forms,
+# factor order included, must not move
+z4 = ctx4.scalar(ctx4.zeta(4))
+GOLDEN_RENDERS = [
+    (lambda a, b, u, r: 1 / (1 - a * a) / (1 - b * b), "(1)/((b^2 - 1)*(a^2 - 1))"),
+    (lambda a, b, u, r: a * b / (a - 2 * b) / (2 * a - b), "(1/2*a*b)/((a - 1/2*b)*(a - 2*b))"),
+    (
+        lambda a, b, u, r: (a * r).geometric_tail(2) * (b * r).geometric_tail(1),
+        "(a^3*b^2*r + a^3*b + a^2*b^2 + 1/3*a^2*b*r)/((b^2 - 1/3)*(a^2 - 1/3))",
+    ),
+    (lambda a, b, u, r: (r * a + b) / (a * a * b * (1 - a * b)), "(-a*r - b)/((a*b - 1)*(a^2*b))"),
+    (
+        lambda a, b, u, r: (a / 3).geometric_tail(1) + (b / 3).geometric_tail(2) + (a * b / 9).geometric_tail(0),
+        "(-1/3*a^2*b^3 - a^2*b^2 + a*b^3 + 3*a^2*b + 3*a*b^2 - 9*b^2 + 27*b - 81)/((b - 3)*(a - 3)*(a*b - 9))",
+    ),
+    (lambda a, b, u, r: 1 / (1 + a * r) / (b - u), "(1/3*a*r - 1/3)/((b - u)*(a^2 - 1/3))"),
+    (lambda a, b, u, r: (u * u - 1) / (u - a) / (u - b) / (1 - a * b * u), "(-u^2 + 1)/((b - u)*(a - u)*(a*b*u - 1))"),
+    (
+        lambda a, b, u, r: (1 - a * a) * (1 - b) / (1 + a) / (1 - b * b) / (a - 3 * b),
+        "(-a*b + a + b - 1)/((b^2 - 1)*(a - 3*b))",
+    ),
+    (lambda a, b, u, r: (z4 * a + 1) / (a - z4) / (b + 1) / (u * u + 1), "((zeta4))/((u^2 + 1)*(b + 1))"),
+    (
+        lambda a, b, u, r: (z4 * a * r).geometric_tail(1) / (1 - b * b) + Fraction(1, 5) / (1 - u),
+        "(-1/5*a^2*b^2 + a^2*u + (-1/5*zeta4)*a*u*r - 4/5*a^2 + (1/5*zeta4)*a*r - 1/25*b^2 + 1/25)"
+        "/((u - 1)*(b^2 - 1)*(a^2 + 1/5))",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,text", GOLDEN_RENDERS)
+def test_golden_renders(build, text):
+    c = ctx4 if "zeta4" in text else ctx
+    s = build(c.a, c.b, c.u, c.r)
+    assert s.render() == text
+    assert parse_scalar(c.field, text) == s

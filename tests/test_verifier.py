@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from triform.context import MAX_LEVEL
 from triform.verifier import (
     COVERAGE,
     SCENARIOS,
@@ -34,6 +35,9 @@ def test_config_validation():
         ScenarioConfig(p=2, n=2, level=1).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(p=2, n=1, scenario="nope").validate()
+    with pytest.raises(ConfigError):
+        ScenarioConfig(p=2, n=1, level=MAX_LEVEL + 1).validate()
+    ScenarioConfig(p=2, n=1, level=MAX_LEVEL).validate()
 
 
 def test_no_conductor_two_at_p2():
@@ -144,3 +148,15 @@ def test_cli_bad_config():
     )
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+
+
+def test_cli_level_past_cap():
+    """A level past MAX_LEVEL is a configuration error (exit 2), not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--level", "9"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
