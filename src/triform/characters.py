@@ -9,7 +9,6 @@ generator convention is fixed once per (p, c): a primitive root for odd p,
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .context import Context
@@ -291,7 +290,3 @@ class BorelCharacter:
     def __repr__(self):
         return f"BorelCharacter<{self.chi_a.render_spec()}, {self.chi_d.render_spec()}, half_delta={self.half_delta}>"
 
-
-def principal_series_pair(ctx: Context, mu: SmoothCharacter) -> BorelCharacter:
-    """The Borel character (mu, mu^{-1}) delta^{1/2}: trivial central character."""
-    return BorelCharacter(mu, mu.inverse(), half_delta=True)

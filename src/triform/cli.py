@@ -59,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dump_tables(cfg: ScenarioConfig) -> str:
+    cfg.validate()
     ctx = Context(cfg.p, zeta_order=2)
     m = max(cfg.level or 0, cfg.n, 1)
     chunks = [p1_table(ctx, m).as_coset_table().dump()]

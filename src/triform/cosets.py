@@ -8,7 +8,7 @@ mass(O*, x) = 1; all cell weights are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import Context, LevelTooDeepError
@@ -36,7 +36,6 @@ class CosetTable:
     n: int
     reps: list
     weights: list
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.reps)
@@ -179,19 +178,6 @@ def torus_orbit_reps(ctx: Context, n: int, m: int) -> CosetTable:
     table = CosetTable("TmodG-I(n)", m, n, reps, [w] * len(reps))
     assert table.total_mass() == Fraction(1, p1_size(p, n))
     return table
-
-
-def enumerate(ctx: Context, which: str, m: int, n: int = 0) -> CosetTable:
-    """Dispatcher matching the published table names."""
-    if which == "P1":
-        return p1_table(ctx, m).as_coset_table()
-    if which == "K/K(m)":
-        return enumerate_K_mod(ctx, m)
-    if which == "I(n)/K(m)":
-        return enumerate_iwahori_mod(ctx, n, m)
-    if which == "TcapK":
-        return enumerate_T_cap_K_mod(ctx, m)
-    raise ValueError(f"unknown enumeration {which!r}")
 
 
 def iwahori_orbit_key(ctx: Context, k: GroupElement, n: int, m: int) -> tuple[int, int]:

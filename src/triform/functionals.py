@@ -102,9 +102,6 @@ class WProfile:
         self._term_cache[key] = out
         return out
 
-    def neg_unit_char_times(self, ch: SmoothCharacter) -> SmoothCharacter:
-        return self.ratio * ch
-
 
 class TorusFunctional:
     """phi, its Phi-integral over the unit orbit, and the value caches.
@@ -113,14 +110,13 @@ class TorusFunctional:
     the equivariance law is what the property tests certify.
     """
 
-    def __init__(self, ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel, depth_cap: int = 10):
+    def __init__(self, ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel):
         if not (mu1.is_unramified() and mu2.is_unramified()):
             raise FunctionalError("the first two representations must be unramified principal series")
         self.ctx = ctx
         self.mu1 = mu1
         self.mu2 = mu2
         self.model3 = model3
-        self.depth_cap = depth_cap
         self.chtil = derive_phi_twist(mu1, mu2, model3)
         self.ratio21 = mu2 / mu1
         self._profiles: dict[int, WProfile] = {}
@@ -187,7 +183,7 @@ class TorusFunctional:
 
         def plain_neg_tail(k_hi: int):
             """Sum over k <= k_hi of the multiplicative deep-negative annuli (k_hi <= -m)."""
-            ch = W.neg_unit_char_times(self.chtil)
+            ch = W.ratio * self.chtil
             if ch.c != 0:
                 return  # the unit integral kills every deep annulus
             rho = X * W._ratio_pi_q

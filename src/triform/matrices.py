@@ -90,11 +90,6 @@ class GroupElement:
     def __repr__(self):
         return f"[{self.x} {self.y}; {self.z} {self.t}]"
 
-    def max_entry_val_spread(self) -> int:
-        """max |val| over entries plus |val det|; the conservative level bump."""
-        vals = [abs(e.val()) for e in self.entries() if not e.is_zero()]
-        return max(vals, default=0) + abs(self.det().val())
-
     def cartan_gap(self) -> int:
         """|alpha - beta| for the Cartan form k1 diag(pi^alpha, pi^beta) k2.
 
@@ -135,23 +130,6 @@ class GroupElement:
         """gamma^{-n} K gamma^n membership."""
         g = GroupElement.gamma(self.p, n)
         return (g * self * g.inv()).in_K()
-
-
-def membership(g: GroupElement, which: str, m: int = 0, n: int = 0) -> bool:
-    """Exact set membership for the named subgroups."""
-    if which == "K":
-        return g.in_K()
-    if which == "K(m)":
-        return g.in_K_principal(m)
-    if which == "I(n)":
-        return g.in_iwahori(n)
-    if which == "T":
-        return g.is_diagonal()
-    if which == "TcapK":
-        return g.in_T_cap_K()
-    if which == "B":
-        return g.is_upper()
-    raise ValueError(f"unknown subgroup {which!r}")
 
 
 def iwasawa(g: GroupElement) -> tuple[GroupElement, GroupElement]:

@@ -10,8 +10,6 @@ special parameter point (|.|^{1/2}, |.|^{-1/2}).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import Context
 from .cosets import p1_table
@@ -37,20 +35,14 @@ class InducedModel:
         self.steinberg = steinberg
         self.min_level = max(1, borel.conductor())
 
-    # -- the admissibility mask -------------------------------------------
-    def admissible_mask(self, level: int) -> list[bool]:
-        """Cells whose (B cap K)-stabilizer twist is trivial.
-
-        The stabilizer {b : rep^{-1} b rep in K(level)} pins b = 1 mod p^level
-        on every cell, so the mask is uniform: everything is admissible once
-        level >= conductor, nothing below.  (The K/K(m) full-table oracle in
-        the test suite checks this against brute force.)
-        """
-        n_cells = len(p1_table(self.ctx, level).reps)
-        ok = level >= self.borel.conductor()
-        return [ok] * n_cells
-
     def require_level(self, level: int):
+        """Refuse a table level below the conductor.
+
+        The (B cap K)-stabilizer {b : rep^{-1} b rep in K(level)} of a cell pins
+        b = 1 mod p^level on every cell, so the twist is trivial on all cells
+        once level >= conductor and on none below: a level either carries every
+        table or none.  (test_stabilizer_twist_brute_force checks this.)
+        """
         if level < self.min_level:
             raise ModelError(
                 f"refine level: level {level} cannot carry sections of {self.tag} (needs >= {self.min_level})"
@@ -102,10 +94,6 @@ class TableSection:
         values = [model.ctx.scalar(v) for v in values]
         if len(values) != n:
             raise ModelError(f"expected {n} cell values, got {len(values)}")
-        mask = model.admissible_mask(level)
-        for ok, v in zip(mask, values):
-            if not ok and not v.is_zero():
-                raise ModelError("value on a masked cell must be 0")
         self.model = model
         self.level = level
         self.values = values
@@ -304,7 +292,6 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     ctx.check_level(lvl)
     reps = p1_table(ctx, lvl).reps
     ncols = len(reps)
-    mask = model.admissible_mask(lvl)
     rows = []
     one = ctx.one()
     for gen in iwahori_generators(ctx, n, lvl):
@@ -314,11 +301,6 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
             row = [ctx.zero()] * ncols
             row[i] = row[i] + one
             row[j] = row[j] - tw
-            rows.append(row)
-    for i, ok in enumerate(mask):
-        if not ok:
-            row = [ctx.zero()] * ncols
-            row[i] = one
             rows.append(row)
     if model.steinberg:
         rows.append([one] * ncols)  # zero K-average cuts Sp out of the induced model

@@ -7,7 +7,7 @@ parameterized by ordered pairs of projective points via the bottom-row section
 matrix; pairs at unit distance are an exact finite sum, near-diagonal strata
 collapse to (cell, depth, unit-class) sums closed by verified geometric tails.
 
-ell_kernel is the independent oracle: a triple (P^1)^3 integral against a
+KernelForm.eval is the independent oracle: a triple (P^1)^3 integral against a
 product of pair characters of the wedge values, the three characters derived
 at build time from the equivariance constraints.
 """
@@ -433,8 +433,8 @@ class KernelForm:
         table = p1_table(ctx, L0)
         N = table.size
         rows = [(rep.z, rep.t) for rep in table.reps]
-        # wedge(bottom row, offset direction) = -det(rep) = -1 for det-one lifts
-        signs = [int(-(rep.det().value)) for rep in table.reps]
+        # the cells are lifted through det-one matrices, so the wedge of a
+        # bottom row with its offset direction, -det(rep), is -1 on every cell
         mass = ctx.scalar(table.cell_mass)
         vals1, vals2, vals3 = t1.values, t2.values, t3.values
 
@@ -486,12 +486,12 @@ class KernelForm:
         ]
         for nu_pair, va, vb, vthird, far in cases:
             tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
-            us = {s: self._usum([(nu_pair, s)]) for s in (1, -1)}
+            usum = self._usum([(nu_pair, -1)])
             for c in range(N):
                 fv = va[c] * vb[c]
                 if fv.is_zero():
                     continue
-                base = fv * us[signs[c]] * tail
+                base = fv * usum * tail
                 if base.is_zero():
                     continue
                 for k in range(N):
@@ -507,9 +507,6 @@ class KernelForm:
         for c in range(N):
             fv = vals1[c] * vals2[c] * vals3[c]
             if not fv.is_zero():
-                total = total + fv * mass * self._G(signs[c], L0)
+                total = total + fv * mass * self._G(-1, L0)
         return total
 
-
-def ell_kernel(kform: KernelForm, f1: Section, f2: Section, f3: Section) -> Scalar:
-    return kform.eval(f1, f2, f3)

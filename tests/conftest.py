@@ -4,15 +4,10 @@ from fractions import Fraction
 import pytest
 
 from triform import Context
-from triform.characters import SmoothCharacter, parse_character_spec
+from triform.cosets import p1_table
 from triform.matrices import GroupElement
-from triform.models import (
-    TableSection,
-    new_vector_by_solve,
-    new_vector_unramified,
-    principal_series_model,
-    steinberg_model,
-)
+from triform.models import TableSection
+from triform.verifier import Env, ScenarioConfig
 
 
 @pytest.fixture(scope="session")
@@ -25,50 +20,28 @@ def ctx3():
     return Context(3, zeta_order=2)
 
 
-class Setup:
-    """One full representation setup (mu1, mu2, models, new vectors)."""
-
-    def __init__(self, p: int, n: int, mu3_spec: str | None = None):
-        self.p, self.n = p, n
-        self.ctx = Context(p, zeta_order=2)
-        ctx = self.ctx
-        self.mu1 = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
-        self.mu2 = SmoothCharacter.unramified(ctx, ctx.b * ctx.r)
-        self.V1 = principal_series_model(ctx, self.mu1, tag="V1")
-        self.V2 = principal_series_model(ctx, self.mu2, tag="V2")
-        if n == 1:
-            self.mu3 = None
-            self.V3 = steinberg_model(ctx)
-        else:
-            assert mu3_spec
-            self.mu3 = parse_character_spec(ctx, mu3_spec)
-            self.V3 = principal_series_model(ctx, self.mu3, tag="V3")
-        self.v1 = new_vector_unramified(self.V1)
-        self.v2 = new_vector_unramified(self.V2)
-        self.v3 = new_vector_by_solve(self.V3, n)
-
-    def gamma(self, k: int) -> GroupElement:
-        return GroupElement.gamma(self.p, k)
+# one full setup per (p, n): the verifier's Env, with its models, new vectors,
+# torus functional phi and default ramified character at even n
 
 
 @pytest.fixture(scope="session")
 def setup21():
-    return Setup(2, 1)
+    return Env(ScenarioConfig(2, 1))
 
 
 @pytest.fixture(scope="session")
 def setup31():
-    return Setup(3, 1)
+    return Env(ScenarioConfig(3, 1))
 
 
 @pytest.fixture(scope="session")
 def setup32():
-    return Setup(3, 2, "ram(c=1, gens=[2->zeta2^1], pi=u)")
+    return Env(ScenarioConfig(3, 2))
 
 
 @pytest.fixture(scope="session")
 def setup24():
-    return Setup(2, 4, "ram(c=2, gens=[3->zeta2^1], pi=u)")
+    return Env(ScenarioConfig(2, 4))
 
 
 def rand_K(ctx, rng: random.Random, m: int = 3) -> GroupElement:
@@ -86,6 +59,5 @@ def rand_G(ctx, rng: random.Random, val_range: int = 2) -> GroupElement:
 
 
 def rand_section(model, level, rng: random.Random):
-    mask = model.admissible_mask(level)
-    vals = [model.ctx.scalar(rng.randint(-3, 3)) if ok else model.ctx.zero() for ok in mask]
+    vals = [model.ctx.scalar(rng.randint(-3, 3)) for _ in range(p1_table(model.ctx, level).size)]
     return TableSection(model, level, vals).as_section()

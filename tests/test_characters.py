@@ -8,7 +8,6 @@ from triform.characters import (
     BorelCharacter,
     SmoothCharacter,
     parse_character_spec,
-    principal_series_pair,
     unit_group_generators,
 )
 from triform.matrices import GroupElement
@@ -83,7 +82,7 @@ def test_spec_roundtrip(ctx):
 
 def test_borel_character(ctx):
     mu = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
-    beta = principal_series_pair(ctx, mu)
+    beta = BorelCharacter(mu, mu.inverse(), half_delta=True)
     # delta^{1/2}(diag(pi,1)) = q^{-1/2} = 1/r, so the normalized value is a
     assert beta.eval(GroupElement.diag(3, 3, 1)) == ctx.a
     half = BorelCharacter(SmoothCharacter.unramified(ctx, ctx.one()), SmoothCharacter.unramified(ctx, ctx.one()))
@@ -95,7 +94,7 @@ def test_borel_character(ctx):
 def test_borel_multiplicative(ctx):
     rng = random.Random(6)
     mu = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
-    beta = principal_series_pair(ctx, mu)
+    beta = BorelCharacter(mu, mu.inverse(), half_delta=True)
     for _ in range(40):
         b1 = GroupElement(3, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2), rng.randint(0, 8), 0, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2))
         b2 = GroupElement(3, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2), rng.randint(0, 8), 0, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2))

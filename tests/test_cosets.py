@@ -8,7 +8,6 @@ import pytest
 
 from triform import Context
 from triform.cosets import (
-    enumerate as enumerate_cosets,
     enumerate_iwahori_mod,
     enumerate_K_mod,
     gl2_size,
@@ -122,7 +121,8 @@ def test_level_cap():
 
 
 def test_dispatcher_and_dump(ctx2):
-    t = enumerate_cosets(ctx2, "P1", 1)
+    """The P^1 table as a coset table, in the dump format --dump-tables prints."""
+    t = p1_table(ctx2, 1).as_coset_table()
     dump = t.dump()
     assert "level 1: [1 0; 0 1]" in dump
     assert len(dump.splitlines()) == len(t) + 1

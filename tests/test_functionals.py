@@ -1,5 +1,6 @@
-"""The torus functional: equivariance, the two computation routes, and the
-compact-orbit integral Phi = lambda phi."""
+"""The torus functional: its derived twist, equivariance, the two computation
+routes, linearity, the indicator f and the compact-orbit integral
+Phi = lambda phi."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from triform.functionals import (
     CompactInducedFn,
     FunctionalError,
     Phi_eval,
-    TorusFunctional,
     coset_constant,
     derive_phi_twist,
     make_indicator_f,
@@ -19,16 +19,6 @@ from triform.matrices import GroupElement
 from triform.padic import PadicRational
 
 from conftest import rand_G, rand_K, rand_section
-
-
-@pytest.fixture(scope="module")
-def phi21(setup21):
-    return TorusFunctional(setup21.ctx, setup21.mu1, setup21.mu2, setup21.V3)
-
-
-@pytest.fixture(scope="module")
-def phi32(setup32):
-    return TorusFunctional(setup32.ctx, setup32.mu1, setup32.mu2, setup32.V3)
 
 
 def test_twist_derivation(setup21, setup32):
@@ -59,7 +49,7 @@ def test_cocycle_identity(setup21):
         assert lhs == rhs
 
 
-def test_equivariance_exact(setup21, phi21):
+def test_equivariance_exact(setup21):
     s = setup21
     rng = random.Random(1)
     secs = [rand_section(s.V3, 1, rng) for _ in range(5)]
@@ -68,10 +58,10 @@ def test_equivariance_exact(setup21, phi21):
             d1 = Fraction(rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-3, 3)
             d2 = Fraction(rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-3, 3)
             t = GroupElement.diag(2, d1, d2)
-            assert phi21.eval(sec.translated(t)) == phi21.torus_factor(t) * phi21.eval(sec)
+            assert s.phi.eval(sec.translated(t)) == s.phi.torus_factor(t) * s.phi.eval(sec)
 
 
-def test_equivariance_ramified(setup32, phi32):
+def test_equivariance_ramified(setup32):
     s = setup32
     rng = random.Random(2)
     sec = s.v3.translated(GroupElement.upper(3, 1))
@@ -79,31 +69,32 @@ def test_equivariance_ramified(setup32, phi32):
         d1 = Fraction(rng.choice([1, 2, 4, 5])) * Fraction(3) ** rng.randint(-2, 2)
         d2 = Fraction(rng.choice([1, 2, 4, 5])) * Fraction(3) ** rng.randint(-2, 2)
         t = GroupElement.diag(3, d1, d2)
-        assert phi32.eval(sec.translated(t)) == phi32.torus_factor(t) * phi32.eval(sec)
+        assert s.phi.eval(sec.translated(t)) == s.phi.torus_factor(t) * s.phi.eval(sec)
 
 
-def test_fast_equals_reference(setup21, phi21, setup32, phi32):
+def test_fast_equals_reference(setup21, setup32):
     rng = random.Random(3)
-    for s, phi in ((setup21, phi21), (setup32, phi32)):
+    for s in (setup21, setup32):
+        phi = s.phi
         targets = [s.v3, s.v3.translated(s.gamma(-1)), rand_section(s.V3, s.V3.min_level, rng)]
         targets.append(s.v3.translated(rand_G(s.ctx, rng, val_range=1)))
         for sec in targets:
             assert phi.eval(sec) == phi.eval_reference(sec)
 
 
-def test_phi_linear(setup21, phi21):
+def test_phi_linear(setup21):
     s = setup21
     rng = random.Random(4)
     x = rand_section(s.V3, 1, rng)
     y = rand_section(s.V3, 1, rng)
     c = s.ctx.scalar(Fraction(3, 7))
-    assert phi21.eval(x.scaled(c) + y) == c * phi21.eval(x) + phi21.eval(y)
-    assert phi21.eval(x.zero_like()).is_zero()
+    assert s.phi.eval(x.scaled(c) + y) == c * s.phi.eval(x) + s.phi.eval(y)
+    assert s.phi.eval(x.zero_like()).is_zero()
 
 
-def test_phi_nonvanishing_on_new_vectors(setup21, phi21, setup32, phi32):
-    assert not phi21.eval(setup21.v3).is_zero()
-    assert not phi32.eval(setup32.v3).is_zero()
+def test_phi_nonvanishing_on_new_vectors(setup21, setup32):
+    assert not setup21.phi.eval(setup21.v3).is_zero()
+    assert not setup32.phi.eval(setup32.v3).is_zero()
 
 
 def test_indicator(setup21):
@@ -128,22 +119,24 @@ def test_indicator_needs_unramified(setup32):
         CompactInducedFn(setup32.ctx, setup32.mu3, setup32.mu2, 2, 2)
 
 
-def test_Phi_equals_lambda_phi(setup21, phi21, setup32, phi32):
-    for s, phi in ((setup21, phi21), (setup32, phi32)):
-        f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.n)
-        lam = coset_constant(s.ctx, s.n)
-        assert lam == Fraction(1, 3) if (s.p, s.n) == (2, 1) else True
-        lhs = Phi_eval(phi, f, s.v3)
-        assert lhs == s.ctx.scalar(lam) * phi.eval(s.v3)
+def test_Phi_equals_lambda_phi(setup21, setup32):
+    for s in (setup21, setup32):
+        p, n = s.cfg.p, s.cfg.n
+        f = make_indicator_f(s.ctx, s.mu1, s.mu2, n)
+        lam = coset_constant(s.ctx, n)
+        if (p, n) == (2, 1):
+            assert lam == Fraction(1, 3)
+        lhs = Phi_eval(s.phi, f, s.v3)
+        assert lhs == s.ctx.scalar(lam) * s.phi.eval(s.v3)
         assert not lhs.is_zero()
 
 
-def test_tate_engine_key_normalization(setup21, phi21):
+def test_tate_engine_key_normalization(setup21):
     """pi(n(x0)) acts trivially on a level-m table once val(x0) >= m."""
     s = setup21
     tbl = s.v3.terms[0][2]
     deep = PadicRational(Fraction(4), 2)  # val 2 >= level 1
-    assert phi21.phi_table(tbl, deep) == phi21.phi_table(tbl)
+    assert s.phi.phi_table(tbl, deep) == s.phi.phi_table(tbl)
     shallow = PadicRational(Fraction(1, 2), 2)
     # a genuinely translated argument changes the value here
-    assert not (phi21.phi_table(tbl, shallow) == phi21.phi_table(tbl))
+    assert not (s.phi.phi_table(tbl, shallow) == s.phi.phi_table(tbl))

@@ -155,12 +155,13 @@ def test_mask_levels(setup32):
     # ramified data has no sections below its conductor exponent
     with pytest.raises(ModelError):
         TableSection(setup32.V3, 0, [])
-    assert all(setup32.V3.admissible_mask(1))
+    setup32.V3.require_level(1)
     ctx = Context(2, zeta_order=2)
     mu3 = parse_character_spec(ctx, "ram(c=2, gens=[3->zeta2^1], pi=u)")
     V3 = principal_series_model(ctx, mu3)
-    assert not any(V3.admissible_mask(1))
-    assert all(V3.admissible_mask(2))
+    with pytest.raises(ModelError):
+        V3.require_level(1)
+    V3.require_level(2)
     with pytest.raises(ModelError):
         V3.section(1, [ctx.one()] * p1_table(ctx, 1).size)
 
@@ -195,7 +196,7 @@ def test_stabilizer_twist_brute_force(setup32):
                     if conj.in_K_principal(m):
                         if not (mu3.unit_image(b1 % 3) * mu3.inverse().unit_image(b2 % 3)).is_one():
                             trivial = False
-        assert trivial  # matches admissible_mask(level 1) = all True for c = 1
+        assert trivial  # so level 1 carries every cell for c = 1, as require_level(1) accepts
 
 
 def test_section_dump(setup21):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from triform.matrices import GroupElement, in_T_In, iwasawa, membership
+from triform.matrices import GroupElement, in_T_In, iwasawa
 from triform.padic import INF, PadicRational, val
 
 from conftest import rand_G, rand_K
@@ -31,14 +31,14 @@ def test_valuation_multiplicative():
 def test_membership(ctx2):
     p = 2
     w = GroupElement.w(p)
-    assert membership(w, "K") and not membership(w, "I(n)", n=1)
+    assert w.in_K() and not w.in_iwahori(1)
     low = GroupElement.lower(p, 2)
-    assert membership(low, "I(n)", n=1) and not membership(low, "I(n)", n=2)
-    assert not membership(GroupElement.gamma(p), "K")
-    assert membership(GroupElement.diag(p, 3, 5), "TcapK")
-    assert membership(GroupElement(p, 1, 7, 0, 3), "B")
-    assert membership(GroupElement(p, 1, 0, 4, 1), "K(m)", m=2)
-    assert not membership(GroupElement(p, 1, 2, 4, 1), "K(m)", m=2)
+    assert low.in_iwahori(1) and not low.in_iwahori(2)
+    assert not GroupElement.gamma(p).in_K()
+    assert GroupElement.diag(p, 3, 5).in_T_cap_K()
+    assert GroupElement(p, 1, 7, 0, 3).is_upper()
+    assert GroupElement(p, 1, 0, 4, 1).in_K_principal(2)
+    assert not GroupElement(p, 1, 2, 4, 1).in_K_principal(2)
 
 
 def test_iwasawa_roundtrip(ctx3):

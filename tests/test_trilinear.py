@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from triform.functionals import Phi_eval, TorusFunctional, make_indicator_f
 from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps
-from triform.functionals import CompactInducedFn
+from triform.functionals import CompactInducedFn, Phi_eval, make_indicator_f
 from triform.matrices import GroupElement
 from triform.trilinear import (
     KernelForm,
@@ -24,42 +23,40 @@ from triform.trilinear import (
 from conftest import rand_G, rand_K, rand_section
 
 
-@pytest.fixture(scope="module")
-def phi21(setup21):
-    return TorusFunctional(setup21.ctx, setup21.mu1, setup21.mu2, setup21.V3)
-
-
-@pytest.fixture(scope="module")
-def phi32(setup32):
-    return TorusFunctional(setup32.ctx, setup32.mu1, setup32.mu2, setup32.V3)
-
-
 def test_ext_is_the_pair_indicator(setup21, setup32):
     for s in (setup21, setup32):
-        f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.n)
+        f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.cfg.n)
         F = ext(f, s.V1, s.V2)
         lvl = F.pair_table[0]
         table = p1_table(s.ctx, lvl)
         for i, rep1 in enumerate(table.reps):
             for j, rep2 in enumerate(table.reps):
-                want = s.ctx.one() if (rep1.in_iwahori(s.n) and not rep2.in_iwahori(1)) else s.ctx.zero()
+                want = s.ctx.one() if (rep1.in_iwahori(s.cfg.n) and not rep2.in_iwahori(1)) else s.ctx.zero()
                 assert F.pair_table[3][i][j] == want
 
 
 def test_closed_form_matches_ext(setup21, setup32):
+    """ext(f) is the indicator of the pairs (k in I_n, k' not in I_1) and equals
+    the closed form A v1' (x) v2' on every coset pair, and F(g, wg) = f(g) off K.
+    The pair (p, n) = (2, 2) has no third representation (Q_2* has no
+    conductor-one character) but this block needs none, so it runs here on the
+    (2, 1) data with the depth-2 indicator."""
     rng = random.Random(0)
-    for s in (setup21, setup32):
-        f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.n)
+    for s, n in ((setup21, 1), (setup32, 2), (setup21, 2)):
+        ctx = s.ctx
+        f = make_indicator_f(ctx, s.mu1, s.mu2, n)
         F = ext(f, s.V1, s.V2)
-        FV = closed_form_tensor(s.ctx, s.mu1, s.mu2, s.v1, s.v2, s.n)
-        table = p1_table(s.ctx, F.pair_table[0])
+        FV = closed_form_tensor(ctx, s.mu1, s.mu2, s.v1, s.v2, n)
+        assert FV.terms[0][0] == ctx.a**n / ((ctx.a * ctx.a - 1) * (ctx.b * ctx.b - 1))
+        table = p1_table(ctx, F.pair_table[0])
         for i, rep1 in enumerate(table.reps):
             for j, rep2 in enumerate(table.reps):
-                assert FV.eval_pair(rep1, rep2) == F.pair_table[3][i][j]
-        # also off K: the defining relation F(g, wg) = f(g)
-        w = GroupElement.w(s.ctx.p)
+                want = ctx.one() if (rep1.in_iwahori(n) and not rep2.in_iwahori(1)) else ctx.zero()
+                assert F.pair_table[3][i][j] == want
+                assert FV.eval_pair(rep1, rep2) == want
+        w = GroupElement.w(ctx.p)
         for _ in range(10):
-            g = rand_G(s.ctx, rng, val_range=1)
+            g = rand_G(ctx, rng, val_range=1)
             assert FV.eval_pair(g, w * g) == f.eval(g)
 
 
@@ -84,7 +81,7 @@ def test_res_diag_values(setup21):
     assert res.eval(GroupElement.w(2)) == ctx.a
 
 
-def test_chain_consistency_random_supports(setup21, phi21):
+def test_chain_consistency_random_supports(setup21):
     s = setup21
     rng = random.Random(2)
     n, level = 1, 2
@@ -94,34 +91,34 @@ def test_chain_consistency_random_supports(setup21, phi21):
         support = frozenset(k for k in keys if rng.random() < 0.5) or frozenset([keys[0]])
         f = CompactInducedFn(s.ctx, s.mu1, s.mu2, n, level, support=support)
         F = ext(f, s.V1, s.V2, level)
-        assert ell_chain(phi21, F, s.v3) == Phi_eval(phi21, f, s.v3)
+        assert ell_chain(s.phi, F, s.v3) == Phi_eval(s.phi, f, s.v3)
 
 
-def test_intro_vanishing(setup21, phi21, setup32, phi32):
-    for s, phi in ((setup21, phi21), (setup32, phi32)):
-        z = ell_chain(phi, TensorFn.pure(s.ctx, 1, s.v1, s.v2), s.v3)
+def test_intro_vanishing(setup21, setup32):
+    for s in (setup21, setup32):
+        z = ell_chain(s.phi, TensorFn.pure(s.ctx, 1, s.v1, s.v2), s.v3)
         assert z.is_zero()
 
 
-def test_main_theorem_values(setup21, phi21, setup32, phi32):
-    for s, phi in ((setup21, phi21), (setup32, phi32)):
-        F = TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.n)), s.v2)
-        val = ell_chain(phi, F, s.v3)
+def test_main_theorem_values(setup21, setup32):
+    for s in (setup21, setup32):
+        F = TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.cfg.n)), s.v2)
+        val = ell_chain(s.phi, F, s.v3)
         assert not val.is_zero()
 
 
-def test_psi_vanishing_n2(setup32, phi32):
+def test_psi_vanishing_n2(setup32):
     s = setup32
-    assert ell_chain(phi32, TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-1)), s.v2), s.v3).is_zero()
+    assert ell_chain(s.phi, TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-1)), s.v2), s.v3).is_zero()
 
 
-def test_g_invariance_chain(setup21, phi21):
+def test_g_invariance_chain(setup21):
     s = setup21
     rng = random.Random(3)
     F = TensorFn.pure(s.ctx, 1, s.v1, s.v2.translated(s.gamma(-1)))
-    base = ell_chain(phi21, F, s.v3)
+    base = ell_chain(s.phi, F, s.v3)
     for g in [rand_K(s.ctx, rng) for _ in range(4)] + [GroupElement.w(2), rand_G(s.ctx, rng, 1)]:
-        assert ell_chain(phi21, F.translated(g), s.v3.translated(g)) == base
+        assert ell_chain(s.phi, F.translated(g), s.v3.translated(g)) == base
 
 
 def test_kernel_characters_derivation(setup32):
@@ -141,7 +138,7 @@ def test_kernel_refuses_steinberg(setup21):
         KernelForm(setup21.ctx, setup21.mu1, setup21.mu2, setup21.V3)
 
 
-def test_kernel_invariance_and_proportionality(setup32, phi32):
+def test_kernel_invariance_and_proportionality(setup32):
     s = setup32
     ctx = s.ctx
     rng = random.Random(4)
@@ -157,7 +154,7 @@ def test_kernel_invariance_and_proportionality(setup32, phi32):
     checked = 0
     while checked < 3:
         fa, fb, fc = (rand_section(s.V1, 1, rng), rand_section(s.V2, 1, rng), rand_section(s.V3, 1, rng))
-        cv = ell_chain(phi32, TensorFn.pure(ctx, 1, fa, fb), fc)
+        cv = ell_chain(s.phi, TensorFn.pure(ctx, 1, fa, fb), fc)
         kv = kform.eval(fa, fb, fc)
         if cv.is_zero():
             assert kv.is_zero()

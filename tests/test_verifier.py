@@ -23,7 +23,19 @@ from triform.verifier import (
 
 def test_coverage_complete():
     assert coverage_complete()
-    assert set(sum(COVERAGE.values(), [])) <= set(SCENARIOS)
+    assert {cid.split(".")[0] for cid in sum(COVERAGE.values(), [])} <= set(SCENARIOS)
+
+
+def test_gate_runs_every_covered_scenario():
+    """The acceptance gate runs every COVERAGE scenario at one or more
+    configurations, and each expected skip names a scenario run there."""
+    from test_acceptance import EXPECTED_SKIPS, GATE
+
+    assert set(EXPECTED_SKIPS) == set(GATE)
+    gated = set().union(*GATE.values())
+    assert {cid.split(".")[0] for cid in sum(COVERAGE.values(), [])} <= gated
+    for key, skips in EXPECTED_SKIPS.items():
+        assert {s.split(".")[0] for s in skips} <= set(GATE[key]) <= set(SCENARIOS)
 
 
 def test_config_validation():
@@ -151,12 +163,31 @@ def test_cli_bad_config():
 
 
 def test_cli_level_past_cap():
-    """A level past MAX_LEVEL is a configuration error (exit 2), not a traceback."""
+    """A level past MAX_LEVEL is a configuration error (exit 2), not a traceback,
+    for a scenario run and for a table dump."""
+    for extra in ([], ["--dump-tables"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--level", "9", *extra],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_engine_error_is_a_fail_record():
+    """An engine error inside a scenario (here the chain's TailError under a
+    too-small depth cap) is that scenario's FAIL record with the reason: exit 1,
+    no traceback."""
     proc = subprocess.run(
-        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--level", "9"],
+        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--depth-cap", "3",
+         "--scenario", "intro-vanishing", "--format", "json-like"],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "configuration error" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert (check["id"], check["verdict"]) == ("intro-vanishing", "FAIL")
+    assert check["reason"].startswith("TailError: depth cap 3 below")
