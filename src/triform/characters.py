@@ -75,6 +75,14 @@ def _dlog_table(p: int, c: int) -> dict:
     return table
 
 
+def _image_of(p: int, c: int, images: tuple, residue: int) -> RootOfUnity:
+    """The image of a unit residue mod p^c: the generator images raised to its discrete log."""
+    out = RootOfUnity(1, 0)
+    for img, e in zip(images, _dlog_table(p, c)[residue % p**c]):
+        out = out * img**e
+    return out
+
+
 class SmoothCharacter:
     """A smooth character of F*, with minimal (effective) conductor exponent."""
 
@@ -122,11 +130,7 @@ class SmoothCharacter:
     def unit_image(self, residue: int) -> RootOfUnity:
         if self.c == 0:
             return RootOfUnity(1, 0)
-        exps = _dlog_table(self.ctx.p, self.c)[residue % self.ctx.p**self.c]
-        out = RootOfUnity(1, 0)
-        for img, e in zip(self.images, exps):
-            out = out * img**e
-        return out
+        return _image_of(self.ctx.p, self.c, self.images, residue)
 
     def eval(self, x) -> Scalar:
         if not isinstance(x, PadicRational):
@@ -194,19 +198,9 @@ def _effective_conductor(p: int, c: int, images: tuple) -> int:
     """Smallest c' such that the unit data factors through (O/p^{c'})*."""
     if c == 0 or all(img.is_one() for img in images):
         return 0
-    mod = p**c
-    table = _dlog_table(p, c)
-    gens = unit_group_generators(p, c)
-
-    def img_of(residue: int) -> RootOfUnity:
-        out = RootOfUnity(1, 0)
-        for img, e in zip(images, table[residue]):
-            out = out * img**e
-        return out
-
     for cp in range(1, c):
         # factors through level cp iff trivial on 1 + p^cp
-        trivial = all(img_of((1 + p**cp * k) % mod).is_one() for k in range(p ** (c - cp)))
+        trivial = all(_image_of(p, c, images, 1 + p**cp * k).is_one() for k in range(p ** (c - cp)))
         if trivial:
             return cp
     return c
@@ -217,16 +211,7 @@ def _reduce_images(p: int, c: int, images: tuple, c_eff: int) -> tuple:
         return images
     if c_eff == 0:
         return ()
-    mod = p**c
-    table = _dlog_table(p, c)
-
-    def img_of(residue: int) -> RootOfUnity:
-        out = RootOfUnity(1, 0)
-        for img, e in zip(images, table[residue % mod]):
-            out = out * img**e
-        return out
-
-    return tuple(img_of(g) for g, _ in unit_group_generators(p, c_eff))
+    return tuple(_image_of(p, c, images, g) for g, _ in unit_group_generators(p, c_eff))
 
 
 _SPEC_UNRAM = re.compile(r"^unram\(\s*value\s*=\s*(?P<value>.*)\)$")

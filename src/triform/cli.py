@@ -21,19 +21,38 @@ def parse_specialize(text: str) -> dict:
         name = name.strip()
         if name not in ("a", "b", "u"):
             raise ConfigError(f"can only specialize a, b, u (got {name!r})")
-        out[name] = Fraction(value.strip())
+        try:
+            out[name] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"{name} = {value.strip()!r} is not an exact rational") from e
     return out
 
 
 def read_config_file(path: str) -> dict:
+    """The flag values of a flat key=value file, converted as the flags are."""
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as e:
+        raise ConfigError(f"cannot read the config file: {e}") from e
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key in ("p", "n", "level", "seed", "depth_cap"):
+            try:
+                out[key] = int(value)
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from e
+        elif key in ("mu3", "scenario", "format", "out", "specialize"):
+            out[key] = value
+        elif key in ("dump_tables", "inject_fault"):
+            out[key] = value.lower() in ("1", "true", "yes")
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
     return out
 
 
@@ -75,19 +94,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     merged = vars(args).copy()
-    if args.config:
-        for key, value in read_config_file(args.config).items():
-            key = key.replace("-", "_")
-            if key in ("p", "n", "level", "seed", "depth_cap"):
-                merged[key] = int(value)
-            elif key in ("mu3", "scenario", "format", "out", "specialize"):
-                merged[key] = value
-            elif key in ("dump_tables", "inject_fault"):
-                merged[key] = value.lower() in ("1", "true", "yes")
-            else:
-                print(f"unknown config key {key!r}", file=sys.stderr)
-                return 2
     try:
+        if args.config:
+            merged.update(read_config_file(args.config))
         cfg = ScenarioConfig(
             p=merged["p"],
             n=merged["n"],

@@ -1,9 +1,11 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_M).
+"""The cyclotomic field Q(zeta_M): cyclotomic polynomials, roots of unity, and
+a dense reference model.
 
-Elements are stored in the power basis 1, zeta, ..., zeta^{phi(M)-1} with
-Fraction coordinates, reduced modulo the M-th cyclotomic polynomial.  M stays
-tiny here (the order of the finite character group in play), so nothing is
-optimized beyond dense tuples.
+The scalar kernel carries zeta_M as a polynomial exponent reduced by the rows
+of Phi_M (`scalars.power_rows`); `Cyclo` stores an element in the power basis
+1, zeta, ..., zeta^{phi(M)-1} with Fraction coordinates and is the reference
+the kernel is tested against.  M stays tiny here (the order of the finite
+character group in play), so nothing is optimized.
 """
 
 from __future__ import annotations
@@ -55,125 +57,36 @@ def _poly_mul_q(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta^k for k in [0, 2*deg) expressed in the power basis."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    for _ in range(2 * deg + 1):
-        rows.append(tuple(cur))
-        nxt = [Fraction(0)] + cur[:]
-        if nxt[deg] != 0:
-            c = nxt[deg]
-            for j in range(deg):
-                nxt[j] -= c * phi[j] / phi[deg]
-        cur = nxt[:deg]
-    return tuple(rows)
-
-
 class Cyclo:
-    """An element of Q(zeta_M), immutable."""
+    """An element of Q(zeta_M) as dense power-basis coordinates, immutable.
+
+    Shorter coordinate lists are padded with zeros.  A product is reduced by
+    polynomial division by Phi_M, an inverse comes from the extended Euclidean
+    algorithm: neither shares code with the kernel's reduction rows.
+    """
 
     __slots__ = ("m", "co")
 
     def __init__(self, m: int, co):
         deg = len(cyclotomic_polynomial(m)) - 1
-        co = tuple(c if type(c) is Fraction else Fraction(c) for c in co)
+        co = tuple(Fraction(c) for c in co) + (Fraction(0),) * (deg - len(co))
         assert len(co) == deg
         self.m = m
         self.co = co
 
-    @classmethod
-    def _fast(cls, m: int, co: tuple) -> "Cyclo":
-        out = object.__new__(cls)
-        out.m = m
-        out.co = co
-        return out
-
-    @classmethod
-    def from_rational(cls, m: int, x) -> "Cyclo":
-        deg = len(cyclotomic_polynomial(m)) - 1
-        return cls(m, (Fraction(x),) + (Fraction(0),) * (deg - 1))
-
-    @classmethod
-    def zeta_power(cls, m: int, k: int) -> "Cyclo":
-        table = _reduction_table(m)
-        return cls(m, table[k % m] if k % m < len(table) else cls._big_power(m, k))
-
-    @staticmethod
-    def _big_power(m: int, k: int):
-        acc = Cyclo.from_rational(m, 1)
-        z = Cyclo(m, _reduction_table(m)[1])
-        for _ in range(k % m):
-            acc = acc * z
-        return acc.co
-
     def is_zero(self) -> bool:
         return not any(self.co)
 
-    def is_one(self) -> bool:
-        return self.co[0] == 1 and not any(self.co[1:])
-
-    def is_rational(self) -> bool:
-        return not any(self.co[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.co[0]
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.from_rational(self.m, other)
         return isinstance(other, Cyclo) and self.m == other.m and self.co == other.co
 
-    def __hash__(self):
-        return hash((self.m, self.co))
-
-    def __add__(self, other: "Cyclo") -> "Cyclo":
-        if len(self.co) == 1:
-            return Cyclo._fast(self.m, (self.co[0] + other.co[0],))
-        return Cyclo._fast(self.m, tuple(a + b for a, b in zip(self.co, other.co)))
-
-    def __sub__(self, other: "Cyclo") -> "Cyclo":
-        if len(self.co) == 1:
-            return Cyclo._fast(self.m, (self.co[0] - other.co[0],))
-        return Cyclo._fast(self.m, tuple(a - b for a, b in zip(self.co, other.co)))
-
-    def __neg__(self) -> "Cyclo":
-        return Cyclo._fast(self.m, tuple(-a for a in self.co))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo._fast(self.m, tuple(a * other for a in self.co))
-        if len(self.co) == 1:
-            return Cyclo._fast(self.m, (self.co[0] * other.co[0],))
-        table = _reduction_table(self.m)
-        deg = len(self.co)
-        out = [Fraction(0)] * deg
-        for i, a in enumerate(self.co):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.co):
-                if b == 0:
-                    continue
-                row = table[i + j]
-                c = a * b
-                for k in range(deg):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Cyclo._fast(self.m, tuple(out))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Cyclo") -> "Cyclo":
+        _, rem = _poly_divmod(_poly_mul_q(list(self.co), list(other.co)), list(cyclotomic_polynomial(self.m)))
+        return Cyclo(self.m, rem)
 
     def inverse(self) -> "Cyclo":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return Cyclo.from_rational(self.m, 1 / self.co[0])
         # extended Euclid against the cyclotomic polynomial in Q[x]
         phi = list(cyclotomic_polynomial(self.m))
         a = list(self.co)
@@ -190,16 +103,9 @@ class Cyclo:
             while len(s) > 1 and s[-1] == 0:
                 s.pop()
             r0, r1, s0, s1 = r1, r, s1, s
-        g = r0[0]  # gcd is a nonzero constant
-        deg = len(self.co)
-        inv = [Fraction(0)] * deg
-        for i, c in enumerate(s0):
-            if i < deg:
-                inv[i] = c / g
-            else:  # reduce stray high powers (cannot happen: deg s0 < deg phi)
-                raise AssertionError
-        out = Cyclo(self.m, inv)
-        assert (out * self).is_rational() and (out * self).co[0] == 1
+        g = r0[0]  # gcd is a nonzero constant; deg s0 < deg phi
+        out = Cyclo(self.m, [c / g for c in s0])
+        assert out * self == Cyclo(self.m, [1])
         return out
 
     def __repr__(self):
@@ -252,10 +158,11 @@ class RootOfUnity:
         g = gcd(self.exponent, self.order)
         return hash((self.order // g, (self.exponent // g) % (self.order // g)))
 
-    def embed(self, m: int) -> Cyclo:
+    def embed(self, m: int) -> int:
+        """The exponent k with self = zeta_m^k."""
         if m % self.order != 0:
             raise ValueError(f"order {self.order} does not divide the configured M={m}")
-        return Cyclo.zeta_power(m, self.exponent * (m // self.order))
+        return self.exponent * (m // self.order) % m
 
     def __repr__(self):
         return f"zeta{self.order}^{self.exponent}"

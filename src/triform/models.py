@@ -11,7 +11,7 @@ special parameter point (|.|^{1/2}, |.|^{-1/2}).
 from __future__ import annotations
 
 from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
-from .context import Context
+from .context import MAX_LEVEL, Context
 from .cosets import p1_table
 from .matrices import GroupElement, iwasawa
 from .scalars import Scalar
@@ -334,12 +334,11 @@ def new_vector_by_solve(model: InducedModel, n: int, level: int | None = None) -
 def conductor_search(model: InducedModel, cap: int = 6) -> int:
     """Minimal n with a nonzero I(n)-fixed vector (in Sp for the Steinberg model)."""
     for n in range(0, cap + 1):
-        if max(n, model.min_level) > 8:
+        if max(n, model.min_level) > MAX_LEVEL:
             break
         dim = len(fixed_space(model, n))
         if dim:
             if dim != 1:
                 raise NewVectorError(f"fixed space at n = {n} has dimension {dim}, expected 1")
-        if dim:
             return n
     raise NewVectorError(f"no fixed vector found up to the cap n = {cap}")

@@ -128,6 +128,3 @@ def val(x, p: int | None = None):
         return x.val()
     return PadicRational(x, p).val()
 
-
-def uniformizer(p: int, k: int = 1) -> PadicRational:
-    return PadicRational(Fraction(p) ** k, p)

@@ -5,16 +5,25 @@ a and b are the Satake-type parameters of the two spherical principal series
 cutting out the third representation, and r is a formal square root of q.
 Every certificate the engine emits is ultimately an `is_zero` question about
 one of these Scalars, so all arithmetic is exact and zero-testing syntactic:
-a Scalar is an expanded numerator polynomial over a multiset of monic, r-free
-denominator factors.
+a Scalar is an expanded numerator polynomial over a multiset of monic
+denominator factors in a, b, u with rational coefficients.
+
+A polynomial carries both algebraic generators, r and zeta = zeta_M, as
+exponents next to those of a, b, u, and has Fraction coefficients.  One rule
+reduces both when terms multiply: a power at or above the degree of the
+generator's minimal polynomial (x^2 - q, or the cyclotomic polynomial Phi_M)
+is replaced by its row in the power-basis table `power_rows` builds from that
+polynomial.  An inverse multiplies by the Galois conjugates of the numerator
+(zeta -> zeta^k for the units k mod M, then r -> -r), which leaves a
+denominator free of r and zeta.
 
 Cancellation has two parts.  Monomial content (powers of a, b, u) is split
 off every denominator factor and cancelled against the numerator's content by
 subtracting exponents, with no division.  The remaining factors are then
 tried against the numerator by exact division, which keeps its remainder in
 one dict and subtracts only the non-leading terms of the divisor at each step
-(the divisor is r-free, so no r^2 -> q rewrite arises there).  A product with
-a monomial skips the trial divisions: a factor that did not divide a
+(the divisor is free of r and zeta, so no reduction arises there).  A product
+with a monomial skips the trial divisions: a factor that did not divide a
 canonical numerator does not divide it times a monomial.
 """
 
@@ -22,10 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
-from .cyclo import Cyclo, RootOfUnity
+from .cyclo import RootOfUnity, cyclotomic_polynomial
 
-VARS = ("a", "b", "u", "r")
+VARS = ("a", "b", "u", "r", "zeta")  # the exponent order of a monomial; zeta renders as zeta<M>
+_CONST = (0, 0, 0, 0, 0)
 
 
 class ScalarError(Exception):
@@ -33,33 +45,71 @@ class ScalarError(Exception):
 
 
 class ScalarDivisionError(ScalarError):
-    """Division by the zero Scalar (or by a sqrt-q zero divisor)."""
+    """Division by the zero Scalar (or by a zero divisor of the coefficient ring)."""
 
 
 class PoleError(ScalarError):
     """A geometric tail or specialization hit the excluded parameter locus."""
 
 
+def power_rows(minpoly: tuple, count: int) -> tuple:
+    """x^k for k < count in the basis 1, x, ..., x^(d-1) of Q[x]/(minpoly).
+
+    minpoly is monic of degree d with ascending coefficients; row k is a tuple
+    of (exponent, coefficient) pairs with nonzero coefficients.
+    """
+    cur = [Fraction(1)] + [Fraction(0)] * (len(minpoly) - 2)
+    rows = []
+    for _ in range(count):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            cur = [c - top * m for c, m in zip(cur, minpoly)]
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Shared read-only scalar-field configuration: zeta order and q = r^2."""
+    """Shared read-only scalar-field configuration: zeta order M and q = r^2."""
 
     m: int
     q: int
 
+    @cached_property
+    def zeta_rows(self) -> tuple:
+        """zeta^k in the power basis, for every k below M and below 2 deg Phi_M - 1."""
+        phi = cyclotomic_polynomial(self.m)
+        return power_rows(phi, max(self.m, 2 * len(phi) - 3))
 
-def _grlex_key(mono: tuple[int, int, int, int]):
+    @cached_property
+    def reduction(self) -> tuple:
+        """(deg(x^2 - q), deg Phi_M, table): table[i, j] is the row of r^i zeta^j,
+        as ((i', j'), coefficient) pairs, for each exponent pair a product of two
+        reduced terms can reach with i or j at or above its degree."""
+        rrows = power_rows((Fraction(-self.q), Fraction(0), Fraction(1)), 3)
+        dz = len(cyclotomic_polynomial(self.m)) - 1
+        table = {
+            (i, j): tuple(((ki, kj), ci * cj) for ki, ci in rrows[i] for kj, cj in self.zeta_rows[j])
+            for i in range(3)
+            for j in range(2 * dz - 1)
+            if i >= 2 or j >= dz
+        }
+        return 2, dz, table
+
+
+def _grlex_key(mono: tuple):
     return (sum(mono), mono)
 
 
 class Poly:
-    """Multivariate polynomial in (a, b, u, r) over Q(zeta_M), with r^2 -> q."""
+    """Polynomial in (a, b, u, r, zeta) over Q, reduced by r^2 = q and Phi_M(zeta) = 0."""
 
     __slots__ = ("field", "terms", "_lead", "_den_key")
 
     def __init__(self, field: FieldSpec, terms: dict):
         self.field = field
-        self.terms = {mo: c for mo, c in terms.items() if not c.is_zero()}
+        self.terms = {mo: c for mo, c in terms.items() if c}
         self._lead = None
         self._den_key = None
 
@@ -80,31 +130,32 @@ class Poly:
 
     @classmethod
     def const(cls, field: FieldSpec, c) -> "Poly":
-        if isinstance(c, (int, Fraction)):
-            c = Cyclo.from_rational(field.m, c)
-        return cls(field, {(0, 0, 0, 0): c})
+        return cls(field, {_CONST: Fraction(c)})
 
     @classmethod
     def var(cls, field: FieldSpec, name: str) -> "Poly":
         mono = tuple(1 if v == name else 0 for v in VARS)
-        return cls(field, {mono: Cyclo.from_rational(field.m, 1)})
+        return cls(field, {mono: Fraction(1)})
+
+    @classmethod
+    def zeta_power(cls, field: FieldSpec, k: int) -> "Poly":
+        """zeta_M^k, reduced."""
+        return cls._raw(field, {(0, 0, 0, 0, j): c for j, c in field.zeta_rows[k % field.m]})
 
     # -- basic structure ----------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(mo == (0, 0, 0, 0) for mo in self.terms)
-
-    def constant_value(self) -> Cyclo:
-        if self.is_zero():
-            return Cyclo.from_rational(self.field.m, 0)
-        return self.terms[(0, 0, 0, 0)]
+        return all(mo == _CONST for mo in self.terms)
 
     def has_r(self) -> bool:
         return any(mo[3] for mo in self.terms)
 
-    def leading(self) -> tuple[tuple[int, int, int, int], Cyclo]:
+    def has_zeta(self) -> bool:
+        return any(mo[4] for mo in self.terms)
+
+    def leading(self) -> tuple[tuple, Fraction]:
         if self._lead is None:
             mo = max(self.terms, key=_grlex_key)
             self._lead = (mo, self.terms[mo])
@@ -116,22 +167,20 @@ class Poly:
     def den_key(self) -> str:
         """The order of denominator factors: the repr of the grlex-descending terms."""
         if self._den_key is None:
-            terms = sorted(((mo, c.co) for mo, c in self.terms.items()), key=lambda t: _grlex_key(t[0]), reverse=True)
-            self._den_key = repr(terms)
+            self._den_key = repr(sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True))
         return self._den_key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((mo, c) for mo, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        zero = Cyclo.from_rational(self.field.m, 0)
         for mo, c in other.terms.items():
-            out[mo] = out.get(mo, zero) + c
+            out[mo] = out[mo] + c if mo in out else c
         return Poly(self.field, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -142,50 +191,60 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict = {}
-        qc = Fraction(self.field.q)
-        for mo1, c1 in self.terms.items():
-            for mo2, c2 in other.terms.items():
+        dr, dz, table = self.field.reduction
+        for (a1, b1, u1, r1, z1), c1 in self.terms.items():
+            for (a2, b2, u2, r2, z2), c2 in other.terms.items():
                 c = c1 * c2
-                er = mo1[3] + mo2[3]
-                if er == 2:  # rewrite r^2 -> q
-                    c = c * qc
-                    er = 0
-                mo = (mo1[0] + mo2[0], mo1[1] + mo2[1], mo1[2] + mo2[2], er)
+                er, ez = r1 + r2, z1 + z2
+                if er >= dr or ez >= dz:  # r^2 -> q and zeta^d -> its Phi_M row
+                    for (kr, kz), f in table[er, ez]:
+                        mo = (a1 + a2, b1 + b2, u1 + u2, kr, kz)
+                        out[mo] = out[mo] + c * f if mo in out else c * f
+                    continue
+                mo = (a1 + a2, b1 + b2, u1 + u2, er, ez)
                 if mo in out:
                     out[mo] = out[mo] + c
                 else:
                     out[mo] = c
         return Poly(self.field, out)
 
-    def scale(self, c: Cyclo) -> "Poly":
-        if c.is_zero():
+    def scale(self, c: Fraction) -> "Poly":
+        if not c:
             return Poly.zero(self.field)
         return Poly._raw(self.field, {mo: co * c for mo, co in self.terms.items()})
 
-    def conj_r(self) -> "Poly":
-        """The automorphism r -> -r."""
-        return Poly._raw(self.field, {mo: (-c if mo[3] else c) for mo, c in self.terms.items()})
+    def galois(self, s: int, k: int) -> "Poly":
+        """The automorphism r -> s*r (s = +-1), zeta -> zeta^k (k a unit mod M)."""
+        rows, m = self.field.zeta_rows, self.field.m
+        out: dict = {}
+        for (ea, eb, eu, er, ez), c in self.terms.items():
+            if er and s < 0:
+                c = -c
+            for j, f in rows[ez * k % m]:
+                mo = (ea, eb, eu, er, j)
+                out[mo] = out[mo] + c * f if mo in out else c * f
+        return Poly(self.field, out)
 
     def divexact(self, f: "Poly") -> "Poly | None":
         """Exact quotient self / f, or None when f does not divide self.
 
-        f must be r-free (every denominator factor is), so no product below
-        carries r^2 and the remainder is updated in place: each step takes the
-        leading term off the remainder and subtracts only the non-leading terms
-        of f times the new quotient term.
+        f must be free of r and zeta (every denominator factor is), so no
+        product below needs a reduction and the remainder is updated in place:
+        each step takes the leading term off the remainder and subtracts only
+        the non-leading terms of f times the new quotient term.
         """
         if f.is_zero():
             raise ZeroDivisionError
-        assert not f.has_r(), "divisors must be r-free"
+        assert not any(mo[3] or mo[4] for mo in f.terms), "divisors must be free of r and zeta"
         fmo, fc = f.leading()
-        f0, f1, f2, _ = fmo
-        fc_inv = None if fc.is_one() else fc.inverse()
+        f0, f1, f2, _, _ = fmo
+        fc_inv = None if fc == 1 else 1 / fc
         ftail = [(mo, c) for mo, c in f.terms.items() if mo != fmo]
         rem = dict(self.terms)
         quot: dict = {}
         while rem:
             mo = max(rem, key=_grlex_key)
-            dm = (mo[0] - f0, mo[1] - f1, mo[2] - f2, mo[3])
+            dm = (mo[0] - f0, mo[1] - f1, mo[2] - f2, mo[3], mo[4])
             if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
                 return None
             qc = rem.pop(mo)
@@ -193,88 +252,60 @@ class Poly:
                 qc = qc * fc_inv
             quot[dm] = qc
             for tm, tc in ftail:
-                m = (dm[0] + tm[0], dm[1] + tm[1], dm[2] + tm[2], dm[3])
+                m = (dm[0] + tm[0], dm[1] + tm[1], dm[2] + tm[2], dm[3], dm[4])
                 c = qc * tc
                 if m in rem:
                     c = rem[m] - c
-                    if c.is_zero():
-                        del rem[m]
-                    else:
+                    if c:
                         rem[m] = c
+                    else:
+                        del rem[m]
                 else:
                     rem[m] = -c
         return Poly._raw(self.field, quot)
 
-    def shift_down(self, mono: tuple[int, int, int, int]) -> "Poly":
+    def shift_down(self, mono: tuple) -> "Poly":
         """self / mono for a monomial dividing every term: exponents shift, coefficients stay."""
-        e0, e1, e2, e3 = mono
+        e0, e1, e2, e3, e4 = mono
         return Poly._raw(
-            self.field, {(m0 - e0, m1 - e1, m2 - e2, m3 - e3): c for (m0, m1, m2, m3), c in self.terms.items()}
+            self.field,
+            {(m0 - e0, m1 - e1, m2 - e2, m3 - e3, m4 - e4): c for (m0, m1, m2, m3, m4), c in self.terms.items()},
         )
 
     def substitute(self, assignment: dict) -> "Poly":
-        """Substitute exact rational/cyclotomic values for a subset of a, b, u."""
+        """Substitute exact rational values for a subset of a, b, u."""
         vals = {}
         for name, v in assignment.items():
             if name not in ("a", "b", "u"):
                 raise ScalarError(f"cannot specialize variable {name!r}")
-            vals[VARS.index(name)] = v if isinstance(v, Cyclo) else Cyclo.from_rational(self.field.m, v)
-        out = Poly.zero(self.field)
+            vals[VARS.index(name)] = Fraction(v)
+        out: dict = {}
         for mo, c in self.terms.items():
-            coeff = c
             new_mo = list(mo)
             for idx, v in vals.items():
-                for _ in range(mo[idx]):
-                    coeff = coeff * v
+                c = c * v ** mo[idx]
                 new_mo[idx] = 0
-            out = out + Poly(self.field, {tuple(new_mo): coeff})
-        return out
+            new_mo = tuple(new_mo)
+            out[new_mo] = out[new_mo] + c if new_mo in out else c
+        return Poly(self.field, out)
 
     # -- rendering -----------------------------------------------------
     def render(self) -> str:
         if self.is_zero():
             return "0"
+        names = VARS[:4] + (f"zeta{self.field.m}",)
         parts: list[str] = []
         for mo in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[mo]
-            parts.append(_render_term(mo, c, first=not parts))
+            parts.append(_render_term(names, mo, self.terms[mo], first=not parts))
         return "".join(parts)
 
     def __repr__(self):
         return f"Poly<{self.render()}>"
 
 
-def _render_cyclo(c: Cyclo) -> tuple[str, bool]:
-    """Render a coefficient; second component says whether a sign can be pulled out."""
-    if c.is_rational():
-        v = c.rational_value()
-        s = str(v)
-        return s, True
-    terms = []
-    for k, co in enumerate(c.co):
-        if co == 0:
-            continue
-        if k == 0:
-            terms.append(str(co))
-        else:
-            mag = "" if abs(co) == 1 else f"{abs(co)}*"
-            t = f"{mag}zeta{c.m}" + (f"^{k}" if k > 1 else "")
-            terms.append(t if co > 0 and not terms else (("+" if co > 0 else "-") + t) if terms else ("-" + t))
-    return "(" + "".join(terms) + ")", True
-
-
-def _render_term(mo, c: Cyclo, first: bool) -> str:
-    names = []
-    for name, e in zip(VARS, mo):
-        if e == 1:
-            names.append(name)
-        elif e > 1:
-            names.append(f"{name}^{e}")
-    mono = "*".join(names)
-    cs, plain = _render_cyclo(c)
-    neg = plain and cs.startswith("-")
-    if neg:
-        cs = cs[1:]
+def _render_term(names: tuple, mo: tuple, c: Fraction, first: bool) -> str:
+    mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mo) if e)
+    cs = str(abs(c))
     if mono and cs == "1":
         body = mono
     elif mono:
@@ -282,8 +313,8 @@ def _render_term(mo, c: Cyclo, first: bool) -> str:
     else:
         body = cs
     if first:
-        return ("-" if neg else "") + body
-    return (" - " if neg else " + ") + body
+        return ("-" if c < 0 else "") + body
+    return (" - " if c < 0 else " + ") + body
 
 
 _ONE_POLY: dict = {}
@@ -292,9 +323,10 @@ _ONE_POLY: dict = {}
 class Scalar:
     """An element of Q(zeta_M)(a, b, u)[r]/(r^2 - q).
 
-    num is a Poly; den a sorted tuple of monic, r-free, non-constant Poly
-    factors, none of which divides num.  Equality is decided exactly by
-    cross-multiplication; is_zero by the (expanded) numerator.
+    num is a Poly; den a sorted tuple of monic, non-constant Poly factors in
+    a, b, u (free of r and zeta), none of which divides num.  Equality is
+    decided exactly by cross-multiplication; is_zero by the (expanded)
+    numerator.
     """
 
     __slots__ = ("field", "num", "den")
@@ -313,12 +345,8 @@ class Scalar:
         return cls(field, Poly.const(field, x))
 
     @classmethod
-    def from_cyclo(cls, field: FieldSpec, c: Cyclo) -> "Scalar":
-        return cls(field, Poly(field, {(0, 0, 0, 0): c}))
-
-    @classmethod
     def from_root_of_unity(cls, field: FieldSpec, z: RootOfUnity) -> "Scalar":
-        return cls.from_cyclo(field, z.embed(field.m))
+        return cls(field, Poly.zeta_power(field, z.embed(field.m)))
 
     @classmethod
     def variable(cls, field: FieldSpec, name: str) -> "Scalar":
@@ -355,8 +383,6 @@ class Scalar:
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, (int, Fraction)):
             return Scalar.from_rational(self.field, other)
-        if isinstance(other, Cyclo):
-            return Scalar.from_cyclo(self.field, other)
         if isinstance(other, RootOfUnity):
             return Scalar.from_root_of_unity(self.field, other)
         if isinstance(other, Scalar):
@@ -422,17 +448,21 @@ class Scalar:
         return self._coerce(other) * self.inverse()
 
     def inverse(self) -> "Scalar":
+        """den times the numerator's Galois conjugates (zeta -> zeta^k for the
+        units 1 < k < M, then r -> -r), over their product with the numerator,
+        which lies in Q[a, b, u]."""
         if self.is_zero():
             raise ScalarDivisionError("division by the zero Scalar")
-        n = self.num
-        numerator = _product(self.field, self.den)
-        if n.has_r():
-            conj = n.conj_r()
-            norm = n * conj  # r-free by construction
-            if norm.is_zero():
-                raise ScalarDivisionError("sqrt(q) zero divisor: numerator times its r-conjugate vanishes")
-            return Scalar(self.field, numerator * conj, (norm,))
-        return Scalar(self.field, numerator, (n,))
+        num, norm, m = _product(self.field, self.den), self.num, self.field.m
+        conjugates = [norm.galois(1, k) for k in range(2, m) if gcd(k, m) == 1] if norm.has_zeta() else []
+        for conj in conjugates:
+            num, norm = num * conj, norm * conj
+        if norm.has_r():  # norm is zeta-free: each zeta -> zeta^k permutes its factors
+            conj = norm.galois(-1, 1)
+            num, norm = num * conj, norm * conj
+        if norm.is_zero():
+            raise ScalarDivisionError("zero divisor: the numerator times its Galois conjugates vanishes")
+        return Scalar(self.field, num, (norm,))
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -475,18 +505,12 @@ class Scalar:
     def __repr__(self):
         return f"Scalar<{self.render()}>"
 
-    def as_fraction(self) -> Fraction:
-        """The value as an exact rational (raises unless constant and rational)."""
-        if self.den or not self.num.is_constant():
-            raise ScalarError("scalar is not a rational constant: %s" % self.render())
-        return self.num.constant_value().rational_value()
 
-
-def _content_monomial(poly: Poly) -> tuple[int, int, int, int]:
+def _content_monomial(poly: Poly) -> tuple:
     mono = None
     for mo in poly.terms:
         mono = mo if mono is None else tuple(min(x, y) for x, y in zip(mono, mo))
-    return mono or (0, 0, 0, 0)
+    return mono or _CONST
 
 
 def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -> tuple[Poly, tuple]:
@@ -496,27 +520,25 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
     if num.is_zero():
         return Poly.zero(field), ()
     out: list[Poly] = []
-    den_mono = (0, 0, 0, 0)
+    den_mono = _CONST
     for f in den:
         if f.is_zero():
             raise ScalarDivisionError("zero denominator factor")
-        if f.has_r():
-            raise AssertionError("denominator factors must be r-free")
-        if f.is_constant():
-            num = num.scale(f.constant_value().inverse())
-            continue
+        if f.has_r() or f.has_zeta():
+            raise AssertionError("denominator factors must be free of r and zeta")
         # split off the monomial content so a*b-powers cancel transparently
         mono = _content_monomial(f)
         if any(mono):
             f = f.shift_down(mono)
             den_mono = tuple(x + y for x, y in zip(den_mono, mono))
         if f.is_constant():
-            num = num.scale(f.constant_value().inverse())
+            num = num.scale(1 / f.terms[_CONST])
             continue
         _, lc = f.leading()
-        if not lc.is_one():
-            f = f.scale(lc.inverse())
-            num = num.scale(lc.inverse())
+        if lc != 1:
+            inv = 1 / lc
+            f = f.scale(inv)
+            num = num.scale(inv)
         out.append(f)
     if any(den_mono):
         # cancel against the numerator's own monomial content
@@ -526,9 +548,7 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
         if any(common):
             num = num.shift_down(common)
         if any(left):
-            if left[3]:  # keep denominators r-free: r / r^2 -> rewrite via r^2 = q
-                raise AssertionError("denominator factors must be r-free")
-            out.append(Poly(field, {left: Cyclo.from_rational(field.m, 1)}))
+            out.append(Poly._raw(field, {left: Fraction(1)}))
     # cancel factors dividing the numerator (with cheap divisibility prefilters:
     # both the leading and the trailing monomial of a divisor must divide the
     # numerator's, and a monomial can only be divided by a monomial)
@@ -544,20 +564,10 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
             if n_terms == 1 and len(f.terms) > 1:
                 continue
             flead = f.leading()[0]
-            if (
-                nlead[0] < flead[0]
-                or nlead[1] < flead[1]
-                or nlead[2] < flead[2]
-                or nlead[3] < flead[3]
-            ):
+            if nlead[0] < flead[0] or nlead[1] < flead[1] or nlead[2] < flead[2]:
                 continue
             ftrail = f.trailing_monomial()
-            if (
-                ntrail[0] < ftrail[0]
-                or ntrail[1] < ftrail[1]
-                or ntrail[2] < ftrail[2]
-                or ntrail[3] < ftrail[3]
-            ):
+            if ntrail[0] < ftrail[0] or ntrail[1] < ftrail[1] or ntrail[2] < ftrail[2]:
                 continue
             q = num.divexact(f)
             if q is not None:

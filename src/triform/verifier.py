@@ -5,6 +5,7 @@ and seed (the structured format carries no timings).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -198,7 +199,10 @@ class Env:
             self.mu3 = None
             self.V3 = steinberg_model(ctx)
         else:
-            mu3 = parse_character_spec(ctx, spec)
+            try:
+                mu3 = parse_character_spec(ctx, spec)
+            except (ValueError, ScalarError) as e:
+                raise ConfigError(f"mu3 {spec!r}: {e}") from e
             if 2 * mu3.conductor() != n:
                 raise ConfigError(f"mu3 has conductor exponent {mu3.conductor()}, so the third "
                                   f"representation has conductor {2*mu3.conductor()}, not n = {n}")
@@ -560,15 +564,16 @@ def scenario_phi_nonvanishing(env: Env) -> list:
 
 
 def _magnitude(s: Scalar, q: int) -> float:
-    """|x + y sqrt(q)| as a float, for a scalar constant in a, b, u."""
+    """|s| as a float for a scalar constant in a, b, u: its value at r = sqrt(q)
+    and zeta_M = exp(2 pi i / M)."""
+    zeta = cmath.exp(2j * cmath.pi / s.field.m)
 
-    def poly_val(poly) -> float:
-        out = 0.0
-        for mo, c in poly.terms.items():
-            if mo[0] or mo[1] or mo[2]:
+    def poly_val(poly) -> complex:
+        out = 0j
+        for (ea, eb, eu, er, ez), c in poly.terms.items():
+            if ea or eb or eu:
                 raise ValueError("not constant in a, b, u")
-            base = float(c.rational_value()) if c.is_rational() else complex(sum(float(x) for x in c.co)).real
-            out += base * (q**0.5 if mo[3] else 1.0)
+            out += float(c) * (q**0.5 if er else 1.0) * zeta**ez
         return out
 
     num = poly_val(s.num)

@@ -1,13 +1,18 @@
 """Report machinery: determinism, round trip, fault injection, coverage,
 configuration validation, CLI plumbing."""
 
+import importlib.util
 import json
+import math
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
-from triform.context import MAX_LEVEL
+from triform import verifier
+from triform.context import MAX_LEVEL, Context
 from triform.verifier import (
     COVERAGE,
     SCENARIOS,
@@ -16,6 +21,7 @@ from triform.verifier import (
     ScenarioConfig,
     coverage_complete,
     default_mu3_spec,
+    _magnitude,
     parse_report,
     run_scenario,
 )
@@ -191,3 +197,51 @@ def test_cli_engine_error_is_a_fail_record():
     (check,) = json.loads(proc.stdout)["checks"]
     assert (check["id"], check["verdict"]) == ("intro-vanishing", "FAIL")
     assert check["reason"].startswith("TailError: depth cap 3 below")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "3", "--n", "2", "--mu3", "garbage"],
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta3^1], pi=u)"],  # image of the wrong order
+        ["--specialize", "a=x"],
+        ["--config", "{tmp}/bad.cfg"],
+        ["--config", "{tmp}/missing.cfg"],
+    ],
+)
+def test_cli_bad_input_is_a_config_error(argv, tmp_path):
+    """Malformed input exits 2 with a configuration error, not a traceback."""
+    (tmp_path / "bad.cfg").write_text("p = x\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "triform", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_magnitude_evaluates_zeta():
+    """A coefficient in Q(zeta_M) is evaluated at zeta_M = exp(2 pi i / M)."""
+    c4, c6 = Context(5, zeta_order=4), Context(3, zeta_order=6)
+    assert math.isclose(_magnitude(1 + c4.scalar(c4.zeta(4)), 5), math.sqrt(2))
+    assert math.isclose(_magnitude(c6.scalar(c6.zeta(6)) - 1, 3), 1)
+    assert math.isclose(_magnitude(c6.r / (2 + c6.scalar(c6.zeta(6))), 3), math.sqrt(3 / 7))  # |2 + zeta6|^2 = 7
+
+
+def test_tracer_entry_points_resolve():
+    """The benchmark's traced mode finds every function it wraps: each entry
+    point and each scenario runner is a plain function of the package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, _, modname, attr_path in tracer.ENTRY_POINTS:
+        owner = importlib.import_module(modname)
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert isinstance(vars(owner).get(attr), types.FunctionType), f"{modname}.{attr_path}"
+    for sid in SCENARIOS:
+        assert isinstance(verifier._RUNNERS.get(sid), types.FunctionType), sid
