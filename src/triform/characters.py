@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .context import Context
 from .cyclo import RootOfUnity
-from .padic import PadicRational
+from .padic import as_ratio, ratio_val, unit_residue
 from .scalars import Scalar
 
 
@@ -132,17 +132,19 @@ class SmoothCharacter:
             return RootOfUnity(1, 0)
         return _image_of(self.ctx.p, self.c, self.images, residue)
 
-    def eval(self, x) -> Scalar:
-        if not isinstance(x, PadicRational):
-            x = PadicRational(x, self.ctx.p)
-        if x.is_zero():
+    def eval(self, x, d: int = 1) -> Scalar:
+        """chi(x / d) for ints x and d, or chi(x) for an int, Fraction or PadicRational x."""
+        if type(x) is not int:
+            x, d = as_ratio(x)
+        if not x:
             raise ZeroDivisionError("character evaluated at 0")
-        v = x.val()
+        p = self.ctx.p
+        v = ratio_val(x, d, p)
         out = self._powers.get(v)
         if out is None:
             out = self._powers[v] = self.value_at_pi**v
         if self.c:
-            out = out * self.ctx.scalar(self.unit_image(x.unit_residue(self.c)))
+            out = out * self.ctx.scalar(self.unit_image(unit_residue(x, d, p, self.c)))
         return out
 
     __call__ = eval
@@ -258,9 +260,9 @@ class BorelCharacter:
     def eval(self, bmat) -> Scalar:
         if not bmat.is_upper():
             raise ValueError("Borel character evaluated off the Borel subgroup")
-        out = self.chi_a.eval(bmat.x) * self.chi_d.eval(bmat.t)
-        if self.half_delta:
-            out = out * self.ctx.q_power_half(-(bmat.x.val() - bmat.t.val()))
+        out = self.chi_a.eval(*bmat.entry(0)) * self.chi_d.eval(*bmat.entry(3))
+        if self.half_delta:  # delta^{1/2}(b) = q^{-val(x/t)/2}
+            out = out * self.ctx.q_power_half(ratio_val(*bmat.ratio(3, 0), self.ctx.p))
         return out
 
     __call__ = eval

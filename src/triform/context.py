@@ -29,6 +29,8 @@ class Context:
         self._caches: dict = {}
         self._zero = Scalar.from_rational(self.field, 0)
         self._one = Scalar.from_rational(self.field, 1)
+        self._r = Scalar.variable(self.field, "r")
+        self._q_powers: dict[int, Scalar] = {}  # h -> q^h; Scalars are immutable
 
     # -- scalar factories --------------------------------------------------
     def scalar(self, x) -> Scalar:
@@ -61,14 +63,16 @@ class Context:
     @property
     def r(self) -> Scalar:
         """The formal sqrt(q)."""
-        return Scalar.variable(self.field, "r")
+        return self._r
 
     def q_power_half(self, k: int) -> Scalar:
         """q^{k/2} as a Scalar (an r-power when k is odd)."""
         half, odd = divmod(k, 2)
-        out = self.scalar(Fraction(self.q) ** half)
+        out = self._q_powers.get(half)
+        if out is None:
+            out = self._q_powers[half] = self.scalar(Fraction(self.q) ** half)
         if odd:
-            out = out * self.r
+            out = out * self._r
         return out
 
     def zeta(self, order: int, exponent: int = 1) -> RootOfUnity:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .context import Context, LevelTooDeepError
 from .matrices import GroupElement
+from .padic import ratio_val, residue
 
 ENUMERATION_CAP = 300_000
 
@@ -63,30 +64,32 @@ class P1Table:
         self.size = p1_size(p, m)
         self.reps: list[GroupElement] = []
         self.coords: list[tuple[int, int]] = []  # (chart, key)
+        self.rows: list[tuple[int, int]] = []  # the bottom row (z, t) of each rep, as ints
         for z in range(p**m):
             self.reps.append(GroupElement.lower(p, z))
             self.coords.append((0, z))
+            self.rows.append((z, 1))
         for j in range(p ** (m - 1)):
             t = p * j
             # determinant-one lift, so chart changes never hide a sign twist
             self.reps.append(GroupElement(p, 0, -1, 1, t))
             self.coords.append((1, t))
+            self.rows.append((1, t))
         self.cell_mass = Fraction(1, self.size)
 
     def cell_of_row(self, z, t) -> int:
-        """Cell index of the projective class of a primitive row (z, t)."""
+        """Cell index of the projective class of a primitive row (z, t), each
+        entry a pair (numerator, denominator) of ints."""
         p, m = self.ctx.p, self.m
-        mod = p**m
-        if not t.is_zero() and t.val() == 0:
-            key = z.residue(m) * pow(t.residue(m), -1, mod) % mod if not z.is_zero() else 0
-            return key
-        if z.is_zero() or z.val() != 0:
-            raise ValueError(f"row ({z}, {t}) is not primitive")
-        key = t.residue(m) * pow(z.residue(m), -1, mod) % mod if not t.is_zero() else 0
-        return p**m + key // p
+        (zn, zd), (tn, td) = z, t
+        if tn and ratio_val(tn, td, p) == 0:
+            return residue(zn * td, zd * tn, p, m)
+        if not zn or ratio_val(zn, zd, p) != 0:
+            raise ValueError(f"row ({Fraction(zn, zd)}, {Fraction(tn, td)}) is not primitive")
+        return p**m + residue(tn * zd, td * zn, p, m) // p
 
     def cell_of(self, k: GroupElement) -> int:
-        return self.cell_of_row(k.z, k.t)
+        return self.cell_of_row(k.entry(2), k.entry(3))
 
     def children(self, idx: int) -> list[int]:
         """The p cells at level m+1 refining cell idx (indices in the m+1 table)."""

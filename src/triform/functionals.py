@@ -20,7 +20,7 @@ from .context import Context
 from .cosets import p1_table, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .matrices import GroupElement, in_T_In, iwasawa
 from .models import InducedModel, Section, TableSection
-from .padic import PadicRational
+from .padic import ratio_val, unit_residue
 from .scalars import Scalar
 
 
@@ -131,9 +131,10 @@ class TorusFunctional:
             self._profiles[level] = WProfile(self.model3, level, level + extra)
         return self._profiles[level]
 
-    def torus_factor(self, t: GroupElement) -> Scalar:
-        """(chi_2/chi_1)(t) = (mu_2/mu_1)(t_1/t_2)."""
-        return self.ratio21.eval(t.x / t.t)
+    def torus_factor(self, b: GroupElement) -> Scalar:
+        """(chi_2/chi_1)(t) = (mu_2/mu_1)(t_1/t_2) for the torus part t = diag(t_1, t_2)
+        of an upper-triangular (or diagonal) b."""
+        return self.ratio21.eval(*b.ratio(0, 3))
 
     def _chtil_unit(self, eps: int) -> Scalar:
         c = max(self.chtil.c, 1)
@@ -241,16 +242,18 @@ class TorusFunctional:
         self._vectors[cache_key] = vec
         return vec
 
-    def _x0_key(self, x0: PadicRational, level: int):
-        if x0.is_zero() or x0.val() >= level:
+    def _x0_key(self, x0: int, den: int, level: int):
+        p = self.ctx.p
+        v = ratio_val(x0, den, p)
+        if v >= level:  # including x0 = 0
             return None
         mt = self.profile(level).key_level
-        return (x0.val(), x0.unit_residue(mt))
+        return (v, unit_residue(x0, den, p, mt))
 
     # -- public evaluation -----------------------------------------------------
-    def phi_table(self, tbl: TableSection, x0: PadicRational | None = None) -> Scalar:
-        key = None if x0 is None else self._x0_key(x0, tbl.level)
-        vec = self.tate_vector(tbl.level, key)
+    def phi_table(self, tbl: TableSection, x0: int = 0, den: int = 1) -> Scalar:
+        """phi(pi(n(x0 / den)) tbl) for ints x0 and den."""
+        vec = self.tate_vector(tbl.level, self._x0_key(x0, den, tbl.level))
         out = self.ctx.zero()
         for v, w in zip(tbl.values, vec):
             if not (v.is_zero() or w.is_zero()):
@@ -268,9 +271,8 @@ class TorusFunctional:
                 continue
             b, kappa = iwasawa(g)
             w2 = tbl if kappa == GroupElement.identity(self.ctx.p) else tbl.translate_K(kappa)
-            t = GroupElement.diag(self.ctx.p, b.x, b.t)
-            x0 = b.y / b.x
-            out = out + c * self.torus_factor(t) * self.phi_table(w2, x0)
+            # b = t n(x0) with x0 = y/x
+            out = out + c * self.torus_factor(b) * self.phi_table(w2, *b.ratio(1, 0))
         return out
 
     __call__ = eval
@@ -293,8 +295,8 @@ class TorusFunctional:
         for k in range(-D, D + 1):
             acc = ctx.zero()
             for eps in units:
-                y = PadicRational(Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k), p)
-                v = section.eval(wbar * GroupElement.upper(p, y.value))
+                y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
+                v = section.eval(wbar * GroupElement.upper(p, y))
                 if not v.is_zero():
                     acc = acc + v * self._chtil_unit(eps)
             annuli[k] = acc * ctx.scalar(cmass)
@@ -350,7 +352,7 @@ class CompactInducedFn:
         if self.support is not None:
             if iwahori_orbit_key(self.ctx, k, self.n, self.level) not in self.support:
                 return self.ctx.zero()
-        return self.ratio12.eval(t.x / t.t)
+        return self.ratio12.eval(*t.ratio(0, 3))
 
     __call__ = eval
 

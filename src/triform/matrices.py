@@ -4,30 +4,46 @@ Iwasawa decomposition that every section evaluation runs through.
 Conventions: K = GL_2(O), K(m) the principal congruence subgroup, I(n) the
 congruence subgroup with lower-left entry divisible by pi^n, T the diagonal
 torus, B the upper-triangular Borel.  gamma = diag(pi, 1), w = antidiagonal.
+
+An element is stored in one integer normal form, (X Y; Z T)/D with X, Y, Z,
+T, D ints, D > 0 and gcd(X, Y, Z, T, D) = 1, so equal elements have equal
+fields and every product, inverse and decomposition runs on ints.  Callers
+read an entry as a pair (numerator, denominator) of ints (the convention of
+padic.py) through entry() and ratio(), or as a PadicRational view x/y/z/t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .padic import INF, PadicRational
+from .padic import INF, PadicRational, as_ratio, vp
+
+_new = object.__new__
 
 
 class GroupElement:
-    """An element of GL_2(F); entries (x, y; z, t)."""
+    """An element of GL_2(F); entries (x, y; z, t) = (X, Y; Z, T)/D."""
 
-    __slots__ = ("p", "x", "y", "z", "t", "_det", "_inv")
+    __slots__ = ("p", "X", "Y", "Z", "T", "D", "N", "_inv")
 
     def __init__(self, p: int, x, y, z, t):
-        self.p = p
-        self.x = x if isinstance(x, PadicRational) else PadicRational(x, p)
-        self.y = y if isinstance(y, PadicRational) else PadicRational(y, p)
-        self.z = z if isinstance(z, PadicRational) else PadicRational(z, p)
-        self.t = t if isinstance(t, PadicRational) else PadicRational(t, p)
-        self._det = None
-        self._inv = None
-        if self.det().is_zero():
+        """The element with entries x, y, z, t: ints, Fractions or PadicRationals."""
+        ratios = [as_ratio(e) for e in (x, y, z, t)]
+        D = lcm(*(d for _, d in ratios))
+        self._set(p, *(n * (D // d) for n, d in ratios), D)
+
+    def _set(self, p: int, X: int, Y: int, Z: int, T: int, D: int):
+        if D < 0:
+            X, Y, Z, T, D = -X, -Y, -Z, -T, -D
+        c = gcd(X, Y, Z, T, D)
+        if c != 1:
+            X, Y, Z, T, D = X // c, Y // c, Z // c, T // c, D // c
+        N = X * T - Y * Z  # det = N / D^2
+        if not N:
             raise ValueError("singular matrix is not a group element")
+        self.p, self.X, self.Y, self.Z, self.T, self.D, self.N = p, X, Y, Z, T, D, N
+        self._inv = None
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -41,7 +57,9 @@ class GroupElement:
     @classmethod
     def gamma(cls, p: int, k: int = 1) -> "GroupElement":
         """diag(pi^k, 1)."""
-        return cls(p, Fraction(p) ** k, 0, 0, 1)
+        if k >= 0:
+            return cls(p, p**k, 0, 0, 1)
+        return _element(p, 1, 0, 0, p**-k, p**-k)
 
     @classmethod
     def diag(cls, p: int, d1, d2) -> "GroupElement":
@@ -57,35 +75,65 @@ class GroupElement:
         """n-bar(x) = (1 0; x 1)."""
         return cls(p, 1, 0, x, 1)
 
-    # -- structure ---------------------------------------------------------
-    def det(self) -> PadicRational:
-        if self._det is None:
-            self._det = self.x * self.t - self.y * self.z
-        return self._det
+    # -- entries ------------------------------------------------------------
+    def entry(self, i: int) -> tuple[int, int]:
+        """Entry i of (x, y, z, t) as a pair (numerator, denominator)."""
+        return (self.X, self.Y, self.Z, self.T)[i], self.D
+
+    def ratio(self, i: int, j: int) -> tuple[int, int]:
+        """Entry i over entry j (nonzero) as a pair (numerator, denominator)."""
+        e = (self.X, self.Y, self.Z, self.T)
+        return e[i], e[j]
+
+    @property
+    def x(self) -> PadicRational:
+        return PadicRational(Fraction(self.X, self.D), self.p)
+
+    @property
+    def y(self) -> PadicRational:
+        return PadicRational(Fraction(self.Y, self.D), self.p)
+
+    @property
+    def z(self) -> PadicRational:
+        return PadicRational(Fraction(self.Z, self.D), self.p)
+
+    @property
+    def t(self) -> PadicRational:
+        return PadicRational(Fraction(self.T, self.D), self.p)
 
     def entries(self):
         return (self.x, self.y, self.z, self.t)
 
+    # -- structure ---------------------------------------------------------
+    def det(self) -> PadicRational:
+        return PadicRational(Fraction(self.N, self.D * self.D), self.p)
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.p,
-            self.x * other.x + self.y * other.z,
-            self.x * other.y + self.y * other.t,
-            self.z * other.x + self.t * other.z,
-            self.z * other.y + self.t * other.t,
+        X1, Y1, Z1, T1 = self.X, self.Y, self.Z, self.T
+        X2, Y2, Z2, T2 = other.X, other.Y, other.Z, other.T
+        return _element(
+            self.p, X1 * X2 + Y1 * Z2, X1 * Y2 + Y1 * T2, Z1 * X2 + T1 * Z2, Z1 * Y2 + T1 * T2, self.D * other.D
         )
 
     def inv(self) -> "GroupElement":
         if self._inv is None:
-            d = self.det()
-            self._inv = GroupElement(self.p, self.t / d, -self.y / d, -self.z / d, self.x / d)
+            D = self.D
+            self._inv = _element(self.p, self.T * D, -self.Y * D, -self.Z * D, self.X * D, self.N)
         return self._inv
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.entries() == other.entries()
+        return (
+            isinstance(other, GroupElement)
+            and self.X == other.X
+            and self.Y == other.Y
+            and self.Z == other.Z
+            and self.T == other.T
+            and self.D == other.D
+            and self.p == other.p
+        )
 
     def __hash__(self):
-        return hash((self.p,) + tuple(e.value for e in self.entries()))
+        return hash((self.p, self.X, self.Y, self.Z, self.T, self.D))
 
     def __repr__(self):
         return f"[{self.x} {self.y}; {self.z} {self.t}]"
@@ -96,40 +144,46 @@ class GroupElement:
         Right translation by g maps level-m sections to level-(m + gap)
         sections, since K(m + gap) lands inside g K(m) g^{-1}.
         """
-        mn = min(e.val() for e in self.entries() if not e.is_zero())
-        return abs(self.det().val() - 2 * mn)
+        p = self.p
+        mn = min(vp(e, p) for e in (self.X, self.Y, self.Z, self.T) if e)
+        return abs(vp(self.N, p) - 2 * mn)
 
     # -- subgroup membership -------------------------------------------------
     def in_K(self) -> bool:
-        return all(e.is_integral() for e in self.entries()) and self.det().val() == 0
+        # D is prime to p exactly when every entry is integral (gcd is 1)
+        p = self.p
+        return bool(self.D % p and self.N % p)
 
     def in_K_principal(self, m: int) -> bool:
         if not self.in_K():
             return False
-        return (
-            (self.x - 1).is_zero() or (self.x - 1).val() >= m
-        ) and (
-            self.y.is_zero() or self.y.val() >= m
-        ) and (
-            self.z.is_zero() or self.z.val() >= m
-        ) and ((self.t - 1).is_zero() or (self.t - 1).val() >= m)
+        mod, D = self.p**m, self.D
+        return not ((self.X - D) % mod or self.Y % mod or self.Z % mod or (self.T - D) % mod)
 
     def in_iwahori(self, n: int) -> bool:
-        return self.in_K() and (self.z.is_zero() or self.z.val() >= n)
+        return self.in_K() and not self.Z % self.p**n
 
     def is_upper(self) -> bool:
-        return self.z.is_zero()
+        return not self.Z
 
     def is_diagonal(self) -> bool:
-        return self.y.is_zero() and self.z.is_zero()
+        return not (self.Y or self.Z)
 
     def in_T_cap_K(self) -> bool:
-        return self.is_diagonal() and self.x.is_unit() and self.t.is_unit()
+        p = self.p
+        return self.is_diagonal() and bool(self.X % p and self.T % p and self.D % p)
 
     def in_R_star(self, n: int) -> bool:
         """gamma^{-n} K gamma^n membership."""
         g = GroupElement.gamma(self.p, n)
         return (g * self * g.inv()).in_K()
+
+
+def _element(p: int, X: int, Y: int, Z: int, T: int, D: int) -> GroupElement:
+    """The element (X Y; Z T)/D, brought to normal form."""
+    g = _new(GroupElement)
+    g._set(p, X, Y, Z, T, D)
+    return g
 
 
 def iwasawa(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -138,15 +192,13 @@ def iwasawa(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     Pivot on the bottom-row entry of minimal valuation, preferring (2,2) on
     ties, so decompositions are reproducible.
     """
-    p = g.p
-    vz = g.z.val()
-    vt = g.t.val()
-    if vt <= vz:  # pivot (2,2): k = (1 0; z/t 1)
-        k = GroupElement.lower(p, g.z / g.t)
-        b = GroupElement(p, g.det() / g.t, g.y, 0, g.t)
-    else:  # pivot (2,1): k = (0 -1; 1 t/z)
-        k = GroupElement(p, 0, -1, 1, g.t / g.z)
-        b = GroupElement(p, g.det() / g.z, g.x, 0, g.z)
+    p, X, Y, Z, T, D, N = g.p, g.X, g.Y, g.Z, g.T, g.D, g.N
+    if vp(T, p) <= vp(Z, p):  # pivot (2,2): k = (1 0; z/t 1), b = (det/t y; 0 t)
+        k = _element(p, T, 0, Z, T, T)
+        b = _element(p, N, Y * T, 0, T * T, D * T)
+    else:  # pivot (2,1): k = (0 -1; 1 t/z), b = (det/z x; 0 z)
+        k = _element(p, 0, -Z, Z, T, Z)
+        b = _element(p, N, X * Z, 0, Z * Z, D * Z)
     assert b * k == g
     return b, k
 
@@ -157,14 +209,16 @@ def in_T_In(g: GroupElement, n: int):
     Scaling each row to a primitive vector is the only candidate up to units,
     and I(n) absorbs unit diagonal factors, so one check decides membership.
     """
-    p = g.p
-    pi = Fraction(p)
-    v1 = min(g.x.val(), g.y.val())
-    v2 = min(g.z.val(), g.t.val())
-    if v1 is INF or v2 is INF:
+    p, X, Y, Z, T, D = g.p, g.X, g.Y, g.Z, g.T, g.D
+    a1 = min(vp(X, p), vp(Y, p))
+    a2 = min(vp(Z, p), vp(T, p))
+    if a1 is INF or a2 is INF:
         return None
-    t = GroupElement.diag(p, pi**v1, pi**v2)
-    k = t.inv() * g
+    vd = vp(D, p)
+    # t = diag(pi^(a1 - vd), pi^(a2 - vd)); k = t^-1 g has primitive rows
+    s = min(a1, a2, vd)
+    t = _element(p, p ** (a1 - s), 0, 0, p ** (a2 - s), p ** (vd - s))
+    k = _element(p, X // p**a1, Y // p**a1, Z // p**a2, T // p**a2, D // p**vd)
     if k.in_iwahori(n):
         return t, k
     return None

@@ -14,6 +14,7 @@ from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
 from .matrices import GroupElement, iwasawa
+from .padic import unit_residue
 from .scalars import Scalar
 
 
@@ -57,7 +58,8 @@ class InducedModel:
         if c == 0:
             return j, self.ctx.one()
         h = k * table.reps[j].inv()
-        tw = self.borel.diag_units_image(h.x.unit_residue(c), h.t.unit_residue(c))
+        p = self.ctx.p
+        tw = self.borel.diag_units_image(unit_residue(*h.entry(0), p, c), unit_residue(*h.entry(3), p, c))
         return j, self.ctx.scalar(tw)
 
     def section(self, level: int, values) -> "TableSection":

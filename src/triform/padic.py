@@ -1,7 +1,9 @@
-"""Exact p-adic rationals: elements of F = Q_p represented by Fractions.
+"""Exact p-adic rationals: elements of F = Q_p given by integers.
 
-Only valuations, unit parts and residue data are ever needed, so a value is a
-Fraction tagged with the prime; val(0) is the +infinity sentinel.
+Only valuations, unit parts and residue data are ever needed.  The hot paths
+pass an element of F as a pair of ints (n, d) with d != 0, not necessarily in
+lowest terms, and read it through the functions below; PadicRational wraps a
+Fraction for the cold callers.  val(0) is the +infinity sentinel.
 """
 
 from __future__ import annotations
@@ -12,33 +14,69 @@ from fractions import Fraction
 INF = math.inf
 
 
-def _int_val(n: int, p: int) -> int:
+def vp(n: int, p: int):
+    """v_p of an integer; +inf for 0."""
+    return split(n, p)[0] if n else INF
+
+
+def ratio_val(n: int, d: int, p: int):
+    """The valuation of n/d; +inf for n = 0."""
+    return vp(n, p) - vp(d, p)
+
+
+def split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
     v = 0
-    while n % p == 0:
+    while not n % p:
         n //= p
         v += 1
-    return v
+    return v, n
+
+
+def unit_residue(n: int, d: int, p: int, m: int) -> int:
+    """The unit part of n/d (nonzero) mod p^m, as an integer in [0, p^m)."""
+    mod = p**m
+    _, un = split(n, p)
+    if d % p:
+        return un * pow(d, -1, mod) % mod
+    return un * pow(split(d, p)[1], -1, mod) % mod
+
+
+def residue(n: int, d: int, p: int, m: int) -> int:
+    """n/d mod p^m for an integral value, as an integer in [0, p^m)."""
+    if not n:
+        return 0
+    mod = p**m
+    if d % p:
+        return n * pow(d, -1, mod) % mod
+    vd, ud = split(d, p)
+    vn, un = split(n, p)
+    if vn < vd:
+        raise ValueError("residue of a non-integral value")
+    return un * p ** (vn - vd) * pow(ud, -1, mod) % mod
+
+
+def as_ratio(x) -> tuple[int, int]:
+    """An int, Fraction or PadicRational as a pair (numerator, denominator)."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, PadicRational):
+        x = x.value
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 class PadicRational:
-    __slots__ = ("value", "p", "_val")
+    __slots__ = ("value", "p")
 
     def __init__(self, value, p: int):
         self.value = value if type(value) is Fraction else Fraction(value)
         self.p = p
-        self._val = None
 
     # -- valuation ------------------------------------------------------
     def val(self):
         """The normalized valuation; +inf for 0."""
-        if self._val is None:
-            if self.value == 0:
-                self._val = INF
-            else:
-                self._val = _int_val(self.value.numerator if self.value.numerator > 0 else -self.value.numerator, self.p) - _int_val(
-                    self.value.denominator, self.p
-                )
-        return self._val
+        return ratio_val(self.value.numerator, self.value.denominator, self.p)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -58,18 +96,13 @@ class PadicRational:
 
     def unit_residue(self, m: int) -> int:
         """The unit part mod p^m, as an integer in [0, p^m)."""
-        u = self.unit_part().value
-        mod = self.p**m
-        return u.numerator * pow(u.denominator, -1, mod) % mod
+        if self.is_zero():
+            raise ZeroDivisionError("unit part of 0")
+        return unit_residue(self.value.numerator, self.value.denominator, self.p, m)
 
     def residue(self, m: int) -> int:
         """self mod p^m for integral values, as an integer in [0, p^m)."""
-        if not self.is_integral():
-            raise ValueError("residue of a non-integral value")
-        mod = self.p**m
-        if self.value == 0:
-            return 0
-        return self.value.numerator * pow(self.value.denominator, -1, mod) % mod
+        return residue(self.value.numerator, self.value.denominator, self.p, m)
 
     # -- arithmetic ------------------------------------------------------
     def _coerce(self, other) -> "PadicRational":
@@ -127,4 +160,3 @@ def val(x, p: int | None = None):
     if isinstance(x, PadicRational):
         return x.val()
     return PadicRational(x, p).val()
-

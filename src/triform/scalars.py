@@ -661,10 +661,30 @@ class _Parser:
     def parse_term(self) -> Scalar:
         acc = self.parse_factor()
         while self.peek() in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.parse_factor()
-            acc = acc * rhs if op == "*" else acc / rhs
+            if self.next()[0] == "*":
+                acc = acc * self.parse_factor()
+            else:
+                for f in self.parse_divisor():
+                    acc = acc / f
         return acc
+
+    def parse_divisor(self) -> list:
+        """What to divide by, one factor at a time: a parenthesized product gives
+        its factors, so the factors of a rendered denominator stay separate
+        factors; anything else is one factor."""
+        start = self.pos
+        if self.peek() == "(":
+            self.next()
+            factors = [self.parse_factor()]
+            while self.peek() == "*":
+                self.next()
+                factors.append(self.parse_factor())
+            powered = self.pos + 1 < len(self.toks) and self.toks[self.pos + 1][0] == "^"
+            if self.peek() == ")" and not powered:
+                self.next()
+                return factors
+            self.pos = start  # a sum, or a power of the product: one factor
+        return [self.parse_factor()]
 
     def parse_factor(self) -> Scalar:
         neg = False

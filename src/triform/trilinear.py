@@ -114,19 +114,18 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
     ctx = f.ctx
     lvl = max(level or 0, f.level, f.n, 1)
     table = p1_table(ctx, lvl)
-    reps = table.reps
-    w = GroupElement.w(ctx.p)
+    p = ctx.p
+    w = GroupElement.w(p)
     rows = []
-    for rep1 in reps:
+    for rep1, (z1, t1) in zip(table.reps, table.rows):
         row = []
-        for rep2 in reps:
+        for rep2, (z2, t2) in zip(table.reps, table.rows):
             # the section matrix built from the two bottom rows lies in T I(n)
             # only if its determinant is a unit, so near pairs contribute 0
-            det = rep2.z * rep1.t - rep2.t * rep1.z
-            if det.is_zero() or det.val() != 0:
+            if not (z2 * t1 - t2 * z1) % p:
                 row.append(ctx.zero())
                 continue
-            sigma = GroupElement(ctx.p, rep2.z, rep2.t, rep1.z, rep1.t)
+            sigma = GroupElement(p, z2, t2, z1, t1)
             fv = f.eval(sigma)
             if fv.is_zero():
                 row.append(ctx.zero())
@@ -214,12 +213,11 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     # unit-distance pairs: an exact finite sum
     total = ctx.zero()
     w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
-    for rep1 in table.reps:
-        for rep2 in table.reps:
-            det = rep2.z * rep1.t - rep2.t * rep1.z
-            if det.is_zero() or det.val() != 0:
+    for z1, t1 in table.rows:
+        for z2, t2 in table.rows:
+            if not (z2 * t1 - t2 * z1) % p:
                 continue
-            sigma = GroupElement(p, rep2.z, rep2.t, rep1.z, rep1.t)
+            sigma = GroupElement(p, z2, t2, z1, t1)
             Fv = F.eval_pair(sigma, w * sigma)
             if not Fv.is_zero():
                 total = total + w0 * Fv * phi_translate(sigma)
@@ -240,10 +238,6 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
         raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
     units = units_mod(p, R)
     identity = GroupElement.identity(p)
-
-    def mul_bs(s, bh: GroupElement) -> GroupElement:
-        # (s 1; 0 1) * bh for upper-triangular bh
-        return GroupElement(p, s * bh.x.value, s * bh.y.value + bh.t.value, 0, bh.t.value)
 
     cell_pre = []
     for rep in table.reps:
@@ -272,12 +266,13 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     for e in range(1, e_top + 1):
         acc = ctx.zero()
         for eta in units:
-            s = Fraction(eta * p**e)
+            s = eta * p**e
             bs = GroupElement(p, s, 1, 0, 1)
+            wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
             for rep, phi_pre, s1_pre in cell_pre:
-                sigma = bs * rep
-                # F(sigma, w sigma)
+                # F(sigma, w sigma) with sigma = bs rep
                 if s1_pre is None:
+                    sigma = bs * rep
                     Fv = F.eval_pair(sigma, w * sigma)
                 else:
                     Fv = ctx.zero()
@@ -286,19 +281,12 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                             continue
                         v1 = ctx.zero()
                         for cv, bh1, borel1 in parts:
-                            v1 = v1 + cv * borel1.eval(mul_bs(s, bh1))
+                            v1 = v1 + cv * borel1.eval(bs * bh1)
                         if v1.is_zero():
                             continue
                         v2 = ctx.zero()
                         for c2, h2, t2 in parts2:
-                            m2 = GroupElement(
-                                p,
-                                h2.z.value,
-                                h2.t.value,
-                                s * h2.x.value + h2.z.value,
-                                s * h2.y.value + h2.t.value,
-                            )
-                            v2 = v2 + c2 * t2.eval(m2)
+                            v2 = v2 + c2 * t2.eval(wbs * h2)
                         if not v2.is_zero():
                             Fv = Fv + cF * v1 * v2
                 if Fv.is_zero():
@@ -306,10 +294,8 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                 # phi(pi(sigma) v), with the K-part hoisted per cell
                 pv = ctx.zero()
                 for c, bh, w2 in phi_pre:
-                    bfull = mul_bs(s, bh)
-                    t = GroupElement.diag(p, bfull.x, bfull.t)
-                    x0 = bfull.y / bfull.x
-                    pv = pv + c * phi.torus_factor(t) * phi.phi_table(w2, x0)
+                    bfull = bs * bh  # = t n(x0) with x0 = y/x
+                    pv = pv + c * phi.torus_factor(bfull) * phi.phi_table(w2, *bfull.ratio(1, 0))
                 acc = acc + Fv * pv
         depth_sums[e] = ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * acc
         total = total + depth_sums[e]
@@ -432,7 +418,7 @@ class KernelForm:
         t1, t2, t3 = f1.as_table(L0), f2.as_table(L0), f3.as_table(L0)
         table = p1_table(ctx, L0)
         N = table.size
-        rows = [(rep.z, rep.t) for rep in table.reps]
+        rows = table.rows
         # the cells are lifted through det-one matrices, so the wedge of a
         # bottom row with its offset direction, -det(rep), is -1 on every cell
         mass = ctx.scalar(table.cell_mass)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triform.matrices import GroupElement, in_T_In, iwasawa
-from triform.padic import INF, PadicRational, val
+from triform.matrices import GroupElement, _element, in_T_In, iwasawa
+from triform.padic import INF, PadicRational, ratio_val, residue, unit_residue, val
 
 from conftest import rand_G, rand_K
 
@@ -105,3 +107,173 @@ def test_cartan_gap():
     assert GroupElement.diag(p, 4, 4).cartan_gap() == 0
     assert GroupElement.w(p).cartan_gap() == 0
     assert GroupElement(p, 0, 1, 4, 0).cartan_gap() == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer normal form against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def ref_val(x: Fraction, p: int):
+    if x == 0:
+        return INF
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def ref_mul(g, h):
+    x1, y1, z1, t1 = g
+    x2, y2, z2, t2 = h
+    return (x1 * x2 + y1 * z2, x1 * y2 + y1 * t2, z1 * x2 + t1 * z2, z1 * y2 + t1 * t2)
+
+
+def ref_det(g):
+    return g[0] * g[3] - g[1] * g[2]
+
+
+def ref_inv(g):
+    d = ref_det(g)
+    return (g[3] / d, -g[1] / d, -g[2] / d, g[0] / d)
+
+
+def ref_iwasawa(g, p):
+    x, y, z, t = g
+    if ref_val(t, p) <= ref_val(z, p):
+        return (ref_det(g) / t, y, Fraction(0), t), (Fraction(1), Fraction(0), z / t, Fraction(1))
+    return (ref_det(g) / z, x, Fraction(0), z), (Fraction(0), Fraction(-1), Fraction(1), t / z)
+
+
+def ref_in_K(g, p):
+    return all(ref_val(e, p) >= 0 for e in g) and ref_val(ref_det(g), p) == 0
+
+
+def ref_in_T_In(g, p, n):
+    v1 = min(ref_val(g[0], p), ref_val(g[1], p))
+    v2 = min(ref_val(g[2], p), ref_val(g[3], p))
+    t = (Fraction(p) ** v1, Fraction(0), Fraction(0), Fraction(p) ** v2)
+    k = ref_mul(ref_inv(t), g)
+    if ref_in_K(k, p) and ref_val(k[2], p) >= n:
+        return t, k
+    return None
+
+
+def ref_unit_residue(x: Fraction, p: int, m: int) -> int:
+    u = x / Fraction(p) ** ref_val(x, p)
+    return u.numerator * pow(u.denominator, -1, p**m) % p**m
+
+
+def entries_of(g: GroupElement):
+    return tuple(Fraction(*g.entry(i)) for i in range(4))
+
+
+def p_adic_fractions(p):
+    """Rationals with every valuation in [-3, 3] and denominators carrying other primes too."""
+    nonzero = st.builds(
+        lambda n, d, a: Fraction(n, d) * Fraction(p) ** a,
+        st.integers(-40, 40).filter(bool),
+        st.integers(1, 12),
+        st.integers(-3, 3),
+    )
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+def matrices(p):
+    return st.tuples(*(p_adic_fractions(p),) * 4).filter(lambda g: ref_det(g) != 0)
+
+
+primes = st.sampled_from([2, 3, 5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), matrices(p), matrices(p))))
+def test_kernel_arithmetic_matches_fractions(case):
+    p, a, b = case
+    g, h = GroupElement(p, *a), GroupElement(p, *b)
+    assert entries_of(g) == a and tuple(e.value for e in g.entries()) == a
+    assert g.det().value == ref_det(a)
+    assert entries_of(g * h) == ref_mul(a, b)
+    assert entries_of(g.inv()) == ref_inv(a)
+    assert g * h == GroupElement(p, *ref_mul(a, b)) and g.inv() == GroupElement(p, *ref_inv(a))
+    assert hash(g.inv().inv()) == hash(g) and g.inv().inv() == g
+    assert g.in_K() == ref_in_K(a, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), matrices(p))))
+def test_kernel_iwasawa_matches_fractions(case):
+    p, a = case
+    g = GroupElement(p, *a)
+    b, k = iwasawa(g)
+    want_b, want_k = ref_iwasawa(a, p)
+    assert entries_of(b) == want_b and entries_of(k) == want_k  # the same pivot
+    assert b.is_upper() and k.in_K() and ref_in_K(entries_of(k), p)
+    assert entries_of(b * k) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), matrices(p), st.integers(1, 3))))
+def test_kernel_in_T_In_matches_fractions(case):
+    p, a, n = case
+    got = in_T_In(GroupElement(p, *a), n)
+    want = ref_in_T_In(a, p, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (entries_of(got[0]), entries_of(got[1])) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), matrices(p), st.integers(1, 4))))
+def test_kernel_entry_valuations_and_residues(case):
+    p, a, m = case
+    g = GroupElement(p, *a)
+    for i, x in enumerate(a):
+        n, d = g.entry(i)
+        assert ratio_val(n, d, p) == ref_val(x, p) == g.entries()[i].val()
+        if x != 0:
+            assert unit_residue(n, d, p, m) == ref_unit_residue(x, p, m) == g.entries()[i].unit_residue(m)
+        if ref_val(x, p) >= 0:
+            want = x.numerator * pow(x.denominator, -1, p**m) % p**m
+            assert residue(n, d, p, m) == want == g.entries()[i].residue(m)
+        else:
+            with pytest.raises(ValueError):
+                residue(n, d, p, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), matrices(p), st.integers(2, 6))))
+def test_kernel_one_form_per_element(case):
+    p, a, c = case
+    g = GroupElement(p, *a)
+    D = 1
+    for x in a:
+        D = D * x.denominator // gcd(D, x.denominator)
+    X, Y, Z, T = (int(x * D) for x in a)
+    same = [
+        GroupElement(p, *(PadicRational(x, p) for x in a)),
+        GroupElement(p, *(Fraction(x.numerator * c, x.denominator * c) for x in a)),
+        _element(p, X * c, Y * c, Z * c, T * c, D * c),  # unreduced, as 2/4 against 1/2
+        _element(p, -X, -Y, -Z, -T, -D),  # a negative common denominator
+    ]
+    if D == 1:
+        same.append(GroupElement(p, X, Y, Z, T))
+    for h in same:
+        assert h == g and hash(h) == hash(g) and entries_of(h) == a
+        assert h.D > 0 and gcd(h.X, h.Y, h.Z, h.T, h.D) == 1
+
+
+def test_kernel_refuses_singular_input():
+    for p in (2, 3, 5):
+        with pytest.raises(ValueError):
+            GroupElement(p, 1, 2, 2, 4)
+        with pytest.raises(ValueError):
+            GroupElement(p, Fraction(1, p), Fraction(2, 3), Fraction(3, p), 2)
+        with pytest.raises(ValueError):
+            GroupElement(p, 0, 0, 5, 7)
+        with pytest.raises(ValueError):
+            _element(p, 2, 4, 3, 6, -p)

@@ -364,3 +364,4 @@ def test_golden_renders(build, text):
     s = build(c.a, c.b, c.u, c.r)
     assert s.render() == text
     assert parse_scalar(c.field, text) == s
+    assert parse_scalar(c.field, text).render() == text
