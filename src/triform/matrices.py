@@ -57,9 +57,7 @@ class GroupElement:
     @classmethod
     def gamma(cls, p: int, k: int = 1) -> "GroupElement":
         """diag(pi^k, 1)."""
-        if k >= 0:
-            return cls(p, p**k, 0, 0, 1)
-        return _element(p, 1, 0, 0, p**-k, p**-k)
+        return cls(p, Fraction(p) ** k, 0, 0, 1)
 
     @classmethod
     def diag(cls, p: int, d1, d2) -> "GroupElement":

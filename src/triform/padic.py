@@ -36,23 +36,18 @@ def split(n: int, p: int) -> tuple[int, int]:
 def unit_residue(n: int, d: int, p: int, m: int) -> int:
     """The unit part of n/d (nonzero) mod p^m, as an integer in [0, p^m)."""
     mod = p**m
-    _, un = split(n, p)
-    if d % p:
-        return un * pow(d, -1, mod) % mod
-    return un * pow(split(d, p)[1], -1, mod) % mod
+    return split(n, p)[1] * pow(split(d, p)[1], -1, mod) % mod
 
 
 def residue(n: int, d: int, p: int, m: int) -> int:
     """n/d mod p^m for an integral value, as an integer in [0, p^m)."""
     if not n:
         return 0
-    mod = p**m
-    if d % p:
-        return n * pow(d, -1, mod) % mod
-    vd, ud = split(d, p)
     vn, un = split(n, p)
+    vd, ud = split(d, p)
     if vn < vd:
         raise ValueError("residue of a non-integral value")
+    mod = p**m
     return un * p ** (vn - vd) * pow(ud, -1, mod) % mod
 
 
