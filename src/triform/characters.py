@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .context import Context
 from .cyclo import RootOfUnity
-from .padic import as_ratio, ratio_val, unit_residue
+from .padic import as_ratio, split
 from .scalars import Scalar
 
 
@@ -83,10 +83,18 @@ def _image_of(p: int, c: int, images: tuple, residue: int) -> RootOfUnity:
     return out
 
 
+def _exponent_table(p: int, c: int, images: tuple, m: int) -> list:
+    """Entry r is the j with chi(r) = zeta_m^j for each unit residue r mod p^c (None elsewhere)."""
+    table = [None] * p**c
+    for residue, exps in _dlog_table(p, c).items():
+        table[residue % p**c] = sum(img.embed(m) * e for img, e in zip(images, exps)) % m
+    return table
+
+
 class SmoothCharacter:
     """A smooth character of F*, with minimal (effective) conductor exponent."""
 
-    __slots__ = ("ctx", "c", "images", "value_at_pi", "_powers")
+    __slots__ = ("ctx", "c", "images", "value_at_pi", "_exponents", "_values")
 
     def __init__(self, ctx: Context, c: int, images: tuple, value_at_pi: Scalar):
         gens = unit_group_generators(ctx.p, c)
@@ -107,7 +115,8 @@ class SmoothCharacter:
         self.c = c
         self.images = images
         self.value_at_pi = value_at_pi
-        self._powers: dict[int, Scalar] = {}  # v -> value_at_pi ** v; Scalars are immutable
+        self._exponents = None  # the _exponent_table, built on first use
+        self._values: dict[int, Scalar] = {}  # v * M + j -> value_at_pi^v zeta_M^j; Scalars are immutable
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -132,20 +141,37 @@ class SmoothCharacter:
             return RootOfUnity(1, 0)
         return _image_of(self.ctx.p, self.c, self.images, residue)
 
+    def unit_exponent(self, residue: int) -> int:
+        """The j with chi(residue) = zeta_M^j, for an int that is a unit mod p^c."""
+        table = self._exponents
+        if table is None:
+            table = self._exponents = _exponent_table(self.ctx.p, self.c, self.images, self.ctx.field.m)
+        return table[residue % len(table)]
+
+    def val_exponent(self, x: int, d: int = 1) -> tuple[int, int]:
+        """(v, j) with chi(x / d) = value_at_pi^v zeta_M^j, for nonzero ints x and d."""
+        p = self.ctx.p
+        vx, ux = split(x, p)
+        vd, ud = split(d, p)
+        if not self.c:
+            return vx - vd, 0
+        return vx - vd, (self.unit_exponent(ux) - self.unit_exponent(ud)) % self.ctx.field.m
+
+    def value(self, v: int, j: int) -> Scalar:
+        """value_at_pi^v zeta_M^j, memoized."""
+        key = v * self.ctx.field.m + j
+        out = self._values.get(key)
+        if out is None:
+            out = self._values[key] = self.value_at_pi**v * self.ctx.zeta_powers[j]
+        return out
+
     def eval(self, x, d: int = 1) -> Scalar:
         """chi(x / d) for ints x and d, or chi(x) for an int, Fraction or PadicRational x."""
         if type(x) is not int:
             x, d = as_ratio(x)
         if not x:
             raise ZeroDivisionError("character evaluated at 0")
-        p = self.ctx.p
-        v = ratio_val(x, d, p)
-        out = self._powers.get(v)
-        if out is None:
-            out = self._powers[v] = self.value_at_pi**v
-        if self.c:
-            out = out * self.ctx.scalar(self.unit_image(unit_residue(x, d, p, self.c)))
-        return out
+        return self.value(*self.val_exponent(x, d))
 
     __call__ = eval
 
@@ -249,31 +275,39 @@ def parse_character_spec(ctx: Context, text: str) -> SmoothCharacter:
 class BorelCharacter:
     """chi(diag(a, d)) = chi_a(a) chi_d(d), optionally times delta^{1/2}."""
 
-    __slots__ = ("ctx", "chi_a", "chi_d", "half_delta")
+    __slots__ = ("ctx", "chi_a", "chi_d", "half_delta", "_values")
 
     def __init__(self, chi_a: SmoothCharacter, chi_d: SmoothCharacter, half_delta: bool = True):
         self.ctx = chi_a.ctx
         self.chi_a = chi_a
         self.chi_d = chi_d
         self.half_delta = half_delta
+        self._values: dict[tuple, Scalar] = {}  # (v(x), j_a, v(t), j_d) -> value; Scalars are immutable
 
     def eval(self, bmat) -> Scalar:
         if not bmat.is_upper():
             raise ValueError("Borel character evaluated off the Borel subgroup")
-        out = self.chi_a.eval(*bmat.entry(0)) * self.chi_d.eval(*bmat.entry(3))
-        if self.half_delta:  # delta^{1/2}(b) = q^{-val(x/t)/2}
-            out = out * self.ctx.q_power_half(ratio_val(*bmat.ratio(3, 0), self.ctx.p))
+        va, ja = self.chi_a.val_exponent(*bmat.entry(0))
+        vt, jd = self.chi_d.val_exponent(*bmat.entry(3))
+        key = (va, ja, vt, jd)
+        out = self._values.get(key)
+        if out is None:
+            out = self.chi_a.value(va, ja) * self.chi_d.value(vt, jd)
+            if self.half_delta:  # delta^{1/2}(b) = q^{-val(x/t)/2}
+                out = out * self.ctx.q_power_half(vt - va)
+            self._values[key] = out
         return out
 
     __call__ = eval
 
-    def diag_units_image(self, r1: int, r2: int) -> RootOfUnity:
-        """Value on diag(e1, e2) for unit residues; the delta part is trivial there."""
-        return self.chi_a.unit_image(r1) * self.chi_d.unit_image(r2)
+    def unit_exponent(self, bmat) -> int:
+        """The j with chi(bmat) = zeta_M^j for an upper-triangular bmat with unit
+        diagonal entries; the delta part is trivial there."""
+        ja = self.chi_a.val_exponent(*bmat.entry(0))[1]
+        return (ja + self.chi_d.val_exponent(*bmat.entry(3))[1]) % self.ctx.field.m
 
     def conductor(self) -> int:
         return max(self.chi_a.c, self.chi_d.c)
 
     def __repr__(self):
         return f"BorelCharacter<{self.chi_a.render_spec()}, {self.chi_d.render_spec()}, half_delta={self.half_delta}>"
-

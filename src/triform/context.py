@@ -7,9 +7,10 @@ hang off it so independent contexts never interfere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclo import RootOfUnity
-from .scalars import FieldSpec, Scalar, parse_scalar
+from .scalars import FieldSpec, Poly, Scalar, parse_scalar
 
 SUPPORTED_PRIMES = (2, 3, 5)
 MAX_LEVEL = 8
@@ -39,8 +40,17 @@ class Context:
         if isinstance(x, str):
             return parse_scalar(self.field, x)
         if isinstance(x, RootOfUnity):
-            return Scalar.from_root_of_unity(self.field, x)
+            return self.zeta_powers[x.embed(self.field.m)]
         return Scalar.from_rational(self.field, x)
+
+    @cached_property
+    def zeta_powers(self) -> tuple:
+        """zeta_M^j for j mod M: every value of a unit character, shared."""
+        return tuple(self.zeta_sum({j: 1}) for j in range(self.field.m))
+
+    def zeta_sum(self, counts: dict) -> Scalar:
+        """sum_j counts[j] zeta_M^j, an integer character sum, as one Scalar."""
+        return Scalar(self.field, Poly.zeta_sum(self.field, counts))
 
     def zero(self) -> Scalar:
         return self._zero

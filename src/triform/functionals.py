@@ -13,6 +13,7 @@ one table transform and a dot product.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from .characters import SmoothCharacter
@@ -46,7 +47,7 @@ def derive_phi_twist(mu1: SmoothCharacter, mu2: SmoothCharacter, model3: Induced
 
 
 class WProfile:
-    """tau -> (cell, factor) with  w(wbar n(tau)) = factor * table[cell].
+    """tau -> (cell, e) with  w(wbar n(tau)) = scale(val tau) * zeta_M^e * table[cell].
 
     For val(tau) >= 1 the matrix (0 1; 1 tau) sits over the infinity-chart
     cell of tau with no residual twist.  For val(tau) <= 0 it factors as
@@ -61,31 +62,26 @@ class WProfile:
         self.key_level = key_level  # unit keys are residues mod p^key_level
         self.table = p1_table(self.ctx, level)
         self.ratio = model.borel.chi_d / model.borel.chi_a
-        self.sign_factor = self.ctx.scalar(model.borel.chi_a.unit_image((-1) % self.ctx.p ** max(1, model.borel.chi_a.c)))
-        self.pos_cell = self.ctx.p**level  # infinity-chart cell of t = 0
+        self.sign_factor = self.ctx.zeta_powers[model.borel.chi_a.unit_exponent(-1)]
         self.zero_cell = 0  # z-chart cell of z = 0
         self._ratio_pi_q = self.ratio.value_at_pi * self.ctx.scalar(self.ctx.q)
-        self._unit_cache: dict[int, Scalar] = {}
-        self._pow_cache: dict[int, Scalar] = {0: self.ctx.one()}
+        self._scales: dict[int, Scalar] = {}
         self._term_cache: dict = {}
 
-    def ratio_pi_q_pow(self, k: int) -> Scalar:
-        if k not in self._pow_cache:
-            self._pow_cache[k] = self._ratio_pi_q**k
-        return self._pow_cache[k]
+    def scale(self, k: int) -> Scalar:
+        """The factor at val(tau) = k apart from the unit twist:
+        chi_a(-1), times ((chi_d/chi_a)(pi) q)^k when k <= 0."""
+        if k >= 1:
+            return self.sign_factor
+        if k not in self._scales:
+            self._scales[k] = self.sign_factor * self._ratio_pi_q**k
+        return self._scales[k]
 
-    def ratio_unit(self, eps: int) -> Scalar:
-        c = max(self.ratio.c, 1)
-        key = eps % self.ctx.p**c
-        if key not in self._unit_cache:
-            self._unit_cache[key] = self.ctx.scalar(self.ratio.unit_image(key))
-        return self._unit_cache[key]
-
-    def term(self, k: int, eps: int) -> tuple[int, Scalar]:
-        """Cell and factor at tau = pi^k * eps (eps a unit residue mod p^key_level).
+    def term(self, k: int, eps: int) -> tuple[int, int]:
+        """Cell and twist exponent at tau = pi^k * eps (eps a unit residue mod p^key_level).
 
         For val(tau) >= 1 the residual factor against the det-one lift
-        (0 -1; 1 t0) is diag(-1, 1) mod p^m, contributing chi_a(-1).
+        (0 -1; 1 t0) is diag(-1, 1) mod p^m, contributing chi_a(-1) only.
         """
         key = (k, eps)
         hit = self._term_cache.get(key)
@@ -95,10 +91,10 @@ class WProfile:
         mod = p**m
         if k >= 1:
             tkey = (p**k * eps) % mod if k < m else 0
-            out = (mod + tkey // p, self.sign_factor)
+            out = (mod + tkey // p, 0)
         else:
             zkey = (p ** (-k) * pow(eps, -1, mod)) % mod if -k < m else 0
-            out = (zkey, self.sign_factor * self.ratio_pi_q_pow(k) * self.ratio_unit(eps))
+            out = (zkey, self.ratio.unit_exponent(eps))
         self._term_cache[key] = out
         return out
 
@@ -121,7 +117,6 @@ class TorusFunctional:
         self.ratio21 = mu2 / mu1
         self._profiles: dict[int, WProfile] = {}
         self._vectors: dict = {}
-        self._chtil_unit_cache: dict[int, Scalar] = {}
         self._X_pows: dict[int, Scalar] = {0: ctx.one()}
 
     # -- plumbing ------------------------------------------------------------
@@ -136,31 +131,30 @@ class TorusFunctional:
         of an upper-triangular (or diagonal) b."""
         return self.ratio21.eval(*b.ratio(0, 3))
 
-    def _chtil_unit(self, eps: int) -> Scalar:
-        c = max(self.chtil.c, 1)
-        key = eps % self.ctx.p**c
-        hit = self._chtil_unit_cache.get(key)
-        if hit is None:
-            hit = self.ctx.scalar(self.chtil.unit_image(key))
-            self._chtil_unit_cache[key] = hit
-        return hit
-
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
         """phi(pi(n(x0)) delta_cell) for every cell, as one vector.
 
         x0_key is None for x0 = 0 (in particular val(x0) >= level), else
         (val x0, unit residue of x0 mod p^{key_level}).
+
+        Each window of the integral is a unit sum  factor * sum_eps
+        chi~(eps) W(pi^k key(eps)); its values chi~(eps) and the twist of W are
+        roots of unity, so the window is counted as an integer histogram of
+        (cell, zeta exponent) and becomes one Scalar per cell.
         """
         cache_key = (level, x0_key)
         if cache_key in self._vectors:
             return self._vectors[cache_key]
+        ctx = self.ctx
         W = self.profile(level)
-        p, q = self.ctx.p, self.ctx.q
+        p, q, M = ctx.p, ctx.q, ctx.field.m
         mt = W.key_level
+        mod = p**mt
         units = units_mod(p, mt)
-        cmass_s = self.ctx.scalar(Fraction(1, (q - 1) * q ** (mt - 1)))
+        cmass_s = ctx.scalar(Fraction(1, (q - 1) * q ** (mt - 1)))
         X = self.chtil.value_at_pi
+        chexp = self.chtil.unit_exponent
         xpow = self._X_pows
 
         def Xp(k: int) -> Scalar:
@@ -169,18 +163,24 @@ class TorusFunctional:
             return xpow[k]
 
         m = level
-        vec = [self.ctx.zero() for _ in range(len(W.table.reps))]
+        vec = [ctx.zero() for _ in range(len(W.table.reps))]
 
         def add(cell: int, s: Scalar):
             if not s.is_zero():
                 vec[cell] = vec[cell] + s
 
+        def window(k: int, factor: Scalar, keyed_units):
+            """Add factor * sum over (key, eps) of chi~(eps) W(pi^k key)."""
+            hists: dict[int, Counter] = defaultdict(Counter)  # cell -> zeta exponent -> count
+            for key, eps in keyed_units:
+                cell, e = W.term(k, key)
+                hists[cell][(e + chexp(eps)) % M] += 1
+            factor = factor * W.scale(k)
+            for cell, hist in hists.items():
+                add(cell, factor * ctx.zeta_sum(hist))
+
         def plain_window(k: int, shift: int = 0):
-            xk = Xp(k) * cmass_s
-            for eps in units:
-                key = (eps + shift) % p**mt
-                cell, fac = W.term(k, key)
-                add(cell, xk * self._chtil_unit(eps) * fac)
+            window(k, Xp(k) * cmass_s, (((eps + shift) % mod, eps) for eps in units))
 
         def plain_neg_tail(k_hi: int):
             """Sum over k <= k_hi of the multiplicative deep-negative annuli (k_hi <= -m)."""
@@ -201,8 +201,7 @@ class TorusFunctional:
         if x0_key is None:
             plain_upto(m - 1)
             if self.chtil.c == 0:
-                cell, fac = W.term(m, 1)
-                add(cell, fac * X.geometric_tail(m))
+                window(m, X.geometric_tail(m), ((1, 1),))
         else:
             K0, c0 = x0_key
             # region A: k < K0, the additive shift x0 pi^{-k} perturbs the unit key
@@ -212,32 +211,19 @@ class TorusFunctional:
                 plain_window(k, shift=c0 * p ** (K0 - k))
             # region B: k > K0, tau stays in the annulus of x0
             for k in range(K0 + 1, K0 + mt):
-                xk = Xp(k) * cmass_s
-                for eps in units:
-                    key = (c0 + eps * p ** (k - K0)) % p**mt
-                    cell, fac = W.term(K0, key)
-                    add(cell, xk * self._chtil_unit(eps) * fac)
+                window(K0, Xp(k) * cmass_s, (((c0 + eps * p ** (k - K0)) % mod, eps) for eps in units))
             if self.chtil.c == 0:
-                cell, fac = W.term(K0, c0)
-                add(cell, fac * X.geometric_tail(K0 + mt))
+                window(K0, X.geometric_tail(K0 + mt), ((c0, 1),))
             # region C: k = K0, stratified by d = val(eps + c0)
             xk0 = Xp(K0)
-            xk0m = xk0 * cmass_s
-            for eps in units:
-                if (eps + c0) % p != 0:
-                    cell, fac = W.term(K0, (eps + c0) % p**mt)
-                    add(cell, xk0m * self._chtil_unit(eps) * fac)
+            window(K0, xk0 * cmass_s, (((eps + c0) % mod, eps) for eps in units if (eps + c0) % p))
             d_plus = max(1, self.chtil.c, m - K0)
             for d in range(1, d_plus):
-                dmass = xk0 * self.ctx.scalar(Fraction(1, (q - 1) * q ** (d + mt - 1)))
-                for eta in units:
-                    eps_res = (-c0 + p**d * eta) % p**mt
-                    cell, fac = W.term(K0 + d, eta)
-                    add(cell, dmass * self._chtil_unit(eps_res) * fac)
+                dmass = xk0 * ctx.scalar(Fraction(1, (q - 1) * q ** (d + mt - 1)))
+                window(K0 + d, dmass, ((eta, (-c0 + p**d * eta) % mod) for eta in units))
             # d >= d_plus: tau is deep positive, W is the constant infinity cell
             tail_mass = Fraction(q, q - 1) * Fraction(1, q**d_plus)
-            cell, fac = W.term(K0 + d_plus, 1)
-            add(cell, fac * xk0 * self._chtil_unit((-c0) % p**mt) * self.ctx.scalar(tail_mass))
+            window(K0 + d_plus, xk0 * ctx.scalar(tail_mass), ((1, -c0),))
 
         self._vectors[cache_key] = vec
         return vec
@@ -298,7 +284,7 @@ class TorusFunctional:
                 y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
                 v = section.eval(wbar * GroupElement.upper(p, y))
                 if not v.is_zero():
-                    acc = acc + v * self._chtil_unit(eps)
+                    acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
             annuli[k] = acc * ctx.scalar(cmass)
             out = out + annuli[k] * X**k
         # positive tail: the integrand is constant once n(y) is that deep

@@ -14,7 +14,6 @@ from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
 from .matrices import GroupElement, iwasawa
-from .padic import unit_residue
 from .scalars import Scalar
 
 
@@ -50,17 +49,13 @@ class InducedModel:
             )
 
     # -- cell lookup with its unit twist ------------------------------------
-    def cell_value_factor(self, k: GroupElement, level: int) -> tuple[int, Scalar]:
-        """For k in K: the cell index j and the twist s with f(k) = s * f(rep_j)."""
+    def cell_value_factor(self, k: GroupElement, level: int) -> tuple[int, int]:
+        """For k in K: the cell index j and the twist exponent e with f(k) = zeta_M^e * f(rep_j)."""
         table = p1_table(self.ctx, level)
         j = table.cell_of(k)
-        c = self.borel.conductor()
-        if c == 0:
-            return j, self.ctx.one()
-        h = k * table.reps[j].inv()
-        p = self.ctx.p
-        tw = self.borel.diag_units_image(unit_residue(*h.entry(0), p, c), unit_residue(*h.entry(3), p, c))
-        return j, self.ctx.scalar(tw)
+        if not self.borel.conductor():
+            return j, 0
+        return j, self.borel.unit_exponent(k * table.reps[j].inv())
 
     def section(self, level: int, values) -> "TableSection":
         return TableSection(self, level, values)
@@ -105,9 +100,9 @@ class TableSection:
         return self.model.ctx
 
     def value_at_K(self, k: GroupElement) -> Scalar:
-        j, tw = self.model.cell_value_factor(k, self.level)
+        j, e = self.model.cell_value_factor(k, self.level)
         v = self.values[j]
-        return v if tw.is_one() else tw * v
+        return v if not e else self.ctx.zeta_powers[e] * v
 
     def eval(self, g: GroupElement) -> Scalar:
         b, k = iwasawa(g)
@@ -298,11 +293,11 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     one = ctx.one()
     for gen in iwahori_generators(ctx, n, lvl):
         for i, rep in enumerate(reps):
-            j, tw = model.cell_value_factor(rep * gen, lvl)
-            # fixed vector: v[i] - tw * v[j] = 0
+            j, e = model.cell_value_factor(rep * gen, lvl)
+            # fixed vector: v[i] - zeta^e * v[j] = 0
             row = [ctx.zero()] * ncols
             row[i] = row[i] + one
-            row[j] = row[j] - tw
+            row[j] = row[j] - ctx.zeta_powers[e]
             rows.append(row)
     if model.steinberg:
         rows.append([one] * ncols)  # zero K-average cuts Sp out of the induced model

@@ -138,9 +138,14 @@ class Poly:
         return cls(field, {mono: Fraction(1)})
 
     @classmethod
-    def zeta_power(cls, field: FieldSpec, k: int) -> "Poly":
-        """zeta_M^k, reduced."""
-        return cls._raw(field, {(0, 0, 0, 0, j): c for j, c in field.zeta_rows[k % field.m]})
+    def zeta_sum(cls, field: FieldSpec, counts: dict) -> "Poly":
+        """sum_j counts[j] zeta_M^j for integer counts, reduced by the rows of Phi_M."""
+        out: dict = {}
+        for j, n in counts.items():
+            for e, c in field.zeta_rows[j % field.m]:
+                mo = (0, 0, 0, 0, e)
+                out[mo] = out[mo] + n * c if mo in out else n * c
+        return cls(field, out)
 
     # -- basic structure ----------------------------------------------
     def is_zero(self) -> bool:
@@ -317,9 +322,6 @@ def _render_term(names: tuple, mo: tuple, c: Fraction, first: bool) -> str:
     return (" - " if c < 0 else " + ") + body
 
 
-_ONE_POLY: dict = {}
-
-
 class Scalar:
     """An element of Q(zeta_M)(a, b, u)[r]/(r^2 - q).
 
@@ -340,13 +342,11 @@ class Scalar:
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_rational(cls, field: FieldSpec, x) -> "Scalar":
-        if field not in _ONE_POLY:
-            _ONE_POLY[field] = Poly.const(field, 1)
         return cls(field, Poly.const(field, x))
 
     @classmethod
     def from_root_of_unity(cls, field: FieldSpec, z: RootOfUnity) -> "Scalar":
-        return cls(field, Poly.zeta_power(field, z.embed(field.m)))
+        return cls(field, Poly.zeta_sum(field, {z.embed(field.m): 1}))
 
     @classmethod
     def variable(cls, field: FieldSpec, name: str) -> "Scalar":
@@ -357,7 +357,8 @@ class Scalar:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return not self.den and self.num == Poly.const(self.field, 1)
+        # the term count, then the constant coefficient: no Poly comparison
+        return not self.den and len(self.num.terms) == 1 and self.num.terms.get(_CONST) == 1
 
     def __bool__(self):
         return not self.is_zero()
@@ -426,9 +427,9 @@ class Scalar:
             return self
         if other.num.is_zero():
             return other
-        if not self.den and self.num == _ONE_POLY.get(self.field, None):
+        if self.is_one():
             return other
-        if not other.den and other.num == _ONE_POLY.get(other.field, None):
+        if other.is_one():
             return self
         # A canonical numerator has no den factor dividing it, and a monomial
         # multiplier cannot change that (den factors have no monomial content),

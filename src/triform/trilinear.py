@@ -14,6 +14,7 @@ at build time from the equivariance constraints.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .characters import BorelCharacter, SmoothCharacter
@@ -62,16 +63,17 @@ class TensorFn:
         if self.pair_table is not None:
             level, model1, model2, rows = self.pair_table
             b1, k1 = iwasawa(g1)
-            j1, tw1 = model1.cell_value_factor(k1, level)
+            j1, e1 = model1.cell_value_factor(k1, level)
             row = rows[j1]
             if all(v.is_zero() for v in row):
                 return self.ctx.zero()
             b2, k2 = iwasawa(g2)
-            j2, tw2 = model2.cell_value_factor(k2, level)
+            j2, e2 = model2.cell_value_factor(k2, level)
             v = row[j2]
             if v.is_zero():
                 return self.ctx.zero()
-            return model1.borel.eval(b1) * tw1 * model2.borel.eval(b2) * tw2 * v
+            zeta = self.ctx.zeta_powers
+            return model1.borel.eval(b1) * zeta[e1] * model2.borel.eval(b2) * zeta[e2] * v
         out = self.ctx.zero()
         for c, s1, s2 in self.terms:
             if c.is_zero():
@@ -361,13 +363,9 @@ class KernelForm:
     def _usum(self, chars_signs) -> Scalar:
         """(1/q) * sum over units mod p of a product of unit characters."""
         ctx = self.ctx
-        out = ctx.zero()
-        for eps in range(1, ctx.p):
-            term = ctx.one()
-            for ch, sgn in chars_signs:
-                term = term * ctx.scalar(ch.unit_image((sgn * eps) % ctx.p))
-            out = out + term
-        return out * ctx.scalar(Fraction(1, ctx.q))
+        m = ctx.field.m
+        counts = Counter(sum(ch.unit_exponent(sgn * eps) for ch, sgn in chars_signs) % m for eps in range(1, ctx.p))
+        return ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, ctx.q))
 
     def _G(self, sgn: int, lam: int) -> Scalar:
         """The universal collision integral over val(s), val(s') >= lam of
@@ -391,17 +389,14 @@ class KernelForm:
         gB = X12 / qs
         part_b = UA2 * UB2 * gB.geometric_tail(1) * ((X13 * X23 / qs) * gB).geometric_tail(lam)
         # equal valuations: split by the collision depth of the unit parts
-        C0 = ctx.zero()
-        for e1 in range(1, ctx.p):
-            for e2 in range(1, ctx.p):
-                if (e1 - e2) % ctx.p == 0:
-                    continue
-                C0 = C0 + (
-                    ctx.scalar(self.nu12.unit_image((sgn * e1) % ctx.p))
-                    * ctx.scalar(self.nu13.unit_image((sgn * e2) % ctx.p))
-                    * ctx.scalar(self.nu23.unit_image((sgn * (e2 - e1)) % ctx.p))
-                )
-        C0 = C0 * ctx.scalar(Fraction(1, q * q))
+        counts = Counter(
+            (self.nu12.unit_exponent(sgn * e1) + self.nu13.unit_exponent(sgn * e2) + self.nu23.unit_exponent(sgn * (e2 - e1)))
+            % ctx.field.m
+            for e1 in range(1, ctx.p)
+            for e2 in range(1, ctx.p)
+            if (e1 - e2) % ctx.p
+        )
+        C0 = ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, q * q))
         C1 = self._usum([(self.nu12, sgn), (self.nu13, sgn)]) * self._usum([(self.nu23, sgn)])
         rho_diag = (X12 * X13 * X23) / (qs * qs)
         part_c = (C0 + C1 * (X23 / qs).geometric_tail(1)) * rho_diag.geometric_tail(lam)

@@ -555,7 +555,7 @@ def scenario_phi_nonvanishing(env: Env) -> list:
                 y = Fraction(eps * ctx.p**k) if k >= 0 else Fraction(eps, ctx.p**-k)
                 v = env.v3.eval(wbar * GroupElement.upper(ctx.p, y))
                 if not v.is_zero():
-                    acc = acc + v * ctx.scalar(env.phi.chtil.unit_image(eps % ctx.p ** max(1, env.phi.chtil.c)))
+                    acc = acc + v * ctx.zeta_powers[env.phi.chtil.unit_exponent(eps)]
             terms[k] = (acc * cmass).specialize(asg) * X**k
         diffs = []
         for D in range(prec, prec + 4):

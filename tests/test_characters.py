@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,11 +8,15 @@ from triform import Context
 from triform.characters import (
     BorelCharacter,
     SmoothCharacter,
+    _dlog_table,
+    _image_of,
     parse_character_spec,
     unit_group_generators,
 )
+from triform.cyclo import RootOfUnity
 from triform.matrices import GroupElement
 from triform.padic import PadicRational
+from triform.scalars import Scalar
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +116,74 @@ def test_quotient_trivial_on_torus_units(ctx):
         e1 = rng.choice([1, 2, 4, 5, 7, 8])
         e2 = rng.choice([1, 2, 4, 5, 7, 8])
         assert quot.eval(Fraction(e1, e2)).is_one()
+
+
+# ---------------------------------------------------------------------------
+# exponent tables and value memos against the generator images
+# ---------------------------------------------------------------------------
+
+
+def ramified_characters(p: int, c: int, rng: random.Random, count: int = 4):
+    """Characters of conductor exponent c over Q(zeta_M), M the lcm of the
+    generator orders, with random generator images (non-minimal ones skipped)."""
+    gens = unit_group_generators(p, c)
+    ctx = Context(p, zeta_order=lcm(*(order for _, order in gens)))
+    out = []
+    while len(out) < count:
+        images = tuple(RootOfUnity(order, rng.randrange(order)) for _, order in gens)
+        try:
+            out.append(SmoothCharacter(ctx, c, images, ctx.u))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("p,c", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_exponent_table_matches_images(p, c):
+    rng = random.Random(10 * p + c)
+    for ch in ramified_characters(p, c, rng):
+        m = ch.ctx.field.m
+        for residue in _dlog_table(p, c):
+            want = _image_of(p, c, ch.images, residue).embed(m)
+            assert ch.unit_exponent(residue) == want
+            assert ch.unit_exponent(residue + p**c * rng.randint(1, 50)) == want
+            assert ch.unit_exponent(residue - p**c * rng.randint(1, 50)) == want
+
+
+def reference_eval(ch: SmoothCharacter, x: Fraction) -> Scalar:
+    """chi(x) uncached: value_at_pi^v times the unit image as a fresh Scalar."""
+    px = PadicRational(x, ch.ctx.p)
+    v = px.val()
+    unit = Scalar.from_root_of_unity(ch.ctx.field, ch.unit_image(px.unit_residue(max(1, ch.c))))
+    return ch.value_at_pi**v * unit
+
+
+def random_nonzero(p: int, rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 400), rng.randint(1, 400)) * Fraction(p) ** rng.randint(-3, 3)
+
+
+@pytest.mark.parametrize("p,c", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_values_match_uncached_reference(p, c):
+    rng = random.Random(100 * p + c)
+    chars = ramified_characters(p, c, rng, count=2)
+    ctx = chars[0].ctx
+    chars.append(SmoothCharacter.unramified(ctx, ctx.a * ctx.r))
+    for ch in chars:
+        for _ in range(60):
+            x = random_nonzero(p, rng)
+            assert ch.eval(x) == reference_eval(ch, x)
+            # same (valuation, residue mod p^c), different beyond p^c: the same value
+            v = PadicRational(x, p).val()
+            twin = x + Fraction(p) ** (v + max(1, c)) * rng.randint(1, 30)
+            if twin:
+                assert ch.eval(twin) == ch.eval(x)
+            # same residue, other valuation: the memo key must separate them
+            assert ch.eval(x * p) == reference_eval(ch, x * p)
+        for chi_d in chars:
+            beta = BorelCharacter(ch, chi_d, half_delta=True)
+            for _ in range(30):
+                x, t = random_nonzero(p, rng), random_nonzero(p, rng)
+                b = GroupElement(p, x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0, t)
+                vx, vt = PadicRational(x, p).val(), PadicRational(t, p).val()
+                want = reference_eval(ch, x) * reference_eval(chi_d, t) * ctx.q_power_half(vt - vx)
+                assert beta.eval(b) == want

@@ -6,16 +6,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from triform import Context
+from triform.characters import SmoothCharacter, parse_character_spec
+from triform.cosets import units_mod
 from triform.functionals import (
     CompactInducedFn,
     FunctionalError,
     Phi_eval,
+    TorusFunctional,
     coset_constant,
     derive_phi_twist,
     make_indicator_f,
 )
 from triform.matrices import GroupElement
+from triform.models import principal_series_model, steinberg_model
+from triform.scalars import Scalar
 
 from conftest import rand_G, rand_K, rand_section
 
@@ -137,3 +144,140 @@ def test_tate_engine_key_normalization(setup21):
     assert s.phi.phi_table(tbl, 4) == s.phi.phi_table(tbl)  # x0 = 4: val 2 >= level 1
     # a genuinely translated argument (x0 = 1/2) changes the value here
     assert not (s.phi.phi_table(tbl, 1, 2) == s.phi.phi_table(tbl))
+
+
+# ---------------------------------------------------------------------------
+# the Tate histograms against the per-unit loop
+# ---------------------------------------------------------------------------
+
+
+def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
+    """phi(pi(n(x0)) delta_cell) for every cell, one Scalar product per unit.
+
+    The per-unit summation of the Tate windows: every unit adds
+    X^k * cmass * chi~(eps) * W(pi^k key) to its cell, with each root of unity
+    built from the generator images (unit_image), not from exponent tables.
+    """
+    ctx = phi.ctx
+    p, q, m = ctx.p, ctx.q, level
+    borel = phi.model3.borel
+    ratio = borel.chi_d / borel.chi_a
+    chtil = phi.chtil
+    mt = level + max(1, chtil.c, ratio.c)
+    assert phi.profile(level).key_level == mt
+    units = units_mod(p, mt)
+    cmass = ctx.scalar(Fraction(1, (q - 1) * q ** (mt - 1)))
+    X = chtil.value_at_pi
+
+    def zeta(ch, residue):
+        return Scalar.from_root_of_unity(ctx.field, ch.unit_image(residue))
+
+    sign = zeta(borel.chi_a, -1)
+    ratio_pi_q = ratio.value_at_pi * ctx.scalar(q)
+    mod = p**m
+
+    def term(k, eps):
+        if k >= 1:
+            tkey = (p**k * eps) % mod if k < m else 0
+            return mod + tkey // p, sign
+        zkey = (p ** (-k) * pow(eps, -1, mod)) % mod if -k < m else 0
+        return zkey, sign * ratio_pi_q**k * zeta(ratio, eps)
+
+    vec = [ctx.zero() for _ in range(p**m + p ** (m - 1))]
+
+    def add(cell, s):
+        vec[cell] = vec[cell] + s
+
+    def plain_window(k, shift=0):
+        for eps in units:
+            cell, fac = term(k, (eps + shift) % p**mt)
+            add(cell, X**k * cmass * zeta(chtil, eps) * fac)
+
+    def plain_upto(k_hi):
+        if (ratio * chtil).c == 0:  # the deep-negative annuli, closed
+            add(0, sign * (X * ratio_pi_q).inverse().geometric_tail(-min(k_hi, -m)))
+        for k in range(-m + 1, k_hi + 1):
+            plain_window(k)
+
+    if x0_key is None:
+        plain_upto(m - 1)
+        if chtil.c == 0:
+            cell, fac = term(m, 1)
+            add(cell, fac * X.geometric_tail(m))
+        return vec
+    K0, c0 = x0_key
+    a_cut = K0 - mt
+    plain_upto(a_cut - 1)
+    for k in range(a_cut, K0):
+        plain_window(k, shift=c0 * p ** (K0 - k))
+    for k in range(K0 + 1, K0 + mt):
+        for eps in units:
+            cell, fac = term(K0, (c0 + eps * p ** (k - K0)) % p**mt)
+            add(cell, X**k * cmass * zeta(chtil, eps) * fac)
+    if chtil.c == 0:
+        cell, fac = term(K0, c0)
+        add(cell, fac * X.geometric_tail(K0 + mt))
+    for eps in units:
+        if (eps + c0) % p:
+            cell, fac = term(K0, (eps + c0) % p**mt)
+            add(cell, X**K0 * cmass * zeta(chtil, eps) * fac)
+    d_plus = max(1, chtil.c, m - K0)
+    for d in range(1, d_plus):
+        dmass = X**K0 * ctx.scalar(Fraction(1, (q - 1) * q ** (d + mt - 1)))
+        for eta in units:
+            cell, fac = term(K0 + d, eta)
+            add(cell, dmass * zeta(chtil, -c0 + p**d * eta) * fac)
+    cell, fac = term(K0 + d_plus, 1)
+    add(cell, fac * X**K0 * zeta(chtil, -c0) * ctx.scalar(Fraction(q, (q - 1) * q**d_plus)))
+    return vec
+
+
+# (p, M, third representation): Steinberg, or the principal series of a ramified mu3
+TATE_CASES = (
+    (2, 2, None),
+    (2, 4, "ram(c=2, gens=[3->zeta2^1], pi=u)"),
+    (2, 2, "ram(c=3, gens=[7->zeta2^1,5->zeta2^1], pi=u)"),
+    (3, 2, "ram(c=1, gens=[2->zeta2^1], pi=u)"),
+    (3, 4, None),
+    (5, 2, "ram(c=1, gens=[2->zeta2^1], pi=u)"),
+    (5, 4, "ram(c=1, gens=[2->zeta4^1], pi=u)"),
+    (5, 4, "ram(c=1, gens=[2->zeta4^3], pi=u)"),
+)
+_tate_phis: dict = {}
+
+
+def tate_phi(case: int) -> TorusFunctional:
+    if case not in _tate_phis:
+        p, M, spec = TATE_CASES[case]
+        ctx = Context(p, zeta_order=M)
+        mu1 = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
+        mu2 = SmoothCharacter.unramified(ctx, ctx.b * ctx.r)
+        model3 = steinberg_model(ctx) if spec is None else principal_series_model(ctx, parse_character_spec(ctx, spec))
+        _tate_phis[case] = TorusFunctional(ctx, mu1, mu2, model3)
+    return _tate_phis[case]
+
+
+@st.composite
+def tate_arguments(draw):
+    """A functional, a table level and an x0 key: None, or (K0, c0) with K0
+    from -3 (region A windows and K0 < 0) to level - 1 (region C strata d >= 1
+    whenever K0 <= level - 2)."""
+    case = draw(st.integers(0, len(TATE_CASES) - 1))
+    phi = tate_phi(case)
+    level = phi.model3.min_level + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        return case, level, None
+    units = units_mod(phi.ctx.p, phi.profile(level).key_level)
+    return case, level, (draw(st.integers(-3, level - 1)), units[draw(st.integers(0, len(units) - 1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tate_arguments())
+def test_tate_histograms_match_per_unit_loop(args):
+    case, level, x0_key = args
+    phi = tate_phi(case)
+    got = phi.tate_vector(level, x0_key)
+    want = reference_tate_vector(phi, level, x0_key)
+    assert len(got) == len(want)
+    for cell, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (TATE_CASES[case], level, x0_key, cell)

@@ -7,6 +7,7 @@ from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
 from triform.cosets import enumerate_K_mod, p1_table
 from triform.matrices import GroupElement
+from triform.scalars import Scalar
 from triform.models import (
     ModelError,
     NewVectorError,
@@ -204,3 +205,22 @@ def test_section_dump(setup21):
     dump = tbl.dump()
     assert dump.splitlines()[0] == "cell (0:1) -> 1"
     assert "(1:0)" in dump
+
+
+def test_cell_twist_matches_unit_images(setup32, setup24):
+    """cell_value_factor's twist exponent against the twist built from the
+    generator images of h = k rep^{-1}, at p = 3, 2 and 5 (M = 2 and 4)."""
+    ctx5 = Context(5, zeta_order=4)
+    mu5 = parse_character_spec(ctx5, "ram(c=1, gens=[2->zeta4^1], pi=u)")
+    rng = random.Random(9)
+    for model in (setup32.V3, setup24.V3, principal_series_model(ctx5, mu5)):
+        ctx, borel = model.ctx, model.borel
+        c = borel.conductor()
+        for level in (model.min_level, model.min_level + 1):
+            reps = p1_table(ctx, level).reps
+            for _ in range(40):
+                k = rand_K(ctx, rng, m=level + 1)
+                j, e = model.cell_value_factor(k, level)
+                h = k * reps[j].inv()
+                tw = borel.chi_a.unit_image(h.x.unit_residue(c)) * borel.chi_d.unit_image(h.t.unit_residue(c))
+                assert ctx.zeta_powers[e] == Scalar.from_root_of_unity(ctx.field, tw)

@@ -292,7 +292,7 @@ def test_divexact_cases():
     assert num.divexact(a - two * b) is None
     assert num.divexact(a - b) == Poly.const(F, Fraction(-3, 2)) * a
     # zeta in the numerator and the quotient, over a non-monic divisor
-    z = Poly.zeta_power(F4, 1)
+    z = Poly.zeta_sum(F4, {1: 1})
     a4, b4, r4 = (Poly.var(F4, v) for v in "abr")
     f4 = Poly.const(F4, 2) * a4 * a4 - b4
     g4 = a4 * r4 * z + z + b4
