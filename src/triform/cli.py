@@ -90,6 +90,14 @@ def dump_tables(cfg: ScenarioConfig) -> str:
     return "\n".join(chunks)
 
 
+def write_report(text: str, path: str | None):
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -108,24 +116,19 @@ def main(argv=None) -> int:
             specialize=parse_specialize(merged["specialize"]) if merged.get("specialize") else None,
             inject_fault=merged.get("inject_fault", False),
         )
+        if merged.get("out"):
+            try:
+                open(merged["out"], "a").close()  # an unwritable path fails here, before any work
+            except OSError as e:
+                raise ConfigError(f"cannot write the report: {e}") from e
         if merged.get("dump_tables"):
-            text = dump_tables(cfg)
-            if merged.get("out"):
-                with open(merged["out"], "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            write_report(dump_tables(cfg), merged.get("out"))
             return 0
         report = run_scenario(cfg)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    text = report.emit("structured" if merged["format"] == "json-like" else "text")
-    if merged.get("out"):
-        with open(merged["out"], "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_report(report.emit("structured" if merged["format"] == "json-like" else "text"), merged.get("out"))
     return 1 if report.has_failure() else 0
 
 

@@ -238,12 +238,16 @@ class TorusFunctional:
 
     # -- public evaluation -----------------------------------------------------
     def phi_table(self, tbl: TableSection, x0: int = 0, den: int = 1) -> Scalar:
-        """phi(pi(n(x0 / den)) tbl) for ints x0 and den."""
-        vec = self.tate_vector(tbl.level, self._x0_key(x0, den, tbl.level))
-        out = self.ctx.zero()
-        for v, w in zip(tbl.values, vec):
-            if not (v.is_zero() or w.is_zero()):
-                out = out + v * w
+        """phi(pi(n(x0 / den)) tbl) for ints x0 and den, memoized on the table
+        (tbl.phi_values) per (functional, x0 key)."""
+        key = (self, self._x0_key(x0, den, tbl.level))
+        out = tbl.phi_values.get(key)
+        if out is None:
+            out = self.ctx.zero()
+            for v, w in zip(tbl.values, self.tate_vector(tbl.level, key[1])):
+                if not (v.is_zero() or w.is_zero()):
+                    out = out + v * w
+            tbl.phi_values[key] = out
         return out
 
     def eval(self, section: Section) -> Scalar:
@@ -256,9 +260,8 @@ class TorusFunctional:
             if c.is_zero():
                 continue
             b, kappa = iwasawa(g)
-            w2 = tbl if kappa == GroupElement.identity(self.ctx.p) else tbl.translate_K(kappa)
             # b = t n(x0) with x0 = y/x
-            out = out + c * self.torus_factor(b) * self.phi_table(w2, *b.ratio(1, 0))
+            out = out + c * self.torus_factor(b) * self.phi_table(tbl.translate_K(kappa), *b.ratio(1, 0))
         return out
 
     __call__ = eval

@@ -81,9 +81,14 @@ def steinberg_model(ctx: Context) -> InducedModel:
 
 
 class TableSection:
-    """A level-m section: Scalar values on the P^1(O/p^m) cells."""
+    """A level-m section: Scalar values on the P^1(O/p^m) cells.
 
-    __slots__ = ("model", "level", "values")
+    Two caches live on the table and die with it: its K-translates, keyed by
+    the translating element mod p^m, and its phi values, which
+    TorusFunctional.phi_table keys by (functional, x0 key).
+    """
+
+    __slots__ = ("model", "level", "values", "_translates", "phi_values")
 
     def __init__(self, model: InducedModel, level: int, values):
         model.require_level(level)
@@ -94,6 +99,8 @@ class TableSection:
         self.model = model
         self.level = level
         self.values = values
+        self._translates: dict = {}
+        self.phi_values: dict = {}
 
     @property
     def ctx(self) -> Context:
@@ -109,11 +116,25 @@ class TableSection:
         return self.model.borel.eval(b) * self.value_at_K(k)
 
     def translate_K(self, k: GroupElement) -> "TableSection":
-        """The right translate by k in K, again at the same level."""
+        """The right translate by k in K, again at the same level.
+
+        The table is right-K(m)-invariant and its twist is read mod
+        p^conductor with conductor <= m, so the translate depends on k mod p^m
+        only: it is memoized under that key, and k = 1 mod p^m gives the table.
+        """
         if not k.in_K():
             raise ModelError("table translation needs k in K; use Section for general g")
-        reps = p1_table(self.ctx, self.level).reps
-        return TableSection(self.model, self.level, [self.value_at_K(rep * k) for rep in reps])
+        mod = self.ctx.p**self.level
+        d = pow(k.D, -1, mod)
+        key = (k.X * d % mod, k.Y * d % mod, k.Z * d % mod, k.T * d % mod)
+        if key == (1, 0, 0, 1):
+            return self
+        out = self._translates.get(key)
+        if out is None:
+            reps = p1_table(self.ctx, self.level).reps
+            out = TableSection(self.model, self.level, [self.value_at_K(rep * k) for rep in reps])
+            self._translates[key] = out
+        return out
 
     def refine(self, level: int) -> "TableSection":
         if level < self.level:

@@ -239,15 +239,13 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     if e_top > depth_cap:
         raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
     units = units_mod(p, R)
-    identity = GroupElement.identity(p)
 
     cell_pre = []
     for rep in table.reps:
         phi_pre = []
         for c, g, tbl in v.terms:
             bh, kh = iwasawa(rep * g)
-            w2 = tbl if kh == identity else tbl.translate_K(kh)
-            phi_pre.append((c, bh, w2))
+            phi_pre.append((c, bh, tbl.translate_K(kh)))
         s1_pre = None
         if F.pair_table is None:
             s1_pre = []

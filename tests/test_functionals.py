@@ -146,6 +146,34 @@ def test_tate_engine_key_normalization(setup21):
     assert not (s.phi.phi_table(tbl, 1, 2) == s.phi.phi_table(tbl))
 
 
+def test_phi_table_memo_on_the_table(setup21):
+    """phi_table caches on the table per (functional, x0 key): each cached value
+    is the dot product of the cells with the Tate vector, two functionals on one
+    table keep their own values, and every x0 with val >= level is the None key."""
+    s = setup21
+    ctx = s.ctx
+    swapped = TorusFunctional(ctx, s.mu2, s.mu1, s.V3)
+    rng = random.Random(11)
+    tbl = rand_section(s.V3, 1, rng).terms[0][2]
+
+    def dot(phi, x0_key):
+        out = ctx.zero()
+        for v, w in zip(tbl.values, phi.tate_vector(tbl.level, x0_key)):
+            out = out + v * w
+        return out
+
+    half = (-1, 1)  # the key of x0 = 1/2: val -1, unit residue 1
+    values = {phi: phi.phi_table(tbl, 1, 2) for phi in (s.phi, swapped)}
+    assert not values[s.phi] == values[swapped]
+    for phi, value in values.items():
+        assert value == dot(phi, half)
+        assert phi.phi_table(tbl, 1, 2) is value
+        assert tbl.phi_values[(phi, half)] is value
+    for x0 in (0, 2, 4, 6):  # val(x0) >= 1 = level
+        assert s.phi.phi_table(tbl, x0) == dot(s.phi, None)
+    assert set(tbl.phi_values) == {(s.phi, half), (swapped, half), (s.phi, None)}
+
+
 # ---------------------------------------------------------------------------
 # the Tate histograms against the per-unit loop
 # ---------------------------------------------------------------------------

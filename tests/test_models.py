@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
@@ -9,6 +10,7 @@ from triform.cosets import enumerate_K_mod, p1_table
 from triform.matrices import GroupElement
 from triform.scalars import Scalar
 from triform.models import (
+    InducedModel,
     ModelError,
     NewVectorError,
     TableSection,
@@ -224,3 +226,49 @@ def test_cell_twist_matches_unit_images(setup32, setup24):
                 h = k * reps[j].inv()
                 tw = borel.chi_a.unit_image(h.x.unit_residue(c)) * borel.chi_d.unit_image(h.t.unit_residue(c))
                 assert ctx.zeta_powers[e] == Scalar.from_root_of_unity(ctx.field, tw)
+
+
+# ramified mu3 per p, with the zeta order its images need
+RAMIFIED_MU3 = {
+    2: (2, "ram(c=2, gens=[3->zeta2^1], pi=u)"),
+    3: (2, "ram(c=1, gens=[2->zeta2^1], pi=u)"),
+    5: (4, "ram(c=1, gens=[2->zeta4^1], pi=u)"),
+}
+_translate_models: dict = {}
+
+
+def translate_model(p: int, ramified: bool) -> InducedModel:
+    if (p, ramified) not in _translate_models:
+        M, spec = RAMIFIED_MU3[p]
+        ctx = Context(p, zeta_order=M)
+        model = principal_series_model(ctx, parse_character_spec(ctx, spec)) if ramified else steinberg_model(ctx)
+        _translate_models[p, ramified] = model
+    return _translate_models[p, ramified]
+
+
+def rand_K_level(p: int, level: int, rng: random.Random) -> GroupElement:
+    """A random integral element of K(level), i.e. = 1 mod p^level."""
+    a, b, c, d = (p**level * rng.randrange(p**2) for _ in range(4))
+    return GroupElement(p, 1 + a, b, c, 1 + d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.booleans(), st.integers(0, 1), st.integers(0, 2**32))
+def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
+    """translate_K(k) and translate_K(k kappa), kappa in K(level), are one memoized
+    table whose cells are value_at_K(rep k); a kappa alone gives the table back."""
+    model = translate_model(p, ramified)
+    level = model.min_level + extra
+    rng = random.Random(seed)
+    reps = p1_table(model.ctx, level).reps
+    tbl = TableSection(model, level, [rng.randint(-3, 3) for _ in reps])
+    k = rand_K(model.ctx, rng, m=level + 1)
+    kappa = rand_K_level(p, level, rng) * rand_K_level(p, level, rng).inv()  # entries with unit denominators
+    moved = tbl.translate_K(k)
+    assert tbl.translate_K(k * kappa) is moved
+    assert moved.values == [tbl.value_at_K(rep * k) for rep in reps]
+    assert moved.values == [tbl.value_at_K(rep * k * kappa) for rep in reps]
+    assert tbl.translate_K(kappa) is tbl
+    for g in (GroupElement.diag(p, p, 1), k * GroupElement.diag(p, 1, Fraction(1, p))):
+        with pytest.raises(ModelError):
+            tbl.translate_K(g)

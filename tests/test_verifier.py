@@ -221,6 +221,8 @@ def test_cli_engine_error_is_a_fail_record():
         ["--specialize", "a=x"],
         ["--config", "{tmp}/bad.cfg"],
         ["--config", "{tmp}/missing.cfg"],
+        ["--scenario", "lemma-calcul", "--out", "{tmp}/no/such/dir/report.txt"],
+        ["--dump-tables", "--out", "{tmp}/no/such/dir/tables.txt"],
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
