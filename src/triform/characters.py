@@ -100,6 +100,8 @@ class SmoothCharacter:
         gens = unit_group_generators(ctx.p, c)
         if len(images) != len(gens):
             raise ValueError(f"(O/p^{c})* has {len(gens)} canonical generators, got {len(images)} images")
+        if value_at_pi.is_zero():
+            raise ValueError("a character's value at pi must be nonzero")
         images = tuple(images)
         for img, (g, order) in zip(images, gens):
             img.embed(ctx.field.m)  # raises unless the image order divides M
@@ -166,7 +168,7 @@ class SmoothCharacter:
         return out
 
     def eval(self, x, d: int = 1) -> Scalar:
-        """chi(x / d) for ints x and d, or chi(x) for an int, Fraction or PadicRational x."""
+        """chi(x / d) for ints x and d, or chi(x) for an int or Fraction x."""
         if type(x) is not int:
             x, d = as_ratio(x)
         if not x:

@@ -47,7 +47,7 @@ class CosetTable:
     def dump(self) -> str:
         lines = [f"# {self.kind} level {self.level}" + (f" n {self.n}" if self.n else "")]
         for g in self.reps:
-            lines.append(f"level {self.level}: [{g.x} {g.y}; {g.z} {g.t}]")
+            lines.append(f"level {self.level}: {g!r}")
         return "\n".join(lines)
 
 
@@ -90,15 +90,6 @@ class P1Table:
 
     def cell_of(self, k: GroupElement) -> int:
         return self.cell_of_row(k.entry(2), k.entry(3))
-
-    def children(self, idx: int) -> list[int]:
-        """The p cells at level m+1 refining cell idx (indices in the m+1 table)."""
-        p, m = self.ctx.p, self.m
-        chart, key = self.coords[idx]
-        if chart == 0:
-            return [key + j * p**m for j in range(p)]
-        base = p ** (m + 1)
-        return [base + (key + j * p**m) // p for j in range(p)]
 
     def as_coset_table(self) -> CosetTable:
         return CosetTable("P1", self.m, 0, list(self.reps), [self.cell_mass] * self.size)
@@ -187,13 +178,10 @@ def iwahori_orbit_key(ctx: Context, k: GroupElement, n: int, m: int) -> tuple[in
     """The (T cap K)\\I(n)/K(m) orbit invariant of k in I(n).
 
     Writing k = nbar(u) diag(e1, e2) n(x), the orbit is determined by
-    (u * e1/e2, x) mod p^m.
+    (u * e1/e2, x) mod p^m.  With k = (X Y; Z T)/D and N = XT - YZ these are
+    u * e1/e2 = ZX/N and x = Y/X; X and N are units on I(n) for n >= 1.
     """
-    if not k.in_iwahori(n):
-        raise ValueError("element not in I(n)")
-    e1 = k.x
-    x = k.y / k.x
-    u = k.z / k.x
-    e2 = k.t - k.z * k.y / k.x
-    key_u = (u * e1 / e2).residue(m) if not u.is_zero() else 0
-    return key_u, x.residue(m)
+    if n < 1 or not k.in_iwahori(n):
+        raise ValueError("element not in I(n) with n >= 1")
+    p = k.p
+    return residue(k.Z * k.X, k.N, p, m), residue(k.Y, k.X, p, m)

@@ -8,8 +8,9 @@ torus, B the upper-triangular Borel.  gamma = diag(pi, 1), w = antidiagonal.
 An element is stored in one integer normal form, (X Y; Z T)/D with X, Y, Z,
 T, D ints, D > 0 and gcd(X, Y, Z, T, D) = 1, so equal elements have equal
 fields and every product, inverse and decomposition runs on ints.  Callers
-read an entry as a pair (numerator, denominator) of ints (the convention of
-padic.py) through entry() and ratio(), or as a PadicRational view x/y/z/t.
+read an entry as a pair (numerator, denominator) of ints, the one format of
+padic.py, through entry() and ratio(), or use the fields directly: the
+determinant is N/D^2 with N = XT - YZ.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import INF, PadicRational, as_ratio, vp
+from .padic import INF, as_ratio, vp
 
 _new = object.__new__
 
@@ -28,7 +29,7 @@ class GroupElement:
     __slots__ = ("p", "X", "Y", "Z", "T", "D", "N", "_inv")
 
     def __init__(self, p: int, x, y, z, t):
-        """The element with entries x, y, z, t: ints, Fractions or PadicRationals."""
+        """The element with entries x, y, z, t: ints or Fractions."""
         ratios = [as_ratio(e) for e in (x, y, z, t)]
         D = lcm(*(d for _, d in ratios))
         self._set(p, *(n * (D // d) for n, d in ratios), D)
@@ -83,29 +84,7 @@ class GroupElement:
         e = (self.X, self.Y, self.Z, self.T)
         return e[i], e[j]
 
-    @property
-    def x(self) -> PadicRational:
-        return PadicRational(Fraction(self.X, self.D), self.p)
-
-    @property
-    def y(self) -> PadicRational:
-        return PadicRational(Fraction(self.Y, self.D), self.p)
-
-    @property
-    def z(self) -> PadicRational:
-        return PadicRational(Fraction(self.Z, self.D), self.p)
-
-    @property
-    def t(self) -> PadicRational:
-        return PadicRational(Fraction(self.T, self.D), self.p)
-
-    def entries(self):
-        return (self.x, self.y, self.z, self.t)
-
     # -- structure ---------------------------------------------------------
-    def det(self) -> PadicRational:
-        return PadicRational(Fraction(self.N, self.D * self.D), self.p)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         X1, Y1, Z1, T1 = self.X, self.Y, self.Z, self.T
         X2, Y2, Z2, T2 = other.X, other.Y, other.Z, other.T
@@ -134,7 +113,8 @@ class GroupElement:
         return hash((self.p, self.X, self.Y, self.Z, self.T, self.D))
 
     def __repr__(self):
-        return f"[{self.x} {self.y}; {self.z} {self.t}]"
+        x, y, z, t = (Fraction(e, self.D) for e in (self.X, self.Y, self.Z, self.T))
+        return f"[{x} {y}; {z} {t}]"
 
     def cartan_gap(self) -> int:
         """|alpha - beta| for the Cartan form k1 diag(pi^alpha, pi^beta) k2.
@@ -166,15 +146,6 @@ class GroupElement:
 
     def is_diagonal(self) -> bool:
         return not (self.Y or self.Z)
-
-    def in_T_cap_K(self) -> bool:
-        p = self.p
-        return self.is_diagonal() and bool(self.X % p and self.T % p and self.D % p)
-
-    def in_R_star(self, n: int) -> bool:
-        """gamma^{-n} K gamma^n membership."""
-        g = GroupElement.gamma(self.p, n)
-        return (g * self * g.inv()).in_K()
 
 
 def _element(p: int, X: int, Y: int, Z: int, T: int, D: int) -> GroupElement:

@@ -234,9 +234,6 @@ class Section:
         reps = p1_table(self.ctx, lvl).reps
         return TableSection(self.model, lvl, [self.eval(rep) for rep in reps])
 
-    def zero_like(self) -> "Section":
-        return Section(self.model, ())
-
 
 def sections_equal(s1: Section, s2: Section, level: int | None = None) -> bool:
     lvl = level if level is not None else max(s1.level_bound(), s2.level_bound())

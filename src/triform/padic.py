@@ -1,9 +1,8 @@
 """Exact p-adic rationals: elements of F = Q_p given by integers.
 
-Only valuations, unit parts and residue data are ever needed.  The hot paths
-pass an element of F as a pair of ints (n, d) with d != 0, not necessarily in
-lowest terms, and read it through the functions below; PadicRational wraps a
-Fraction for the cold callers.  val(0) is the +infinity sentinel.
+Only valuations, unit parts and residue data are ever needed.  An element of
+F is a pair of ints (n, d) with d != 0, not necessarily in lowest terms, and
+is read only through the functions below.  The valuation of 0 is +infinity.
 """
 
 from __future__ import annotations
@@ -52,106 +51,8 @@ def residue(n: int, d: int, p: int, m: int) -> int:
 
 
 def as_ratio(x) -> tuple[int, int]:
-    """An int, Fraction or PadicRational as a pair (numerator, denominator)."""
+    """An int or Fraction as a pair (numerator, denominator)."""
     if type(x) is int:
         return x, 1
-    if isinstance(x, PadicRational):
-        x = x.value
     x = Fraction(x)
     return x.numerator, x.denominator
-
-
-class PadicRational:
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p: int):
-        self.value = value if type(value) is Fraction else Fraction(value)
-        self.p = p
-
-    # -- valuation ------------------------------------------------------
-    def val(self):
-        """The normalized valuation; +inf for 0."""
-        return ratio_val(self.value.numerator, self.value.denominator, self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_integral(self) -> bool:
-        return self.is_zero() or self.val() >= 0
-
-    def is_unit(self) -> bool:
-        return (not self.is_zero()) and self.val() == 0
-
-    def unit_part(self) -> "PadicRational":
-        """u with self = p^val * u; u a unit."""
-        if self.is_zero():
-            raise ZeroDivisionError("unit part of 0")
-        v = self.val()
-        return PadicRational(self.value / Fraction(self.p) ** v, self.p)
-
-    def unit_residue(self, m: int) -> int:
-        """The unit part mod p^m, as an integer in [0, p^m)."""
-        if self.is_zero():
-            raise ZeroDivisionError("unit part of 0")
-        return unit_residue(self.value.numerator, self.value.denominator, self.p, m)
-
-    def residue(self, m: int) -> int:
-        """self mod p^m for integral values, as an integer in [0, p^m)."""
-        return residue(self.value.numerator, self.value.denominator, self.p, m)
-
-    # -- arithmetic ------------------------------------------------------
-    def _coerce(self, other) -> "PadicRational":
-        if isinstance(other, PadicRational):
-            return other
-        return PadicRational(other, self.p)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PadicRational(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return PadicRational(self.value - self._coerce(other).value, self.p)
-
-    def __rsub__(self, other):
-        return PadicRational(self._coerce(other).value - self.value, self.p)
-
-    def __neg__(self):
-        return PadicRational(-self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PadicRational(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.value == 0:
-            raise ZeroDivisionError
-        return PadicRational(self.value / other.value, self.p)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int):
-        return PadicRational(self.value**k, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return isinstance(other, PadicRational) and self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-def val(x, p: int | None = None):
-    """Valuation of a PadicRational (or a raw Fraction/int given p)."""
-    if isinstance(x, PadicRational):
-        return x.val()
-    return PadicRational(x, p).val()

@@ -617,9 +617,9 @@ def _tokenize(s: str) -> list:
         ch = s[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j].isdecimal():
                 j += 1
             toks.append(("int", int(s[i:j])))
             i = j
@@ -647,6 +647,8 @@ class _Parser:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def next(self):
+        if self.pos == len(self.toks):
+            raise ScalarError("unexpected end of scalar literal")
         t = self.toks[self.pos]
         self.pos += 1
         return t
@@ -718,7 +720,9 @@ class _Parser:
             if val in ("a", "b", "u", "r"):
                 return Scalar.variable(self.field, val)
             if val.startswith("zeta"):
-                order = int(val[4:])
+                order = int(val[4:]) if val[4:].isdecimal() else 0
+                if not order:
+                    raise ScalarError(f"{val!r} is not zeta with a positive order")
                 if self.field.m % order != 0:
                     raise ScalarError(f"zeta{order} does not live in Q(zeta_{self.field.m})")
                 return Scalar.from_root_of_unity(self.field, RootOfUnity(order, 1))

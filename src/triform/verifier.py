@@ -40,6 +40,7 @@ from .models import (
     sections_equal,
     steinberg_model,
 )
+from .padic import ratio_val
 from .scalars import PoleError, Scalar, ScalarError
 from .trilinear import (
     KernelForm,
@@ -111,13 +112,26 @@ class Check:
     reason: str = ""
     ms: float = 0.0
 
-    def as_dict(self, with_timing: bool) -> dict:
+    def as_dict(self) -> dict:
         out = {"id": self.id, "claim": self.claim, "verdict": self.verdict, "scalars": dict(sorted(self.scalars.items()))}
         if self.reason:
             out["reason"] = self.reason
-        if with_timing:
-            out["ms"] = round(self.ms, 1)
         return out
+
+
+class Records(list):
+    """A scenario's check list: each appended Check is stamped with the wall
+    time since the previous record, or since the list was made."""
+
+    def __init__(self):
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def append(self, check: Check):
+        now = time.perf_counter()
+        check.ms = (now - self._last) * 1000
+        self._last = now
+        super().append(check)
 
 
 @dataclass
@@ -191,8 +205,11 @@ class Env:
         aval = ctx.scalar(sp["a"]) if "a" in sp else ctx.a
         bval = ctx.scalar(sp["b"]) if "b" in sp else ctx.b
         self.a, self.b = aval, bval
-        self.mu1 = SmoothCharacter.unramified(ctx, aval * ctx.r)
-        self.mu2 = SmoothCharacter.unramified(ctx, bval * ctx.r)
+        try:
+            self.mu1 = SmoothCharacter.unramified(ctx, aval * ctx.r)
+            self.mu2 = SmoothCharacter.unramified(ctx, bval * ctx.r)
+        except ValueError as e:
+            raise ConfigError(f"specialized a or b: {e}") from e
         self.V1 = principal_series_model(ctx, self.mu1, tag="V1")
         self.V2 = principal_series_model(ctx, self.mu2, tag="V2")
         if n == 1:
@@ -201,13 +218,13 @@ class Env:
         else:
             try:
                 mu3 = parse_character_spec(ctx, spec)
+                if "u" in sp:
+                    mu3 = SmoothCharacter(ctx, mu3.c, mu3.images, ctx.scalar(sp["u"]))
             except (ValueError, ScalarError) as e:
                 raise ConfigError(f"mu3 {spec!r}: {e}") from e
             if 2 * mu3.conductor() != n:
                 raise ConfigError(f"mu3 has conductor exponent {mu3.conductor()}, so the third "
                                   f"representation has conductor {2*mu3.conductor()}, not n = {n}")
-            if "u" in sp:
-                mu3 = SmoothCharacter(ctx, mu3.c, mu3.images, ctx.scalar(sp["u"]))
             self.mu3 = mu3
             self.V3 = principal_series_model(ctx, mu3, tag="V3")
         self.level = max(cfg.level or 0, n, self.V3.min_level, 1)
@@ -277,7 +294,7 @@ class Env:
         return self._chain["ext"]
 
 
-def _check(checks, cid, claim, ok, scalars=None, reason="", t0=None):
+def _check(checks, cid, claim, ok, scalars=None, reason=""):
     checks.append(
         Check(
             id=cid,
@@ -285,7 +302,6 @@ def _check(checks, cid, claim, ok, scalars=None, reason="", t0=None):
             verdict="PASS" if ok else "FAIL",
             scalars={k: v.render() if isinstance(v, Scalar) else str(v) for k, v in (scalars or {}).items()},
             reason=reason,
-            ms=(time.perf_counter() - t0) * 1000 if t0 else 0.0,
         )
     )
     return ok
@@ -301,20 +317,14 @@ def _skip(checks, cid, claim, reason):
 
 
 def scenario_lemma_calcul(env: Env) -> list:
-    checks = []
+    checks = Records()
     a = env.a
     table = p1_table(env.ctx, 5)
     for i in range(0, 5):
-        t0 = time.perf_counter()
         ti = env.v1.translated(env.gamma(-i))
         witness = None
         for k in [*table.reps, *(env.rand_K(5) for _ in range(10))]:
-            if k.z.is_zero():
-                vzt = 10**9
-            elif k.t.is_zero():
-                vzt = -(10**9)
-            else:
-                vzt = k.z.val() - k.t.val()
+            vzt = ratio_val(k.Z, k.T, env.ctx.p)  # +inf at z = 0, -inf at t = 0
             want = a**i if vzt <= 0 else (a ** (i - 2 * vzt) if vzt <= i - 1 else a ** (-i))
             if not (ti.eval(k) == want):
                 witness = k
@@ -327,7 +337,6 @@ def scenario_lemma_calcul(env: Env) -> list:
             "position of val(z/t), on every level-5 cell and 10 random K points",
             ok,
             reason="" if ok else f"mismatch at {witness}",
-            t0=t0,
         )
     return checks
 
@@ -338,9 +347,8 @@ def _ext_rows(env: Env):
 
 
 def scenario_formula_FK(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    t0 = time.perf_counter()
     F, rows = _ext_rows(env)
     table = p1_table(ctx, F.pair_table[0])
     corrupt = env.cfg.inject_fault
@@ -364,14 +372,13 @@ def scenario_formula_FK(env: Env) -> list:
         ),
         ("formula-FK.ext", "ext of the unit-orbit indicator reproduces the same pair indicator", bad_ext),
     ):
-        _check(checks, cid, claim, bad is None, reason="" if bad is None else f"first mismatched cell pair {bad}", t0=t0)
+        _check(checks, cid, claim, bad is None, reason="" if bad is None else f"first mismatched cell pair {bad}")
     return checks
 
 
 def scenario_lemma_FV(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    t0 = time.perf_counter()
     a, b = env.a, env.b
     A = a**n / ((a * a - 1) * (b * b - 1))
     F, rows = _ext_rows(env)
@@ -392,20 +399,17 @@ def scenario_lemma_FV(env: Env) -> list:
         "v2' = b gamma^{-1}v2 - v2, on all coset pairs",
         ok,
         scalars={"A": A},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     want_A = (env.mu1.value_at_pi / ctx.r) ** n / (
         ((env.mu1.value_at_pi / ctx.r) ** 2 - 1) * ((env.mu2.value_at_pi / ctx.r) ** 2 - 1)
     )
-    _check(checks, "lemma-FV.A", "the coefficient equals a^n/((a^2-1)(b^2-1))", A == want_A, scalars={"A": A}, t0=t0)
+    _check(checks, "lemma-FV.A", "the coefficient equals a^n/((a^2-1)(b^2-1))", A == want_A, scalars={"A": A})
     return checks
 
 
 def scenario_t_in_membership(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    t0 = time.perf_counter()
     ok = True
     for _ in range(30):
         k = env.rand_K(max(n + 1, 2))
@@ -418,9 +422,8 @@ def scenario_t_in_membership(env: Env) -> list:
             if not (t * kk == k and kk.in_iwahori(n) and t.is_diagonal()):
                 ok = False
                 break
-    _check(checks, "t-in-membership.K", "for k in K: k lies in T I(n) exactly when k lies in I(n), with an exact witness", ok, t0=t0)
+    _check(checks, "t-in-membership.K", "for k in K: k lies in T I(n) exactly when k lies in I(n), with an exact witness", ok)
 
-    t0 = time.perf_counter()
     kk = env.rand_K(n + 1)
     while not kk.in_iwahori(n):
         kk = env.rand_K(n + 1)
@@ -429,27 +432,25 @@ def scenario_t_in_membership(env: Env) -> list:
     ok2 = fac2 is not None and (fac2[0] * fac2[1] == g2)
     w = GroupElement.w(ctx.p)
     ok3 = in_T_In(w, n) is None
-    _check(checks, "t-in-membership.construction", "diag(pi,1) k for k in I(n) factors back, and w never does", ok2 and ok3, t0=t0)
+    _check(checks, "t-in-membership.construction", "diag(pi,1) k for k in I(n) factors back, and w never does", ok2 and ok3)
 
     # structural enumeration counts against closed forms
-    t0 = time.perf_counter()
     m = min(env.level, 2)
     okc = len(enumerate_K_mod(ctx, m)) == gl2_size(ctx.p, m)
     okc = okc and p1_table(ctx, m).size == p1_size(ctx.p, m)
     if n <= m:
         okc = okc and len(enumerate_iwahori_mod(ctx, n, m)) == gl2_size(ctx.p, m) // p1_size(ctx.p, n)
         okc = okc and torus_orbit_reps(ctx, n, m).total_mass() == coset_constant(ctx, n)
-    _check(checks, "t-in-membership.counts", "coset enumeration sizes match the closed-form counts", okc, t0=t0)
+    _check(checks, "t-in-membership.counts", "coset enumeration sizes match the closed-form counts", okc)
     return checks
 
 
 def scenario_simple_case(env: Env) -> list:
-    checks = []
+    checks = Records()
     if env.cfg.n != 1:
         _skip(checks, "simple-case", "the natural-surjection route needs n = 1 (Steinberg)", "requires n = 1")
         return checks
     ctx = env.ctx
-    t0 = time.perf_counter()
     # the simple case pins mu2 = mu1^{-1} |.|^{-1}: with a generic, b = 1/a
     a = env.a
     mu2s = SmoothCharacter.unramified(ctx, a.inverse() * ctx.r)
@@ -467,9 +468,7 @@ def scenario_simple_case(env: Env) -> list:
         "res(v1* (x) v2) takes the distinct values sqrt(q)/mu1(pi) = 1/a at 1 and mu1(pi)/sqrt(q) = a at w",
         ok,
         scalars={"at_identity": val_id, "at_w": val_w},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     pairing = simple_case_pairing(res, env.v3)
     _check(
         checks,
@@ -477,19 +476,16 @@ def scenario_simple_case(env: Env) -> list:
         "the surjection pairing of v1* (x) v2 against the Steinberg new vector is nonzero",
         not pairing.is_zero(),
         scalars={"pairing": pairing},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     Fconst = TensorFn.pure(ctx, 1, env.v1, v2s)
     z = simple_case_pairing(res_diag(Fconst, env.mu1, mu2s), env.v3)
-    _check(checks, "simple-case.constants", "the constant tensor pairs to zero against the zero-average vector", z.is_zero(), t0=t0)
+    _check(checks, "simple-case.constants", "the constant tensor pairs to zero against the zero-average vector", z.is_zero())
     return checks
 
 
 def scenario_phi_equivariance(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx = env.ctx
-    t0 = time.perf_counter()
     ok = True
     sections = [env.rand_section(env.V3, env.level) for _ in range(5)]
     trials = 0
@@ -509,21 +505,18 @@ def scenario_phi_equivariance(env: Env) -> list:
         "phi-equivariance.law",
         "phi(pi(t) v) = (chi2/chi1)(t) phi(v) for 50 random torus elements x 5 random sections, exactly",
         ok,
-        t0=t0,
     )
-    t0 = time.perf_counter()
     sec = sections[0].translated(env.gamma(-1))
     ok2 = env.phi.eval(sec) == env.phi.eval_reference(sec)
     up = GroupElement.upper(ctx.p, 1)
     ok2 = ok2 and env.phi.eval(sections[1].translated(up)) == env.phi.eval_reference(sections[1].translated(up))
-    _check(checks, "phi-equivariance.reference", "the fast engine matches the direct annulus reference on translated sections", ok2, t0=t0)
+    _check(checks, "phi-equivariance.reference", "the fast engine matches the direct annulus reference on translated sections", ok2)
     return checks
 
 
 def scenario_phi_nonvanishing(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx = env.ctx
-    t0 = time.perf_counter()
     val = env.phi.eval(env.v3)
     _check(
         checks,
@@ -531,15 +524,12 @@ def scenario_phi_nonvanishing(env: Env) -> list:
         "phi(v3) is a nonzero element of the coefficient field",
         not val.is_zero(),
         scalars={"phi_v3": val},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     ok = val == env.phi.eval_reference(env.v3)
-    _check(checks, "phi-nonvanishing.reference", "independent annulus-summation route returns the same scalar", ok, t0=t0)
+    _check(checks, "phi-nonvanishing.reference", "independent annulus-summation route returns the same scalar", ok)
 
     # numeric stabilization oracle: specialize inside the convergence region and
     # check the truncations approach the closed form monotonically
-    t0 = time.perf_counter()
     asg = {"a": Fraction(1, 5), "b": Fraction(1, 7), "u": Fraction(1, 3)}
     try:
         closed_q = val.specialize(asg)
@@ -571,10 +561,9 @@ def scenario_phi_nonvanishing(env: Env) -> list:
             "defining integral stabilize to the closed form",
             shrinking,
             scalars={"closed_form_at_(1/5,1/7,1/3)": closed_q},
-            t0=t0,
         )
     except PoleError as e:
-        _check(checks, "phi-nonvanishing.stabilization", "numeric stabilization oracle", False, reason=str(e), t0=t0)
+        _check(checks, "phi-nonvanishing.stabilization", "numeric stabilization oracle", False, reason=str(e))
     return checks
 
 
@@ -599,9 +588,8 @@ def _magnitude(s: Scalar, q: int) -> float:
 
 
 def scenario_Phi_lambda(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    t0 = time.perf_counter()
     lam = coset_constant(ctx, n)
     lhs = Phi_eval(env.phi, env.f, env.v3)
     rhs = ctx.scalar(lam) * env.phi.eval(env.v3)
@@ -613,10 +601,8 @@ def scenario_Phi_lambda(env: Env) -> list:
         "Phi(f)(v3) = lambda phi(v3) with lambda the nonzero unit-orbit mass 1/[K:I(n)]",
         ok,
         scalars=scal,
-        t0=t0,
     )
     # Phi on a random compactly supported f agrees with the chain evaluator
-    t0 = time.perf_counter()
     table = torus_orbit_reps(ctx, n, env.level)
     keys = [iwahori_orbit_key(ctx, rep, n, env.level) for rep in table.reps]
     support = frozenset(k for k in keys if env.rng.random() < 0.5) or frozenset([keys[0]])
@@ -628,20 +614,18 @@ def scenario_Phi_lambda(env: Env) -> list:
         "Phi-lambda.random-support",
         "the chain evaluator composed with ext agrees with Phi on a random union of unit-orbit cells",
         lhs2 == rhs2,
-        t0=t0,
     )
     return checks
 
 
 def scenario_conductor_vanishing(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
     if n < 2:
         _skip(checks, "conductor-vanishing", "psi-vanishing needs conductor n >= 2", "requires n >= 2")
         return checks
     n_random = 5 if ctx.p**n <= 9 else 3
     for m in (n - 2, n - 1):
-        t0 = time.perf_counter()
         F = TensorFn.pure(ctx, 1, env.v1.translated(env.gamma(-m)), env.v2)
         ok = env.ell_pure(m, 0).is_zero()
         for _ in range(n_random):
@@ -655,16 +639,14 @@ def scenario_conductor_vanishing(env: Env) -> list:
             f"the functional v -> ell(gamma^-{m} v1 (x) v2 (x) v) is identically zero on level-{env.level} "
             "vectors (the dual conductor kills it)",
             ok,
-            t0=t0,
         )
     return checks
 
 
 def scenario_main_theorem(env: Env) -> list:
-    checks = []
+    checks = Records()
     n = env.cfg.n
     # structural preconditions: fixed-space dimensions and the conductor search
-    t0 = time.perf_counter()
     dims_ok = True
     for below in range(n):
         if len(fixed_space(env.V3, below, env.level)) != 0:
@@ -677,10 +659,8 @@ def scenario_main_theorem(env: Env) -> list:
         f"the congruence-fixed space is 0 below depth {n} and one-dimensional at {n}; "
         "the conductor search confirms the minimal depth",
         dims_ok,
-        t0=t0,
     )
     # v1* = pi(gamma^-n) v1 is invariant under the conjugated maximal compact
-    t0 = time.perf_counter()
     v1star = env.v1.translated(env.gamma(-n))
     ok = True
     gam_n = env.gamma(n)
@@ -689,9 +669,8 @@ def scenario_main_theorem(env: Env) -> list:
         if not sections_equal(v1star.translated(rho), v1star):
             ok = False
             break
-    _check(checks, "main-theorem.invariance", "pi(gamma^-n) v1 is invariant under the order conjugate of K", ok, t0=t0)
+    _check(checks, "main-theorem.invariance", "pi(gamma^-n) v1 is invariant under the order conjugate of K", ok)
 
-    t0 = time.perf_counter()
     val = env.ell_pure(n, 0)
     _check(
         checks,
@@ -700,9 +679,7 @@ def scenario_main_theorem(env: Env) -> list:
         "of the coefficient field: the translated pure tensor is a test vector",
         not val.is_zero(),
         scalars={"ell_value": val},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     a, b = env.a, env.b
     A = a**n / ((a * a - 1) * (b * b - 1))
     psiF = env.ell_ext()
@@ -712,17 +689,16 @@ def scenario_main_theorem(env: Env) -> list:
     else:
         ok = psiF == A * (a * b * env.ell_pure(0, 1) + val)
         claim = "the same value reaches the compact route: Psi(ext f)(v3) = A (ab ell(v1 (x) gamma^-1 v2 (x) v3) + ell(gamma^-1 v1 (x) v2 (x) v3))"
-    _check(checks, "main-theorem.chain", claim, ok, scalars={"Psi_F_v3": psiF, "A": A}, t0=t0)
+    _check(checks, "main-theorem.chain", claim, ok, scalars={"Psi_F_v3": psiF, "A": A})
     return checks
 
 
 def scenario_n1_identity(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
     if n != 1:
         _skip(checks, "n1-identity", "the depth-one identity chain applies at n = 1", "requires n = 1")
         return checks
-    t0 = time.perf_counter()
     a, b = env.a, env.b
     A = a / ((a * a - 1) * (b * b - 1))
     g1 = env.gamma(-1)
@@ -734,9 +710,7 @@ def scenario_n1_identity(env: Env) -> list:
         "Psi(F)(v3) = A (ab ell(v1 (x) gamma^-1 v2 (x) v3) + ell(gamma^-1 v1 (x) v2 (x) v3)), exactly",
         ok,
         scalars={"Psi_F_v3": psiF},
-        t0=t0,
     )
-    t0 = time.perf_counter()
     gmat = GroupElement(ctx.p, 0, 1, ctx.p, 0)
     v3p = env.v3.translated(gmat.inv()).scaled(a * b) + env.v3
     t3 = env.ell(TensorFn.pure(ctx, 1, env.v1.translated(g1), env.v2), v3p)
@@ -745,15 +719,13 @@ def scenario_n1_identity(env: Env) -> list:
         "n1-identity.v3prime",
         "the same value collapses to A ell(gamma^-1 v1 (x) v2 (x) v3') with v3' = ab (0 1; pi 0)^{-1} v3 + v3",
         psiF == A * t3,
-        t0=t0,
     )
     return checks
 
 
 def scenario_nb_swap(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    t0 = time.perf_counter()
     gmat = GroupElement(ctx.p, 0, 1, Fraction(ctx.p) ** n, 0)
     gam_n = env.gamma(-n)
     ok = sections_equal(env.v1.translated(gam_n).translated(gmat), env.v1)
@@ -763,9 +735,7 @@ def scenario_nb_swap(env: Env) -> list:
         "nb-swap.conjugation",
         "with g = (0 1; pi^n 0): g gamma^-n v1 = v1 and g v2 = gamma^-n v2, as sections",
         ok,
-        t0=t0,
     )
-    t0 = time.perf_counter()
     val = env.ell_pure(0, n)
     _check(
         checks,
@@ -773,28 +743,24 @@ def scenario_nb_swap(env: Env) -> list:
         "ell(v1 (x) gamma^-n v2 (x) v3) is nonzero: the swapped tensor is a test vector too",
         not val.is_zero(),
         scalars={"ell_swapped": val},
-        t0=t0,
     )
     if ctx.p == 2 and n == 1:
-        t0 = time.perf_counter()
         moved = env.ell(TensorFn.pure(ctx, 1, env.v1, env.v2.translated(gam_n)), env.v3.translated(gmat))
         _check(
             checks,
             "nb-swap.consistency",
             "ell(v1 (x) gamma^-n v2 (x) g v3) = ell(gamma^-n v1 (x) v2 (x) v3), exactly",
             moved == env.ell_pure(n, 0),
-            t0=t0,
         )
     return checks
 
 
 def scenario_g_invariance(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
     if ctx.p == 2 and n >= 4:
         _skip(checks, "g-invariance", "invariance of both evaluators under random translations", "level budget: run at the n <= 2 configurations")
         return checks
-    t0 = time.perf_counter()
     F = TensorFn.pure(ctx, 1, env.v1, env.v2.translated(env.gamma(-1)))
     base = env.ell_pure(0, 1)
     count = 8 if n == 1 else 7
@@ -810,9 +776,7 @@ def scenario_g_invariance(env: Env) -> list:
         "g-invariance.chain",
         f"the open-orbit evaluator is invariant under {count} random translations within the level budget",
         ok,
-        t0=t0,
     )
-    t0 = time.perf_counter()
     if env.mu3 is None:
         _skip(checks, "g-invariance.kernel", "kernel-route invariance", "Steinberg input: unsupported model for kernel route")
     else:
@@ -840,13 +804,12 @@ def scenario_g_invariance(env: Env) -> list:
             "g-invariance.kernel",
             f"the kernel evaluator is invariant under {len(gs2)} translations (compact, Weyl, torus and one diagonal-pi)",
             ok2,
-            t0=t0,
         )
     return checks
 
 
 def scenario_proportionality(env: Env) -> list:
-    checks = []
+    checks = Records()
     ctx, n = env.ctx, env.cfg.n
     if env.mu3 is None:
         _skip(checks, "proportionality", "two-evaluator comparison", "Steinberg input: unsupported model for kernel route")
@@ -856,7 +819,6 @@ def scenario_proportionality(env: Env) -> list:
     except KernelUnsupportedError as e:
         _skip(checks, "proportionality", "two-evaluator comparison", str(e))
         return checks
-    t0 = time.perf_counter()
     ratio = None
     ok = True
     tested = 0
@@ -885,14 +847,12 @@ def scenario_proportionality(env: Env) -> list:
         "(both span the one-dimensional space of invariant forms)",
         ok and ratio is not None and not ratio.is_zero(),
         scalars={"constant": ratio if ratio is not None else ctx.zero()},
-        t0=t0,
     )
     return checks
 
 
 def scenario_intro_vanishing(env: Env) -> list:
-    checks = []
-    t0 = time.perf_counter()
+    checks = Records()
     z = env.ell_pure(0, 0)
     _check(
         checks,
@@ -901,7 +861,6 @@ def scenario_intro_vanishing(env: Env) -> list:
         "once the third representation ramifies",
         z.is_zero(),
         scalars={"ell_spherical": z},
-        t0=t0,
     )
     return checks
 
@@ -943,7 +902,7 @@ class Report:
                 "config": self.config,
                 "conventions": self.conventions,
                 "seed": self.seed,
-                "checks": [c.as_dict(with_timing=False) for c in self.checks],
+                "checks": [c.as_dict() for c in self.checks],
             }
             return json.dumps(payload, sort_keys=True, indent=1)
         lines = [f"triform verification report (schema {self.schema_version})"]

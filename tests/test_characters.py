@@ -15,7 +15,7 @@ from triform.characters import (
 )
 from triform.cyclo import RootOfUnity
 from triform.matrices import GroupElement
-from triform.padic import PadicRational
+from triform.padic import ratio_val, unit_residue
 from triform.scalars import Scalar
 
 
@@ -41,6 +41,8 @@ def test_unramified_eval(ctx):
     assert mu.conductor() == 0
     with pytest.raises(ZeroDivisionError):
         mu.eval(0)
+    with pytest.raises(ValueError):  # a character's value at pi is nonzero
+        SmoothCharacter.unramified(ctx, 0)
 
 
 def test_ramified_eval(ctx):
@@ -152,9 +154,9 @@ def test_exponent_table_matches_images(p, c):
 
 def reference_eval(ch: SmoothCharacter, x: Fraction) -> Scalar:
     """chi(x) uncached: value_at_pi^v times the unit image as a fresh Scalar."""
-    px = PadicRational(x, ch.ctx.p)
-    v = px.val()
-    unit = Scalar.from_root_of_unity(ch.ctx.field, ch.unit_image(px.unit_residue(max(1, ch.c))))
+    p, n, d = ch.ctx.p, x.numerator, x.denominator
+    v = ratio_val(n, d, p)
+    unit = Scalar.from_root_of_unity(ch.ctx.field, ch.unit_image(unit_residue(n, d, p, max(1, ch.c))))
     return ch.value_at_pi**v * unit
 
 
@@ -173,7 +175,7 @@ def test_values_match_uncached_reference(p, c):
             x = random_nonzero(p, rng)
             assert ch.eval(x) == reference_eval(ch, x)
             # same (valuation, residue mod p^c), different beyond p^c: the same value
-            v = PadicRational(x, p).val()
+            v = ratio_val(x.numerator, x.denominator, p)
             twin = x + Fraction(p) ** (v + max(1, c)) * rng.randint(1, 30)
             if twin:
                 assert ch.eval(twin) == ch.eval(x)
@@ -184,6 +186,6 @@ def test_values_match_uncached_reference(p, c):
             for _ in range(30):
                 x, t = random_nonzero(p, rng), random_nonzero(p, rng)
                 b = GroupElement(p, x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0, t)
-                vx, vt = PadicRational(x, p).val(), PadicRational(t, p).val()
+                vx, vt = ratio_val(x.numerator, x.denominator, p), ratio_val(t.numerator, t.denominator, p)
                 want = reference_eval(ch, x) * reference_eval(chi_d, t) * ctx.q_power_half(vt - vx)
                 assert beta.eval(b) == want

@@ -22,6 +22,7 @@ from triform.models import (
     sections_equal,
     steinberg_model,
 )
+from triform.padic import residue, unit_residue
 
 from conftest import rand_G, rand_K, rand_section
 
@@ -169,17 +170,20 @@ def test_mask_levels(setup32):
         V3.section(1, [ctx.one()] * p1_table(ctx, 1).size)
 
 
+def entries_mod(k: GroupElement, m: int) -> tuple:
+    return tuple(residue(*k.entry(i), k.p, m) for i in range(4))
+
+
 def test_full_K_table_oracle(setup32):
     """Validate P^1-table evaluation against a full K/K(m) value table at m <= 2."""
     s = setup32
     rng = random.Random(8)
     sec = s.v3
     m = 2
-    full = {tuple(e.residue(m) for e in k.entries()): sec.eval(k) for k in enumerate_K_mod(s.ctx, m).reps}
+    full = {entries_mod(k, m): sec.eval(k) for k in enumerate_K_mod(s.ctx, m).reps}
     for _ in range(40):
         k = rand_K(s.ctx, rng, m=3)
-        key = tuple(e.residue(m) for e in k.entries())
-        assert sec.eval(k) == full[key]
+        assert sec.eval(k) == full[entries_mod(k, m)]
 
 
 def test_stabilizer_twist_brute_force(setup32):
@@ -224,7 +228,8 @@ def test_cell_twist_matches_unit_images(setup32, setup24):
                 k = rand_K(ctx, rng, m=level + 1)
                 j, e = model.cell_value_factor(k, level)
                 h = k * reps[j].inv()
-                tw = borel.chi_a.unit_image(h.x.unit_residue(c)) * borel.chi_d.unit_image(h.t.unit_residue(c))
+                ua, ud = (unit_residue(*h.entry(i), ctx.p, c) for i in (0, 3))
+                tw = borel.chi_a.unit_image(ua) * borel.chi_d.unit_image(ud)
                 assert ctx.zeta_powers[e] == Scalar.from_root_of_unity(ctx.field, tw)
 
 

@@ -6,28 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triform.matrices import GroupElement, _element, in_T_In, iwasawa
-from triform.padic import INF, PadicRational, ratio_val, residue, unit_residue, val
+from triform.padic import INF, ratio_val, residue, split, unit_residue
 
 from conftest import rand_G, rand_K
 
 
 def test_valuation():
-    assert val(Fraction(2), 2) == 1
-    assert val(Fraction(1, 4), 2) == -2
-    assert val(Fraction(0), 2) == INF
-    x = PadicRational(Fraction(12), 2)
-    assert x.val() == 2 and x.unit_part().value == 3
-    assert x.unit_residue(3) == 3
-    y = PadicRational(Fraction(5, 3), 3)
-    assert y.val() == -1
+    assert ratio_val(2, 1, 2) == 1
+    assert ratio_val(1, 4, 2) == -2
+    assert ratio_val(0, 1, 2) == INF
+    assert split(12, 2) == (2, 3)
+    assert unit_residue(12, 1, 2, 3) == 3
+    assert ratio_val(5, 3, 3) == -1
 
 
 def test_valuation_multiplicative():
     rng = random.Random(0)
     for _ in range(100):
-        x = PadicRational(Fraction(rng.randint(1, 500), rng.randint(1, 500)), 3)
-        y = PadicRational(Fraction(rng.randint(1, 500), rng.randint(1, 500)), 3)
-        assert (x * y).val() == x.val() + y.val()
+        a, b, c, d = (rng.randint(1, 500) for _ in range(4))
+        assert ratio_val(a * c, b * d, 3) == ratio_val(a, b, 3) + ratio_val(c, d, 3)
 
 
 def test_membership(ctx2):
@@ -37,7 +34,6 @@ def test_membership(ctx2):
     low = GroupElement.lower(p, 2)
     assert low.in_iwahori(1) and not low.in_iwahori(2)
     assert not GroupElement.gamma(p).in_K()
-    assert GroupElement.diag(p, 3, 5).in_T_cap_K()
     assert GroupElement(p, 1, 7, 0, 3).is_upper()
     assert GroupElement(p, 1, 0, 4, 1).in_K_principal(2)
     assert not GroupElement(p, 1, 2, 4, 1).in_K_principal(2)
@@ -63,7 +59,8 @@ def test_det_multiplicative(ctx2):
     rng = random.Random(2)
     for _ in range(50):
         g, h = rand_G(ctx2, rng), rand_G(ctx2, rng)
-        assert (g * h).det() == g.det() * h.det()
+        gh = g * h
+        assert Fraction(gh.N, gh.D**2) == Fraction(g.N, g.D**2) * Fraction(h.N, h.D**2)
 
 
 def test_in_T_In(ctx2):
@@ -91,13 +88,8 @@ def test_R_star_membership(ctx2):
         k = rand_K(ctx2, rng, m=4)
         g = GroupElement.gamma(p, -n) * k * GroupElement.gamma(p, n)
         if g.in_K():
-            assert g.in_iwahori(n) == (g.in_K() and (g.z.is_zero() or g.z.val() >= n))
+            assert g.in_iwahori(n) == (g.in_K() and ratio_val(*g.entry(2), p) >= n)
             assert g.in_iwahori(n)  # integrality of all entries forces val(z) >= n
-    # and conversely I(n) sits inside the conjugate order's units
-    for _ in range(30):
-        k = rand_K(ctx2, rng, m=4)
-        if k.in_iwahori(n):
-            assert k.in_R_star(n)
 
 
 def test_cartan_gap():
@@ -195,8 +187,8 @@ primes = st.sampled_from([2, 3, 5])
 def test_kernel_arithmetic_matches_fractions(case):
     p, a, b = case
     g, h = GroupElement(p, *a), GroupElement(p, *b)
-    assert entries_of(g) == a and tuple(e.value for e in g.entries()) == a
-    assert g.det().value == ref_det(a)
+    assert entries_of(g) == a and repr(g) == "[{} {}; {} {}]".format(*a)
+    assert Fraction(g.N, g.D**2) == ref_det(a)
     assert entries_of(g * h) == ref_mul(a, b)
     assert entries_of(g.inv()) == ref_inv(a)
     assert g * h == GroupElement(p, *ref_mul(a, b)) and g.inv() == GroupElement(p, *ref_inv(a))
@@ -234,12 +226,12 @@ def test_kernel_entry_valuations_and_residues(case):
     g = GroupElement(p, *a)
     for i, x in enumerate(a):
         n, d = g.entry(i)
-        assert ratio_val(n, d, p) == ref_val(x, p) == g.entries()[i].val()
+        assert ratio_val(n, d, p) == ref_val(x, p)
         if x != 0:
-            assert unit_residue(n, d, p, m) == ref_unit_residue(x, p, m) == g.entries()[i].unit_residue(m)
+            assert unit_residue(n, d, p, m) == ref_unit_residue(x, p, m)
         if ref_val(x, p) >= 0:
             want = x.numerator * pow(x.denominator, -1, p**m) % p**m
-            assert residue(n, d, p, m) == want == g.entries()[i].residue(m)
+            assert residue(n, d, p, m) == want
         else:
             with pytest.raises(ValueError):
                 residue(n, d, p, m)
@@ -255,7 +247,6 @@ def test_kernel_one_form_per_element(case):
         D = D * x.denominator // gcd(D, x.denominator)
     X, Y, Z, T = (int(x * D) for x in a)
     same = [
-        GroupElement(p, *(PadicRational(x, p) for x in a)),
         GroupElement(p, *(Fraction(x.numerator * c, x.denominator * c) for x in a)),
         _element(p, X * c, Y * c, Z * c, T * c, D * c),  # unreduced, as 2/4 against 1/2
         _element(p, -X, -Y, -Z, -T, -D),  # a negative common denominator

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
 from triform.cyclo import Cyclo, RootOfUnity, cyclotomic_polynomial
-from triform.scalars import Poly, Scalar, parse_scalar
+from triform.scalars import Poly, Scalar, ScalarError, parse_scalar
 
 ctx = Context(3, zeta_order=2)
 ctx4 = Context(5, zeta_order=4)
@@ -144,6 +144,12 @@ def test_render_grammar_example():
     s = parse_scalar(ctx.field, "(a^2*b - zeta2)/((a^2-1)*(b^2-1)) + r*(u/(1-a*b))")
     assert not s.is_zero()
     assert parse_scalar(ctx.field, s.render()) == s
+
+
+@pytest.mark.parametrize("text", ["", "a+", "(a", "a^", "2/", "zeta", "zeta0", "2²"])
+def test_malformed_literal_is_a_scalar_error(text):
+    with pytest.raises(ScalarError):
+        parse_scalar(ctx.field, text)
 
 
 def test_cyclotomic_field():

@@ -223,6 +223,10 @@ def test_cli_engine_error_is_a_fail_record():
         ["--config", "{tmp}/missing.cfg"],
         ["--scenario", "lemma-calcul", "--out", "{tmp}/no/such/dir/report.txt"],
         ["--dump-tables", "--out", "{tmp}/no/such/dir/tables.txt"],
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=zeta0)"],  # malformed literals
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u+)"],
+        ["--specialize", "a=0"],  # a character's value at pi must be nonzero
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=0)"],
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
