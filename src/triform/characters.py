@@ -1,18 +1,21 @@
 """Smooth characters of F* and of the Borel subgroup.
 
-A character is (conductor exponent c, images of the fixed unit-group
-generators as roots of unity, value at the uniformizer as a Scalar).  The
-generator convention is fixed once per (p, c): a primitive root for odd p,
-{-1, 5} for p = 2, so ramified characters in config files are unambiguous.
+A character is (conductor exponent c, unit data, value at the uniformizer as
+a Scalar).  The unit data is held only as exponents of zeta_M: `images` has
+the j with chi(g) = zeta_M^j for each canonical generator g of (O/p^c)*, and
+the table of the j for every unit residue mod p^c is built with the
+character.  The generator convention is fixed once per (p, c): a primitive
+root for odd p, {-1, 5} for p = 2, so ramified characters in config files are
+unambiguous.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import gcd
 
 from .context import Context
-from .cyclo import RootOfUnity
 from .padic import as_ratio, split
 from .scalars import Scalar
 
@@ -68,27 +71,29 @@ def _dlog_table(p: int, c: int) -> dict:
     exps = [range(o) for _, o in gens]
     table = {}
     for tup in itertools.product(*exps):
-        x = 1
+        x = 1 % mod
         for (g, _), e in zip(gens, tup):
             x = x * pow(g, e, mod) % mod
         table[x] = tup
     return table
 
 
-def _image_of(p: int, c: int, images: tuple, residue: int) -> RootOfUnity:
-    """The image of a unit residue mod p^c: the generator images raised to its discrete log."""
-    out = RootOfUnity(1, 0)
-    for img, e in zip(images, _dlog_table(p, c)[residue % p**c]):
-        out = out * img**e
-    return out
-
-
 def _exponent_table(p: int, c: int, images: tuple, m: int) -> list:
     """Entry r is the j with chi(r) = zeta_m^j for each unit residue r mod p^c (None elsewhere)."""
     table = [None] * p**c
     for residue, exps in _dlog_table(p, c).items():
-        table[residue % p**c] = sum(img.embed(m) * e for img, e in zip(images, exps)) % m
+        table[residue] = sum(j * e for j, e in zip(images, exps)) % m
     return table
+
+
+def _effective_conductor(p: int, table: list) -> int:
+    """Smallest c such that the unit data of an _exponent_table factors through
+    (O/p^c)*, i.e. is trivial on the units congruent to 1 mod p^c (the None
+    entries, non-units, count as trivial)."""
+    c = 0
+    while p**c < len(table) and any(table[r] for r in range(1, len(table), p**c)):
+        c += 1
+    return c
 
 
 class SmoothCharacter:
@@ -97,17 +102,19 @@ class SmoothCharacter:
     __slots__ = ("ctx", "c", "images", "value_at_pi", "_exponents", "_values")
 
     def __init__(self, ctx: Context, c: int, images: tuple, value_at_pi: Scalar):
+        """images: the exponent j, mod M, of each canonical generator's image zeta_M^j."""
+        m = ctx.field.m
         gens = unit_group_generators(ctx.p, c)
         if len(images) != len(gens):
             raise ValueError(f"(O/p^{c})* has {len(gens)} canonical generators, got {len(images)} images")
         if value_at_pi.is_zero():
             raise ValueError("a character's value at pi must be nonzero")
-        images = tuple(images)
-        for img, (g, order) in zip(images, gens):
-            img.embed(ctx.field.m)  # raises unless the image order divides M
-            if not (img**order).is_one():
+        images = tuple(j % m for j in images)
+        for j, (g, order) in zip(images, gens):
+            if j * order % m:
                 raise ValueError(f"image of generator {g} must have order dividing {order}")
-        eff = _effective_conductor(ctx.p, c, images)
+        table = _exponent_table(ctx.p, c, images, m)
+        eff = _effective_conductor(ctx.p, table)
         if eff != c:
             raise ValueError(
                 f"declared conductor exponent {c} is not minimal (unit data factors through level {eff}); "
@@ -117,7 +124,7 @@ class SmoothCharacter:
         self.c = c
         self.images = images
         self.value_at_pi = value_at_pi
-        self._exponents = None  # the _exponent_table, built on first use
+        self._exponents = table
         self._values: dict[int, Scalar] = {}  # v * M + j -> value_at_pi^v zeta_M^j; Scalars are immutable
 
     # -- constructors ---------------------------------------------------------
@@ -138,17 +145,9 @@ class SmoothCharacter:
         return self.c
 
     # -- evaluation --------------------------------------------------------------
-    def unit_image(self, residue: int) -> RootOfUnity:
-        if self.c == 0:
-            return RootOfUnity(1, 0)
-        return _image_of(self.ctx.p, self.c, self.images, residue)
-
     def unit_exponent(self, residue: int) -> int:
         """The j with chi(residue) = zeta_M^j, for an int that is a unit mod p^c."""
-        table = self._exponents
-        if table is None:
-            table = self._exponents = _exponent_table(self.ctx.p, self.c, self.images, self.ctx.field.m)
-        return table[residue % len(table)]
+        return self._exponents[residue % len(self._exponents)]
 
     def val_exponent(self, x: int, d: int = 1) -> tuple[int, int]:
         """(v, j) with chi(x / d) = value_at_pi^v zeta_M^j, for nonzero ints x and d."""
@@ -178,19 +177,19 @@ class SmoothCharacter:
     __call__ = eval
 
     # -- group structure ---------------------------------------------------------
-    def _images_at_level(self, c: int) -> tuple:
-        """Images of the level-c canonical generators (c >= self.c)."""
-        return tuple(self.unit_image(g) for g, _ in unit_group_generators(self.ctx.p, c))
-
     def __mul__(self, other: "SmoothCharacter") -> "SmoothCharacter":
-        cmax = max(self.c, other.c)
-        imgs = tuple(i1 * i2 for i1, i2 in zip(self._images_at_level(cmax), other._images_at_level(cmax)))
-        c_eff = _effective_conductor(self.ctx.p, cmax, imgs)
-        imgs_eff = _reduce_images(self.ctx.p, cmax, imgs, c_eff)
-        return SmoothCharacter(self.ctx, c_eff, imgs_eff, self.value_at_pi * other.value_at_pi)
+        """The product: the two exponent tables added at the larger level, then
+        read at the generators of the product's effective conductor."""
+        p, cmax = self.ctx.p, max(self.c, other.c)
+        table = [None] * p**cmax
+        for residue in _dlog_table(p, cmax):
+            table[residue] = (self.unit_exponent(residue) + other.unit_exponent(residue)) % self.ctx.field.m
+        c = _effective_conductor(p, table)
+        images = tuple(table[g] for g, _ in unit_group_generators(p, c))
+        return SmoothCharacter(self.ctx, c, images, self.value_at_pi * other.value_at_pi)
 
     def inverse(self) -> "SmoothCharacter":
-        return SmoothCharacter(self.ctx, self.c, tuple(i.inverse() for i in self.images), self.value_at_pi.inverse())
+        return SmoothCharacter(self.ctx, self.c, tuple(-j for j in self.images), self.value_at_pi.inverse())
 
     def __truediv__(self, other: "SmoothCharacter") -> "SmoothCharacter":
         return self * other.inverse()
@@ -217,31 +216,13 @@ class SmoothCharacter:
 
     # -- config grammar ------------------------------------------------------------
     def render_spec(self) -> str:
+        """The config grammar, each image zeta_M^j written in lowest terms as zeta{M/g}^{j/g}, g = gcd(j, M)."""
         if self.c == 0:
             return f"unram(value={self.value_at_pi.render()})"
+        m = self.ctx.field.m
         gens = unit_group_generators(self.ctx.p, self.c)
-        parts = ",".join(f"{g}->zeta{img.order}^{img.exponent}" for (g, _), img in zip(gens, self.images))
+        parts = ",".join(f"{g}->zeta{m // gcd(j, m)}^{j // gcd(j, m)}" for (g, _), j in zip(gens, self.images))
         return f"ram(c={self.c}, gens=[{parts}], pi={self.value_at_pi.render()})"
-
-
-def _effective_conductor(p: int, c: int, images: tuple) -> int:
-    """Smallest c' such that the unit data factors through (O/p^{c'})*."""
-    if c == 0 or all(img.is_one() for img in images):
-        return 0
-    for cp in range(1, c):
-        # factors through level cp iff trivial on 1 + p^cp
-        trivial = all(_image_of(p, c, images, 1 + p**cp * k).is_one() for k in range(p ** (c - cp)))
-        if trivial:
-            return cp
-    return c
-
-
-def _reduce_images(p: int, c: int, images: tuple, c_eff: int) -> tuple:
-    if c_eff == c:
-        return images
-    if c_eff == 0:
-        return ()
-    return tuple(_image_of(p, c, images, g) for g, _ in unit_group_generators(p, c_eff))
 
 
 _SPEC_UNRAM = re.compile(r"^unram\(\s*value\s*=\s*(?P<value>.*)\)$")
@@ -269,7 +250,10 @@ def parse_character_spec(ctx: Context, text: str) -> SmoothCharacter:
                 raise ValueError(f"bad generator image {entry!r}")
             if int(gm.group("g")) % ctx.p**c != g:
                 raise ValueError(f"generator {gm.group('g')} is not the canonical generator {g} for (p, c) = ({ctx.p}, {c})")
-            images.append(RootOfUnity(int(gm.group("order")), int(gm.group("e") or 1)))
+            order = int(gm.group("order"))
+            if not order or ctx.field.m % order:
+                raise ValueError(f"zeta{order} does not live in Q(zeta_{ctx.field.m})")
+            images.append(int(gm.group("e") or 1) * (ctx.field.m // order))
         return SmoothCharacter(ctx, c, tuple(images), ctx.scalar(m.group("pi")))
     raise ValueError(f"bad character spec {text!r}")
 

@@ -1,7 +1,8 @@
 """Shared read-only configuration: the prime p, q = #residue field, zeta order M.
 
 One Context is fixed at startup and threaded through every value; all caches
-hang off it so independent contexts never interfere.
+hang off it so independent contexts never interfere.  Roots of unity are
+exponents of zeta_M; `zeta_powers` holds the one shared Scalar for each.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclo import RootOfUnity
 from .scalars import FieldSpec, Poly, Scalar, parse_scalar
 
 SUPPORTED_PRIMES = (2, 3, 5)
@@ -39,8 +39,6 @@ class Context:
             return x
         if isinstance(x, str):
             return parse_scalar(self.field, x)
-        if isinstance(x, RootOfUnity):
-            return self.zeta_powers[x.embed(self.field.m)]
         return Scalar.from_rational(self.field, x)
 
     @cached_property
@@ -85,10 +83,11 @@ class Context:
             out = out * self._r
         return out
 
-    def zeta(self, order: int, exponent: int = 1) -> RootOfUnity:
+    def zeta(self, order: int, exponent: int = 1) -> Scalar:
+        """zeta_order^exponent, the shared Scalar zeta_M^(exponent M / order)."""
         if self.field.m % order != 0:
             raise ValueError(f"zeta_{order} not available: configured M = {self.field.m}")
-        return RootOfUnity(order, exponent)
+        return self.zeta_powers[exponent * (self.field.m // order) % self.field.m]
 
     def check_level(self, m: int):
         if m > MAX_LEVEL:

@@ -1,11 +1,12 @@
-"""The cyclotomic field Q(zeta_M): cyclotomic polynomials, roots of unity, and
-a dense reference model.
+"""The cyclotomic field Q(zeta_M): cyclotomic polynomials and a dense
+reference model.
 
 The scalar kernel carries zeta_M as a polynomial exponent reduced by the rows
-of Phi_M (`scalars.power_rows`); `Cyclo` stores an element in the power basis
-1, zeta, ..., zeta^{phi(M)-1} with Fraction coordinates and is the reference
-the kernel is tested against.  M stays tiny here (the order of the finite
-character group in play), so nothing is optimized.
+of Phi_M (`scalars.power_rows`), and a root of unity zeta_M^j is just the
+exponent j wherever characters are evaluated; `Cyclo` stores an element in
+the power basis 1, zeta, ..., zeta^{phi(M)-1} with Fraction coordinates and
+is the reference the kernel is tested against.  M stays tiny here (the order
+of the finite character group in play), so nothing is optimized.
 """
 
 from __future__ import annotations
@@ -111,58 +112,3 @@ class Cyclo:
     def __repr__(self):
         return f"Cyclo({self.m}, {self.co})"
 
-
-class RootOfUnity:
-    """zeta_order^exponent inside the global Q(zeta_M); a multiplicative value.
-
-    The order must divide the globally configured M of whatever context the
-    value is embedded into; exponents are stored reduced.
-    """
-
-    __slots__ = ("order", "exponent")
-
-    def __init__(self, order: int, exponent: int):
-        if order < 1:
-            raise ValueError("order must be positive")
-        self.order = order
-        self.exponent = exponent % order
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        if self.order == other.order:
-            return RootOfUnity(self.order, self.exponent + other.exponent)
-        from math import lcm
-
-        m = lcm(self.order, other.order)
-        return RootOfUnity(m, self.exponent * (m // self.order) + other.exponent * (m // other.order))
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, self.exponent * k)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        from math import lcm
-
-        m = lcm(self.order, other.order)
-        return self.exponent * (m // self.order) % m == other.exponent * (m // other.order) % m
-
-    def __hash__(self):
-        from math import gcd
-
-        g = gcd(self.exponent, self.order)
-        return hash((self.order // g, (self.exponent // g) % (self.order // g)))
-
-    def embed(self, m: int) -> int:
-        """The exponent k with self = zeta_m^k."""
-        if m % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide the configured M={m}")
-        return self.exponent * (m // self.order) % m
-
-    def __repr__(self):
-        return f"zeta{self.order}^{self.exponent}"

@@ -267,28 +267,33 @@ class TorusFunctional:
     __call__ = eval
 
     # -- the independent slow route (oracle for tests) --------------------------
+    def annulus(self, section: Section, k: int, prec: int) -> Scalar:
+        """The integral of section(wbar n(y)) chi~(y / pi^k) d*y over y in pi^k O*,
+        as the average over the units eps mod p^prec of y = eps pi^k (exact
+        once p^prec resolves both the section and chi~ there)."""
+        ctx = self.ctx
+        p = ctx.p
+        units = units_mod(p, prec)
+        wbar = GroupElement.w(p)
+        acc = ctx.zero()
+        for eps in units:
+            y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
+            v = section.eval(wbar * GroupElement.upper(p, y))
+            if not v.is_zero():
+                acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
+        return acc * ctx.scalar(Fraction(1, len(units)))
+
     def eval_reference(self, section: Section, extra_depth: int = 2) -> Scalar:
         """Direct annulus-by-annulus summation through Section.eval, with the
         two tails closed from the stabilized multiplicative regimes.  Shares no
         code path with the Tate engine past the section evaluator."""
-        ctx = self.ctx
-        p, q = ctx.p, ctx.q
         D = section.level_bound() + max(1, self.chtil.c) + extra_depth
-        prec = D
-        units = units_mod(p, prec)
-        cmass = Fraction(1, (q - 1) * q ** (prec - 1))
         X = self.chtil.value_at_pi
-        wbar = GroupElement.w(p)
-        out = ctx.zero()
+        wbar = GroupElement.w(self.ctx.p)
+        out = self.ctx.zero()
         annuli = {}
         for k in range(-D, D + 1):
-            acc = ctx.zero()
-            for eps in units:
-                y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
-                v = section.eval(wbar * GroupElement.upper(p, y))
-                if not v.is_zero():
-                    acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
-            annuli[k] = acc * ctx.scalar(cmass)
+            annuli[k] = self.annulus(section, k, D)
             out = out + annuli[k] * X**k
         # positive tail: the integrand is constant once n(y) is that deep
         if self.chtil.c == 0:

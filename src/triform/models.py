@@ -57,9 +57,6 @@ class InducedModel:
             return j, 0
         return j, self.borel.unit_exponent(k * table.reps[j].inv())
 
-    def section(self, level: int, values) -> "TableSection":
-        return TableSection(self, level, values)
-
     def delta_section(self, level: int, cell: int) -> "TableSection":
         vals = [self.ctx.zero()] * len(p1_table(self.ctx, level).reps)
         vals[cell] = self.ctx.one()

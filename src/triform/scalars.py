@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .cyclo import RootOfUnity, cyclotomic_polynomial
+from .cyclo import cyclotomic_polynomial
 
 VARS = ("a", "b", "u", "r", "zeta")  # the exponent order of a monomial; zeta renders as zeta<M>
 _CONST = (0, 0, 0, 0, 0)
@@ -345,10 +345,6 @@ class Scalar:
         return cls(field, Poly.const(field, x))
 
     @classmethod
-    def from_root_of_unity(cls, field: FieldSpec, z: RootOfUnity) -> "Scalar":
-        return cls(field, Poly.zeta_sum(field, {z.embed(field.m): 1}))
-
-    @classmethod
     def variable(cls, field: FieldSpec, name: str) -> "Scalar":
         return cls(field, Poly.var(field, name))
 
@@ -384,8 +380,6 @@ class Scalar:
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, (int, Fraction)):
             return Scalar.from_rational(self.field, other)
-        if isinstance(other, RootOfUnity):
-            return Scalar.from_root_of_unity(self.field, other)
         if isinstance(other, Scalar):
             return other
         return NotImplemented
@@ -725,7 +719,7 @@ class _Parser:
                     raise ScalarError(f"{val!r} is not zeta with a positive order")
                 if self.field.m % order != 0:
                     raise ScalarError(f"zeta{order} does not live in Q(zeta_{self.field.m})")
-                return Scalar.from_root_of_unity(self.field, RootOfUnity(order, 1))
+                return Scalar(self.field, Poly.zeta_sum(self.field, {self.field.m // order: 1}))
         raise ScalarError(f"unexpected token {val!r}")
 
 

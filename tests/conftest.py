@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from triform import Context
+from triform.characters import _dlog_table
 from triform.cosets import p1_table
 from triform.matrices import GroupElement
 from triform.models import TableSection
@@ -61,3 +62,12 @@ def rand_G(ctx, rng: random.Random, val_range: int = 2) -> GroupElement:
 def rand_section(model, level, rng: random.Random):
     vals = [model.ctx.scalar(rng.randint(-3, 3)) for _ in range(p1_table(model.ctx, level).size)]
     return TableSection(model, level, vals).as_section()
+
+
+def image_exponent(ch, residue: int) -> int:
+    """The j with ch(residue) = zeta_M^j, from the generator exponents times the
+    residue's discrete log: a reference that never reads the exponent table."""
+    if not ch.c:
+        return 0
+    dlog = _dlog_table(ch.ctx.p, ch.c)[residue % ch.ctx.p**ch.c]
+    return sum(j * e for j, e in zip(ch.images, dlog)) % ch.ctx.field.m

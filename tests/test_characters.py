@@ -9,14 +9,14 @@ from triform.characters import (
     BorelCharacter,
     SmoothCharacter,
     _dlog_table,
-    _image_of,
     parse_character_spec,
     unit_group_generators,
 )
-from triform.cyclo import RootOfUnity
 from triform.matrices import GroupElement
 from triform.padic import ratio_val, unit_residue
 from triform.scalars import Scalar
+
+from conftest import image_exponent
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +68,12 @@ def test_multiplicativity(ctx):
 def test_conductor_minimality(ctx):
     mu3 = parse_character_spec(ctx, "ram(c=1, gens=[2->zeta2^1], pi=u)")
     assert (mu3 * mu3.inverse()).conductor() == 0
+    rng = random.Random(12)
+    for ch in ramified_characters(5, 2, rng) + ramified_characters(2, 3, rng):  # images of order > 2
+        assert ch * ch.inverse() == SmoothCharacter.unramified(ch.ctx, 1)
     # declaring a non-minimal conductor is rejected
-    from triform.cyclo import RootOfUnity
-
     with pytest.raises(ValueError):
-        SmoothCharacter(ctx, 2, (RootOfUnity(2, 0),), ctx.one())
+        SmoothCharacter(ctx, 2, (0,), ctx.one())
 
 
 def test_no_tame_ramified_character_at_p2():
@@ -82,9 +83,24 @@ def test_no_tame_ramified_character_at_p2():
 
 
 def test_spec_roundtrip(ctx):
-    for spec in ("unram(value=a*r)", "ram(c=1, gens=[2->zeta2^1], pi=u)"):
-        ch = parse_character_spec(ctx, spec)
-        assert parse_character_spec(ctx, ch.render_spec()) == ch
+    """parse(render(ch)) == ch, and a re-render is the same string, for config
+    examples, random ramified characters at every (p, c) below with their
+    products and inverses, and a p = 2, c = 3 character trivial on -1."""
+    chars = [parse_character_spec(ctx, spec) for spec in ("unram(value=a*r)", "ram(c=1, gens=[2->zeta2^1], pi=u)")]
+    rng = random.Random(11)
+    for p, c in RAMIFIED_LEVELS:
+        made = ramified_characters(p, c, rng, count=3)
+        chars += made + [x * y for x in made for y in made] + [x.inverse() for x in made]
+    ctx2 = Context(2, zeta_order=2)
+    chars.append(SmoothCharacter(ctx2, 3, (0, 1), ctx2.u))
+    for ch in chars:
+        spec = ch.render_spec()
+        back = parse_character_spec(ch.ctx, spec)
+        assert back == ch, spec
+        assert back.render_spec() == spec
+    # images are rendered in lowest terms
+    ctx4 = Context(3, zeta_order=4)
+    assert parse_character_spec(ctx4, "ram(c=1, gens=[2->zeta4^2], pi=u)").render_spec() == "ram(c=1, gens=[2->zeta2^1], pi=u)"
 
 
 def test_borel_character(ctx):
@@ -125,14 +141,18 @@ def test_quotient_trivial_on_torus_units(ctx):
 # ---------------------------------------------------------------------------
 
 
+RAMIFIED_LEVELS = [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
 def ramified_characters(p: int, c: int, rng: random.Random, count: int = 4):
     """Characters of conductor exponent c over Q(zeta_M), M the lcm of the
     generator orders, with random generator images (non-minimal ones skipped)."""
     gens = unit_group_generators(p, c)
     ctx = Context(p, zeta_order=lcm(*(order for _, order in gens)))
+    m = ctx.field.m
     out = []
     while len(out) < count:
-        images = tuple(RootOfUnity(order, rng.randrange(order)) for _, order in gens)
+        images = tuple(rng.randrange(order) * (m // order) for _, order in gens)
         try:
             out.append(SmoothCharacter(ctx, c, images, ctx.u))
         except ValueError:
@@ -140,13 +160,12 @@ def ramified_characters(p: int, c: int, rng: random.Random, count: int = 4):
     return out
 
 
-@pytest.mark.parametrize("p,c", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("p,c", RAMIFIED_LEVELS)
 def test_exponent_table_matches_images(p, c):
     rng = random.Random(10 * p + c)
     for ch in ramified_characters(p, c, rng):
-        m = ch.ctx.field.m
         for residue in _dlog_table(p, c):
-            want = _image_of(p, c, ch.images, residue).embed(m)
+            want = image_exponent(ch, residue)
             assert ch.unit_exponent(residue) == want
             assert ch.unit_exponent(residue + p**c * rng.randint(1, 50)) == want
             assert ch.unit_exponent(residue - p**c * rng.randint(1, 50)) == want
@@ -156,7 +175,7 @@ def reference_eval(ch: SmoothCharacter, x: Fraction) -> Scalar:
     """chi(x) uncached: value_at_pi^v times the unit image as a fresh Scalar."""
     p, n, d = ch.ctx.p, x.numerator, x.denominator
     v = ratio_val(n, d, p)
-    unit = Scalar.from_root_of_unity(ch.ctx.field, ch.unit_image(unit_residue(n, d, p, max(1, ch.c))))
+    unit = ch.ctx.zeta_sum({image_exponent(ch, unit_residue(n, d, p, max(1, ch.c))): 1})
     return ch.value_at_pi**v * unit
 
 
@@ -164,7 +183,7 @@ def random_nonzero(p: int, rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 400), rng.randint(1, 400)) * Fraction(p) ** rng.randint(-3, 3)
 
 
-@pytest.mark.parametrize("p,c", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("p,c", RAMIFIED_LEVELS)
 def test_values_match_uncached_reference(p, c):
     rng = random.Random(100 * p + c)
     chars = ramified_characters(p, c, rng, count=2)

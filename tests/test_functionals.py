@@ -22,9 +22,8 @@ from triform.functionals import (
 )
 from triform.matrices import GroupElement
 from triform.models import Section, principal_series_model, steinberg_model
-from triform.scalars import Scalar
 
-from conftest import rand_G, rand_K, rand_section
+from conftest import image_exponent, rand_G, rand_K, rand_section
 
 
 def test_twist_derivation(setup21, setup32):
@@ -184,7 +183,7 @@ def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
 
     The per-unit summation of the Tate windows: every unit adds
     X^k * cmass * chi~(eps) * W(pi^k key) to its cell, with each root of unity
-    built from the generator images (unit_image), not from exponent tables.
+    built from the generator exponents (image_exponent), not from exponent tables.
     """
     ctx = phi.ctx
     p, q, m = ctx.p, ctx.q, level
@@ -198,7 +197,7 @@ def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
     X = chtil.value_at_pi
 
     def zeta(ch, residue):
-        return Scalar.from_root_of_unity(ctx.field, ch.unit_image(residue))
+        return ctx.zeta_sum({image_exponent(ch, residue): 1})
 
     sign = zeta(borel.chi_a, -1)
     ratio_pi_q = ratio.value_at_pi * ctx.scalar(q)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
-from triform.cyclo import Cyclo, RootOfUnity, cyclotomic_polynomial
+from triform.cyclo import Cyclo, cyclotomic_polynomial
 from triform.scalars import Poly, Scalar, ScalarError, parse_scalar
 
 ctx = Context(3, zeta_order=2)
@@ -158,11 +158,12 @@ def test_cyclotomic_field():
     i = Cyclo(4, (0, 1))
     assert i * i == Cyclo(4, (-1, 0))
     assert i * i.inverse() == Cyclo(4, (1, 0))
-    z8 = RootOfUnity(8, 1)
-    assert (z8 * z8) == RootOfUnity(4, 1)
+    ctx8 = Context(2, zeta_order=8)
+    z8 = ctx8.zeta(8)
+    assert z8 * z8 == ctx8.zeta(4)
     assert (z8**8).is_one()
     with pytest.raises(ValueError):
-        z8.embed(4)
+        ctx4.zeta(8)
 
 
 def test_zeta_in_scalars():

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from triform import verifier
 from triform.context import MAX_LEVEL, Context
+from triform.scalars import ScalarError
 from triform.verifier import (
     COVERAGE,
     SCENARIOS,
@@ -114,6 +116,20 @@ def test_chain_values_memoized_per_env(monkeypatch):
     assert [c.verdict for c in checks] == ["PASS"] * len(checks)
     assert len(calls) == 5
     assert env.ell_pure(1, 0) is env.ell_pure(1, 0) and len(calls) == 5
+
+
+def test_engine_error_record_carries_scenario_time(monkeypatch, setup21):
+    """A scenario that fails with an engine error after 50 ms of work ends as a
+    FAIL record carrying that time."""
+
+    def slow_failure(env):
+        time.sleep(0.05)
+        raise ScalarError("late failure")
+
+    monkeypatch.setitem(verifier._RUNNERS, "lemma-FV", slow_failure)
+    (check,) = verifier.run_checks(setup21, ["lemma-FV"])
+    assert (check.id, check.verdict, check.reason) == ("lemma-FV", "FAIL", "ScalarError: late failure")
+    assert check.ms >= 50
 
 
 def test_fault_injection_pinpoints_cell():
@@ -227,6 +243,9 @@ def test_cli_engine_error_is_a_fail_record():
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u+)"],
         ["--specialize", "a=0"],  # a character's value at pi must be nonzero
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=0)"],
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta0^1], pi=u)"],  # no zeta of order 0
+        ["--specialize", "a=1"],  # a^2 = 1 and b^2 = 1 are poles of A
+        ["--specialize", "b=-1"],
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
