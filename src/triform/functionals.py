@@ -29,6 +29,22 @@ class FunctionalError(Exception):
     pass
 
 
+class TailError(FunctionalError):
+    pass
+
+
+def close_tail(t0: Scalar, t1: Scalar, t2: Scalar) -> Scalar:
+    """The sum t3 + t4 + ... of a series whose terms t0, t1, t2 are in
+    geometric progression: t2 rho/(1 - rho) with rho = t2/t1, or 0 when all
+    three vanish.  Any other three terms raise TailError."""
+    if t1.is_zero():
+        if t0.is_zero() and t2.is_zero():
+            return t1
+    elif t1 * t1 == t0 * t2:
+        return t2 * (t2 / t1).geometric_tail(1)
+    raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} | {t2.render()} not in geometric progression")
+
+
 def derive_phi_twist(mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel) -> SmoothCharacter:
     """Solve the equivariance constraint for the open-cell twist.
 
@@ -291,25 +307,15 @@ class TorusFunctional:
         X = self.chtil.value_at_pi
         wbar = GroupElement.w(self.ctx.p)
         out = self.ctx.zero()
-        annuli = {}
+        terms = {}
         for k in range(-D, D + 1):
-            annuli[k] = self.annulus(section, k, D)
-            out = out + annuli[k] * X**k
+            terms[k] = self.annulus(section, k, D) * X**k
+            out = out + terms[k]
         # positive tail: the integrand is constant once n(y) is that deep
         if self.chtil.c == 0:
             out = out + section.eval(wbar) * X.geometric_tail(D + 1)
         # negative tail: verified geometric continuation of the last annuli
-        a2, a1, a0 = annuli[-D], annuli[-D + 1], annuli[-D + 2]
-        if a1.is_zero():
-            if not (a2.is_zero() and a0.is_zero()):
-                raise FunctionalError("tail not stabilized by depth cap (reference route)")
-        else:
-            rho = a2 / a1
-            if not (a1 * a1 == a0 * a2):
-                raise FunctionalError("tail not stabilized by depth cap (reference route)")
-            ratio = rho * X.inverse()  # per downward step multiplier
-            out = out + annuli[-D] * (X ** (-D)) * ratio.geometric_tail(1)
-        return out
+        return out + close_tail(terms[-D + 2], terms[-D + 1], terms[-D])
 
 
 # ---------------------------------------------------------------------------

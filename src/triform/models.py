@@ -57,11 +57,6 @@ class InducedModel:
             return j, 0
         return j, self.borel.unit_exponent(k * table.reps[j].inv())
 
-    def delta_section(self, level: int, cell: int) -> "TableSection":
-        vals = [self.ctx.zero()] * len(p1_table(self.ctx, level).reps)
-        vals[cell] = self.ctx.one()
-        return TableSection(self, level, vals)
-
     def __repr__(self):
         return f"InducedModel<{self.tag}>"
 

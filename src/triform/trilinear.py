@@ -7,6 +7,11 @@ parameterized by ordered pairs of projective points via the bottom-row section
 matrix; pairs at unit distance are an exact finite sum, near-diagonal strata
 collapse to (cell, depth, unit-class) sums closed by verified geometric tails.
 
+A tensor F in V1 (x) V2 (TensorFn) is a V1-table of V2-sections: the section
+F(rep, .) for each P^1 cell rep of V1.  Pure tensors and ext(f) are built in
+this one form, and ell_chain reads it one way: a near-diagonal pair
+(b rep, w b rep) costs one slot-2 evaluation, as F(b rep, .) = chi_1(b) F(rep, .).
+
 KernelForm.eval is the independent oracle: a triple (P^1)^3 integral against a
 product of pair characters of the wedge values, the three characters derived
 at build time from the equivariance constraints.
@@ -20,14 +25,10 @@ from fractions import Fraction
 from .characters import BorelCharacter, SmoothCharacter
 from .context import Context
 from .cosets import p1_table, units_mod
-from .functionals import CompactInducedFn, FunctionalError, TorusFunctional
+from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional, close_tail
 from .matrices import GroupElement, iwasawa
 from .models import InducedModel, Section, TableSection
 from .scalars import Scalar
-
-
-class TailError(FunctionalError):
-    pass
 
 
 class KernelUnsupportedError(FunctionalError):
@@ -35,84 +36,64 @@ class KernelUnsupportedError(FunctionalError):
 
 
 class TensorFn:
-    """A finite sum of pure tensors in V1 (x) V2, with an optional pair-table
-    backing (the shape ext produces) for O(1) pair evaluation."""
+    """F in V1 (x) V2, held by its first slot: a level-m table over the P^1
+    cells of V1 whose entry i is the V2 section F(rep_i, .), or None where that
+    section vanishes.  Left B-equivariance and right K(m)-invariance in slot 1
+    give every other F(g1, .) from the table."""
 
-    def __init__(self, ctx: Context, terms, pair_table=None):
-        self.ctx = ctx
-        self.terms = tuple(terms)
-        self.pair_table = pair_table  # (level, model1, model2, rows)
+    def __init__(self, model1: InducedModel, level: int, rows):
+        self.model1 = model1
+        self.level = level
+        self.rows = list(rows)
+
+    @property
+    def ctx(self) -> Context:
+        return self.model1.ctx
 
     @classmethod
     def pure(cls, ctx: Context, coeff, s1: Section, s2: Section) -> "TensorFn":
-        return cls(ctx, ((ctx.scalar(coeff), s1, s2),))
+        """coeff * s1 (x) s2; slot 2 stays a lazy section with its own level bound."""
+        coeff = ctx.scalar(coeff)
+        level = s1.level_bound()
+        rows = []
+        for rep in p1_table(ctx, level).reps:
+            c = coeff * s1.eval(rep)
+            rows.append(None if c.is_zero() else s2.scaled(c))
+        return cls(s1.model, level, rows)
 
-    @classmethod
-    def from_pair_table(cls, ctx: Context, level: int, model1: InducedModel, model2: InducedModel, rows) -> "TensorFn":
-        terms = []
-        one = ctx.one()
-        for c1, row in enumerate(rows):
-            if all(v.is_zero() for v in row):
-                continue
-            left = model1.delta_section(level, c1).as_section()
-            right = TableSection(model2, level, row).as_section()
-            terms.append((one, left, right))
-        return cls(ctx, tuple(terms), pair_table=(level, model1, model2, rows))
+    def slot1(self, g1: GroupElement) -> Section | None:
+        """The V2 section F(g1, .), or None where it vanishes."""
+        b1, k1 = iwasawa(g1)
+        j, e = self.model1.cell_value_factor(k1, self.level)
+        row = self.rows[j]
+        if row is None:
+            return None
+        return row.scaled(self.model1.borel.eval(b1) * self.ctx.zeta_powers[e])
 
     def eval_pair(self, g1: GroupElement, g2: GroupElement) -> Scalar:
-        if self.pair_table is not None:
-            level, model1, model2, rows = self.pair_table
-            b1, k1 = iwasawa(g1)
-            j1, e1 = model1.cell_value_factor(k1, level)
-            row = rows[j1]
-            if all(v.is_zero() for v in row):
-                return self.ctx.zero()
-            b2, k2 = iwasawa(g2)
-            j2, e2 = model2.cell_value_factor(k2, level)
-            v = row[j2]
-            if v.is_zero():
-                return self.ctx.zero()
-            zeta = self.ctx.zeta_powers
-            return model1.borel.eval(b1) * zeta[e1] * model2.borel.eval(b2) * zeta[e2] * v
-        out = self.ctx.zero()
-        for c, s1, s2 in self.terms:
-            if c.is_zero():
-                continue
-            v1 = s1.eval(g1)
-            if v1.is_zero():
-                continue
-            out = out + c * v1 * s2.eval(g2)
-        return out
+        row = self.slot1(g1)
+        return self.ctx.zero() if row is None else row.eval(g2)
 
     def translated(self, g: GroupElement) -> "TensorFn":
         """The diagonal action of g on V1 (x) V2."""
-        if self.pair_table is not None:
-            return TensorFn(self.ctx, self.terms).translated(g)
-        return TensorFn(self.ctx, tuple((c, s1.translated(g), s2.translated(g)) for c, s1, s2 in self.terms))
+        level = self.level + g.cartan_gap()
+        rows = []
+        for rep in p1_table(self.ctx, level).reps:
+            row = self.slot1(rep * g)
+            rows.append(None if row is None else row.translated(g))
+        return TensorFn(self.model1, level, rows)
 
     def scaled(self, c) -> "TensorFn":
         c = self.ctx.scalar(c)
-        pt = None
-        if self.pair_table is not None:
-            level, m1, m2, rows = self.pair_table
-            pt = (level, m1, m2, [[c * v for v in row] for row in rows])
-        return TensorFn(self.ctx, tuple((c * c0, s1, s2) for c0, s1, s2 in self.terms), pt)
-
-    def __add__(self, other: "TensorFn") -> "TensorFn":
-        return TensorFn(self.ctx, self.terms + other.terms)
+        return TensorFn(self.model1, self.level, [None if row is None else row.scaled(c) for row in self.rows])
 
     def level_bound(self) -> int:
-        if self.pair_table is not None:
-            return self.pair_table[0]
-        out = 1
-        for _, s1, s2 in self.terms:
-            out = max(out, s1.level_bound(), s2.level_bound())
-        return out
+        return max([self.level] + [row.level_bound() for row in self.rows if row is not None])
 
 
 def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: int | None = None) -> TensorFn:
     """The open-orbit injection: the tensor F with F(g, wg) = f(g), vanishing
-    on the diagonal orbit, reconstructed from its pair table."""
+    on the diagonal orbit, built row by row from its values on cell pairs."""
     ctx = f.ctx
     lvl = max(level or 0, f.level, f.n, 1)
     table = p1_table(ctx, lvl)
@@ -135,8 +116,9 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
             b1 = rep1 * sigma.inv()
             b2 = rep2 * (w * sigma).inv()
             row.append(model1.borel.eval(b1) * model2.borel.eval(b2) * fv)
-        rows.append(row)
-    return TensorFn.from_pair_table(ctx, lvl, model1, model2, rows)
+        section = TableSection(model2, lvl, row)
+        rows.append(None if section.is_zero() else section.as_section())
+    return TensorFn(model1, lvl, rows)
 
 
 def closed_form_tensor(ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, v1: Section, v2: Section, n: int) -> TensorFn:
@@ -227,7 +209,8 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R).  Everything
     # that does not move with the offset s is hoisted per cell: sigma = b_s rep
     # has the bottom row of rep, so the Iwasawa K-part of sigma g is that of
-    # rep g, and only the upper-triangular factor picks up s.
+    # rep g, and only the upper-triangular factor picks up s.  In slot 1 that
+    # factor is all that moves: F(b_s rep, .) = chi_1(b_s) F(rep, .).
     #
     # R must resolve (a) every section's right-invariance level (Lstar) and
     # (b) the unit key of the Tate argument x0, stable mod p^{R} once
@@ -242,53 +225,27 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
 
     cell_pre = []
     for rep in table.reps:
+        row = F.slot1(rep)
+        if row is None:
+            continue
         phi_pre = []
         for c, g, tbl in v.terms:
             bh, kh = iwasawa(rep * g)
             phi_pre.append((c, bh, tbl.translate_K(kh)))
-        s1_pre = None
-        if F.pair_table is None:
-            s1_pre = []
-            for cF, sec1, sec2 in F.terms:
-                parts = []
-                for c1, g1, t1 in sec1.terms:
-                    bh1, kh1 = iwasawa(rep * g1)
-                    val1 = t1.value_at_K(kh1)
-                    cv = c1 * val1
-                    if not cv.is_zero():
-                        parts.append((cv, bh1, sec1.model.borel))
-                # the second slot sees w sigma g2 = (0 1; s 1) (rep g2)
-                parts2 = [(c2, rep * g2, t2) for c2, g2, t2 in sec2.terms]
-                s1_pre.append((cF, parts, parts2))
-        cell_pre.append((rep, phi_pre, s1_pre))
+        cell_pre.append((rep, row, phi_pre))
 
-    depth_sums: dict[int, Scalar] = {}
+    borel1 = F.model1.borel
+    depth_sums = []
     for e in range(1, e_top + 1):
         acc = ctx.zero()
         for eta in units:
             s = eta * p**e
             bs = GroupElement(p, s, 1, 0, 1)
             wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
-            for rep, phi_pre, s1_pre in cell_pre:
-                # F(sigma, w sigma) with sigma = bs rep
-                if s1_pre is None:
-                    sigma = bs * rep
-                    Fv = F.eval_pair(sigma, w * sigma)
-                else:
-                    Fv = ctx.zero()
-                    for cF, parts, parts2 in s1_pre:
-                        if not parts:
-                            continue
-                        v1 = ctx.zero()
-                        for cv, bh1, borel1 in parts:
-                            v1 = v1 + cv * borel1.eval(bs * bh1)
-                        if v1.is_zero():
-                            continue
-                        v2 = ctx.zero()
-                        for c2, h2, t2 in parts2:
-                            v2 = v2 + c2 * t2.eval(wbs * h2)
-                        if not v2.is_zero():
-                            Fv = Fv + cF * v1 * v2
+            part = ctx.zero()
+            for rep, row, phi_pre in cell_pre:
+                # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
+                Fv = row.eval(wbs * rep)
                 if Fv.is_zero():
                     continue
                 # phi(pi(sigma) v), with the K-part hoisted per cell
@@ -296,22 +253,11 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                 for c, bh, w2 in phi_pre:
                     bfull = bs * bh  # = t n(x0) with x0 = y/x
                     pv = pv + c * phi.torus_factor(bfull) * phi.phi_table(w2, *bfull.ratio(1, 0))
-                acc = acc + Fv * pv
-        depth_sums[e] = ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * acc
-        total = total + depth_sums[e]
-
-    s0, s1, s2 = depth_sums[e0], depth_sums[e0 + 1], depth_sums[e0 + 2]
-    if s1.is_zero():
-        if not (s0.is_zero() and s2.is_zero()):
-            raise TailError(
-                "tail not stabilized by depth cap (depths %d..%d: %s | %s | %s)"
-                % (e0, e0 + 2, s0.render(), s1.render(), s2.render())
-            )
-        return total
-    if not (s1 * s1 == s0 * s2):
-        raise TailError(f"tail not stabilized by depth cap (depths {e0}..{e0+2} not in geometric progression)")
-    rho = s2 / s1
-    return total + s2 * rho.geometric_tail(1)
+                part = part + Fv * pv
+            acc = acc + borel1.eval(bs) * part
+        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * acc)
+        total = total + depth_sums[-1]
+    return total + close_tail(*depth_sums[e0 - 1 : e0 + 2])
 
 
 # ---------------------------------------------------------------------------

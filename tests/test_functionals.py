@@ -15,7 +15,9 @@ from triform.functionals import (
     CompactInducedFn,
     FunctionalError,
     Phi_eval,
+    TailError,
     TorusFunctional,
+    close_tail,
     coset_constant,
     derive_phi_twist,
     make_indicator_f,
@@ -308,3 +310,15 @@ def test_tate_histograms_match_per_unit_loop(args):
     assert len(got) == len(want)
     for cell, (g, w) in enumerate(zip(got, want)):
         assert g == w, (TATE_CASES[case], level, x0_key, cell)
+
+
+def test_close_tail():
+    """Three terms in geometric progression close to t2 rho/(1 - rho); three
+    zeros close to 0; anything else is refused."""
+    ctx = Context(2)
+    t = [ctx.scalar(x) for x in (1, 2, 4, 5, 0)]
+    assert close_tail(t[0], t[1], t[2]) == ctx.scalar(-8)
+    assert close_tail(t[4], t[4], t[4]).is_zero()
+    for bad in ((t[0], t[1], t[3]), (t[0], t[4], t[4])):
+        with pytest.raises(TailError):
+            close_tail(*bad)

@@ -27,12 +27,11 @@ def test_ext_is_the_pair_indicator(setup21, setup32):
     for s in (setup21, setup32):
         f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.cfg.n)
         F = ext(f, s.V1, s.V2)
-        lvl = F.pair_table[0]
-        table = p1_table(s.ctx, lvl)
-        for i, rep1 in enumerate(table.reps):
-            for j, rep2 in enumerate(table.reps):
+        table = p1_table(s.ctx, F.level)
+        for rep1 in table.reps:
+            for rep2 in table.reps:
                 want = s.ctx.one() if (rep1.in_iwahori(s.cfg.n) and not rep2.in_iwahori(1)) else s.ctx.zero()
-                assert F.pair_table[3][i][j] == want
+                assert F.eval_pair(rep1, rep2) == want
 
 
 def test_closed_form_matches_ext(setup21, setup32):
@@ -47,17 +46,46 @@ def test_closed_form_matches_ext(setup21, setup32):
         f = make_indicator_f(ctx, s.mu1, s.mu2, n)
         F = ext(f, s.V1, s.V2)
         FV = closed_form_tensor(ctx, s.mu1, s.mu2, s.v1, s.v2, n)
-        assert FV.terms[0][0] == ctx.a**n / ((ctx.a * ctx.a - 1) * (ctx.b * ctx.b - 1))
-        table = p1_table(ctx, F.pair_table[0])
-        for i, rep1 in enumerate(table.reps):
-            for j, rep2 in enumerate(table.reps):
+        table = p1_table(ctx, F.level)
+        for rep1 in table.reps:
+            for rep2 in table.reps:
                 want = ctx.one() if (rep1.in_iwahori(n) and not rep2.in_iwahori(1)) else ctx.zero()
-                assert F.pair_table[3][i][j] == want
+                assert F.eval_pair(rep1, rep2) == want
                 assert FV.eval_pair(rep1, rep2) == want
         w = GroupElement.w(ctx.p)
-        for _ in range(10):
-            g = rand_G(ctx, rng, val_range=1)
-            assert FV.eval_pair(g, w * g) == f.eval(g)
+        gs = [rand_G(ctx, rng, val_range=1) for _ in range(10)]
+        assert not all(g.in_K() for g in gs)
+        for g in gs:
+            assert FV.eval_pair(g, w * g) == F.eval_pair(g, w * g) == f.eval(g)
+
+
+def test_pure_tensor_is_the_product_of_its_slots(setup21, setup32):
+    """A pure tensor read through its slot-1 table agrees with the direct
+    product c * s1(g1) * s2(g2), and translation is the diagonal action."""
+    rng = random.Random(5)
+    for s in (setup21, setup32):
+        ctx = s.ctx
+        c = ctx.a + 2
+        s1 = rand_section(s.V1, 1, rng).translated(s.gamma(-1)) + s.v1.translated(rand_K(ctx, rng))
+        s2 = rand_section(s.V2, 2, rng).translated(rand_G(ctx, rng, 1))
+        F = TensorFn.pure(ctx, c, s1, s2)
+        g = rand_G(ctx, rng, 1)
+        Fg = F.translated(g)
+        for _ in range(6):
+            g1, g2 = rand_G(ctx, rng, 1), rand_G(ctx, rng, 1)
+            assert F.eval_pair(g1, g2) == c * s1.eval(g1) * s2.eval(g2)
+            assert Fg.eval_pair(g1, g2) == F.eval_pair(g1 * g, g2 * g)
+
+
+def test_translated_tensor_keeps_the_slot_levels(setup21, setup32):
+    """Translating v1 (x) gamma^-1 v2 raises each slot's level by the Cartan
+    gap of g only: slot 1 does not inherit the level slot 2 spends on gamma^-1."""
+    rng = random.Random(6)
+    for s in (setup21, setup32):
+        s1, s2 = s.v1, s.v2.translated(s.gamma(-1))
+        F = TensorFn.pure(s.ctx, 1, s1, s2)
+        for g in [rand_K(s.ctx, rng), GroupElement.w(s.ctx.p), rand_G(s.ctx, rng, 1), s.gamma(1)]:
+            assert F.translated(g).level_bound() == max(s1.translated(g).level_bound(), s2.translated(g).level_bound())
 
 
 def test_ext_vanishes_on_diagonal_orbit(setup21):

@@ -153,6 +153,12 @@ def test_specialized_run():
     assert not rep.has_failure()
 
 
+def test_specialized_u_is_substituted_into_mu3():
+    """--specialize u=5 substitutes u into mu3(pi) = 2u, giving 10, and does not replace it by 5."""
+    cfg = ScenarioConfig(p=3, n=2, mu3="ram(c=1, gens=[2->zeta2^1], pi=2*u)", specialize={"u": 5})
+    assert "pi=10" in Env(cfg).mu3.render_spec()
+
+
 def test_cli_subprocess(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(
@@ -246,6 +252,9 @@ def test_cli_engine_error_is_a_fail_record():
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta0^1], pi=u)"],  # no zeta of order 0
         ["--specialize", "a=1"],  # a^2 = 1 and b^2 = 1 are poles of A
         ["--specialize", "b=-1"],
+        ["--specialize", "u=5"],  # the Steinberg model at n = 1 has no u
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u-5)", "--specialize", "u=5"],  # zero at pi
+        ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=1/(u-5))", "--specialize", "u=5"],  # pole
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):

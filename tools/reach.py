@@ -9,13 +9,15 @@ time, the verdict counts, and the Tate vectors built (cache misses of
 `TorusFunctional.tate_vector` that completed) with the seconds spent building them.  A run
 still going when the budget runs out is stopped there and reported with
 `"status": "exceeded"`; its Tate-vector rate still covers the budget, which
-is how the (3,4) row is read.
+is how the (3,4) row is read.  `peak_rss_mb` is the process's peak resident
+set size (`getrusage`), imports included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import signal
 import sys
 import time
@@ -78,6 +80,7 @@ def main() -> int:
     row["tate_vectors_built"] = builds[0]
     row["tate_build_s"] = round(builds[1], 2)
     row["s_per_tate_vector"] = round(builds[1] / builds[0], 4) if builds[0] else None
+    row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(row))
     return 0
 
