@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import SmoothCharacter
 from .context import Context
-from .cosets import p1_table, torus_orbit_reps, iwahori_orbit_key, units_mod
+from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .matrices import GroupElement, in_T_In, iwasawa
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
@@ -71,52 +71,36 @@ class WProfile:
     chi_a(-1) (chi_d/chi_a)(tau) q^{val tau} over the z-chart cell of 1/tau.
     """
 
-    def __init__(self, model: InducedModel, level: int, key_level: int):
-        self.model = model
+    def __init__(self, model: InducedModel, level: int):
         self.ctx = model.ctx
         self.m = level
-        self.key_level = key_level  # unit keys are residues mod p^key_level
-        self.table = p1_table(self.ctx, level)
         self.ratio = model.borel.chi_d / model.borel.chi_a
         self.sign_factor = self.ctx.zeta_powers[model.borel.chi_a.unit_exponent(-1)]
         self.zero_cell = 0  # z-chart cell of z = 0
         self._ratio_pi_q = self.ratio.value_at_pi * self.ctx.scalar(self.ctx.q)
-        self._scales: dict[int, Scalar] = {}
-        self._term_cache: dict = {}
 
     def scale(self, k: int) -> Scalar:
         """The factor at val(tau) = k apart from the unit twist:
         chi_a(-1), times ((chi_d/chi_a)(pi) q)^k when k <= 0."""
-        if k >= 1:
-            return self.sign_factor
-        if k not in self._scales:
-            self._scales[k] = self.sign_factor * self._ratio_pi_q**k
-        return self._scales[k]
+        return self.sign_factor if k >= 1 else self.sign_factor * self._ratio_pi_q**k
 
     def term(self, k: int, eps: int) -> tuple[int, int]:
-        """Cell and twist exponent at tau = pi^k * eps (eps a unit residue mod p^key_level).
+        """Cell and twist exponent at tau = pi^k * eps (eps a unit residue mod p^m).
 
         For val(tau) >= 1 the residual factor against the det-one lift
         (0 -1; 1 t0) is diag(-1, 1) mod p^m, contributing chi_a(-1) only.
         """
-        key = (k, eps)
-        hit = self._term_cache.get(key)
-        if hit is not None:
-            return hit
         p, m = self.ctx.p, self.m
         mod = p**m
         if k >= 1:
             tkey = (p**k * eps) % mod if k < m else 0
-            out = (mod + tkey // p, 0)
-        else:
-            zkey = (p ** (-k) * pow(eps, -1, mod)) % mod if -k < m else 0
-            out = (zkey, self.ratio.unit_exponent(eps))
-        self._term_cache[key] = out
-        return out
+            return mod + tkey // p, 0
+        zkey = (p ** (-k) * pow(eps, -1, mod)) % mod if -k < m else 0
+        return zkey, self.ratio.unit_exponent(eps)
 
 
 class TorusFunctional:
-    """phi, its Phi-integral over the unit orbit, and the value caches.
+    """phi, its Phi-integral over the unit orbit, and the Tate-vector cache.
 
     Carries (mu1, mu2, model3); the twist chi~ is derived at construction and
     the equivariance law is what the property tests certify.
@@ -131,16 +115,7 @@ class TorusFunctional:
         self.model3 = model3
         self.chtil = derive_phi_twist(mu1, mu2, model3)
         self.ratio21 = mu2 / mu1
-        self._profiles: dict[int, WProfile] = {}
         self._vectors: dict = {}
-        self._X_pows: dict[int, Scalar] = {0: ctx.one()}
-
-    # -- plumbing ------------------------------------------------------------
-    def profile(self, level: int) -> WProfile:
-        if level not in self._profiles:
-            extra = max(1, self.chtil.c, (self.model3.borel.chi_d / self.model3.borel.chi_a).c)
-            self._profiles[level] = WProfile(self.model3, level, level + extra)
-        return self._profiles[level]
 
     def torus_factor(self, b: GroupElement) -> Scalar:
         """(chi_2/chi_1)(t) = (mu_2/mu_1)(t_1/t_2) for the torus part t = diag(t_1, t_2)
@@ -151,35 +126,30 @@ class TorusFunctional:
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
         """phi(pi(n(x0)) delta_cell) for every cell, as one vector.
 
-        x0_key is None for x0 = 0 (in particular val(x0) >= level), else
-        (val x0, unit residue of x0 mod p^{key_level}).
+        x0_key is None for x0 = 0 (in particular val(x0) >= level), else the
+        valuation v of x0 = pi^v; phi_table folds any other unit of x0 into
+        the table.
 
         Each window of the integral is a unit sum  factor * sum_eps
         chi~(eps) W(pi^k key(eps)); its values chi~(eps) and the twist of W are
         roots of unity, so the window is counted as an integer histogram of
-        (cell, zeta exponent) and becomes one Scalar per cell.
+        (cell, zeta exponent) and becomes one Scalar per cell.  The units run
+        mod p^level: a summand reads eps through chi~ (conductor chi_d.c),
+        through the twist chi_d/chi_a of W and through cells mod p^level, and
+        require_level makes the level at least both conductors.
         """
         cache_key = (level, x0_key)
         if cache_key in self._vectors:
             return self._vectors[cache_key]
         ctx = self.ctx
-        W = self.profile(level)
-        p, q, M = ctx.p, ctx.q, ctx.field.m
-        mt = W.key_level
-        mod = p**mt
-        units = units_mod(p, mt)
-        cmass_s = ctx.scalar(Fraction(1, (q - 1) * q ** (mt - 1)))
+        W = WProfile(self.model3, level)
+        p, q, M, m = ctx.p, ctx.q, ctx.field.m, level
+        mod = p**m
+        units = units_mod(p, m)
+        cmass_s = ctx.scalar(Fraction(1, (q - 1) * q ** (m - 1)))
         X = self.chtil.value_at_pi
         chexp = self.chtil.unit_exponent
-        xpow = self._X_pows
-
-        def Xp(k: int) -> Scalar:
-            if k not in xpow:
-                xpow[k] = X**k
-            return xpow[k]
-
-        m = level
-        vec = [ctx.zero() for _ in range(len(W.table.reps))]
+        vec = [ctx.zero()] * p1_size(p, m)
 
         def add(cell: int, s: Scalar):
             if not s.is_zero():
@@ -196,7 +166,7 @@ class TorusFunctional:
                 add(cell, factor * ctx.zeta_sum(hist))
 
         def plain_window(k: int, shift: int = 0):
-            window(k, Xp(k) * cmass_s, (((eps + shift) % mod, eps) for eps in units))
+            window(k, X**k * cmass_s, (((eps + shift) % mod, eps) for eps in units))
 
         def plain_neg_tail(k_hi: int):
             """Sum over k <= k_hi of the multiplicative deep-negative annuli (k_hi <= -m)."""
@@ -219,50 +189,56 @@ class TorusFunctional:
             if self.chtil.c == 0:
                 window(m, X.geometric_tail(m), ((1, 1),))
         else:
-            K0, c0 = x0_key
-            # region A: k < K0, the additive shift x0 pi^{-k} perturbs the unit key
-            a_cut = K0 - mt  # below this the shift is invisible mod p^mt
-            plain_upto(a_cut - 1)
-            for k in range(a_cut, K0):
-                plain_window(k, shift=c0 * p ** (K0 - k))
+            K0 = x0_key
+            # region A: k < K0, x0 shifts the unit key by p^{K0-k}, which is
+            # invisible mod p^m once K0 - k >= m
+            plain_upto(K0 - m - 1)
+            for k in range(K0 - m, K0):
+                plain_window(k, shift=p ** (K0 - k))
             # region B: k > K0, tau stays in the annulus of x0
-            for k in range(K0 + 1, K0 + mt):
-                window(K0, Xp(k) * cmass_s, (((c0 + eps * p ** (k - K0)) % mod, eps) for eps in units))
+            for k in range(K0 + 1, K0 + m):
+                window(K0, X**k * cmass_s, (((1 + eps * p ** (k - K0)) % mod, eps) for eps in units))
             if self.chtil.c == 0:
-                window(K0, X.geometric_tail(K0 + mt), ((c0, 1),))
-            # region C: k = K0, stratified by d = val(eps + c0)
-            xk0 = Xp(K0)
-            window(K0, xk0 * cmass_s, (((eps + c0) % mod, eps) for eps in units if (eps + c0) % p))
+                window(K0, X.geometric_tail(K0 + m), ((1, 1),))
+            # region C: k = K0, stratified by d = val(eps + 1)
+            xk0 = X**K0
+            window(K0, xk0 * cmass_s, (((eps + 1) % mod, eps) for eps in units if (eps + 1) % p))
             d_plus = max(1, self.chtil.c, m - K0)
             for d in range(1, d_plus):
-                dmass = xk0 * ctx.scalar(Fraction(1, (q - 1) * q ** (d + mt - 1)))
-                window(K0 + d, dmass, ((eta, (-c0 + p**d * eta) % mod) for eta in units))
+                dmass = xk0 * ctx.scalar(Fraction(1, (q - 1) * q ** (d + m - 1)))
+                window(K0 + d, dmass, ((eta, p**d * eta - 1) for eta in units))
             # d >= d_plus: tau is deep positive, W is the constant infinity cell
             tail_mass = Fraction(q, q - 1) * Fraction(1, q**d_plus)
-            window(K0 + d_plus, xk0 * ctx.scalar(tail_mass), ((1, -c0),))
+            window(K0 + d_plus, xk0 * ctx.scalar(tail_mass), ((1, -1),))
 
         self._vectors[cache_key] = vec
         return vec
 
-    def _x0_key(self, x0: int, den: int, level: int):
-        p = self.ctx.p
-        v = ratio_val(x0, den, p)
-        if v >= level:  # including x0 = 0
-            return None
-        mt = self.profile(level).key_level
-        return (v, unit_residue(x0, den, p, mt))
-
     # -- public evaluation -----------------------------------------------------
     def phi_table(self, tbl: TableSection, x0: int = 0, den: int = 1) -> Scalar:
         """phi(pi(n(x0 / den)) tbl) for ints x0 and den, memoized on the table
-        (tbl.phi_values) per (functional, x0 key)."""
-        key = (self, self._x0_key(x0, den, tbl.level))
+        (tbl.phi_values) per (functional, val x0).
+
+        For x0 = pi^v u with u a unit, n(x0) = diag(u, 1) n(pi^v) diag(1/u, 1),
+        and phi does not see diag(u, 1) (chi_2/chi_1 is trivial on units), so
+        the unit goes into the K-translate of the table by diag(1/u, 1), which
+        reads u mod p^level only.
+        """
+        p, level = self.ctx.p, tbl.level
+        v = ratio_val(x0, den, p)
+        if v >= level:  # including x0 = 0
+            v = None
+        else:
+            u_inv = unit_residue(den, x0, p, level)  # 1/u for x0 = pi^v u
+            if u_inv != 1:
+                tbl = tbl.translate_K(GroupElement.diag(p, u_inv, 1))
+        key = (self, v)
         out = tbl.phi_values.get(key)
         if out is None:
             out = self.ctx.zero()
-            for v, w in zip(tbl.values, self.tate_vector(tbl.level, key[1])):
-                if not (v.is_zero() or w.is_zero()):
-                    out = out + v * w
+            for c, w in zip(tbl.values, self.tate_vector(level, v)):
+                if not (c.is_zero() or w.is_zero()):
+                    out = out + c * w
             tbl.phi_values[key] = out
         return out
 
@@ -384,6 +360,4 @@ def Phi_eval(phi: TorusFunctional, f: CompactInducedFn, v: Section) -> Scalar:
 
 def coset_constant(ctx: Context, n: int) -> Fraction:
     """The convention-determined lambda: the T\\G mass of the unit orbit, 1/[K:I(n)]."""
-    from .cosets import p1_size
-
     return Fraction(1, p1_size(ctx.p, n))

@@ -77,7 +77,7 @@ class TableSection:
 
     Two caches live on the table and die with it: its K-translates, keyed by
     the translating element mod p^m, and its phi values, which
-    TorusFunctional.phi_table keys by (functional, x0 key).
+    TorusFunctional.phi_table keys by (functional, val x0).
     """
 
     __slots__ = ("model", "level", "values", "_translates", "phi_values")

@@ -185,46 +185,15 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     """
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
-    model3 = phi.model3
-    extra = max(1, phi.chtil.c, (model3.borel.chi_d / model3.borel.chi_a).c)
-    Lstar = max(F.level_bound(), v.level_bound(), model3.min_level, 1)
+    Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
     table = p1_table(ctx, Lstar)
     w = GroupElement.w(p)
 
-    def phi_translate(sigma: GroupElement) -> Scalar:
-        return phi.eval(v.translated(sigma))
-
-    # unit-distance pairs: an exact finite sum
-    total = ctx.zero()
-    w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
-    for z1, t1 in table.rows:
-        for z2, t2 in table.rows:
-            if not (z2 * t1 - t2 * z1) % p:
-                continue
-            sigma = GroupElement(p, z2, t2, z1, t1)
-            Fv = F.eval_pair(sigma, w * sigma)
-            if not Fv.is_zero():
-                total = total + w0 * Fv * phi_translate(sigma)
-
-    # near-diagonal strata, collapsed to (cell, e, eta mod p^R).  Everything
-    # that does not move with the offset s is hoisted per cell: sigma = b_s rep
-    # has the bottom row of rep, so the Iwasawa K-part of sigma g is that of
-    # rep g, and only the upper-triangular factor picks up s.  In slot 1 that
-    # factor is all that moves: F(b_s rep, .) = chi_1(b_s) F(rep, .).
-    #
-    # R must resolve (a) every section's right-invariance level (Lstar) and
-    # (b) the unit key of the Tate argument x0, stable mod p^{R} once
-    # R >= (v-table level) + extra; both bounds are exact.
-    mv = max((tbl.level for _, _, tbl in v.terms), default=1)
-    R = max(Lstar, mv + extra)
-    e0 = R + 1
-    e_top = e0 + depth_margin
-    if e_top > depth_cap:
-        raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
-    units = units_mod(p, R)
-
+    # Everything that does not move with sigma = b rep (b upper triangular) is
+    # hoisted per cell: sigma has the bottom row of rep, so the Iwasawa K-part
+    # of sigma g is that of rep g, and F(b rep, .) = chi_1(b) F(rep, .).
     cell_pre = []
-    for rep in table.reps:
+    for rep, bottom in zip(table.reps, table.rows):
         row = F.slot1(rep)
         if row is None:
             continue
@@ -232,9 +201,40 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
         for c, g, tbl in v.terms:
             bh, kh = iwasawa(rep * g)
             phi_pre.append((c, bh, tbl.translate_K(kh)))
-        cell_pre.append((rep, row, phi_pre))
+        cell_pre.append((rep, bottom, row, phi_pre))
 
+    # unit-distance pairs: an exact finite sum.  sigma has the bottom row of
+    # rep and det rep = 1, so sigma rep^-1 is upper triangular.
     borel1 = F.model1.borel
+    total = ctx.zero()
+    w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
+    for rep, (z1, t1), row, _ in cell_pre:
+        rep_inv = rep.inv()
+        for z2, t2 in table.rows:
+            if not (z2 * t1 - t2 * z1) % p:
+                continue
+            sigma = GroupElement(p, z2, t2, z1, t1)
+            Fv = row.eval(w * sigma)
+            if not Fv.is_zero():
+                total = total + w0 * borel1.eval(sigma * rep_inv) * Fv * phi.eval(v.translated(sigma))
+
+    # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
+    # which resolves every section's right-invariance level and the Tate
+    # argument.  For b_s bh = (s x, s y + t; 0, t) the argument is
+    # x0 = y/x + t/(s x), and moving eta by p^R moves it by delta with
+    # val delta >= val(t/x) - e + R.  phi_table reads x0 through val x0 and
+    # its unit mod p^m (m the level of the translated table), so it is
+    # unchanged once val delta >= min(m, val x0 + m).  bh comes from rep g
+    # with rep in K, so val(y/x), val(t/x) >= -gap with gap = cartan_gap(g),
+    # and R >= m + gap.  If val(t/x) - e < val(y/x), that is val x0; if it is
+    # larger, val delta > val x0 + R; if the two are equal, x0 may cancel to
+    # any depth, but val delta >= R - gap >= m.
+    R = Lstar
+    e0 = R + 1
+    e_top = e0 + depth_margin
+    if e_top > depth_cap:
+        raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
+    units = units_mod(p, R)
     depth_sums = []
     for e in range(1, e_top + 1):
         acc = ctx.zero()
@@ -243,7 +243,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
             bs = GroupElement(p, s, 1, 0, 1)
             wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
             part = ctx.zero()
-            for rep, row, phi_pre in cell_pre:
+            for rep, _, row, phi_pre in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
                 Fv = row.eval(wbs * rep)
                 if Fv.is_zero():
@@ -257,7 +257,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
             acc = acc + borel1.eval(bs) * part
         depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * acc)
         total = total + depth_sums[-1]
-    return total + close_tail(*depth_sums[e0 - 1 : e0 + 2])
+    return total + close_tail(*depth_sums[-3:])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .characters import SmoothCharacter, parse_character_spec, unit_group_generators
 from .context import MAX_LEVEL, SUPPORTED_PRIMES, Context, LevelTooDeepError
@@ -273,10 +274,15 @@ class Env:
             self._chain[i, j] = self.ell(TensorFn.pure(self.ctx, 1, v1, v2))
         return self._chain[i, j]
 
+    @cached_property
+    def ext_f(self) -> TensorFn:
+        """ext(f), the open-orbit tensor of the indicator f, built once per Env."""
+        return ext(self.f, self.V1, self.V2, self.level)
+
     def ell_ext(self) -> Scalar:
         """Psi(ext f)(v3) = ell(ext f (x) v3), computed once per Env."""
         if "ext" not in self._chain:
-            self._chain["ext"] = self.ell(ext(self.f, self.V1, self.V2, self.level))
+            self._chain["ext"] = self.ell(self.ext_f)
         return self._chain["ext"]
 
 
@@ -330,7 +336,7 @@ def scenario_lemma_calcul(env: Env) -> list:
 def scenario_formula_FK(env: Env) -> list:
     checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    F = ext(env.f, env.V1, env.V2, env.level)
+    F = env.ext_f
     table = p1_table(ctx, F.level)
     corrupt = env.cfg.inject_fault
     FV = closed_form_tensor(ctx, env.mu1, env.mu2, env.v1, env.v2, n)
@@ -362,7 +368,7 @@ def scenario_lemma_FV(env: Env) -> list:
     ctx, n = env.ctx, env.cfg.n
     a, b = env.a, env.b
     A = a**n / ((a * a - 1) * (b * b - 1))
-    F = ext(env.f, env.V1, env.V2, env.level)
+    F = env.ext_f
     FV = closed_form_tensor(ctx, env.mu1, env.mu2, env.v1, env.v2, n)
     table = p1_table(ctx, F.level)
     ok = True
@@ -728,9 +734,6 @@ def scenario_nb_swap(env: Env) -> list:
 def scenario_g_invariance(env: Env) -> list:
     checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    if ctx.p == 2 and n >= 4:
-        _skip(checks, "g-invariance", "invariance of both evaluators under random translations", "level budget: run at the n <= 2 configurations")
-        return checks
     F = TensorFn.pure(ctx, 1, env.v1, env.v2.translated(env.gamma(-1)))
     base = env.ell_pure(0, 1)
     count = 8 if n == 1 else 7

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
-from triform.cosets import units_mod
+from triform.cosets import p1_size, units_mod
 from triform.functionals import (
     CompactInducedFn,
     FunctionalError,
@@ -23,7 +23,7 @@ from triform.functionals import (
     make_indicator_f,
 )
 from triform.matrices import GroupElement
-from triform.models import Section, principal_series_model, steinberg_model
+from triform.models import Section, TableSection, principal_series_model, steinberg_model
 
 from conftest import image_exponent, rand_G, rand_K, rand_section
 
@@ -147,37 +147,53 @@ def test_tate_engine_key_normalization(setup21):
     assert not (s.phi.phi_table(tbl, 1, 2) == s.phi.phi_table(tbl))
 
 
-def test_phi_table_memo_on_the_table(setup21):
-    """phi_table caches on the table per (functional, x0 key): each cached value
+def test_phi_table_memo_on_the_table(setup21, setup32):
+    """phi_table caches on the table per (functional, val x0): each cached value
     is the dot product of the cells with the Tate vector, two functionals on one
-    table keep their own values, and every x0 with val >= level is the None key."""
+    table keep their own values, every x0 with val >= level is the None key, and
+    an x0 whose unit is not 1 mod p^level is cached on the table's K-translate."""
     s = setup21
     ctx = s.ctx
     swapped = TorusFunctional(ctx, s.mu2, s.mu1, s.V3)
     rng = random.Random(11)
     tbl = rand_section(s.V3, 1, rng).terms[0][2]
 
-    def dot(phi, x0_key):
-        out = ctx.zero()
-        for v, w in zip(tbl.values, phi.tate_vector(tbl.level, x0_key)):
+    def dot(phi, table, x0_key):
+        out = phi.ctx.zero()
+        for v, w in zip(table.values, phi.tate_vector(table.level, x0_key)):
             out = out + v * w
         return out
 
-    half = (-1, 1)  # the key of x0 = 1/2: val -1, unit residue 1
+    half = -1  # the key of x0 = 1/2: val -1
     values = {phi: phi.phi_table(tbl, 1, 2) for phi in (s.phi, swapped)}
     assert not values[s.phi] == values[swapped]
     for phi, value in values.items():
-        assert value == dot(phi, half)
+        assert value == dot(phi, tbl, half)
         assert phi.phi_table(tbl, 1, 2) is value
         assert tbl.phi_values[(phi, half)] is value
     for x0 in (0, 2, 4, 6):  # val(x0) >= 1 = level
-        assert s.phi.phi_table(tbl, x0) == dot(s.phi, None)
+        assert s.phi.phi_table(tbl, x0) == dot(s.phi, tbl, None)
     assert set(tbl.phi_values) == {(s.phi, half), (swapped, half), (s.phi, None)}
+    # x0 = 2/3 at (3, 2): val -1 and unit 2, folded into the translate by diag(1/2, 1)
+    t = setup32
+    tbl3 = rand_section(t.V3, 2, rng).terms[0][2]
+    value = t.phi.phi_table(tbl3, 2, 3)
+    moved = tbl3.translate_K(GroupElement.diag(3, pow(2, -1, 9), 1))
+    assert moved is not tbl3 and tbl3.phi_values == {}
+    assert moved.phi_values == {(t.phi, -1): value}
+    assert value == dot(t.phi, moved, -1)
+    assert t.phi.phi_table(tbl3, 20, 3) is value  # 20 = 2 mod 9
 
 
 # ---------------------------------------------------------------------------
 # the Tate histograms against the per-unit loop
 # ---------------------------------------------------------------------------
+
+
+def old_key_level(phi: TorusFunctional, level: int) -> int:
+    """The Tate precision before the fold: level + max(1, chi~.c, (chi_d/chi_a).c)."""
+    borel = phi.model3.borel
+    return level + max(1, phi.chtil.c, (borel.chi_d / borel.chi_a).c)
 
 
 def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
@@ -186,14 +202,16 @@ def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
     The per-unit summation of the Tate windows: every unit adds
     X^k * cmass * chi~(eps) * W(pi^k key) to its cell, with each root of unity
     built from the generator exponents (image_exponent), not from exponent tables.
+    x0_key is None or (val x0, unit of x0 mod p^mt), and the units run mod p^mt
+    with mt = old_key_level(phi, level) above the table level: the unfolded
+    path, independent of the fold of the unit into the table.
     """
     ctx = phi.ctx
     p, q, m = ctx.p, ctx.q, level
     borel = phi.model3.borel
     ratio = borel.chi_d / borel.chi_a
     chtil = phi.chtil
-    mt = level + max(1, chtil.c, ratio.c)
-    assert phi.profile(level).key_level == mt
+    mt = old_key_level(phi, level)
     units = units_mod(p, mt)
     cmass = ctx.scalar(Fraction(1, (q - 1) * q ** (mt - 1)))
     X = chtil.value_at_pi
@@ -288,16 +306,12 @@ def tate_phi(case: int) -> TorusFunctional:
 
 @st.composite
 def tate_arguments(draw):
-    """A functional, a table level and an x0 key: None, or (K0, c0) with K0
-    from -3 (region A windows and K0 < 0) to level - 1 (region C strata d >= 1
-    whenever K0 <= level - 2)."""
+    """A functional, a table level and an x0 key: None, or val x0 from -3
+    (region A windows and val x0 < 0) to level - 1 (region C strata d >= 1
+    whenever val x0 <= level - 2)."""
     case = draw(st.integers(0, len(TATE_CASES) - 1))
-    phi = tate_phi(case)
-    level = phi.model3.min_level + draw(st.integers(0, 1))
-    if draw(st.booleans()):
-        return case, level, None
-    units = units_mod(phi.ctx.p, phi.profile(level).key_level)
-    return case, level, (draw(st.integers(-3, level - 1)), units[draw(st.integers(0, len(units) - 1))])
+    level = tate_phi(case).model3.min_level + draw(st.integers(0, 1))
+    return case, level, None if draw(st.booleans()) else draw(st.integers(-3, level - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,10 +320,42 @@ def test_tate_histograms_match_per_unit_loop(args):
     case, level, x0_key = args
     phi = tate_phi(case)
     got = phi.tate_vector(level, x0_key)
-    want = reference_tate_vector(phi, level, x0_key)
+    want = reference_tate_vector(phi, level, None if x0_key is None else (x0_key, 1))
     assert len(got) == len(want)
     for cell, (g, w) in enumerate(zip(got, want)):
         assert g == w, (TATE_CASES[case], level, x0_key, cell)
+
+
+@st.composite
+def folded_arguments(draw):
+    """A functional, a table level, a seed for a random integer table, and
+    x0 = p^v u with v in [-3, level + 1], u a unit mod p^(level + 4), written
+    as a ratio whose numerator and denominator share a unit den."""
+    case = draw(st.integers(0, len(TATE_CASES) - 1))
+    phi = tate_phi(case)
+    p = phi.ctx.p
+    level = phi.model3.min_level + draw(st.integers(0, 1))
+    v = draw(st.integers(-3, level + 1))
+    u = p * draw(st.integers(0, p ** (level + 3) - 1)) + draw(st.integers(1, p - 1))
+    return case, level, v, u, draw(st.sampled_from((1, 7, 11, 13))), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=96, deadline=None)
+@given(folded_arguments())
+def test_phi_table_fold_matches_unit_key(args):
+    """phi_table reads x0 = p^v u through v and the K-translate of the table by
+    diag(1/u, 1); the reference keeps u mod p^mt in the Tate argument."""
+    case, level, v, u, den, seed = args
+    phi = tate_phi(case)
+    p = phi.ctx.p
+    rng = random.Random(seed)
+    tbl = TableSection(phi.model3, level, [rng.randint(-3, 3) for _ in range(p1_size(p, level))])
+    num, d = (p**v * u * den, den) if v >= 0 else (u * den, p ** (-v) * den)
+    key = None if v >= level else (v, u % p ** old_key_level(phi, level))
+    want = phi.ctx.zero()
+    for c, w in zip(tbl.values, reference_tate_vector(phi, level, key)):
+        want = want + c * w
+    assert phi.phi_table(tbl, num, d) == want, (TATE_CASES[case], level, v, u, den)
 
 
 def test_close_tail():

@@ -135,6 +135,19 @@ def test_main_theorem_values(setup21, setup32):
         assert not val.is_zero()
 
 
+def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
+    """The near-diagonal depths are geometric from e0 = Lstar + 1 on, so
+    closing the tail two or four depths past e0 gives the same ell."""
+    for s in (setup21, setup31, setup32):
+        tensors = (
+            TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.cfg.n)), s.v2),
+            TensorFn.pure(s.ctx, 1, s.v1, s.v2.translated(s.gamma(-1))),
+            ext(s.f, s.V1, s.V2, s.level),
+        )
+        for F in tensors:
+            assert ell_chain(s.phi, F, s.v3, depth_margin=2) == ell_chain(s.phi, F, s.v3, depth_margin=4)
+
+
 def test_psi_vanishing_n2(setup32):
     s = setup32
     assert ell_chain(s.phi, TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-1)), s.v2), s.v3).is_zero()

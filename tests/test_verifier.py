@@ -107,14 +107,19 @@ def test_scalar_strings_reparse():
 def test_chain_values_memoized_per_env(monkeypatch):
     """At n = 1, main-theorem, n1-identity and nb-swap share the values
     ell(gamma^-1 v1 (x) v2 (x) v3), ell(v1 (x) gamma^-1 v2 (x) v3) and
-    Psi(ext f)(v3): each is computed once per Env (5 chain calls, not 10)."""
+    Psi(ext f)(v3): each is computed once per Env (5 chain calls, not 10).
+    formula-FK, lemma-FV and Psi(ext f) share one ext(f) per Env."""
     calls = []
+    exts = []
     real = verifier.ell_chain
+    real_ext = verifier.ext
     monkeypatch.setattr(verifier, "ell_chain", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(verifier, "ext", lambda *a, **k: exts.append(1) or real_ext(*a, **k))
     env = Env(ScenarioConfig(2, 1))
-    checks = verifier.run_checks(env, ["main-theorem", "n1-identity", "nb-swap"])
+    checks = verifier.run_checks(env, ["formula-FK", "lemma-FV", "main-theorem", "n1-identity", "nb-swap"])
     assert [c.verdict for c in checks] == ["PASS"] * len(checks)
     assert len(calls) == 5
+    assert len(exts) == 1
     assert env.ell_pure(1, 0) is env.ell_pure(1, 0) and len(calls) == 5
 
 
