@@ -259,13 +259,25 @@ class TorusFunctional:
     __call__ = eval
 
     # -- the independent slow route (oracle for tests) --------------------------
-    def annulus(self, section: Section, k: int, prec: int) -> Scalar:
+    def annulus(self, section: Section, k: int) -> Scalar:
         """The integral of section(wbar n(y)) chi~(y / pi^k) d*y over y in pi^k O*,
-        as the average over the units eps mod p^prec of y = eps pi^k (exact
-        once p^prec resolves both the section and chi~ there)."""
+        as the average over the units eps mod p^R of y = eps pi^k, with
+        R = max(section.level_bound(), c(chi~)).
+
+        The integrand reads eps mod p^R for every k, so the average is the same
+        Scalar at any finer resolution.  Write eps' = eps (1 + p^R delta):
+        - the section is right-K(R)-invariant;
+        - for k >= 0, wbar n(eps' pi^k) = wbar n(eps pi^k) n(pi^k p^R eps delta),
+          and that n lies in K(R);
+        - for k < 0, wbar n(y) = (-1/y 1; 0 y) nbar(1/y).  The Borel factor
+          changes by the unit eps'/eps = 1 mod p^R, which the model's twist
+          (conductor <= the table levels <= R) does not see, and nbar(1/y')
+          lies in nbar(1/y) K(R);
+        - chi~ reads eps mod p^c(chi~).
+        """
         ctx = self.ctx
         p = ctx.p
-        units = units_mod(p, prec)
+        units = units_mod(p, max(section.level_bound(), self.chtil.c))
         wbar = GroupElement.w(p)
         acc = ctx.zero()
         for eps in units:
@@ -275,17 +287,17 @@ class TorusFunctional:
                 acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
         return acc * ctx.scalar(Fraction(1, len(units)))
 
-    def eval_reference(self, section: Section, extra_depth: int = 2) -> Scalar:
+    def eval_reference(self, section: Section) -> Scalar:
         """Direct annulus-by-annulus summation through Section.eval, with the
         two tails closed from the stabilized multiplicative regimes.  Shares no
         code path with the Tate engine past the section evaluator."""
-        D = section.level_bound() + max(1, self.chtil.c) + extra_depth
+        D = section.level_bound() + max(1, self.chtil.c) + 2
         X = self.chtil.value_at_pi
         wbar = GroupElement.w(self.ctx.p)
         out = self.ctx.zero()
         terms = {}
         for k in range(-D, D + 1):
-            terms[k] = self.annulus(section, k, D) * X**k
+            terms[k] = self.annulus(section, k) * X**k
             out = out + terms[k]
         # positive tail: the integrand is constant once n(y) is that deep
         if self.chtil.c == 0:

@@ -521,10 +521,10 @@ def scenario_phi_nonvanishing(env: Env) -> list:
     try:
         closed_q = val.specialize(asg)
         X = env.phi.chtil.value_at_pi.specialize(asg)
-        prec = env.v3.level_bound() + 2
-        terms = {k: env.phi.annulus(env.v3, k, prec).specialize(asg) * X**k for k in range(-(prec + 3), prec + 4)}
+        depth = env.v3.level_bound() + 2
+        terms = {k: env.phi.annulus(env.v3, k).specialize(asg) * X**k for k in range(-(depth + 3), depth + 4)}
         diffs = []
-        for D in range(prec, prec + 4):
+        for D in range(depth, depth + 4):
             partial = ctx.zero()
             for k in range(-D, D + 1):
                 partial = partial + terms.get(k, ctx.zero())

@@ -12,7 +12,9 @@ has no conductor-one character, so there is no third representation at (2, 2)
 and the pi3-dependent claims run at (2, 4) instead (the nonexistence itself is
 test_verifier.py::test_no_conductor_two_at_p2, and the (2, 2) open-orbit block,
 which needs no third representation, is an input of
-test_trilinear.py::test_closed_form_matches_ext).
+test_trilinear.py::test_closed_form_matches_ext).  (3, 4) runs the claims on
+phi alone: its equivariance, its nonvanishing on the new vector and
+Phi = lambda phi.
 """
 
 import re
@@ -23,8 +25,8 @@ from triform.verifier import COVERAGE, SCENARIOS, Env, ScenarioConfig, run_check
 
 # (p, n) -> the scenarios the gate runs there, in report order.  (2, 4) leaves
 # out the Steinberg-only scenarios and the enumeration and open-orbit blocks,
-# which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) is not gated; tools/reach.py
-# times its rows.
+# which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) runs the three phi scenarios
+# only; tools/reach.py times its chain scenarios.
 GATE = {
     (2, 1): SCENARIOS,
     (3, 1): SCENARIOS,
@@ -41,6 +43,7 @@ GATE = {
         "intro-vanishing",
     ),
     (5, 1): SCENARIOS,
+    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda"),
 }
 
 # the check ids that must come out SKIPPED, and no others
@@ -50,6 +53,7 @@ EXPECTED_SKIPS = {
     (3, 2): {"simple-case", "n1-identity"},  # n >= 2
     (2, 4): {"g-invariance.kernel", "proportionality"},  # kernel pair characters of conductor 2
     (5, 1): {"conductor-vanishing", "g-invariance.kernel", "proportionality"},
+    (3, 4): set(),
 }
 
 _RUNS = {}

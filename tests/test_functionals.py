@@ -89,6 +89,39 @@ def test_fast_equals_reference(setup21, setup32):
             assert phi.eval(sec) == phi.eval_reference(sec)
 
 
+def unit_average(phi: TorusFunctional, section: Section, k: int, prec: int):
+    """The annulus at y in pi^k O*, averaged over the units mod p^prec."""
+    ctx = phi.ctx
+    p = ctx.p
+    units = units_mod(p, prec)
+    wbar = GroupElement.w(p)
+    acc = ctx.zero()
+    for eps in units:
+        y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
+        chi = ctx.zeta_powers[phi.chtil.unit_exponent(eps)]
+        acc = acc + section.eval(wbar * GroupElement.upper(p, y)) * chi
+    return acc * ctx.scalar(Fraction(1, len(units)))
+
+
+def test_annulus_resolution(setup21, setup32, setup24):
+    """annulus sums over the units mod p^R, R = max(level bound, c(chi~)), and
+    gets the same Scalar as the averages at R + 1 and R + 2 on every annulus
+    k in [-R - 2, R + 2].  Random tables and their translates, not only v3:
+    on v3 a resolution of R - 1 happens to agree too."""
+    rng = random.Random(12)
+    for s in (setup21, setup32, setup24):
+        phi = s.phi
+        for level in (2, 3):
+            sec = rand_section(s.V3, level, rng)
+            for g in (None, s.gamma(1), s.gamma(-1), rand_G(s.ctx, rng, val_range=1)):
+                target = sec if g is None else sec.translated(g)
+                R = max(target.level_bound(), phi.chtil.c)
+                for k in range(-R - 2, R + 3):
+                    got = phi.annulus(target, k)
+                    for prec in (R + 1, R + 2):
+                        assert got == unit_average(phi, target, k, prec), (s.cfg.p, s.cfg.n, level, k, prec)
+
+
 def test_phi_linear(setup21):
     s = setup21
     rng = random.Random(4)
