@@ -4,6 +4,7 @@ dump coset tables.  Exit status is nonzero when any check fails."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -102,9 +103,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     merged = vars(args).copy()
+    out, created = None, False
     try:
         if args.config:
             merged.update(read_config_file(args.config))
+        out = merged.get("out")
         cfg = ScenarioConfig(
             p=merged["p"],
             n=merged["n"],
@@ -116,19 +119,24 @@ def main(argv=None) -> int:
             specialize=parse_specialize(merged["specialize"]) if merged.get("specialize") else None,
             inject_fault=merged.get("inject_fault", False),
         )
-        if merged.get("out"):
+        cfg.validate()
+        if out:
+            existed = os.path.exists(out)
             try:
-                open(merged["out"], "a").close()  # an unwritable path fails here, before any work
+                open(out, "a").close()  # an unwritable path fails here, before any work
             except OSError as e:
                 raise ConfigError(f"cannot write the report: {e}") from e
+            created = not existed
         if merged.get("dump_tables"):
-            write_report(dump_tables(cfg), merged.get("out"))
+            write_report(dump_tables(cfg), out)
             return 0
         report = run_scenario(cfg)
     except ConfigError as e:
+        if created:  # a bad configuration leaves no report file behind
+            os.remove(out)
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    write_report(report.emit("structured" if merged["format"] == "json-like" else "text"), merged.get("out"))
+    write_report(report.emit("structured" if merged["format"] == "json-like" else "text"), out)
     return 1 if report.has_failure() else 0
 
 

@@ -22,7 +22,7 @@ from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .matrices import GroupElement, in_T_In, iwasawa
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
-from .scalars import Scalar
+from .scalars import Scalar, sum_products
 
 
 class FunctionalError(Exception):
@@ -235,10 +235,7 @@ class TorusFunctional:
         key = (self, v)
         out = tbl.phi_values.get(key)
         if out is None:
-            out = self.ctx.zero()
-            for c, w in zip(tbl.values, self.tate_vector(level, v)):
-                if not (c.is_zero() or w.is_zero()):
-                    out = out + c * w
+            out = sum_products(self.ctx.field, zip(tbl.values, self.tate_vector(level, v)))
             tbl.phi_values[key] = out
         return out
 

@@ -14,7 +14,7 @@ from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
 from .matrices import GroupElement, iwasawa
-from .scalars import Scalar
+from .scalars import Scalar, sum_products
 
 
 class ModelError(Exception):
@@ -188,12 +188,7 @@ class Section:
         return self.model.ctx
 
     def eval(self, x: GroupElement) -> Scalar:
-        out = self.ctx.zero()
-        for c, g, tbl in self.terms:
-            if c.is_zero():
-                continue
-            out = out + c * tbl.eval(x * g)
-        return out
+        return sum_products(self.ctx.field, ((c, tbl.eval(x * g)) for c, g, tbl in self.terms if not c.is_zero()))
 
     def translated(self, h: GroupElement) -> "Section":
         """The right-translation action: result(x) = self(x * h)."""

@@ -25,6 +25,10 @@ one dict and subtracts only the non-leading terms of the divisor at each step
 (the divisor is free of r and zeta, so no reduction arises there).  A product
 with a monomial skips the trial divisions: a factor that did not divide a
 canonical numerator does not divide it times a monomial.
+
+Sums of products are deferred: `sum_products` adds the numerator products of
+terms with the same denominator multiset and canonicalizes once per multiset,
+not once per term, which saves the trial divisions of the partial sums.
 """
 
 from __future__ import annotations
@@ -575,6 +579,44 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
     return num, tuple(out)
 
 
+def sum_products(field: FieldSpec, products) -> Scalar:
+    """The sum over `products` of each factor tuple's product, canonicalized
+    once per denominator multiset: the numerator products of the tuples are
+    summed per sorted multiset of their denominator factors.  A group of one
+    tuple is that tuple's Scalar product.  `products` is consumed as it
+    streams; a tuple with a zero factor is skipped, and an empty one is 1."""
+    groups: dict = {}
+    for factors in products:
+        fs = []
+        for f in factors:
+            if f.is_zero():
+                break
+            if not f.is_one():
+                fs.append(f)
+        else:
+            den = tuple(g for f in fs for g in f.den)
+            key = tuple(sorted(g.den_key() for g in den))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [den, fs, None]  # the numerators are summed once a second tuple joins
+                continue
+            if group[2] is None:
+                group[2] = dict(_product(field, (f.num for f in group[1])).terms)
+            acc = group[2]
+            for mo, c in _product(field, (f.num for f in fs)).terms.items():
+                acc[mo] = acc[mo] + c if mo in acc else c
+    out = None
+    for den, fs, acc in groups.values():
+        if acc is None:
+            term = fs[0] if fs else Scalar.from_rational(field, 1)
+            for f in fs[1:]:
+                term = term * f
+        else:
+            term = Scalar(field, Poly(field, acc), den)
+        out = term if out is None else out + term
+    return Scalar(field, Poly.zero(field)) if out is None else out
+
+
 def _multiset_union(d1: tuple, d2: tuple) -> tuple:
     rest = list(d2)
     out = list(d1)
@@ -593,10 +635,10 @@ def _multiset_diff(d1: tuple, d2: tuple) -> tuple:
 
 
 def _product(field: FieldSpec, factors) -> Poly:
-    acc = Poly.const(field, 1)
+    acc = None
     for f in factors:
-        acc = acc * f
-    return acc
+        acc = f if acc is None else acc * f
+    return Poly.const(field, 1) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cosets import p1_table, units_mod
 from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional, close_tail
 from .matrices import GroupElement, iwasawa
 from .models import InducedModel, Section, TableSection
-from .scalars import Scalar
+from .scalars import Scalar, sum_products
 
 
 class KernelUnsupportedError(FunctionalError):
@@ -181,7 +181,9 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
 
     Weights: c_K = (p+1)/p normalizes the unit-distance region to total mass
     1 = mass((T cap K)\\K); the near-diagonal stratum (cell, depth e, unit
-    class mod p^R) carries weight cell_mass * q^{e-R}.
+    class mod p^R) carries weight cell_mass * q^{e-R}.  The unit-distance sum
+    and each depth stratum are one deferred sum (`sum_products`) of the terms
+    their generators stream.
     """
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
@@ -206,17 +208,20 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     # unit-distance pairs: an exact finite sum.  sigma has the bottom row of
     # rep and det rep = 1, so sigma rep^-1 is upper triangular.
     borel1 = F.model1.borel
-    total = ctx.zero()
     w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
-    for rep, (z1, t1), row, _ in cell_pre:
-        rep_inv = rep.inv()
-        for z2, t2 in table.rows:
-            if not (z2 * t1 - t2 * z1) % p:
-                continue
-            sigma = GroupElement(p, z2, t2, z1, t1)
-            Fv = row.eval(w * sigma)
-            if not Fv.is_zero():
-                total = total + w0 * borel1.eval(sigma * rep_inv) * Fv * phi.eval(v.translated(sigma))
+
+    def unit_distance():
+        for rep, (z1, t1), row, _ in cell_pre:
+            rep_inv = rep.inv()
+            for z2, t2 in table.rows:
+                if not (z2 * t1 - t2 * z1) % p:
+                    continue
+                sigma = GroupElement(p, z2, t2, z1, t1)
+                Fv = row.eval(w * sigma)
+                if not Fv.is_zero():
+                    yield w0, borel1.eval(sigma * rep_inv), Fv, phi.eval(v.translated(sigma))
+
+    total = sum_products(ctx.field, unit_distance())
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
     # which resolves every section's right-invariance level and the Tate
@@ -235,27 +240,27 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     if e_top > depth_cap:
         raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
     units = units_mod(p, R)
-    depth_sums = []
-    for e in range(1, e_top + 1):
-        acc = ctx.zero()
+
+    def stratum(e):
+        """The terms chi_1(bs) F phi of depth e, one per (eta, cell, term of v)."""
         for eta in units:
             s = eta * p**e
             bs = GroupElement(p, s, 1, 0, 1)
             wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
-            part = ctx.zero()
+            chi = borel1.eval(bs)
             for rep, _, row, phi_pre in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
                 Fv = row.eval(wbs * rep)
                 if Fv.is_zero():
                     continue
                 # phi(pi(sigma) v), with the K-part hoisted per cell
-                pv = ctx.zero()
                 for c, bh, w2 in phi_pre:
                     bfull = bs * bh  # = t n(x0) with x0 = y/x
-                    pv = pv + c * phi.torus_factor(bfull) * phi.phi_table(w2, *bfull.ratio(1, 0))
-                part = part + Fv * pv
-            acc = acc + borel1.eval(bs) * part
-        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * acc)
+                    yield chi, Fv, c, phi.torus_factor(bfull), phi.phi_table(w2, *bfull.ratio(1, 0))
+
+    depth_sums = []
+    for e in range(1, e_top + 1):
+        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * sum_products(ctx.field, stratum(e)))
         total = total + depth_sums[-1]
     return total + close_tail(*depth_sums[-3:])
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
 from triform.cyclo import Cyclo, cyclotomic_polynomial
-from triform.scalars import Poly, Scalar, ScalarError, parse_scalar
+from triform.scalars import Poly, Scalar, ScalarError, parse_scalar, sum_products
 
 ctx = Context(3, zeta_order=2)
 ctx4 = Context(5, zeta_order=4)
@@ -332,6 +332,54 @@ def test_monomial_product_skips_no_cancellation(x, m):
         full = Scalar(ctx.field, s.num * m.num, s.den + m.den)
         assert got.num == full.num and got.den == full.den
         assert (m * s).num == full.num and (m * s).den == full.den
+
+
+def quotients(c):
+    """Scalars over denominators with repeated, monomial and shared factors."""
+    dens = [c.one(), c.a - 1, (c.a - 1) ** 2, c.a, c.a * c.b * c.b, c.a + c.b, c.b * c.b - 1, (c.u - 2) * (c.a - 1)]
+    return st.one_of(st.just(c.zero()), st.builds(lambda x, d: x / d, scalars(c, max_terms=2), st.sampled_from(dens)))
+
+
+def left_fold(c, products):
+    out = c.zero()
+    for factors in products:
+        term = c.one()
+        for f in factors:
+            term = term * f
+        out = out + term
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([ctx, ctx4, ctx6]).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.lists(quotients(c), max_size=4), max_size=6))
+    )
+)
+def test_sum_products_is_the_left_fold(case):
+    """The deferred sum is the fold of + and * over the factor tuples, which
+    may be empty, hold zero factors, or multiply r and zeta past reduction."""
+    c, products = case
+    got = sum_products(c.field, (tuple(fs) for fs in products))
+    assert got == left_fold(c, products)
+    assert got.den == tuple(sorted(got.den, key=Poly.den_key))
+
+
+def test_sum_products_cases():
+    a, b, r = ctx.a, ctx.b, ctx.r
+    z = ctx4.scalar(ctx4.zeta(4))
+    assert sum_products(ctx.field, []).is_zero()
+    assert sum_products(ctx.field, [()]).is_one()
+    assert sum_products(ctx.field, [(a, ctx.zero(), b)]).is_zero()
+    assert sum_products(ctx.field, [(r, r), (r, a, r)]) == 3 + 3 * a
+    assert sum_products(ctx4.field, [(z, z, z, z)]).is_one()
+    assert sum_products(ctx4.field, [(z, ctx4.r), (z * ctx4.r, z, z)]).is_zero()
+    # one group whose numerator the shared denominator divides
+    one = sum_products(ctx.field, [(1 / (a - 1), a), (-1 / (a - 1),)])
+    assert one.is_one() and one.den == ()
+    # repeated and monomial factors, in one group and across groups
+    rep = sum_products(ctx.field, [(1 / (a - 1), 1 / (a - 1)), (a / (a - 1) ** 2,), (b / a, 1 / a), (1 / (a * a),)])
+    assert rep == (1 + a) / (a - 1) ** 2 + (b + 1) / (a * a)
 
 
 # canonical forms, factor order included, that must not move: the eight over Q

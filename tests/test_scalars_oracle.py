@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
+from triform.scalars import sum_products
 
 sympy = pytest.importorskip("sympy")
 
@@ -27,9 +28,8 @@ def _fold(op, parts):
     return out
 
 
-def trees(m):
-    """Sums and products of quotients of small polynomials and of geometric
-    tails, so that denominators carry several factors."""
+def parts(m):
+    """A small polynomial, a quotient of two, or a geometric tail."""
     names = ["a", "b", "u", "r"] + (["zeta4"] if m == 4 else [])
     atom = st.sampled_from(names).map(lambda name: ("atom", name))
     const = st.sampled_from(["1", "2", "-1/3", "3/2"]).map(lambda c: ("atom", c))
@@ -37,8 +37,12 @@ def trees(m):
     poly = st.lists(monomial, min_size=1, max_size=3).map(lambda ms: _fold("+", ms))
     quotient = st.tuples(st.just("/"), poly, poly)
     tail = st.tuples(st.just("tail"), st.tuples(st.just("/"), monomial, const), st.integers(0, 2))
-    part = st.one_of(quotient, tail, poly)
-    return st.tuples(st.sampled_from(["+", "-", "*"]), st.lists(part, min_size=1, max_size=3)).map(
+    return st.one_of(quotient, tail, poly)
+
+
+def trees(m):
+    """Sums and products of parts, so that denominators carry several factors."""
+    return st.tuples(st.sampled_from(["+", "-", "*"]), st.lists(parts(m), min_size=1, max_size=3)).map(
         lambda op_parts: _fold(*op_parts)
     )
 
@@ -95,6 +99,11 @@ def test_zero_test_and_equality_match_sympy(case):
     assert oracle_is_zero(e1 * e2 + e1 - e1 * (e2 + 1), ctx.q)
 
 
+def as_rendered_sympy(x):
+    text = x.render().replace("^", "**").replace("zeta4", "I")
+    return sympy.sympify(text, locals={"a": A, "b": B, "u": U, "r": R, "I": sympy.I})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4]).flatmap(lambda m: st.tuples(st.just(m), trees(m))))
 def test_rendered_canonical_form_matches_sympy(case):
@@ -102,6 +111,19 @@ def test_rendered_canonical_form_matches_sympy(case):
     m, t = case
     ctx = CONTEXTS[m]
     x = evaluate(ctx, t)
-    text = x.render().replace("^", "**").replace("zeta4", "I")
-    rendered = sympy.sympify(text, locals={"a": A, "b": B, "u": U, "r": R, "I": sympy.I})
-    assert oracle_is_zero(rendered - as_sympy(t), ctx.q)
+    assert oracle_is_zero(as_rendered_sympy(x) - as_sympy(t), ctx.q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 4]).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.lists(parts(m), max_size=3), min_size=1, max_size=4))
+    )
+)
+def test_sum_products_matches_sympy(case):
+    """The deferred sum of products, rendered, is the oracle's sum of products."""
+    m, products = case
+    ctx = CONTEXTS[m]
+    got = sum_products(ctx.field, [[evaluate(ctx, t) for t in ts] for ts in products])
+    expected = sympy.Add(*(sympy.Mul(*(as_sympy(t) for t in ts)) for ts in products))
+    assert oracle_is_zero(as_rendered_sympy(got) - expected, ctx.q)

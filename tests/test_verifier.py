@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from triform import verifier
+from triform.cli import main as cli_main
 from triform.context import MAX_LEVEL, Context
 from triform.scalars import ScalarError
 from triform.verifier import (
@@ -273,6 +274,35 @@ def test_cli_bad_input_is_a_config_error(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+BAD_CONFIGS = [
+    ["--p", "7"],  # rejected by validation
+    ["--p", "2", "--n", "1", "--level", "9"],
+    ["--p", "2", "--n", "1", "--level", "9", "--dump-tables"],
+    ["--p", "3", "--n", "4", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u)"],  # rejected in Env: conductor 2, not 4
+]
+
+
+@pytest.mark.parametrize("argv", BAD_CONFIGS)
+def test_cli_bad_config_leaves_no_report(argv, tmp_path, capsys):
+    """A configuration error (exit 2) leaves no report file behind, and a file
+    that was there before is left as it was."""
+    out = tmp_path / "r.txt"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+    out.write_text("kept\n")
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    """An --out that cannot be written exits 2 before a scenario runs."""
+    monkeypatch.setattr("triform.cli.run_scenario", lambda cfg: pytest.fail("ran a scenario"))
+    assert cli_main(["--scenario", "all", "--out", str(tmp_path / "no" / "dir" / "r.txt")]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
 
 
 def test_magnitude_evaluates_zeta():

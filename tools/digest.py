@@ -12,11 +12,13 @@ or one `--dump-tables` output, followed by the configuration it covers:
   `phi-nonvanishing` at seeds 0 and 1, the scenarios of `specialized-zeta4`;
 - (3,2) `all` at seed 1 and (2,4) `main-theorem`;
 - (5,2) symbolic in a, b and u: `phi-equivariance` and `phi-nonvanishing`,
-  which put the annulus reference route on Q(zeta_4)(a, b, u);
+  which put the annulus reference route on Q(zeta_4)(a, b, u), and
+  `main-theorem`, which puts the chain's deferred sums there, with
+  denominators of several factors;
 - the coset tables of (2,1) at level 2 and of (3,2).
 
 Structured reports carry no timings, so equal certificates give equal lines.
-The whole run takes about 8 s on one core (2-vCPU machine, Python 3.11).
+The whole run takes about 20 s on one core (2-vCPU machine, Python 3.11).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def configurations(verifier):
             yield f"(5,2) a=2,b=3,u=5 {scenario} seed {seed}", cfg(p=5, n=2, scenario=scenario, seed=seed, specialize=dict(SPECIALIZED))
     yield "(3,2) all seed 1", cfg(p=3, n=2, scenario="all", seed=1)
     yield "(2,4) main-theorem seed 0", cfg(p=2, n=4, scenario="main-theorem")
-    for scenario in ("phi-equivariance", "phi-nonvanishing"):
+    for scenario in ("phi-equivariance", "phi-nonvanishing", "main-theorem"):
         yield f"(5,2) symbolic {scenario} seed 0", cfg(p=5, n=2, scenario=scenario)
 
 
