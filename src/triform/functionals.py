@@ -77,12 +77,12 @@ class WProfile:
         self.ratio = model.borel.chi_d / model.borel.chi_a
         self.sign_factor = self.ctx.zeta_powers[model.borel.chi_a.unit_exponent(-1)]
         self.zero_cell = 0  # z-chart cell of z = 0
-        self._ratio_pi_q = self.ratio.value_at_pi * self.ctx.scalar(self.ctx.q)
+        self.ratio_pi_q = self.ratio.value_at_pi * self.ctx.scalar(self.ctx.q)
 
     def scale(self, k: int) -> Scalar:
         """The factor at val(tau) = k apart from the unit twist:
         chi_a(-1), times ((chi_d/chi_a)(pi) q)^k when k <= 0."""
-        return self.sign_factor if k >= 1 else self.sign_factor * self._ratio_pi_q**k
+        return self.sign_factor if k >= 1 else self.sign_factor * self.ratio_pi_q**k
 
     def term(self, k: int, eps: int) -> tuple[int, int]:
         """Cell and twist exponent at tau = pi^k * eps (eps a unit residue mod p^m).
@@ -173,7 +173,7 @@ class TorusFunctional:
             ch = W.ratio * self.chtil
             if ch.c != 0:
                 return  # the unit integral kills every deep annulus
-            rho = X * W._ratio_pi_q
+            rho = X * W.ratio_pi_q
             add(W.zero_cell, W.sign_factor * rho.inverse().geometric_tail(-k_hi))
 
         def plain_upto(k_hi: int):

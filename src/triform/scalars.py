@@ -6,25 +6,27 @@ cutting out the third representation, and r is a formal square root of q.
 Every certificate the engine emits is ultimately an `is_zero` question about
 one of these Scalars, so all arithmetic is exact and zero-testing syntactic:
 a Scalar is an expanded numerator polynomial over a multiset of monic
-denominator factors in a, b, u with rational coefficients.
+denominator factors in a, b, u.
 
 A polynomial carries both algebraic generators, r and zeta = zeta_M, as
-exponents next to those of a, b, u, and has Fraction coefficients.  One rule
-reduces both when terms multiply: a power at or above the degree of the
-generator's minimal polynomial (x^2 - q, or the cyclotomic polynomial Phi_M)
-is replaced by its row in the power-basis table `power_rows` builds from that
-polynomial.  An inverse multiplies by the Galois conjugates of the numerator
-(zeta -> zeta^k for the units k mod M, then r -> -r), which leaves a
-denominator free of r and zeta.
+exponents next to those of a, b, u, and has int coefficients over one int
+denominator d > 0 with gcd(d, coefficients) = 1, a unique form (Knuth, TAOCP
+4.6.1); rationals appear only at the edges (construction, scaling,
+substitution, rendering).  One rule reduces both generators when terms
+multiply: a power at or above the degree of the generator's minimal
+polynomial (x^2 - q, or the cyclotomic polynomial Phi_M, both monic over Z)
+is replaced by its integral row in the power-basis table `power_rows` builds
+from that polynomial.  An inverse multiplies by the Galois conjugates of the
+numerator (zeta -> zeta^k for the units k mod M, then r -> -r), which leaves
+a denominator free of r and zeta.
 
 Cancellation has two parts.  Monomial content (powers of a, b, u) is split
 off every denominator factor and cancelled against the numerator's content by
 subtracting exponents, with no division.  The remaining factors are then
-tried against the numerator by exact division, which keeps its remainder in
-one dict and subtracts only the non-leading terms of the divisor at each step
-(the divisor is free of r and zeta, so no reduction arises there).  A product
-with a monomial skips the trial divisions: a factor that did not divide a
-canonical numerator does not divide it times a monomial.
+tried against the numerator by exact division over Z, which stops at the
+first quotient coefficient that is not an int (Gauss's lemma, see `divexact`).
+A product with a monomial skips the trial divisions: a factor that did not
+divide a canonical numerator does not divide it times a monomial.
 
 Sums of products are deferred: `sum_products` adds the numerator products of
 terms with the same denominator multiset and canonicalizes once per multiset,
@@ -33,10 +35,11 @@ not once per term, which saves the trial divisions of the partial sums.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import cyclotomic_polynomial
 
@@ -57,19 +60,19 @@ class PoleError(ScalarError):
 
 
 def power_rows(minpoly: tuple, count: int) -> tuple:
-    """x^k for k < count in the basis 1, x, ..., x^(d-1) of Q[x]/(minpoly).
+    """x^k for k < count in the basis 1, x, ..., x^(d-1) of Z[x]/(minpoly).
 
-    minpoly is monic of degree d with ascending coefficients; row k is a tuple
-    of (exponent, coefficient) pairs with nonzero coefficients.
+    minpoly is monic of degree d over Z with ascending coefficients; row k is a
+    tuple of (exponent, int coefficient) pairs with nonzero coefficients.
     """
-    cur = [Fraction(1)] + [Fraction(0)] * (len(minpoly) - 2)
+    cur = [1] + [0] * (len(minpoly) - 2)
     rows = []
     for _ in range(count):
         rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
-            cur = [c - top * m for c, m in zip(cur, minpoly)]
+            cur = [c - top * int(m) for c, m in zip(cur, minpoly)]
     return tuple(rows)
 
 
@@ -89,9 +92,9 @@ class FieldSpec:
     @cached_property
     def reduction(self) -> tuple:
         """(deg(x^2 - q), deg Phi_M, table): table[i, j] is the row of r^i zeta^j,
-        as ((i', j'), coefficient) pairs, for each exponent pair a product of two
-        reduced terms can reach with i or j at or above its degree."""
-        rrows = power_rows((Fraction(-self.q), Fraction(0), Fraction(1)), 3)
+        as ((i', j'), int coefficient) pairs, for each exponent pair a product of
+        two reduced terms can reach with i or j at or above its degree."""
+        rrows = power_rows((-self.q, 0, 1), 3)
         dz = len(cyclotomic_polynomial(self.m)) - 1
         table = {
             (i, j): tuple(((ki, kj), ci * cj) for ki, ci in rrows[i] for kj, cj in self.zeta_rows[j])
@@ -102,44 +105,51 @@ class FieldSpec:
         return 2, dz, table
 
 
-def _grlex_key(mono: tuple):
-    return (sum(mono), mono)
-
-
 class Poly:
-    """Polynomial in (a, b, u, r, zeta) over Q, reduced by r^2 = q and Phi_M(zeta) = 0."""
+    """Polynomial in (a, b, u, r, zeta) over Q, reduced by r^2 = q and Phi_M(zeta) = 0:
+    nonzero int `terms` over one int `den` > 0 with gcd(den, terms) = 1 (den = 1 for zero)."""
 
-    __slots__ = ("field", "terms", "_lead", "_den_key")
+    __slots__ = ("field", "terms", "den", "_lead", "_den_key", "_canonical")
 
     def __init__(self, field: FieldSpec, terms: dict):
-        self.field = field
-        self.terms = {mo: c for mo, c in terms.items() if c}
-        self._lead = None
-        self._den_key = None
+        fracs = [(mo, Fraction(c)) for mo, c in terms.items() if c]
+        # over the lcm of the reduced denominators no prime divides every numerator
+        den = lcm(*(c.denominator for _, c in fracs))
+        self.field, self.den, self._lead, self._den_key, self._canonical = field, den, None, None, False
+        self.terms = {mo: c.numerator * (den // c.denominator) for mo, c in fracs}
 
     @classmethod
-    def _raw(cls, field: FieldSpec, terms: dict) -> "Poly":
-        """Skip the zero-coefficient filter (caller guarantees none)."""
+    def _raw(cls, field: FieldSpec, terms: dict, den: int = 1) -> "Poly":
+        """Int terms over den, already in normal form (caller guarantees it)."""
         out = object.__new__(cls)
-        out.field = field
-        out.terms = terms
-        out._lead = None
-        out._den_key = None
+        out.field, out.terms, out.den, out._lead, out._den_key, out._canonical = field, terms, den, None, None, False
         return out
+
+    @classmethod
+    def _make(cls, field: FieldSpec, terms: dict, den: int = 1) -> "Poly":
+        """The normal form of int terms over den > 0: zero terms dropped, the gcd divided out."""
+        if 0 in terms.values():
+            terms = {mo: c for mo, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {mo: c // g for mo, c in terms.items()}
+        return cls._raw(field, terms, den)
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
-        return cls(field, {})
+        return cls._raw(field, {})
 
     @classmethod
     def const(cls, field: FieldSpec, c) -> "Poly":
-        return cls(field, {_CONST: Fraction(c)})
+        return cls(field, {_CONST: c})
 
     @classmethod
     def var(cls, field: FieldSpec, name: str) -> "Poly":
         mono = tuple(1 if v == name else 0 for v in VARS)
-        return cls(field, {mono: Fraction(1)})
+        return cls._raw(field, {mono: 1})
 
     @classmethod
     def zeta_sum(cls, field: FieldSpec, counts: dict) -> "Poly":
@@ -149,14 +159,14 @@ class Poly:
             for e, c in field.zeta_rows[j % field.m]:
                 mo = (0, 0, 0, 0, e)
                 out[mo] = out[mo] + n * c if mo in out else n * c
-        return cls(field, out)
+        return cls._make(field, out)
 
     # -- basic structure ----------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(mo == _CONST for mo in self.terms)
+        return not self.terms or (len(self.terms) == 1 and _CONST in self.terms)
 
     def has_r(self) -> bool:
         return any(mo[3] for mo in self.terms)
@@ -164,39 +174,42 @@ class Poly:
     def has_zeta(self) -> bool:
         return any(mo[4] for mo in self.terms)
 
-    def leading(self) -> tuple[tuple, Fraction]:
+    def coefficients(self) -> list:
+        """(monomial, rational coefficient) pairs, grlex-descending: the order of rendering."""
+        return sorted(((mo, Fraction(c, self.den)) for mo, c in self.terms.items()), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+    def leading(self) -> tuple[tuple, int]:
         if self._lead is None:
-            mo = max(self.terms, key=_grlex_key)
+            mo = max(zip(map(sum, self.terms), self.terms))[1]  # grlex: by degree, then exponents
             self._lead = (mo, self.terms[mo])
         return self._lead
 
     def trailing_monomial(self):
-        return min(self.terms, key=_grlex_key)
+        return min(zip(map(sum, self.terms), self.terms))[1]
 
     def den_key(self) -> str:
         """The order of denominator factors: the repr of the grlex-descending terms."""
         if self._den_key is None:
-            self._den_key = repr(sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True))
+            self._den_key = repr(self.coefficients())
         return self._den_key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.terms.items())))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for mo, c in other.terms.items():
-            out[mo] = out[mo] + c if mo in out else c
-        return Poly(self.field, out)
+        den = _add_into(out, self.den, other)
+        return Poly._make(self.field, out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.field, {mo: -c for mo, c in self.terms.items()})
+        return Poly._raw(self.field, {mo: -c for mo, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict = {}
@@ -215,12 +228,11 @@ class Poly:
                     out[mo] = out[mo] + c
                 else:
                     out[mo] = c
-        return Poly(self.field, out)
+        return Poly._make(self.field, out, self.den * other.den)
 
-    def scale(self, c: Fraction) -> "Poly":
-        if not c:
-            return Poly.zero(self.field)
-        return Poly._raw(self.field, {mo: co * c for mo, co in self.terms.items()})
+    def scale(self, c) -> "Poly":
+        c = Fraction(c)
+        return Poly._make(self.field, {mo: co * c.numerator for mo, co in self.terms.items()}, self.den * c.denominator)
 
     def galois(self, s: int, k: int) -> "Poly":
         """The automorphism r -> s*r (s = +-1), zeta -> zeta^k (k a unit mod M)."""
@@ -232,7 +244,7 @@ class Poly:
             for j, f in rows[ez * k % m]:
                 mo = (ea, eb, eu, er, j)
                 out[mo] = out[mo] + c * f if mo in out else c * f
-        return Poly(self.field, out)
+        return Poly._make(self.field, out, self.den)
 
     def divexact(self, f: "Poly") -> "Poly | None":
         """Exact quotient self / f, or None when f does not divide self.
@@ -240,25 +252,30 @@ class Poly:
         f must be free of r and zeta (every denominator factor is), so no
         product below needs a reduction and the remainder is updated in place:
         each step takes the leading term off the remainder and subtracts only
-        the non-leading terms of f times the new quotient term.
+        the non-leading terms of f times the new quotient term.  The division
+        is over Z, by the primitive part P of f's int numerator: by Gauss's
+        lemma, applied to each r^i zeta^j coordinate, a P that divides an int
+        numerator over Q leaves an int quotient, so the first quotient
+        coefficient that is not an int proves that f does not divide self.
         """
         if f.is_zero():
             raise ZeroDivisionError
         assert not any(mo[3] or mo[4] for mo in f.terms), "divisors must be free of r and zeta"
         fmo, fc = f.leading()
         f0, f1, f2, _, _ = fmo
-        fc_inv = None if fc == 1 else 1 / fc
-        ftail = [(mo, c) for mo, c in f.terms.items() if mo != fmo]
+        content = gcd(*f.terms.values())
+        fc //= content
+        ftail = [(mo, c // content) for mo, c in f.terms.items() if mo != fmo]
         rem = dict(self.terms)
         quot: dict = {}
         while rem:
-            mo = max(rem, key=_grlex_key)
+            mo = max(zip(map(sum, rem), rem))[1]
             dm = (mo[0] - f0, mo[1] - f1, mo[2] - f2, mo[3], mo[4])
             if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
                 return None
-            qc = rem.pop(mo)
-            if fc_inv is not None:
-                qc = qc * fc_inv
+            qc, frac = divmod(rem.pop(mo), fc)
+            if frac:  # not an int: P does not divide
+                return None
             quot[dm] = qc
             for tm, tc in ftail:
                 m = (dm[0] + tm[0], dm[1] + tm[1], dm[2] + tm[2], dm[3], dm[4])
@@ -271,7 +288,8 @@ class Poly:
                         del rem[m]
                 else:
                     rem[m] = -c
-        return Poly._raw(self.field, quot)
+        # self / f = (quot / primitive part) * f.den / (self.den * content)
+        return Poly._make(self.field, {mo: c * f.den for mo, c in quot.items()}, self.den * content)
 
     def shift_down(self, mono: tuple) -> "Poly":
         """self / mono for a monomial dividing every term: exponents shift, coefficients stay."""
@@ -279,6 +297,7 @@ class Poly:
         return Poly._raw(
             self.field,
             {(m0 - e0, m1 - e1, m2 - e2, m3 - e3, m4 - e4): c for (m0, m1, m2, m3, m4), c in self.terms.items()},
+            self.den,
         )
 
     def substitute(self, assignment: dict) -> "Poly":
@@ -289,7 +308,7 @@ class Poly:
                 raise ScalarError(f"cannot specialize variable {name!r}")
             vals[VARS.index(name)] = Fraction(v)
         out: dict = {}
-        for mo, c in self.terms.items():
+        for mo, c in self.coefficients():
             new_mo = list(mo)
             for idx, v in vals.items():
                 c = c * v ** mo[idx]
@@ -304,12 +323,25 @@ class Poly:
             return "0"
         names = VARS[:4] + (f"zeta{self.field.m}",)
         parts: list[str] = []
-        for mo in sorted(self.terms, key=_grlex_key, reverse=True):
-            parts.append(_render_term(names, mo, self.terms[mo], first=not parts))
+        for mo, c in self.coefficients():
+            parts.append(_render_term(names, mo, c, first=not parts))
         return "".join(parts)
 
     def __repr__(self):
         return f"Poly<{self.render()}>"
+
+
+def _add_into(acc: dict, den: int, poly: Poly) -> int:
+    """Add poly to the int terms acc over den in place; return the lcm of the denominators, acc's new one."""
+    d = lcm(den, poly.den)
+    if d != den:
+        for mo in acc:
+            acc[mo] *= d // den
+    s = d // poly.den
+    for mo, c in poly.terms.items():
+        c *= s
+        acc[mo] = acc[mo] + c if mo in acc else c
+    return d
 
 
 def _render_term(names: tuple, mo: tuple, c: Fraction, first: bool) -> str:
@@ -339,9 +371,7 @@ class Scalar:
 
     def __init__(self, field: FieldSpec, num: Poly, den: tuple = (), trial: bool = True):
         self.field = field
-        num, den = _canonicalize(field, num, den, trial)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonicalize(field, num, den, trial)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -358,15 +388,14 @@ class Scalar:
 
     def is_one(self) -> bool:
         # the term count, then the constant coefficient: no Poly comparison
-        return not self.den and len(self.num.terms) == 1 and self.num.terms.get(_CONST) == 1
+        return not self.den and len(self.num.terms) == 1 and self.num.terms.get(_CONST) == 1 == self.num.den
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(self.field, other)
-        if not isinstance(other, Scalar):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
@@ -382,10 +411,10 @@ class Scalar:
 
     # -- arithmetic -------------------------------------------------------
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return Scalar.from_rational(self.field, other)
         if isinstance(other, Scalar):
             return other
+        if isinstance(other, (int, Fraction)):
+            return Scalar.from_rational(self.field, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -398,11 +427,10 @@ class Scalar:
             return self
         if self.den == other.den:
             return Scalar(self.field, self.num + other.num, self.den)
-        common = _multiset_union(self.den, other.den)
-        num = self.num * _product(self.field, _multiset_diff(common, self.den)) + other.num * _product(
-            self.field, _multiset_diff(common, other.den)
-        )
-        return Scalar(self.field, num, common)
+        mine, theirs = Counter(self.den), Counter(other.den)
+        common = mine | theirs  # the multiset union
+        num = self.num * _product(self.field, (common - mine).elements())
+        return Scalar(self.field, num + other.num * _product(self.field, (common - theirs).elements()), tuple(common.elements()))
 
     __radd__ = __add__
 
@@ -466,8 +494,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inverse() ** (-k)
-        acc = Scalar.from_rational(self.field, 1)
-        base = self
+        acc, base = Scalar.from_rational(self.field, 1), self
         while k:
             if k & 1:
                 acc = acc * base
@@ -478,8 +505,7 @@ class Scalar:
     # -- the regularization primitive --------------------------------------
     def geometric_tail(self, k0: int) -> "Scalar":
         """Sum_{k >= k0} self^k in closed form: self^k0 / (1 - self)."""
-        one = Scalar.from_rational(self.field, 1)
-        denom = one - self
+        denom = 1 - self
         if denom.is_zero():
             raise PoleError("pole on parameter locus: geometric tail at ratio 1 (factor 1 - (%s))" % self.render())
         return (self**k0) / denom
@@ -506,10 +532,7 @@ class Scalar:
 
 
 def _content_monomial(poly: Poly) -> tuple:
-    mono = None
-    for mo in poly.terms:
-        mono = mo if mono is None else tuple(min(x, y) for x, y in zip(mono, mo))
-    return mono or _CONST
+    return tuple(map(min, zip(*poly.terms))) if poly.terms else _CONST
 
 
 def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -> tuple[Poly, tuple]:
@@ -521,6 +544,9 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
     out: list[Poly] = []
     den_mono = _CONST
     for f in den:
+        if f._canonical:  # a factor this function returned before: monic, r- and zeta-free, no monomial content
+            out.append(f)
+            continue
         if f.is_zero():
             raise ScalarDivisionError("zero denominator factor")
         if f.has_r() or f.has_zeta():
@@ -530,15 +556,13 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
         if any(mono):
             f = f.shift_down(mono)
             den_mono = tuple(x + y for x, y in zip(den_mono, mono))
-        if f.is_constant():
-            num = num.scale(1 / f.terms[_CONST])
-            continue
         _, lc = f.leading()
-        if lc != 1:
-            inv = 1 / lc
-            f = f.scale(inv)
-            num = num.scale(inv)
-        out.append(f)
+        if lc != f.den:  # make f monic (a constant becomes 1)
+            inv = Fraction(f.den, lc)
+            f, num = f.scale(inv), num.scale(inv)
+        if not f.is_constant():
+            f._canonical = True
+            out.append(f)
     if any(den_mono):
         # cancel against the numerator's own monomial content
         num_mono = _content_monomial(num)
@@ -547,7 +571,7 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
         if any(common):
             num = num.shift_down(common)
         if any(left):
-            out.append(Poly._raw(field, {left: Fraction(1)}))
+            out.append(Poly._raw(field, {left: 1}))
     # cancel factors dividing the numerator (with cheap divisibility prefilters:
     # both the leading and the trailing monomial of a divisor must divide the
     # numerator's, and a monomial can only be divided by a monomial)
@@ -598,47 +622,29 @@ def sum_products(field: FieldSpec, products) -> Scalar:
             key = tuple(sorted(g.den_key() for g in den))
             group = groups.get(key)
             if group is None:
-                groups[key] = [den, fs, None]  # the numerators are summed once a second tuple joins
+                groups[key] = [den, fs, None, 1]  # the numerators are summed once a second tuple joins
                 continue
             if group[2] is None:
-                group[2] = dict(_product(field, (f.num for f in group[1])).terms)
-            acc = group[2]
-            for mo, c in _product(field, (f.num for f in fs)).terms.items():
-                acc[mo] = acc[mo] + c if mo in acc else c
+                group[2] = {}
+                group[3] = _add_into(group[2], 1, _product(field, (f.num for f in group[1])))
+            group[3] = _add_into(group[2], group[3], _product(field, (f.num for f in fs)))
     out = None
-    for den, fs, acc in groups.values():
+    for den, fs, acc, acc_den in groups.values():
         if acc is None:
             term = fs[0] if fs else Scalar.from_rational(field, 1)
             for f in fs[1:]:
                 term = term * f
         else:
-            term = Scalar(field, Poly(field, acc), den)
+            term = Scalar(field, Poly._make(field, acc, acc_den), den)
         out = term if out is None else out + term
     return Scalar(field, Poly.zero(field)) if out is None else out
-
-
-def _multiset_union(d1: tuple, d2: tuple) -> tuple:
-    rest = list(d2)
-    out = list(d1)
-    for f in d1:
-        if f in rest:
-            rest.remove(f)
-    out.extend(rest)
-    return tuple(out)
-
-
-def _multiset_diff(d1: tuple, d2: tuple) -> tuple:
-    out = list(d1)
-    for f in d2:
-        out.remove(f)
-    return tuple(out)
 
 
 def _product(field: FieldSpec, factors) -> Poly:
     acc = None
     for f in factors:
         acc = f if acc is None else acc * f
-    return Poly.const(field, 1) if acc is None else acc
+    return Poly._raw(field, {_CONST: 1}) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -647,29 +653,19 @@ def _product(field: FieldSpec, factors) -> Poly:
 
 
 def _tokenize(s: str) -> list:
-    toks = []
-    i = 0
+    toks, i = [], 0
     while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < len(s) and s[j].isdecimal():
+        ch, j = s[i], i + 1
+        if ch.isdecimal() or ch.isalpha():  # an int is a run of digits, a name a letter and alphanumerics
+            more = str.isdecimal if ch.isdecimal() else str.isalnum
+            while j < len(s) and more(s[j]):
                 j += 1
-            toks.append(("int", int(s[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(s) and (s[j].isalnum()):
-                j += 1
-            toks.append(("name", s[i:j]))
-            i = j
+            toks.append(("int", int(s[i:j])) if ch.isdecimal() else ("name", s[i:j]))
         elif ch in "+-*/^()":
             toks.append((ch, ch))
-            i += 1
-        else:
+        elif not ch.isspace():
             raise ScalarError(f"bad character {ch!r} in scalar literal")
+        i = j
     return toks
 
 
@@ -685,9 +681,8 @@ class _Parser:
     def next(self):
         if self.pos == len(self.toks):
             raise ScalarError("unexpected end of scalar literal")
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def parse_expr(self) -> Scalar:
         acc = self.parse_term()

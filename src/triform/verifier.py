@@ -25,7 +25,7 @@ from .cosets import (
     p1_table,
     torus_orbit_reps,
 )
-from .functionals import CompactInducedFn, FunctionalError, Phi_eval, TorusFunctional, coset_constant, make_indicator_f
+from .functionals import CompactInducedFn, FunctionalError, Phi_eval, TorusFunctional, WProfile, coset_constant, make_indicator_f
 from .matrices import GroupElement, in_T_In
 from .models import (
     InducedModel,
@@ -219,6 +219,11 @@ class Env:
         self.v2 = new_vector_unramified(self.V2)
         self.v3 = new_vector_by_solve(self.V3, n, self.level)
         self.phi = TorusFunctional(ctx, self.mu1, self.mu2, self.V3)
+        if sp:  # phi closes geometric tails at X = chi~(pi) and 1/rho, rho = X (chi_d/chi_a)(pi) q: neither may be 1
+            chtil, W = self.phi.chtil, WProfile(self.V3, self.level)
+            X, rho = chtil.value_at_pi, chtil.value_at_pi * W.ratio_pi_q
+            if (chtil.c == 0 and X == 1) or ((W.ratio * chtil).c == 0 and rho == 1):
+                raise ConfigError(f"the specialization puts a geometric tail of phi at ratio 1 (X = {X.render()}, rho = {rho.render()})")
         self.f = make_indicator_f(ctx, self.mu1, self.mu2, n, self.level)
         import random
 
@@ -550,7 +555,7 @@ def _magnitude(s: Scalar, q: int) -> float:
 
     def poly_val(poly) -> complex:
         out = 0j
-        for (ea, eb, eu, er, ez), c in poly.terms.items():
+        for (ea, eb, eu, er, ez), c in poly.coefficients():
             if ea or eb or eu:
                 raise ValueError("not constant in a, b, u")
             out += float(c) * (q**0.5 if er else 1.0) * zeta**ez

@@ -2,6 +2,7 @@
 hypothesis properties over randomly built scalars."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,7 +181,7 @@ def _cyclo_of(c, s) -> Cyclo:
     """The power-basis coordinates of a constant Scalar."""
     assert not s.den and all(mo[:4] == (0, 0, 0, 0) for mo in s.num.terms)
     deg = len(cyclotomic_polynomial(c.field.m)) - 1
-    return Cyclo(c.field.m, [s.num.terms.get((0, 0, 0, 0, k), 0) for k in range(deg)])
+    return Cyclo(c.field.m, [dict(s.num.coefficients()).get((0, 0, 0, 0, k), 0) for k in range(deg)])
 
 
 @pytest.mark.parametrize("m", CYCLO_ORDERS)
@@ -298,6 +299,8 @@ def test_divexact_cases():
     num = Poly.const(F, Fraction(-3, 2)) * a * a + Poly.const(F, Fraction(3, 2)) * a * b
     assert num.divexact(a - two * b) is None
     assert num.divexact(a - b) == Poly.const(F, Fraction(-3, 2)) * a
+    # the first quotient coefficient, 3/2, is not an int; taking its floor 1 would leave no remainder
+    assert (Poly.const(F, 3) * a + b).divexact(two * a + b) is None
     # zeta in the numerator and the quotient, over a non-monic divisor
     z = Poly.zeta_sum(F4, {1: 1})
     a4, b4, r4 = (Poly.var(F4, v) for v in "abr")
@@ -312,6 +315,23 @@ def test_divexact_cases():
         g4.divexact(z * a4 + Poly.const(F4, 1))
     with pytest.raises(ZeroDivisionError):
         g.divexact(Poly.zero(F))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ctx, ctx4, ctx6]).flatmap(lambda c: st.tuples(polys(c), polys(c), polys(c))))
+def test_poly_normal_form(xyz):
+    """A Poly is int coefficients over one denominator d > 0 with gcd(d,
+    coefficients) = 1, so equal polynomials reached by different routes (a sum
+    against a product) have equal fields and hashes."""
+    x, y, z = xyz
+    lhs, rhs = x * (y + z), x * y + x * z
+    doubles = (x + x, x * Poly.const(x.field, 2), x.scale(2))
+    for p in (x, y, lhs, rhs, -x, x - y, x.scale(Fraction(2, 3)), *doubles):
+        assert p.den > 0 and gcd(p.den, *p.terms.values()) == 1
+        assert all(type(c) is int and c for c in p.terms.values())
+        assert Poly(p.field, dict(p.coefficients())) == p
+    for u, v in ((lhs, rhs), doubles[:2], doubles[::2]):
+        assert (u.terms, u.den, hash(u)) == (v.terms, v.den, hash(v))
 
 
 def test_shift_down():

@@ -10,10 +10,10 @@ exactly when its cancelled numerator is divisible by r^2 - q.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
-from triform.scalars import sum_products
+from triform.scalars import Poly, sum_products
 
 sympy = pytest.importorskip("sympy")
 
@@ -127,3 +127,59 @@ def test_sum_products_matches_sympy(case):
     got = sum_products(ctx.field, [[evaluate(ctx, t) for t in ts] for ts in products])
     expected = sympy.Add(*(sympy.Mul(*(as_sympy(t) for t in ts)) for ts in products))
     assert oracle_is_zero(as_rendered_sympy(got) - expected, ctx.q)
+
+
+GENS = (A, B, U, R, sympy.Symbol("zeta"))  # over Q(zeta4), zeta4 stays a plain symbol of degree < 2
+
+
+def poly_to_sympy(p):
+    terms = p.coefficients()
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**e for g, e in zip(GENS, mo))) for mo, c in terms))
+
+
+def poly_terms(m, divisor=False, max_terms=3):
+    """Coefficient dicts of reduced polynomials; a divisor is free of r and zeta."""
+    r, z = (st.just(0), st.just(0)) if divisor else (st.integers(0, 1), st.integers(0, 1 if m == 4 else 0))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), r, z)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return st.dictionaries(mono, coeffs, max_size=max_terms)
+
+
+# non-primitive and non-monic divisors: 6ab - 3u + 9, 2a^2 - b, a/2 - 2b/3 and 2a + 4b
+FIXED_DIVISORS = [
+    {(1, 1, 0, 0, 0): 6, (0, 0, 1, 0, 0): -3, (0, 0, 0, 0, 0): 9},
+    {(2, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): -1},
+    {(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(-2, 3)},
+    {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): 4},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 4]).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            poly_terms(m),
+            st.one_of(st.sampled_from(FIXED_DIVISORS), poly_terms(m, divisor=True)),
+            st.one_of(st.just({}), poly_terms(m, max_terms=2)),
+            st.sampled_from([1, 0, 3]),
+        )
+    )
+)
+@example((2, {(0, 0, 0, 0, 0): 2}, FIXED_DIVISORS[0], {}, 1))  # 13ab - 6u + 18 over 2ab - u + 3: 13/2
+def test_divexact_refuses_exactly_when_sympy_leaves_a_remainder(case):
+    """g*f + e + c*LM(f) divided by f: divexact refuses exactly when sympy's
+    division leaves a remainder, and otherwise returns sympy's quotient.  The
+    multiple c of f's leading monomial LM(f) makes quotient coefficients that
+    are not ints where the monomials alone would let the division run on."""
+    m, g, f, e, c = case
+    field = CONTEXTS[m].field
+    f = Poly(field, f)
+    assume(not f.is_zero())
+    num = Poly(field, g) * f + Poly(field, e) + Poly(field, {f.leading()[0]: c})
+    quot, rem = sympy.div(poly_to_sympy(num), poly_to_sympy(f), *GENS)
+    got = num.divexact(f)
+    if rem == 0:
+        assert got is not None and sympy.expand(poly_to_sympy(got) - quot) == 0
+    else:
+        assert got is None

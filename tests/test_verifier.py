@@ -152,9 +152,10 @@ def test_verdicts_partition():
 
 
 def test_specialized_run():
+    """Off the poles of A and of phi's geometric tails, every scenario passes."""
     from fractions import Fraction
 
-    cfg = ScenarioConfig(p=2, n=1, scenario="Phi-lambda", specialize={"a": Fraction(2), "b": Fraction(3)})
+    cfg = ScenarioConfig(p=2, n=1, scenario="all", specialize={"a": Fraction(2), "b": Fraction(3)})
     rep = run_scenario(cfg)
     assert not rep.has_failure()
 
@@ -258,6 +259,10 @@ def test_cli_engine_error_is_a_fail_record():
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta0^1], pi=u)"],  # no zeta of order 0
         ["--specialize", "a=1"],  # a^2 = 1 and b^2 = 1 are poles of A
         ["--specialize", "b=-1"],
+        # geometric tails of phi at ratio 1: rho = 2b/a = 1, then X = b/(2a) = 1
+        ["--specialize", "a=4,b=2", "--scenario", "main-theorem"],
+        ["--specialize", "a=2,b=4", "--scenario", "main-theorem"],
+        ["--specialize", "a=1/2,b=1/4"],
         ["--specialize", "u=5"],  # the Steinberg model at n = 1 has no u
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u-5)", "--specialize", "u=5"],  # zero at pi
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=1/(u-5))", "--specialize", "u=5"],  # pole
