@@ -259,15 +259,14 @@ def parse_character_spec(ctx: Context, text: str) -> SmoothCharacter:
 
 
 class BorelCharacter:
-    """chi(diag(a, d)) = chi_a(a) chi_d(d), optionally times delta^{1/2}."""
+    """chi(diag(a, d)) = chi_a(a) chi_d(d) delta^{1/2}(diag(a, d))."""
 
-    __slots__ = ("ctx", "chi_a", "chi_d", "half_delta", "_values")
+    __slots__ = ("ctx", "chi_a", "chi_d", "_values")
 
-    def __init__(self, chi_a: SmoothCharacter, chi_d: SmoothCharacter, half_delta: bool = True):
+    def __init__(self, chi_a: SmoothCharacter, chi_d: SmoothCharacter):
         self.ctx = chi_a.ctx
         self.chi_a = chi_a
         self.chi_d = chi_d
-        self.half_delta = half_delta
         self._values: dict[tuple, Scalar] = {}  # (v(x), j_a, v(t), j_d) -> value; Scalars are immutable
 
     def eval(self, bmat) -> Scalar:
@@ -278,9 +277,8 @@ class BorelCharacter:
         key = (va, ja, vt, jd)
         out = self._values.get(key)
         if out is None:
-            out = self.chi_a.value(va, ja) * self.chi_d.value(vt, jd)
-            if self.half_delta:  # delta^{1/2}(b) = q^{-val(x/t)/2}
-                out = out * self.ctx.q_power_half(vt - va)
+            # delta^{1/2}(b) = q^{-val(x/t)/2}
+            out = self.chi_a.value(va, ja) * self.chi_d.value(vt, jd) * self.ctx.q_power_half(vt - va)
             self._values[key] = out
         return out
 
@@ -296,4 +294,4 @@ class BorelCharacter:
         return max(self.chi_a.c, self.chi_d.c)
 
     def __repr__(self):
-        return f"BorelCharacter<{self.chi_a.render_spec()}, {self.chi_d.render_spec()}, half_delta={self.half_delta}>"
+        return f"BorelCharacter<{self.chi_a.render_spec()}, {self.chi_d.render_spec()}>"

@@ -239,21 +239,30 @@ class TorusFunctional:
             tbl.phi_values[key] = out
         return out
 
-    def eval(self, section: Section) -> Scalar:
-        """phi of a formal sum of lazy translates: reduce each term through
-        h = b kappa (Iwasawa), b = t n(x0), then equivariance plus the engine."""
+    def reader(self, section: Section, k: GroupElement | None = None):
+        """phi(pi(b k) section) as a function of an upper-triangular b (k, b = 1
+        when None), yielding one factor tuple (c, (chi_2/chi_1)(t), phi_table)
+        per term c pi(g) tbl for sum_products.  The Iwasawa split k g = bh kh
+        and the K-translate of tbl by kh are computed once, here; then
+        b k g = (b bh) kh with b bh = t n(x0)."""
         if section.model is not self.model3:
             raise FunctionalError("phi evaluated on a section of a different model")
-        out = self.ctx.zero()
+        pre = []
         for c, g, tbl in section.terms:
-            if c.is_zero():
-                continue
-            b, kappa = iwasawa(g)
-            # b = t n(x0) with x0 = y/x
-            out = out + c * self.torus_factor(b) * self.phi_table(tbl.translate_K(kappa), *b.ratio(1, 0))
-        return out
+            if not c.is_zero():
+                bh, kh = iwasawa(g if k is None else k * g)
+                pre.append((c, bh, tbl.translate_K(kh)))
 
-    __call__ = eval
+        def terms(b: GroupElement | None = None):
+            for c, bh, tbl in pre:
+                bfull = bh if b is None else b * bh
+                yield c, self.torus_factor(bfull), self.phi_table(tbl, *bfull.ratio(1, 0))
+
+        return terms
+
+    def eval(self, section: Section) -> Scalar:
+        """phi of a formal sum of lazy translates, through the reader at b = k = 1."""
+        return sum_products(self.ctx.field, self.reader(section)())
 
     # -- the independent slow route (oracle for tests) --------------------------
     def annulus(self, section: Section, k: int) -> Scalar:
@@ -284,23 +293,32 @@ class TorusFunctional:
                 acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
         return acc * ctx.scalar(Fraction(1, len(units)))
 
-    def eval_reference(self, section: Section) -> Scalar:
+    def eval_reference(self, section: Section) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the
         two tails closed from the stabilized multiplicative regimes.  Shares no
-        code path with the Tate engine past the section evaluator."""
+        code path with the Tate engine past the section evaluator.
+
+        One sweep over |k| <= D + 3 closes the sum at the depths d = D, ..., D + 3:
+        the annuli |k| <= d, the positive tail past d and the negative tail from
+        the annuli -d + 2, -d + 1, -d.  A TailError at depth D is raised; a
+        deeper one stands in the place of its closure."""
         D = section.level_bound() + max(1, self.chtil.c) + 2
         X = self.chtil.value_at_pi
-        wbar = GroupElement.w(self.ctx.p)
-        out = self.ctx.zero()
-        terms = {}
-        for k in range(-D, D + 1):
-            terms[k] = self.annulus(section, k) * X**k
-            out = out + terms[k]
+        terms = {k: self.annulus(section, k) * X**k for k in range(-D - 3, D + 4)}
         # positive tail: the integrand is constant once n(y) is that deep
-        if self.chtil.c == 0:
-            out = out + section.eval(wbar) * X.geometric_tail(D + 1)
-        # negative tail: verified geometric continuation of the last annuli
-        return out + close_tail(terms[-D + 2], terms[-D + 1], terms[-D])
+        top = section.eval(GroupElement.w(self.ctx.p)) if self.chtil.c == 0 else None
+        partial = sum((terms[k] for k in range(-D + 1, D)), self.ctx.zero())
+        closures = []
+        for d in range(D, D + 4):
+            partial = partial + terms[-d] + terms[d]
+            out = partial if top is None else partial + top * X.geometric_tail(d + 1)
+            try:  # negative tail: verified geometric continuation of the last annuli
+                closures.append(out + close_tail(terms[-d + 2], terms[-d + 1], terms[-d]))
+            except TailError as e:
+                if d == D:
+                    raise
+                closures.append(e)
+        return closures
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +356,6 @@ class CompactInducedFn:
             if iwahori_orbit_key(self.ctx, k, self.n, self.level) not in self.support:
                 return self.ctx.zero()
         return self.ratio12.eval(*t.ratio(0, 3))
-
-    __call__ = eval
 
     def orbit_cells(self):
         table = torus_orbit_reps(self.ctx, self.n, self.level)

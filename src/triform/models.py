@@ -27,8 +27,6 @@ class NewVectorError(ModelError):
 
 class InducedModel:
     def __init__(self, ctx: Context, borel: BorelCharacter, tag: str = "", steinberg: bool = False):
-        if not borel.half_delta:
-            raise ModelError("induced models are normalized: the delta^{1/2} twist must be on")
         self.ctx = ctx
         self.borel = borel
         self.tag = tag or f"Ind({borel.chi_a.render_spec()}, {borel.chi_d.render_spec()})"
@@ -62,14 +60,14 @@ class InducedModel:
 
 
 def principal_series_model(ctx: Context, mu: SmoothCharacter, tag: str = "") -> InducedModel:
-    return InducedModel(ctx, BorelCharacter(mu, mu.inverse(), half_delta=True), tag=tag)
+    return InducedModel(ctx, BorelCharacter(mu, mu.inverse()), tag=tag)
 
 
 def steinberg_model(ctx: Context) -> InducedModel:
     """Normalized induction at (|.|^{1/2}, |.|^{-1/2}); Sp is the zero-average subspace."""
     chi_a = SmoothCharacter.norm_power_half(ctx, 1)
     chi_d = SmoothCharacter.norm_power_half(ctx, -1)
-    return InducedModel(ctx, BorelCharacter(chi_a, chi_d, half_delta=True), tag="Steinberg", steinberg=True)
+    return InducedModel(ctx, BorelCharacter(chi_a, chi_d), tag="Steinberg", steinberg=True)
 
 
 class TableSection:

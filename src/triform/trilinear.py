@@ -140,12 +140,10 @@ class DiagonalRestriction:
         self.F = F
         self.ctx = F.ctx
         prod = mu1 * mu2
-        self.borel = BorelCharacter(prod, prod.inverse(), half_delta=True)
+        self.borel = BorelCharacter(prod, prod.inverse())
 
     def eval(self, g: GroupElement) -> Scalar:
         return self.F.eval_pair(g, g)
-
-    __call__ = eval
 
 
 def res_diag(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter) -> DiagonalRestriction:
@@ -192,26 +190,21 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     w = GroupElement.w(p)
 
     # Everything that does not move with sigma = b rep (b upper triangular) is
-    # hoisted per cell: sigma has the bottom row of rep, so the Iwasawa K-part
-    # of sigma g is that of rep g, and F(b rep, .) = chi_1(b) F(rep, .).
+    # hoisted per cell: F(b rep, .) = chi_1(b) F(rep, .), and phi's reader
+    # splits rep g once per term g of v.
     cell_pre = []
     for rep, bottom in zip(table.reps, table.rows):
         row = F.slot1(rep)
-        if row is None:
-            continue
-        phi_pre = []
-        for c, g, tbl in v.terms:
-            bh, kh = iwasawa(rep * g)
-            phi_pre.append((c, bh, tbl.translate_K(kh)))
-        cell_pre.append((rep, bottom, row, phi_pre))
+        if row is not None:
+            cell_pre.append((rep, bottom, row, phi.reader(v, rep)))
 
     # unit-distance pairs: an exact finite sum.  sigma has the bottom row of
-    # rep and det rep = 1, so sigma rep^-1 is upper triangular.
+    # rep and det rep = 1, so b = sigma rep^-1 is upper triangular.
     borel1 = F.model1.borel
     w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
 
     def unit_distance():
-        for rep, (z1, t1), row, _ in cell_pre:
+        for rep, (z1, t1), row, read in cell_pre:
             rep_inv = rep.inv()
             for z2, t2 in table.rows:
                 if not (z2 * t1 - t2 * z1) % p:
@@ -219,7 +212,10 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                 sigma = GroupElement(p, z2, t2, z1, t1)
                 Fv = row.eval(w * sigma)
                 if not Fv.is_zero():
-                    yield w0, borel1.eval(sigma * rep_inv), Fv, phi.eval(v.translated(sigma))
+                    b = sigma * rep_inv
+                    chi = borel1.eval(b)
+                    for term in read(b):
+                        yield w0, chi, Fv, *term
 
     total = sum_products(ctx.field, unit_distance())
 
@@ -248,15 +244,12 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
             bs = GroupElement(p, s, 1, 0, 1)
             wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
             chi = borel1.eval(bs)
-            for rep, _, row, phi_pre in cell_pre:
+            for rep, _, row, read in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
                 Fv = row.eval(wbs * rep)
-                if Fv.is_zero():
-                    continue
-                # phi(pi(sigma) v), with the K-part hoisted per cell
-                for c, bh, w2 in phi_pre:
-                    bfull = bs * bh  # = t n(x0) with x0 = y/x
-                    yield chi, Fv, c, phi.torus_factor(bfull), phi.phi_table(w2, *bfull.ratio(1, 0))
+                if not Fv.is_zero():
+                    for term in read(bs):
+                        yield chi, Fv, *term
 
     depth_sums = []
     for e in range(1, e_top + 1):

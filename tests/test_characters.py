@@ -105,7 +105,7 @@ def test_spec_roundtrip(ctx):
 
 def test_borel_character(ctx):
     mu = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
-    beta = BorelCharacter(mu, mu.inverse(), half_delta=True)
+    beta = BorelCharacter(mu, mu.inverse())
     # delta^{1/2}(diag(pi,1)) = q^{-1/2} = 1/r, so the normalized value is a
     assert beta.eval(GroupElement.diag(3, 3, 1)) == ctx.a
     half = BorelCharacter(SmoothCharacter.unramified(ctx, ctx.one()), SmoothCharacter.unramified(ctx, ctx.one()))
@@ -117,7 +117,7 @@ def test_borel_character(ctx):
 def test_borel_multiplicative(ctx):
     rng = random.Random(6)
     mu = SmoothCharacter.unramified(ctx, ctx.a * ctx.r)
-    beta = BorelCharacter(mu, mu.inverse(), half_delta=True)
+    beta = BorelCharacter(mu, mu.inverse())
     for _ in range(40):
         b1 = GroupElement(3, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2), rng.randint(0, 8), 0, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2))
         b2 = GroupElement(3, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2), rng.randint(0, 8), 0, Fraction(rng.choice([1, 2, 4, 5])) * 3 ** rng.randint(-2, 2))
@@ -201,7 +201,7 @@ def test_values_match_uncached_reference(p, c):
             # same residue, other valuation: the memo key must separate them
             assert ch.eval(x * p) == reference_eval(ch, x * p)
         for chi_d in chars:
-            beta = BorelCharacter(ch, chi_d, half_delta=True)
+            beta = BorelCharacter(ch, chi_d)
             for _ in range(30):
                 x, t = random_nonzero(p, rng), random_nonzero(p, rng)
                 b = GroupElement(p, x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0, t)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
-from triform.cosets import p1_size, units_mod
+from triform.cosets import p1_size, p1_table, units_mod
 from triform.functionals import (
     CompactInducedFn,
     FunctionalError,
@@ -24,6 +24,7 @@ from triform.functionals import (
 )
 from triform.matrices import GroupElement
 from triform.models import Section, TableSection, principal_series_model, steinberg_model
+from triform.scalars import sum_products
 
 from conftest import image_exponent, rand_G, rand_K, rand_section
 
@@ -86,7 +87,33 @@ def test_fast_equals_reference(setup21, setup32):
         targets = [s.v3, s.v3.translated(s.gamma(-1)), rand_section(s.V3, s.V3.min_level, rng)]
         targets.append(s.v3.translated(rand_G(s.ctx, rng, val_range=1)))
         for sec in targets:
-            assert phi.eval(sec) == phi.eval_reference(sec)
+            want = phi.eval(sec)
+            closures = phi.eval_reference(sec)
+            assert len(closures) == 4 and all(c == want for c in closures)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2**32))
+def test_reader_matches_eval_of_the_translate(setup21, setup32, setup24, case, seed):
+    """At an upper-triangular b and a cell rep, the terms the reader hoists
+    for (v, rep) sum to phi(pi(b rep) v), which eval reaches through the
+    translated section and its own Iwasawa splits."""
+    s = (setup21, setup32, setup24)[case]
+    ctx, p = s.ctx, s.ctx.p
+    rng = random.Random(seed)
+    level = s.V3.min_level + rng.randint(0, 1)
+    v = rand_section(s.V3, level, rng)
+    for _ in range(rng.randint(1, 3)):
+        v = v + rand_section(s.V3, level, rng).translated(rand_G(ctx, rng, val_range=1))
+    rep = rng.choice(p1_table(ctx, level).reps)
+
+    def unit():
+        return Fraction(rng.choice([x for x in range(1, p**3) if x % p]))
+
+    t = GroupElement.diag(p, unit() * Fraction(p) ** rng.randint(-3, 3), unit() * Fraction(p) ** rng.randint(-3, 3))
+    b = t * GroupElement.upper(p, Fraction(rng.randint(-40, 40)) / unit() / p ** rng.randint(0, 3))
+    got = sum_products(ctx.field, s.phi.reader(v, rep)(b))
+    assert got == s.phi.eval(v.translated(b * rep)), (s.cfg.p, s.cfg.n, seed)
 
 
 def unit_average(phi: TorusFunctional, section: Section, k: int, prec: int):

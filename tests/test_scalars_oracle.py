@@ -4,7 +4,7 @@ Random expression trees in a, b, u, r (and zeta4) with sums, products,
 inverses and geometric tails are evaluated twice: as Scalars, and as sympy
 rational functions in which r is a plain symbol.  Over Q(a, b, u), x^2 - q is
 irreducible, so a sympy value is zero in Q(zeta_M)(a, b, u)[r]/(r^2 - q)
-exactly when its cancelled numerator is divisible by r^2 - q.
+exactly when its numerator over a nonzero denominator is divisible by r^2 - q.
 """
 
 from fractions import Fraction
@@ -73,7 +73,10 @@ def as_sympy(t):
 
 
 def oracle_is_zero(expr, q) -> bool:
-    num, _ = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    """The numerator of together(expr), uncancelled, is 0 mod r^2 - q.  Its
+    denominator is a product of the tree's denominators, each nonzero in the
+    field because evaluate() discards any tree with one that vanishes there."""
+    num, _ = sympy.fraction(sympy.together(expr))
     return sympy.expand(sympy.rem(sympy.expand(num), R**2 - q, R)) == 0
 
 

@@ -3,7 +3,6 @@ configuration validation, CLI plumbing."""
 
 import importlib.util
 import json
-import math
 import subprocess
 import sys
 import time
@@ -15,7 +14,9 @@ import pytest
 from triform import verifier
 from triform.cli import main as cli_main
 from triform.context import MAX_LEVEL, Context
+from triform.functionals import TorusFunctional
 from triform.scalars import ScalarError
+from triform.trilinear import KernelForm
 from triform.verifier import (
     COVERAGE,
     SCENARIOS,
@@ -24,7 +25,6 @@ from triform.verifier import (
     ScenarioConfig,
     coverage_complete,
     default_mu3_spec,
-    _magnitude,
     parse_report,
     run_scenario,
 )
@@ -310,12 +310,42 @@ def test_cli_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "no").exists()
 
 
-def test_magnitude_evaluates_zeta():
-    """A coefficient in Q(zeta_M) is evaluated at zeta_M = exp(2 pi i / M)."""
-    c4, c6 = Context(5, zeta_order=4), Context(3, zeta_order=6)
-    assert math.isclose(_magnitude(1 + c4.scalar(c4.zeta(4)), 5), math.sqrt(2))
-    assert math.isclose(_magnitude(c6.scalar(c6.zeta(6)) - 1, 3), 1)
-    assert math.isclose(_magnitude(c6.r / (2 + c6.scalar(c6.zeta(6))), 3), math.sqrt(3 / 7))  # |2 + zeta6|^2 = 7
+@pytest.mark.parametrize("side", ["negative", "positive"])
+def test_stabilization_fails_on_a_perturbed_annulus(setup32, monkeypatch, side):
+    """One annulus past depth D moved by 1 makes phi-nonvanishing.stabilization
+    FAIL with a reason: at k = -(D+1) the negative tail stops being geometric,
+    at k = D+2 the closure at depth D+2 moves.  The depth-D closure does not
+    read either annulus, so .value and .reference stand."""
+    env = setup32
+    D = env.v3.level_bound() + max(1, env.phi.chtil.c) + 2
+    k_bad = -(D + 1) if side == "negative" else D + 2
+    annulus = TorusFunctional.annulus
+
+    def perturbed(self, section, k):
+        out = annulus(self, section, k)
+        return out + 1 if k == k_bad else out
+
+    monkeypatch.setattr(TorusFunctional, "annulus", perturbed)
+    checks = {c.id: c for c in verifier.run_checks(env, ["phi-nonvanishing"])}
+    assert checks["phi-nonvanishing.value"].verdict == "PASS"
+    assert checks["phi-nonvanishing.reference"].verdict == "PASS"
+    stab = checks["phi-nonvanishing.stabilization"]
+    assert stab.verdict == "FAIL"
+    assert ("tail not stabilized" if side == "negative" else "depths D and D+2 differ") in stab.reason
+
+
+def test_kernel_form_built_once_per_env(setup21, setup24, setup32):
+    """g-invariance.kernel and proportionality share Env.kernel_form, and skip
+    with one reason where the kernel route does not apply."""
+    for env, reason in (
+        (setup21, "Steinberg input: unsupported model for kernel route"),
+        (setup24, "unsupported model for kernel route: pair characters of conductor exponent > 1"),
+    ):
+        assert env.kernel_form == reason
+        (skip,) = verifier.run_checks(env, ["proportionality"])
+        assert (skip.verdict, skip.reason) == ("SKIPPED", reason)
+    assert isinstance(setup32.kernel_form, KernelForm)
+    assert setup32.kernel_form is setup32.kernel_form
 
 
 def test_tracer_entry_points_resolve():
