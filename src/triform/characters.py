@@ -174,8 +174,6 @@ class SmoothCharacter:
             raise ZeroDivisionError("character evaluated at 0")
         return self.value(*self.val_exponent(x, d))
 
-    __call__ = eval
-
     # -- group structure ---------------------------------------------------------
     def __mul__(self, other: "SmoothCharacter") -> "SmoothCharacter":
         """The product: the two exponent tables added at the larger level, then
@@ -193,15 +191,6 @@ class SmoothCharacter:
 
     def __truediv__(self, other: "SmoothCharacter") -> "SmoothCharacter":
         return self * other.inverse()
-
-    def __pow__(self, k: int) -> "SmoothCharacter":
-        if k == 0:
-            return SmoothCharacter.unramified(self.ctx, 1)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -269,11 +258,10 @@ class BorelCharacter:
         self.chi_d = chi_d
         self._values: dict[tuple, Scalar] = {}  # (v(x), j_a, v(t), j_d) -> value; Scalars are immutable
 
-    def eval(self, bmat) -> Scalar:
-        if not bmat.is_upper():
-            raise ValueError("Borel character evaluated off the Borel subgroup")
-        va, ja = self.chi_a.val_exponent(*bmat.entry(0))
-        vt, jd = self.chi_d.val_exponent(*bmat.entry(3))
+    def eval(self, a: tuple[int, int], d: tuple[int, int]) -> Scalar:
+        """The value on diagonal entries a, d, each an int pair (numerator, denominator)."""
+        va, ja = self.chi_a.val_exponent(*a)
+        vt, jd = self.chi_d.val_exponent(*d)
         key = (va, ja, vt, jd)
         out = self._values.get(key)
         if out is None:
@@ -281,14 +269,6 @@ class BorelCharacter:
             out = self.chi_a.value(va, ja) * self.chi_d.value(vt, jd) * self.ctx.q_power_half(vt - va)
             self._values[key] = out
         return out
-
-    __call__ = eval
-
-    def unit_exponent(self, bmat) -> int:
-        """The j with chi(bmat) = zeta_M^j for an upper-triangular bmat with unit
-        diagonal entries; the delta part is trivial there."""
-        ja = self.chi_a.val_exponent(*bmat.entry(0))[1]
-        return (ja + self.chi_d.val_exponent(*bmat.entry(3))[1]) % self.ctx.field.m
 
     def conductor(self) -> int:
         return max(self.chi_a.c, self.chi_d.c)

@@ -12,6 +12,9 @@ from .context import Context
 from .cosets import enumerate_iwahori_mod, enumerate_K_mod, enumerate_T_cap_K_mod, p1_table
 from .verifier import SCENARIOS, ConfigError, ScenarioConfig, run_scenario
 
+FORMATS = ("text", "json-like")
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def parse_specialize(text: str) -> dict:
     out = {}
@@ -48,10 +51,12 @@ def read_config_file(path: str) -> dict:
                 out[key] = int(value)
             except ValueError as e:
                 raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from e
-        elif key in ("mu3", "scenario", "format", "out", "specialize"):
+        elif key in ("mu3", "scenario", "out", "specialize") or key == "format" and value in FORMATS:
             out[key] = value
-        elif key in ("dump_tables", "inject_fault"):
-            out[key] = value.lower() in ("1", "true", "yes")
+        elif key in ("dump_tables", "inject_fault") and value.lower() in BOOLEANS:
+            out[key] = BOOLEANS[value.lower()]
+        elif key in ("format", "dump_tables", "inject_fault"):
+            raise ConfigError(f"config key {key!r} cannot be {value!r}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return out
@@ -70,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--specialize", type=str, default=None, help="exact values, e.g. a=2,b=1/3,u=5")
     ap.add_argument("--out", type=str, default=None, help="write the report to a file instead of stdout")
-    ap.add_argument("--format", type=str, default="text", choices=("text", "json-like"))
+    ap.add_argument("--format", type=str, default="text", choices=FORMATS)
     ap.add_argument("--dump-tables", action="store_true", help="dump enumerated coset tables and exit")
     ap.add_argument("--depth-cap", type=int, default=24)
     ap.add_argument("--config", type=str, default=None, help="flat key=value file mirroring these flags")

@@ -1,5 +1,5 @@
 """Invertible 2x2 matrices over F = Q_p, with the subgroup tests and the
-Iwasawa decomposition that every section evaluation runs through.
+Iwasawa decomposition that the phi reader runs through.
 
 Conventions: K = GL_2(O), K(m) the principal congruence subgroup, I(n) the
 congruence subgroup with lower-left entry divisible by pi^n, T the diagonal
@@ -143,6 +143,12 @@ class GroupElement:
 
     def is_upper(self) -> bool:
         return not self.Z
+
+    def borel_diagonal(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The diagonal entries (x, t) as pairs, for an element of the Borel subgroup."""
+        if self.Z:
+            raise ValueError("Borel character evaluated off the Borel subgroup")
+        return (self.X, self.D), (self.T, self.D)
 
     def is_diagonal(self) -> bool:
         return not (self.Y or self.Z)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
-from .matrices import GroupElement, iwasawa
+from .matrices import GroupElement
+from .padic import vp
 from .scalars import Scalar, sum_products
 
 
@@ -46,14 +47,20 @@ class InducedModel:
                 f"refine level: level {level} cannot carry sections of {self.tag} (needs >= {self.min_level})"
             )
 
-    # -- cell lookup with its unit twist ------------------------------------
-    def cell_value_factor(self, k: GroupElement, level: int) -> tuple[int, int]:
-        """For k in K: the cell index j and the twist exponent e with f(k) = zeta_M^e * f(rep_j)."""
-        table = p1_table(self.ctx, level)
-        j = table.cell_of(k)
-        if not self.borel.conductor():
-            return j, 0
-        return j, self.borel.unit_exponent(k * table.reps[j].inv())
+    def locate(self, g: GroupElement, level: int) -> tuple[int, Scalar]:
+        """The cell j and the factor c with f(g) = c f(rep_j) for every level-`level` section f.
+
+        With piv the bottom-row entry of least valuation ((2,2) on ties), g = b k
+        with b in B of diagonal (N/(D piv), piv/D) and k = (1 0; z 1) or
+        (0 -1; 1 t), as is rep_j with the same z or t mod p^level.  So
+        k rep_j^{-1} = (1 0; delta 1), delta = 0 mod p^level, lies in the
+        normal subgroup K(level): it carries no Borel twist, f(k) = f(rep_j)
+        and c = chi delta^{1/2}(b), read from the ints of g.
+        """
+        p, Z, T, D = g.p, g.Z, g.T, g.D
+        piv = T if vp(T, p) <= vp(Z, p) else Z
+        j = p1_table(self.ctx, level).cell_of_row((Z, piv), (T, piv))
+        return j, self.borel.eval((g.N, D * piv), (piv, D))
 
     def __repr__(self):
         return f"InducedModel<{self.tag}>"
@@ -96,20 +103,14 @@ class TableSection:
     def ctx(self) -> Context:
         return self.model.ctx
 
-    def value_at_K(self, k: GroupElement) -> Scalar:
-        j, e = self.model.cell_value_factor(k, self.level)
-        v = self.values[j]
-        return v if not e else self.ctx.zeta_powers[e] * v
-
     def eval(self, g: GroupElement) -> Scalar:
-        b, k = iwasawa(g)
-        return self.model.borel.eval(b) * self.value_at_K(k)
+        j, c = self.model.locate(g, self.level)
+        return c * self.values[j]
 
     def translate_K(self, k: GroupElement) -> "TableSection":
         """The right translate by k in K, again at the same level.
 
-        The table is right-K(m)-invariant and its twist is read mod
-        p^conductor with conductor <= m, so the translate depends on k mod p^m
+        The table is right-K(m)-invariant, so the translate depends on k mod p^m
         only: it is memoized under that key, and k = 1 mod p^m gives the table.
         """
         if not k.in_K():
@@ -122,15 +123,9 @@ class TableSection:
         out = self._translates.get(key)
         if out is None:
             reps = p1_table(self.ctx, self.level).reps
-            out = TableSection(self.model, self.level, [self.value_at_K(rep * k) for rep in reps])
+            out = TableSection(self.model, self.level, [self.eval(rep * k) for rep in reps])
             self._translates[key] = out
         return out
-
-    def refine(self, level: int) -> "TableSection":
-        if level < self.level:
-            raise ModelError("refinement must not lose level")
-        reps = p1_table(self.ctx, level).reps
-        return TableSection(self.model, level, [self.value_at_K(rep) for rep in reps])
 
     def k_average(self) -> Scalar:
         """Integral over K (unramified models only: ramified cells average to 0)."""
@@ -144,11 +139,6 @@ class TableSection:
 
     def scaled(self, c: Scalar) -> "TableSection":
         return TableSection(self.model, self.level, [c * v for v in self.values])
-
-    def __add__(self, other: "TableSection") -> "TableSection":
-        if other.model is not self.model or other.level != self.level:
-            raise ModelError("table addition needs matching model and level")
-        return TableSection(self.model, self.level, [x + y for x, y in zip(self.values, other.values)])
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -220,8 +210,8 @@ class Section:
         return TableSection(self.model, lvl, [self.eval(rep) for rep in reps])
 
 
-def sections_equal(s1: Section, s2: Section, level: int | None = None) -> bool:
-    lvl = level if level is not None else max(s1.level_bound(), s2.level_bound())
+def sections_equal(s1: Section, s2: Section) -> bool:
+    lvl = max(s1.level_bound(), s2.level_bound())
     t1 = s1.as_table(lvl)
     t2 = s2.as_table(lvl)
     return all((x - y).is_zero() for x, y in zip(t1.values, t2.values))
@@ -296,11 +286,11 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     one = ctx.one()
     for gen in iwahori_generators(ctx, n, lvl):
         for i, rep in enumerate(reps):
-            j, e = model.cell_value_factor(rep * gen, lvl)
-            # fixed vector: v[i] - zeta^e * v[j] = 0
+            j, c = model.locate(rep * gen, lvl)
+            # fixed vector: v[i] - c * v[j] = 0, c a root of unity as rep * gen is in K
             row = [ctx.zero()] * ncols
             row[i] = row[i] + one
-            row[j] = row[j] - ctx.zeta_powers[e]
+            row[j] = row[j] - c
             rows.append(row)
     if model.steinberg:
         rows.append([one] * ncols)  # zero K-average cuts Sp out of the induced model
@@ -322,10 +312,7 @@ def new_vector_by_solve(model: InducedModel, n: int, level: int | None = None) -
     if len(basis) > 1:
         raise NewVectorError(f"I({n})-fixed space has dimension {len(basis)} (level too coarse or model error)")
     vec = basis[0]
-    lead = next((v for v in vec if not v.is_zero()))
-    if not vec[0].is_zero():
-        lead = vec[0]  # normalize at the identity cell when possible
-    inv = lead.inverse()
+    inv = next(v for v in vec if not v.is_zero()).inverse()  # the identity cell's value when nonzero
     lvl = max(level or 0, n, model.min_level, 1)
     tbl = TableSection(model, lvl, [inv * v for v in vec])
     return tbl.as_section()

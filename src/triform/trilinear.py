@@ -26,7 +26,7 @@ from .characters import BorelCharacter, SmoothCharacter
 from .context import Context
 from .cosets import p1_table, units_mod
 from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional, close_tail
-from .matrices import GroupElement, iwasawa
+from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection
 from .scalars import Scalar, sum_products
 
@@ -63,12 +63,9 @@ class TensorFn:
 
     def slot1(self, g1: GroupElement) -> Section | None:
         """The V2 section F(g1, .), or None where it vanishes."""
-        b1, k1 = iwasawa(g1)
-        j, e = self.model1.cell_value_factor(k1, self.level)
+        j, c = self.model1.locate(g1, self.level)
         row = self.rows[j]
-        if row is None:
-            return None
-        return row.scaled(self.model1.borel.eval(b1) * self.ctx.zeta_powers[e])
+        return None if row is None else row.scaled(c)
 
     def eval_pair(self, g1: GroupElement, g2: GroupElement) -> Scalar:
         row = self.slot1(g1)
@@ -115,7 +112,7 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
                 continue
             b1 = rep1 * sigma.inv()
             b2 = rep2 * (w * sigma).inv()
-            row.append(model1.borel.eval(b1) * model2.borel.eval(b2) * fv)
+            row.append(model1.borel.eval(*b1.borel_diagonal()) * model2.borel.eval(*b2.borel_diagonal()) * fv)
         section = TableSection(model2, lvl, row)
         rows.append(None if section.is_zero() else section.as_section())
     return TensorFn(model1, lvl, rows)
@@ -150,7 +147,7 @@ def res_diag(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter) -> Diagona
     return DiagonalRestriction(F, mu1, mu2)
 
 
-def simple_case_pairing(res: DiagonalRestriction, v3: Section, level: int | None = None) -> Scalar:
+def simple_case_pairing(res: DiagonalRestriction, v3: Section) -> Scalar:
     """The K-integral pairing of res(F) against a Steinberg vector; this is
     the natural surjection route available exactly when mu1 mu2 = |.|^{-1}."""
     ctx = res.ctx
@@ -158,7 +155,7 @@ def simple_case_pairing(res: DiagonalRestriction, v3: Section, level: int | None
         raise FunctionalError("simple-case pairing needs mu1 mu2 |.|^{1/2} = |.|^{-1/2}")
     if not v3.model.steinberg:
         raise FunctionalError("simple-case pairing needs a Steinberg third vector")
-    lvl = max(level or 0, res.F.level_bound(), v3.level_bound(), 1)
+    lvl = max(res.F.level_bound(), v3.level_bound(), 1)
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
     out = ctx.zero()
@@ -213,7 +210,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                 Fv = row.eval(w * sigma)
                 if not Fv.is_zero():
                     b = sigma * rep_inv
-                    chi = borel1.eval(b)
+                    chi = borel1.eval(*b.borel_diagonal())
                     for term in read(b):
                         yield w0, chi, Fv, *term
 
@@ -243,7 +240,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
             s = eta * p**e
             bs = GroupElement(p, s, 1, 0, 1)
             wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
-            chi = borel1.eval(bs)
+            chi = borel1.eval(*bs.borel_diagonal())
             for rep, _, row, read in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
                 Fv = row.eval(wbs * rep)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
 from triform.cosets import enumerate_K_mod, p1_table
-from triform.matrices import GroupElement
+from triform.matrices import GroupElement, iwasawa
 from triform.models import (
     InducedModel,
     ModelError,
@@ -54,14 +54,14 @@ def test_condition_one_consistency(setup31):
             Fraction(rng.choice([1, 2, 4, 5])),
         )
         k = rand_K(s.ctx, rng)
-        assert sec.eval(b * k) == s.V3.borel.eval(b) * sec.eval(k)
+        assert sec.eval(b * k) == s.V3.borel.eval(*b.borel_diagonal()) * sec.eval(k)
 
 
 def test_refinement_consistency(setup32):
     s = setup32
     rng = random.Random(2)
     tbl = s.v3.terms[0][2]
-    fine = tbl.refine(3)
+    fine = tbl.as_section().as_table(3)
     for _ in range(50):
         g = rand_G(s.ctx, rng, val_range=2)
         assert tbl.eval(g) == fine.eval(g)
@@ -213,8 +213,8 @@ def test_section_dump(setup21):
 
 
 def test_cell_twist_matches_generator_exponents(setup32, setup24):
-    """cell_value_factor's twist exponent against the twist built from the
-    generator exponents of h = k rep^{-1}, at p = 3, 2 and 5 (M = 2 and 4)."""
+    """locate's factor on K against the twist built from the generator
+    exponents of h = k rep^{-1}, at p = 3, 2 and 5 (M = 2 and 4)."""
     ctx5 = Context(5, zeta_order=4)
     mu5 = parse_character_spec(ctx5, "ram(c=1, gens=[2->zeta4^1], pi=u)")
     rng = random.Random(9)
@@ -225,10 +225,11 @@ def test_cell_twist_matches_generator_exponents(setup32, setup24):
             reps = p1_table(ctx, level).reps
             for _ in range(40):
                 k = rand_K(ctx, rng, m=level + 1)
-                j, e = model.cell_value_factor(k, level)
+                j, factor = model.locate(k, level)
                 h = k * reps[j].inv()
                 ua, ud = (unit_residue(*h.entry(i), ctx.p, c) for i in (0, 3))
-                assert e == (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m
+                e = (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m
+                assert factor == ctx.zeta_powers[e]
 
 
 # ramified mu3 per p, with the zeta order its images need
@@ -259,7 +260,7 @@ def rand_K_level(p: int, level: int, rng: random.Random) -> GroupElement:
 @given(st.sampled_from((2, 3, 5)), st.booleans(), st.integers(0, 1), st.integers(0, 2**32))
 def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
     """translate_K(k) and translate_K(k kappa), kappa in K(level), are one memoized
-    table whose cells are value_at_K(rep k); a kappa alone gives the table back."""
+    table whose cells are the values at rep k; a kappa alone gives the table back."""
     model = translate_model(p, ramified)
     level = model.min_level + extra
     rng = random.Random(seed)
@@ -269,9 +270,32 @@ def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
     kappa = rand_K_level(p, level, rng) * rand_K_level(p, level, rng).inv()  # entries with unit denominators
     moved = tbl.translate_K(k)
     assert tbl.translate_K(k * kappa) is moved
-    assert moved.values == [tbl.value_at_K(rep * k) for rep in reps]
-    assert moved.values == [tbl.value_at_K(rep * k * kappa) for rep in reps]
+    assert moved.values == [tbl.eval(rep * k) for rep in reps]
+    assert moved.values == [tbl.eval(rep * k * kappa) for rep in reps]
     assert tbl.translate_K(kappa) is tbl
     for g in (GroupElement.diag(p, p, 1), k * GroupElement.diag(p, 1, Fraction(1, p))):
         with pytest.raises(ModelError):
             tbl.translate_K(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.booleans(), st.integers(0, 1), st.integers(0, 2**32))
+def test_iwasawa_k_part_carries_no_twist(p, ramified, extra, seed):
+    """The fact locate rests on: for g = b k by iwasawa's pivot rule and j the
+    cell of k, h = k rep_j^{-1} lies in K(level) and the Borel twist of h is
+    0, so f(g) = chi delta^{1/2}(b) f(rep_j)."""
+    model = translate_model(p, ramified)
+    ctx, borel = model.ctx, model.borel
+    level = model.min_level + extra
+    rng = random.Random(seed)
+    table = p1_table(ctx, level)
+    tbl = TableSection(model, level, [rng.randint(-3, 3) for _ in table.reps])
+    for _ in range(5):
+        g = rand_G(ctx, rng, val_range=2)
+        b, k = iwasawa(g)
+        j = table.cell_of(k)
+        h = k * table.reps[j].inv()
+        assert h.in_K_principal(level)
+        ua, ud = (unit_residue(*h.entry(i), p, borel.conductor()) for i in (0, 3))
+        assert (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m == 0
+        assert tbl.eval(g) == borel.eval(*b.borel_diagonal()) * tbl.values[j]

@@ -266,11 +266,15 @@ def test_cli_engine_error_is_a_fail_record():
         ["--specialize", "u=5"],  # the Steinberg model at n = 1 has no u
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u-5)", "--specialize", "u=5"],  # zero at pi
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=1/(u-5))", "--specialize", "u=5"],  # pole
+        ["--config", "{tmp}/format.cfg"],  # a config file gets the checks of the flags
+        ["--config", "{tmp}/flag.cfg"],
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
     """Malformed input exits 2 with a configuration error, not a traceback."""
     (tmp_path / "bad.cfg").write_text("p = x\n")
+    (tmp_path / "format.cfg").write_text("format = json\n")
+    (tmp_path / "flag.cfg").write_text("inject_fault = treu\n")
     proc = subprocess.run(
         [sys.executable, "-m", "triform", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,
