@@ -22,7 +22,7 @@ from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .matrices import GroupElement, in_T_In, iwasawa
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
-from .scalars import Scalar, sum_products
+from .scalars import Scalar, products_equal, sum_products
 
 
 class FunctionalError(Exception):
@@ -36,11 +36,12 @@ class TailError(FunctionalError):
 def close_tail(t0: Scalar, t1: Scalar, t2: Scalar) -> Scalar:
     """The sum t3 + t4 + ... of a series whose terms t0, t1, t2 are in
     geometric progression: t2 rho/(1 - rho) with rho = t2/t1, or 0 when all
-    three vanish.  Any other three terms raise TailError."""
+    three vanish.  Any other three terms raise TailError.  t1^2 = t0 t2 is
+    decided by cross-multiplying numerators and denominator factors."""
     if t1.is_zero():
         if t0.is_zero() and t2.is_zero():
             return t1
-    elif t1 * t1 == t0 * t2:
+    elif products_equal(t1.field, (t1, t1), (t0, t2)):
         return t2 * (t2 / t1).geometric_tail(1)
     raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} | {t2.render()} not in geometric progression")
 
@@ -293,23 +294,23 @@ class TorusFunctional:
                 acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
         return acc * ctx.scalar(Fraction(1, len(units)))
 
-    def eval_reference(self, section: Section) -> list:
+    def eval_reference(self, section: Section, depths: int = 4) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the
         two tails closed from the stabilized multiplicative regimes.  Shares no
         code path with the Tate engine past the section evaluator.
 
-        One sweep over |k| <= D + 3 closes the sum at the depths d = D, ..., D + 3:
-        the annuli |k| <= d, the positive tail past d and the negative tail from
-        the annuli -d + 2, -d + 1, -d.  A TailError at depth D is raised; a
-        deeper one stands in the place of its closure."""
+        One sweep over |k| <= D + depths - 1 closes the sum at the depths
+        d = D, ..., D + depths - 1: the annuli |k| <= d, the positive tail past
+        d and the negative tail from the annuli -d + 2, -d + 1, -d.  A TailError
+        at depth D is raised; a deeper one stands in the place of its closure."""
         D = section.level_bound() + max(1, self.chtil.c) + 2
         X = self.chtil.value_at_pi
-        terms = {k: self.annulus(section, k) * X**k for k in range(-D - 3, D + 4)}
+        terms = {k: self.annulus(section, k) * X**k for k in range(-D - depths + 1, D + depths)}
         # positive tail: the integrand is constant once n(y) is that deep
         top = section.eval(GroupElement.w(self.ctx.p)) if self.chtil.c == 0 else None
         partial = sum((terms[k] for k in range(-D + 1, D)), self.ctx.zero())
         closures = []
-        for d in range(D, D + 4):
+        for d in range(D, D + depths):
             partial = partial + terms[-d] + terms[d]
             out = partial if top is None else partial + top * X.geometric_tail(d + 1)
             try:  # negative tail: verified geometric continuation of the last annuli

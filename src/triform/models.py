@@ -175,8 +175,18 @@ class Section:
     def ctx(self) -> Context:
         return self.model.ctx
 
+    def factors(self, x: GroupElement):
+        """One tuple (c, chi delta^{1/2} factor of locate, table value) per term of
+        section(x) = sum c tbl(x g) with c and value nonzero: no new Scalar."""
+        for c, g, tbl in self.terms:
+            if not c.is_zero():
+                j, f = tbl.model.locate(x * g, tbl.level)
+                v = tbl.values[j]
+                if not v.is_zero():
+                    yield c, f, v
+
     def eval(self, x: GroupElement) -> Scalar:
-        return sum_products(self.ctx.field, ((c, tbl.eval(x * g)) for c, g, tbl in self.terms if not c.is_zero()))
+        return sum_products(self.ctx.field, self.factors(x))
 
     def translated(self, h: GroupElement) -> "Section":
         """The right-translation action: result(x) = self(x * h)."""

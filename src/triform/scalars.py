@@ -367,11 +367,12 @@ class Scalar:
     numerator.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_powers")
 
     def __init__(self, field: FieldSpec, num: Poly, den: tuple = (), trial: bool = True):
         self.field = field
         self.num, self.den = _canonicalize(field, num, den, trial)
+        self._powers = None  # k -> self**k, made on the first power
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -399,13 +400,7 @@ class Scalar:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
-        lhs = self.num
-        for f in other.den:
-            lhs = lhs * f
-        rhs = other.num
-        for f in self.den:
-            rhs = rhs * f
-        return (lhs - rhs).is_zero()
+        return products_equal(self.field, (self,), (other,))
 
     __hash__ = None  # mutable-free but equality is semantic; not hashable
 
@@ -442,7 +437,7 @@ class Scalar:
 
     def __neg__(self):
         s = Scalar.__new__(Scalar)
-        s.field, s.num, s.den = self.field, -self.num, self.den
+        s.field, s.num, s.den, s._powers = self.field, -self.num, self.den, None
         return s
 
     def __mul__(self, other):
@@ -492,15 +487,26 @@ class Scalar:
         return Scalar(self.field, num, (norm,))
 
     def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc, base = Scalar.from_rational(self.field, 1), self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        """self**k, memoized per object (Scalars are immutable) for k != 1; one
+        inverse serves every k < 0, and a failed inverse stores nothing, so
+        zero**-1 raises every time."""
+        if k == 1:
+            return self
+        if self._powers is None:
+            self._powers = {}
+        out = self._powers.get(k)
+        if out is None:
+            if k < 0:
+                out = (self.inverse() if k == -1 else self**-1) ** (-k)
+            else:
+                out, base, e = Scalar.from_rational(self.field, 1), self, k
+                while e:
+                    if e & 1:
+                        out = out * base
+                    base = base * base if e > 1 else base
+                    e >>= 1
+            self._powers[k] = out
+        return out
 
     # -- the regularization primitive --------------------------------------
     def geometric_tail(self, k0: int) -> "Scalar":
@@ -638,6 +644,15 @@ def sum_products(field: FieldSpec, products) -> Scalar:
             term = Scalar(field, Poly._make(field, acc, acc_den), den)
         out = term if out is None else out + term
     return Scalar(field, Poly.zero(field)) if out is None else out
+
+
+def products_equal(field: FieldSpec, lhs, rhs) -> bool:
+    """Whether the product of the Scalars lhs equals that of rhs: the numerators
+    of each side times the denominator factors of the other, compared as Polys
+    with no canonicalization."""
+    left = _product(field, [f.num for f in lhs] + [g for f in rhs for g in f.den])
+    right = _product(field, [f.num for f in rhs] + [g for f in lhs for g in f.den])
+    return (left - right).is_zero()
 
 
 def _product(field: FieldSpec, factors) -> Poly:

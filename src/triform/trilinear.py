@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .characters import BorelCharacter, SmoothCharacter
 from .context import Context
@@ -176,10 +177,17 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
 
     Weights: c_K = (p+1)/p normalizes the unit-distance region to total mass
     1 = mass((T cap K)\\K); the near-diagonal stratum (cell, depth e, unit
-    class mod p^R) carries weight cell_mass * q^{e-R}.  The unit-distance sum
-    and each depth stratum are one deferred sum (`sum_products`) of the terms
-    their generators stream.
+    class mod p^R) carries weight cell_mass * q^{e-R}.  A term is a tuple of
+    memoized factors: chi_1, a (c, Borel factor, table value) of
+    Section.factors and a reader term of phi.  Each stratum's tuples are
+    counted by the identity of their factors, and each distinct tuple is
+    streamed once, led by its weight times its multiplicity.  The unit-distance
+    pairs and every stratum but the last three are one deferred sum
+    (`sum_products`); the last three are separate Scalars, as close_tail reads
+    them.
     """
+    if depth_margin < 2:
+        raise ValueError(f"depth_margin {depth_margin} < 2: the tail is closed only at depths e0 = L* + 1 and past")
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
     Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
@@ -195,6 +203,10 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
         if row is not None:
             cell_pre.append((rep, bottom, row, phi.reader(v, rep)))
 
+    def products(lead, row_factors, read_terms):
+        """The factor tuples lead + (c, Borel factor, value) of a row + a reader term."""
+        return ((*lead, *f, *t) for f in row_factors for t in read_terms)
+
     # unit-distance pairs: an exact finite sum.  sigma has the bottom row of
     # rep and det rep = 1, so b = sigma rep^-1 is upper triangular.
     borel1 = F.model1.borel
@@ -207,14 +219,10 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
                 if not (z2 * t1 - t2 * z1) % p:
                     continue
                 sigma = GroupElement(p, z2, t2, z1, t1)
-                Fv = row.eval(w * sigma)
-                if not Fv.is_zero():
+                fs = list(row.factors(w * sigma))
+                if fs:
                     b = sigma * rep_inv
-                    chi = borel1.eval(*b.borel_diagonal())
-                    for term in read(b):
-                        yield w0, chi, Fv, *term
-
-    total = sum_products(ctx.field, unit_distance())
+                    yield from products((w0, borel1.eval(*b.borel_diagonal())), fs, list(read(b)))
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
     # which resolves every section's right-invariance level and the Tate
@@ -235,7 +243,9 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     units = units_mod(p, R)
 
     def stratum(e):
-        """The terms chi_1(bs) F phi of depth e, one per (eta, cell, term of v)."""
+        """The terms chi_1(bs) F phi of depth e, one per (eta, cell, factor of
+        the row, term of v), each distinct one once, led by weight times count."""
+        seen: dict = {}  # factor ids -> [tuple, count]; the stored tuple keeps its ids unreused
         for eta in units:
             s = eta * p**e
             bs = GroupElement(p, s, 1, 0, 1)
@@ -243,16 +253,20 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
             chi = borel1.eval(*bs.borel_diagonal())
             for rep, _, row, read in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
-                Fv = row.eval(wbs * rep)
-                if not Fv.is_zero():
-                    for term in read(bs):
-                        yield chi, Fv, *term
+                fs = list(row.factors(wbs * rep))
+                if fs:
+                    for t in products((chi,), fs, list(read(bs))):
+                        seen.setdefault(tuple(map(id, t)), [t, 0])[1] += 1
+        weight = table.cell_mass * Fraction(q**e, q**R)
+        weights: dict = {}
+        for t, n in seen.values():
+            if n not in weights:
+                weights[n] = ctx.scalar(weight * n)
+            yield weights[n], *t
 
-    depth_sums = []
-    for e in range(1, e_top + 1):
-        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) * sum_products(ctx.field, stratum(e)))
-        total = total + depth_sums[-1]
-    return total + close_tail(*depth_sums[-3:])
+    head = chain(unit_distance(), *(stratum(e) for e in range(1, e_top - 2)))
+    tail = [sum_products(ctx.field, stratum(e)) for e in range(e_top - 2, e_top + 1)]
+    return sum_products(ctx.field, head) + tail[0] + tail[1] + tail[2] + close_tail(*tail)
 
 
 # ---------------------------------------------------------------------------

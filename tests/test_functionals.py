@@ -90,6 +90,8 @@ def test_fast_equals_reference(setup21, setup32):
             want = phi.eval(sec)
             closures = phi.eval_reference(sec)
             assert len(closures) == 4 and all(c == want for c in closures)
+            first = phi.eval_reference(sec, depths=1)
+            assert len(first) == 1 and first[0].render() == closures[0].render()
 
 
 @settings(max_examples=30, deadline=None)
@@ -428,3 +430,12 @@ def test_close_tail():
     for bad in ((t[0], t[1], t[3]), (t[0], t[4], t[4])):
         with pytest.raises(TailError):
             close_tail(*bad)
+    # terms over three different denominator multisets: rho = b/(a + 1)
+    a, b = ctx.a, ctx.b
+    t0 = 1 / (a - 1)
+    t1, t2 = b / ((a - 1) * (a + 1)), b * b / ((a - 1) * (a + 1) * (a + 1))
+    assert len({tuple(x.den) for x in (t0, t1, t2)}) == 3
+    rho = b / (a + 1)
+    assert close_tail(t0, t1, t2) == t2 * rho / (1 - rho)
+    with pytest.raises(TailError):
+        close_tail(t0, t1, b * b / ((a - 1) * (a + 2)))

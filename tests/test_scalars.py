@@ -134,6 +134,32 @@ def test_specialize_pole():
         s.specialize({"a": 1})
     assert (ctx.a * ctx.b).specialize({"a": 2, "b": 3}) == ctx.scalar(6)
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((ctx, ctx4)).flatmap(lambda c: scalars(c, max_terms=2)), st.booleans())
+def test_powers_are_repeated_products(x, negate):
+    """x**k, memoized per object, is the repeated product (of 1/x when k < 0)
+    for k in [-6, 6], on symbolic, zeta and negated Scalars."""
+    if negate:
+        x = -x
+    for k in range(-6, 7):
+        if k < 0 and x.is_zero():
+            continue
+        want = Scalar.from_rational(x.field, 1)
+        for _ in range(abs(k)):
+            want = want * x if k > 0 else want / x
+        assert x**k == want and x**k is x**k, k
+
+
+def test_zero_has_no_negative_power():
+    """A failed inverse is not memoized: zero**-1 raises every time."""
+    for c in (ctx, ctx4):
+        for z in (c.zero(), -c.zero(), c.a - c.a):
+            for k in (-1, -1, -3, -1):
+                with pytest.raises(ScalarDivisionError):
+                    z**k
+            assert (z**2).is_zero()
+
+
 
 @settings(max_examples=40, deadline=None)
 @given(scalars())

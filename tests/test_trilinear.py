@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps
-from triform.functionals import CompactInducedFn, Phi_eval, make_indicator_f
+from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps, units_mod
+from triform.functionals import CompactInducedFn, Phi_eval, close_tail, make_indicator_f
 from triform.matrices import GroupElement
+from triform.models import TableSection
+from triform.scalars import sum_products
 from triform.trilinear import (
     KernelForm,
     KernelUnsupportedError,
@@ -146,6 +149,85 @@ def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
         )
         for F in tensors:
             assert ell_chain(s.phi, F, s.v3, depth_margin=2) == ell_chain(s.phi, F, s.v3, depth_margin=4)
+
+
+def test_depth_margin_below_two_is_refused(setup21, setup32):
+    """The tail is closed only at depths past e0 = L* + 1, which needs a margin of at least 2."""
+    for s in (setup21, setup32):
+        F = TensorFn.pure(s.ctx, 1, s.v1, s.v2)
+        for margin in (-1, 0, 1):
+            with pytest.raises(ValueError):
+                ell_chain(s.phi, F, s.v3, depth_margin=margin)
+
+
+def reference_ell_chain(phi, F, v, depth_margin=2):
+    """The chain term by term: F(w sigma) is one Scalar per cell pair, each
+    stratum a separate deferred sum, and the strata are added one at a time."""
+    ctx = phi.ctx
+    p, q = ctx.p, ctx.q
+    Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
+    table = p1_table(ctx, Lstar)
+    w = GroupElement.w(p)
+    cell_pre = [(rep, bottom, F.slot1(rep), phi.reader(v, rep)) for rep, bottom in zip(table.reps, table.rows)]
+    cell_pre = [c for c in cell_pre if c[2] is not None]
+    borel1 = F.model1.borel
+    w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
+
+    def unit_distance():
+        for rep, (z1, t1), row, read in cell_pre:
+            for z2, t2 in table.rows:
+                if (z2 * t1 - t2 * z1) % p:
+                    sigma = GroupElement(p, z2, t2, z1, t1)
+                    Fv = row.eval(w * sigma)
+                    if not Fv.is_zero():
+                        b = sigma * rep.inv()
+                        for term in read(b):
+                            yield w0, borel1.eval(*b.borel_diagonal()), Fv, *term
+
+    def stratum(e):
+        for eta in units_mod(p, Lstar):
+            bs = GroupElement(p, eta * p**e, 1, 0, 1)
+            for rep, _, row, read in cell_pre:
+                Fv = row.eval(GroupElement(p, 0, 1, eta * p**e, 1) * rep)
+                if not Fv.is_zero():
+                    for term in read(bs):
+                        yield borel1.eval(*bs.borel_diagonal()), Fv, *term
+
+    total = sum_products(ctx.field, unit_distance())
+    depth_sums = []
+    for e in range(1, Lstar + 2 + depth_margin):
+        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, stratum(e)))
+        total = total + depth_sums[-1]
+    return total + close_tail(*depth_sums[-3:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("setup21", "setup32", "setup24")), st.sampled_from(("pure", "ext")), st.integers(0, 2**32))
+def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
+    """Counted strata and one deferred head sum give the same ell as the chain
+    that forms every term, on random pure tensors and random sections, and on
+    ext of random supports."""
+    s = request.getfixturevalue(setup)
+    ctx, rng = s.ctx, random.Random(seed)
+    moves = [GroupElement.identity(ctx.p), rand_K(ctx, rng), GroupElement.w(ctx.p), s.gamma(-1)]
+    if kind == "pure":
+        c = rng.choice([ctx.one(), ctx.a + 2, ctx.b / ctx.a])
+        s1 = rand_section(s.V1, 1, rng).translated(rng.choice(moves)) + s.v1.translated(rng.choice(moves))
+        s2 = rand_section(s.V2, 1, rng).translated(rng.choice(moves))
+        F = TensorFn.pure(ctx, c, s1, s2)
+    else:
+        table = torus_orbit_reps(ctx, s.cfg.n, s.level)
+        keys = [iwahori_orbit_key(ctx, rep, s.cfg.n, s.level) for rep in table.reps]
+        support = frozenset(k for k in keys if rng.random() < 0.5) or frozenset(keys[:1])
+        F = ext(CompactInducedFn(ctx, s.mu1, s.mu2, s.cfg.n, s.level, support=support), s.V1, s.V2, s.level)
+    v = rng.choice([s.v3, s.v3.translated(rng.choice(moves[:3])), None])
+    if v is None:
+        tbl = rand_section(s.V3, s.V3.min_level, rng).as_table()
+        if s.V3.steinberg:  # into Sp, where ell lives: subtract the K-average from every cell
+            tbl = TableSection(s.V3, tbl.level, [x - tbl.k_average() for x in tbl.values])
+        v = tbl.as_section()
+    got = ell_chain(s.phi, F, v)
+    assert got == reference_ell_chain(s.phi, F, v), (setup, kind, seed)
 
 
 def test_psi_vanishing_n2(setup32):
