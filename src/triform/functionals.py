@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cached_property
 
 from .characters import SmoothCharacter
 from .context import Context
@@ -33,17 +34,17 @@ class TailError(FunctionalError):
     pass
 
 
-def close_tail(t0: Scalar, t1: Scalar, t2: Scalar) -> Scalar:
-    """The sum t3 + t4 + ... of a series whose terms t0, t1, t2 are in
-    geometric progression: t2 rho/(1 - rho) with rho = t2/t1, or 0 when all
-    three vanish.  Any other three terms raise TailError.  t1^2 = t0 t2 is
-    decided by cross-multiplying numerators and denominator factors."""
-    if t1.is_zero():
-        if t0.is_zero() and t2.is_zero():
-            return t1
-    elif products_equal(t1.field, (t1, t1), (t0, t2)):
-        return t2 * (t2 / t1).geometric_tail(1)
-    raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} | {t2.render()} not in geometric progression")
+def close_tail(t0: Scalar, t1: Scalar, rho: Scalar, closure=None) -> Scalar:
+    """The sum t2 + t3 + ... of a series that continues t0, t1 at the derived
+    ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish.  t1 = rho t0 is
+    required exactly, by cross-multiplying numerators and denominator factors;
+    anything else raises TailError.  closure(), when given, returns
+    rho/(1 - rho) from the caller's memo; it is called only for a nonzero tail."""
+    if t0.is_zero() and t1.is_zero():
+        return t1
+    if products_equal(t1.field, (t1,), (rho, t0)):
+        return t1 * (rho.geometric_tail(1) if closure is None else closure())
+    raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} is not a progression at the derived ratio {rho.render()}")
 
 
 def derive_phi_twist(mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel) -> SmoothCharacter:
@@ -115,13 +116,29 @@ class TorusFunctional:
         self.mu2 = mu2
         self.model3 = model3
         self.chtil = derive_phi_twist(mu1, mu2, model3)
-        self.ratio21 = mu2 / mu1
+        self.ratio21 = mu2 / mu1  # (chi_2/chi_1)(diag(t1, t2)) = ratio21(t1/t2)
         self._vectors: dict = {}
+        self._closures: dict = {}
 
-    def torus_factor(self, b: GroupElement) -> Scalar:
-        """(chi_2/chi_1)(t) = (mu_2/mu_1)(t_1/t_2) for the torus part t = diag(t_1, t_2)
-        of an upper-triangular (or diagonal) b."""
-        return self.ratio21.eval(*b.ratio(0, 3))
+    # -- the derived ratios of the two tails that close_tail closes ----------
+    @cached_property
+    def tail_ratios(self) -> dict:
+        """The ratio of each tail by name.  "negative": eval_reference's annulus
+        k - 1 over annulus k, k <= -R.  There wbar n(y) = (-1/y 1; 0 y) nbar(1/y)
+        with nbar(1/y) in K(R), so the integrand is chi_a(-1) (chi_d/chi_a)(y)
+        q^{val y} section(1) chi~(y), and a step down divides by
+        chi~(pi) (chi_d/chi_a)(pi) q; plain_neg_tail closes the Tate engine's
+        deep annuli at the same ratio.  "depth":
+        ell_chain's stratum e + 1 over stratum e (derived there)."""
+        borel, q = self.model3.borel, self.ctx.scalar(self.ctx.q)
+        neg = (self.chtil.value_at_pi * borel.chi_d.value_at_pi / borel.chi_a.value_at_pi * q).inverse()
+        return {"negative": neg, "depth": self.mu2.value_at_pi**2 * neg}
+
+    def close(self, t0: Scalar, t1: Scalar, tail: str) -> Scalar:
+        """close_tail at the derived ratio of `tail`; rho/(1 - rho) is formed on
+        the first nonzero tail and kept."""
+        rho, memo = self.tail_ratios[tail], self._closures
+        return close_tail(t0, t1, rho, lambda: memo[tail] if tail in memo else memo.setdefault(tail, rho.geometric_tail(1)))
 
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
@@ -174,8 +191,8 @@ class TorusFunctional:
             ch = W.ratio * self.chtil
             if ch.c != 0:
                 return  # the unit integral kills every deep annulus
-            rho = X * W.ratio_pi_q
-            add(W.zero_cell, W.sign_factor * rho.inverse().geometric_tail(-k_hi))
+            # annulus k - 1 over annulus k: 1/(X (chi_d/chi_a)(pi) q)
+            add(W.zero_cell, W.sign_factor * self.tail_ratios["negative"].geometric_tail(-k_hi))
 
         def plain_upto(k_hi: int):
             if k_hi <= -m:
@@ -241,23 +258,24 @@ class TorusFunctional:
         return out
 
     def reader(self, section: Section, k: GroupElement | None = None):
-        """phi(pi(b k) section) as a function of an upper-triangular b (k, b = 1
-        when None), yielding one factor tuple (c, (chi_2/chi_1)(t), phi_table)
-        per term c pi(g) tbl for sum_products.  The Iwasawa split k g = bh kh
-        and the K-translate of tbl by kh are computed once, here; then
-        b k g = (b bh) kh with b bh = t n(x0)."""
+        """phi(pi(b k) section) as a function of b = (alpha beta; 0 delta), three
+        ints (k, b = 1 when None), yielding one factor tuple
+        (c, (chi_2/chi_1)(t), phi_table) per term c pi(g) tbl for sum_products.
+        The Iwasawa split k g = bh kh and the K-translate of tbl by kh are
+        computed once, here.  With bh = (X Y; 0 T)/D, b bh = t n(x0) has
+        t = diag(alpha X, delta T)/D and x0 = (alpha Y + beta T)/(alpha X)."""
         if section.model is not self.model3:
             raise FunctionalError("phi evaluated on a section of a different model")
         pre = []
         for c, g, tbl in section.terms:
             if not c.is_zero():
                 bh, kh = iwasawa(g if k is None else k * g)
-                pre.append((c, bh, tbl.translate_K(kh)))
+                pre.append((c, bh.X, bh.Y, bh.T, tbl.translate_K(kh)))
 
-        def terms(b: GroupElement | None = None):
-            for c, bh, tbl in pre:
-                bfull = bh if b is None else b * bh
-                yield c, self.torus_factor(bfull), self.phi_table(tbl, *bfull.ratio(1, 0))
+        def terms(alpha: int = 1, beta: int = 0, delta: int = 1):
+            for c, X, Y, T, tbl in pre:
+                ax = alpha * X
+                yield c, self.ratio21.eval(ax, delta * T), self.phi_table(tbl, alpha * Y + beta * T, ax)
 
         return terms
 
@@ -301,8 +319,9 @@ class TorusFunctional:
 
         One sweep over |k| <= D + depths - 1 closes the sum at the depths
         d = D, ..., D + depths - 1: the annuli |k| <= d, the positive tail past
-        d and the negative tail from the annuli -d + 2, -d + 1, -d.  A TailError
-        at depth D is raised; a deeper one stands in the place of its closure."""
+        d and the negative tail from the annuli -d + 1, -d at its derived ratio
+        (tail_ratios).  A TailError at depth D is raised; a deeper one stands in
+        the place of its closure."""
         D = section.level_bound() + max(1, self.chtil.c) + 2
         X = self.chtil.value_at_pi
         terms = {k: self.annulus(section, k) * X**k for k in range(-D - depths + 1, D + depths)}
@@ -314,7 +333,7 @@ class TorusFunctional:
             partial = partial + terms[-d] + terms[d]
             out = partial if top is None else partial + top * X.geometric_tail(d + 1)
             try:  # negative tail: verified geometric continuation of the last annuli
-                closures.append(out + close_tail(terms[-d + 2], terms[-d + 1], terms[-d]))
+                closures.append(out + self.close(terms[-d + 1], terms[-d], "negative"))
             except TailError as e:
                 if d == D:
                     raise

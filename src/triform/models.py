@@ -47,20 +47,22 @@ class InducedModel:
                 f"refine level: level {level} cannot carry sections of {self.tag} (needs >= {self.min_level})"
             )
 
-    def locate(self, g: GroupElement, level: int) -> tuple[int, Scalar]:
-        """The cell j and the factor c with f(g) = c f(rep_j) for every level-`level` section f.
+    def locate(self, Z: int, T: int, D: int, N: int, level: int) -> tuple[int, Scalar]:
+        """The cell j and the factor c with f(g) = c f(rep_j) for every level-`level`
+        section f, for g with bottom row (Z, T)/D and determinant N/D^2 (ints, not
+        necessarily in lowest terms): f(g) reads nothing else of g.
 
         With piv the bottom-row entry of least valuation ((2,2) on ties), g = b k
         with b in B of diagonal (N/(D piv), piv/D) and k = (1 0; z 1) or
         (0 -1; 1 t), as is rep_j with the same z or t mod p^level.  So
         k rep_j^{-1} = (1 0; delta 1), delta = 0 mod p^level, lies in the
         normal subgroup K(level): it carries no Borel twist, f(k) = f(rep_j)
-        and c = chi delta^{1/2}(b), read from the ints of g.
+        and c = chi delta^{1/2}(b).
         """
-        p, Z, T, D = g.p, g.Z, g.T, g.D
+        p = self.ctx.p
         piv = T if vp(T, p) <= vp(Z, p) else Z
         j = p1_table(self.ctx, level).cell_of_row((Z, piv), (T, piv))
-        return j, self.borel.eval((g.N, D * piv), (piv, D))
+        return j, self.borel.eval((N, D * piv), (piv, D))
 
     def __repr__(self):
         return f"InducedModel<{self.tag}>"
@@ -104,7 +106,7 @@ class TableSection:
         return self.model.ctx
 
     def eval(self, g: GroupElement) -> Scalar:
-        j, c = self.model.locate(g, self.level)
+        j, c = self.model.locate(g.Z, g.T, g.D, g.N, self.level)
         return c * self.values[j]
 
     def translate_K(self, k: GroupElement) -> "TableSection":
@@ -175,18 +177,21 @@ class Section:
     def ctx(self) -> Context:
         return self.model.ctx
 
-    def factors(self, x: GroupElement):
+    def factors(self, Z: int, T: int, D: int, N: int):
         """One tuple (c, chi delta^{1/2} factor of locate, table value) per term of
-        section(x) = sum c tbl(x g) with c and value nonzero: no new Scalar."""
+        section(x) = sum c tbl(x g) with c and value nonzero, for x with bottom
+        row (Z, T)/D and determinant N/D^2: no new Scalar and no matrix.  x g has
+        bottom row (Z g.X + T g.Z, Z g.Y + T g.T)/(D g.D) and determinant
+        numerator N g.N, which is all that locate reads."""
         for c, g, tbl in self.terms:
             if not c.is_zero():
-                j, f = tbl.model.locate(x * g, tbl.level)
+                j, f = tbl.model.locate(Z * g.X + T * g.Z, Z * g.Y + T * g.T, D * g.D, N * g.N, tbl.level)
                 v = tbl.values[j]
                 if not v.is_zero():
                     yield c, f, v
 
     def eval(self, x: GroupElement) -> Scalar:
-        return sum_products(self.ctx.field, self.factors(x))
+        return sum_products(self.ctx.field, self.factors(x.Z, x.T, x.D, x.N))
 
     def translated(self, h: GroupElement) -> "Section":
         """The right-translation action: result(x) = self(x * h)."""
@@ -296,7 +301,8 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     one = ctx.one()
     for gen in iwahori_generators(ctx, n, lvl):
         for i, rep in enumerate(reps):
-            j, c = model.locate(rep * gen, lvl)
+            k = rep * gen
+            j, c = model.locate(k.Z, k.T, k.D, k.N, lvl)
             # fixed vector: v[i] - c * v[j] = 0, c a root of unity as rep * gen is in K
             row = [ctx.zero()] * ncols
             row[i] = row[i] + one

@@ -422,10 +422,13 @@ class Scalar:
             return self
         if self.den == other.den:
             return Scalar(self.field, self.num + other.num, self.den)
-        mine, theirs = Counter(self.den), Counter(other.den)
-        common = mine | theirs  # the multiset union
-        num = self.num * _product(self.field, (common - mine).elements())
-        return Scalar(self.field, num + other.num * _product(self.field, (common - theirs).elements()), tuple(common.elements()))
+        # the multiset union of the factors, counted by their cached den_key
+        poly = {f.den_key(): f for f in (*self.den, *other.den)}
+        mine, theirs = Counter(map(Poly.den_key, self.den)), Counter(map(Poly.den_key, other.den))
+        common = mine | theirs
+        num = self.num * _product(self.field, map(poly.get, (common - mine).elements()))
+        num = num + other.num * _product(self.field, map(poly.get, (common - theirs).elements()))
+        return Scalar(self.field, num, tuple(map(poly.get, common.elements())))
 
     __radd__ = __add__
 

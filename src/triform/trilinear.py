@@ -23,10 +23,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
-from .characters import BorelCharacter, SmoothCharacter
+from .characters import SmoothCharacter
 from .context import Context
 from .cosets import p1_table, units_mod
-from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional, close_tail
+from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional
 from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection
 from .scalars import Scalar, sum_products
@@ -64,7 +64,7 @@ class TensorFn:
 
     def slot1(self, g1: GroupElement) -> Section | None:
         """The V2 section F(g1, .), or None where it vanishes."""
-        j, c = self.model1.locate(g1, self.level)
+        j, c = self.model1.locate(g1.Z, g1.T, g1.D, g1.N, self.level)
         row = self.rows[j]
         return None if row is None else row.scaled(c)
 
@@ -119,49 +119,33 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
     return TensorFn(model1, lvl, rows)
 
 
-def closed_form_tensor(ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, v1: Section, v2: Section, n: int) -> TensorFn:
+def closed_form_tensor(ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, v1: Section, v2: Section, n: int, A: Scalar) -> TensorFn:
     """The closed form A * v1' (x) v2' with A = a^n/((a^2-1)(b^2-1)),
     v1' = a gamma^{-(n-1)} v1 - gamma^{-n} v1, v2' = b gamma^{-1} v2 - v2,
     where a, b are the Satake-type values mu_i(pi)/sqrt(q)."""
     a = mu1.value_at_pi / ctx.r
     b = mu2.value_at_pi / ctx.r
-    A = a**n / ((a * a - ctx.one()) * (b * b - ctx.one()))
     v1p = v1.translated(GroupElement.gamma(ctx.p, -(n - 1))).scaled(a) - v1.translated(GroupElement.gamma(ctx.p, -n))
     v2p = v2.translated(GroupElement.gamma(ctx.p, -1)).scaled(b) - v2
     return TensorFn.pure(ctx, A, v1p, v2p)
 
 
-class DiagonalRestriction:
-    """res(F): the function g -> F(g, g), a vector of Ind(chi_1 chi_2 delta^{1/2})."""
-
-    def __init__(self, F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter):
-        self.F = F
-        self.ctx = F.ctx
-        prod = mu1 * mu2
-        self.borel = BorelCharacter(prod, prod.inverse())
-
-    def eval(self, g: GroupElement) -> Scalar:
-        return self.F.eval_pair(g, g)
-
-
-def res_diag(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter) -> DiagonalRestriction:
-    return DiagonalRestriction(F, mu1, mu2)
-
-
-def simple_case_pairing(res: DiagonalRestriction, v3: Section) -> Scalar:
-    """The K-integral pairing of res(F) against a Steinberg vector; this is
-    the natural surjection route available exactly when mu1 mu2 = |.|^{-1}."""
-    ctx = res.ctx
-    if res.borel.chi_a.c != 0 or not (res.borel.chi_a.value_at_pi == ctx.scalar(ctx.q)):
+def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter, v3: Section) -> Scalar:
+    """The K-integral pairing of res(F): g -> F(g, g), a vector of
+    Ind(mu1 mu2, (mu1 mu2)^{-1}), against a Steinberg vector; this is the
+    natural surjection route available exactly when mu1 mu2 = |.|^{-1}."""
+    ctx = F.ctx
+    prod = mu1 * mu2
+    if prod.c != 0 or not (prod.value_at_pi == ctx.scalar(ctx.q)):
         raise FunctionalError("simple-case pairing needs mu1 mu2 |.|^{1/2} = |.|^{-1/2}")
     if not v3.model.steinberg:
         raise FunctionalError("simple-case pairing needs a Steinberg third vector")
-    lvl = max(res.F.level_bound(), v3.level_bound(), 1)
+    lvl = max(F.level_bound(), v3.level_bound(), 1)
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
     out = ctx.zero()
     for rep in table.reps:
-        rv = res.eval(rep)
+        rv = F.eval_pair(rep, rep)
         if not rv.is_zero():
             out = out + mass * rv * v3.eval(rep)
     return out
@@ -172,57 +156,69 @@ def simple_case_pairing(res: DiagonalRestriction, v3: Section) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int = 2, depth_cap: int = 24) -> Scalar:
+def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_cap: int = 24) -> Scalar:
     """ell(F (x) v) by pair-of-cells quadrature with near-diagonal closure.
 
     Weights: c_K = (p+1)/p normalizes the unit-distance region to total mass
     1 = mass((T cap K)\\K); the near-diagonal stratum (cell, depth e, unit
     class mod p^R) carries weight cell_mass * q^{e-R}.  A term is a tuple of
     memoized factors: chi_1, a (c, Borel factor, table value) of
-    Section.factors and a reader term of phi.  Each stratum's tuples are
-    counted by the identity of their factors, and each distinct tuple is
-    streamed once, led by its weight times its multiplicity.  The unit-distance
-    pairs and every stratum but the last three are one deferred sum
-    (`sum_products`); the last three are separate Scalars, as close_tail reads
-    them.
+    Section.factors and a reader term of phi, all read from int bottom rows.
+    Each stratum's tuples are counted by the identity of their factors, and
+    each distinct tuple is streamed once, led by its weight times its
+    multiplicity.  The unit-distance pairs and the strata below e0 = L* + 1
+    are one deferred sum (`sum_products`); strata e0 and e0 + 1 are separate
+    Scalars, which close_tail checks against the derived depth ratio.
+
+    The depth ratio.  Per step e -> e + 1 (s = eta pi^e, b_s = (s 1; 0 1)) a
+    term of stratum e >= e0 moves by q from the weight q^{e-R}; by
+    mu_1(pi)/sqrt(q) from chi_1(b_s) = mu_1(s)|s|^{1/2}; by mu_2(pi)/sqrt(q)
+    from the row's Borel factor, as w b_s rep g has det -s det(g) and a bottom
+    row fixed mod p^level (so its cell and pivot stay); by (mu_2/mu_1)(pi) from
+    the reader's torus factor at t = diag(s X, T); and, as x0 = y/x + t/(s x)
+    drops one valuation in phi's deep-negative Tate regime
+    C (chi~ chi_d/chi_a)(x0) q^{val x0}, by 1/(chi~(pi) (chi_d/chi_a)(pi) q).
+    So rho = mu_2(pi)^2/(chi~(pi) (chi_d/chi_a)(pi) q) (`tail_ratios`), which
+    is mu_1(pi) mu_2(pi)/q = ab on the Steinberg model.  That regime has a
+    second term, proportional to the K-average of v and at another ratio: it
+    vanishes on Sp, and a Steinberg-model v outside Sp is refused as such.
+    Where chi~ is ramified the strata past e0 sum a ramified character of eta
+    over all units and vanish.
     """
-    if depth_margin < 2:
-        raise ValueError(f"depth_margin {depth_margin} < 2: the tail is closed only at depths e0 = L* + 1 and past")
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
     Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
     table = p1_table(ctx, Lstar)
-    w = GroupElement.w(p)
 
     # Everything that does not move with sigma = b rep (b upper triangular) is
     # hoisted per cell: F(b rep, .) = chi_1(b) F(rep, .), and phi's reader
-    # splits rep g once per term g of v.
+    # splits rep g once per term g of v.  rep = (x y; z t) has det 1.
     cell_pre = []
-    for rep, bottom in zip(table.reps, table.rows):
+    for rep, (z, t) in zip(table.reps, table.rows):
         row = F.slot1(rep)
         if row is not None:
-            cell_pre.append((rep, bottom, row, phi.reader(v, rep)))
+            cell_pre.append((rep.X, rep.Y, z, t, row, phi.reader(v, rep)))
 
     def products(lead, row_factors, read_terms):
         """The factor tuples lead + (c, Borel factor, value) of a row + a reader term."""
         return ((*lead, *f, *t) for f in row_factors for t in read_terms)
 
-    # unit-distance pairs: an exact finite sum.  sigma has the bottom row of
-    # rep and det rep = 1, so b = sigma rep^-1 is upper triangular.
+    # unit-distance pairs: an exact finite sum.  sigma = (z2 t2; z1 t1) has
+    # det Delta = z2 t1 - t2 z1, so w sigma has bottom row (z2, t2) and det
+    # -Delta, and b = sigma rep^-1 = (Delta, t2 x - z2 y; 0 1).
     borel1 = F.model1.borel
     w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
 
     def unit_distance():
-        for rep, (z1, t1), row, read in cell_pre:
-            rep_inv = rep.inv()
+        for x, y, z1, t1, row, read in cell_pre:
             for z2, t2 in table.rows:
-                if not (z2 * t1 - t2 * z1) % p:
+                delta = z2 * t1 - t2 * z1
+                if not delta % p:
                     continue
-                sigma = GroupElement(p, z2, t2, z1, t1)
-                fs = list(row.factors(w * sigma))
+                fs = list(row.factors(z2, t2, 1, -delta))
                 if fs:
-                    b = sigma * rep_inv
-                    yield from products((w0, borel1.eval(*b.borel_diagonal())), fs, list(read(b)))
+                    chi = borel1.eval((delta, 1), (1, 1))
+                    yield from products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1)))
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
     # which resolves every section's right-invariance level and the Tate
@@ -237,36 +233,42 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_margin: int =
     # any depth, but val delta >= R - gap >= m.
     R = Lstar
     e0 = R + 1
-    e_top = e0 + depth_margin
-    if e_top > depth_cap:
-        raise TailError(f"depth cap {depth_cap} below the structural stabilization depth {e_top}")
+    if e0 + 1 > depth_cap:
+        raise TailError(f"depth cap {depth_cap} below the guard stratum {e0 + 1} of the structural stabilization depth {e0}")
     units = units_mod(p, R)
 
     def stratum(e):
         """The terms chi_1(bs) F phi of depth e, one per (eta, cell, factor of
-        the row, term of v), each distinct one once, led by weight times count."""
+        the row, term of v), each distinct one once, led by weight times count.
+        w b_s rep has bottom row (s x + z, s y + t) and det -s."""
         seen: dict = {}  # factor ids -> [tuple, count]; the stored tuple keeps its ids unreused
         for eta in units:
             s = eta * p**e
-            bs = GroupElement(p, s, 1, 0, 1)
-            wbs = GroupElement(p, 0, 1, s, 1)  # w * bs
-            chi = borel1.eval(*bs.borel_diagonal())
-            for rep, _, row, read in cell_pre:
+            chi = borel1.eval((s, 1), (1, 1))
+            for x, y, z, t, row, read in cell_pre:
                 # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
-                fs = list(row.factors(wbs * rep))
+                fs = list(row.factors(s * x + z, s * y + t, 1, -s))
                 if fs:
-                    for t in products((chi,), fs, list(read(bs))):
-                        seen.setdefault(tuple(map(id, t)), [t, 0])[1] += 1
+                    for tup in products((chi,), fs, list(read(s, 1, 1))):
+                        seen.setdefault(tuple(map(id, tup)), [tup, 0])[1] += 1
         weight = table.cell_mass * Fraction(q**e, q**R)
         weights: dict = {}
-        for t, n in seen.values():
+        for tup, n in seen.values():
             if n not in weights:
                 weights[n] = ctx.scalar(weight * n)
-            yield weights[n], *t
+            yield weights[n], *tup
 
-    head = chain(unit_distance(), *(stratum(e) for e in range(1, e_top - 2)))
-    tail = [sum_products(ctx.field, stratum(e)) for e in range(e_top - 2, e_top + 1)]
-    return sum_products(ctx.field, head) + tail[0] + tail[1] + tail[2] + close_tail(*tail)
+    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, e0))))
+    t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (e0, e0 + 1))
+    try:
+        rest = phi.close(t0, t1, "depth")
+    except TailError:
+        if phi.model3.steinberg:
+            avg = v.as_table(Lstar).k_average()
+            if not avg.is_zero():
+                raise FunctionalError(f"v lies outside Sp: its K-average is {avg.render()}, not 0, so the depth tail diverges from the Sp regime") from None
+        raise
+    return head + t0 + t1 + rest
 
 
 # ---------------------------------------------------------------------------

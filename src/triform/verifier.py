@@ -24,7 +24,7 @@ from .cosets import (
     p1_table,
     torus_orbit_reps,
 )
-from .functionals import CompactInducedFn, FunctionalError, Phi_eval, TailError, TorusFunctional, WProfile, coset_constant, make_indicator_f
+from .functionals import CompactInducedFn, FunctionalError, Phi_eval, TailError, TorusFunctional, coset_constant, make_indicator_f
 from .matrices import GroupElement, in_T_In
 from .models import (
     InducedModel,
@@ -48,7 +48,6 @@ from .trilinear import (
     closed_form_tensor,
     ell_chain,
     ext,
-    res_diag,
     simple_case_pairing,
 )
 
@@ -218,11 +217,10 @@ class Env:
         self.v2 = new_vector_unramified(self.V2)
         self.v3 = new_vector_by_solve(self.V3, n, self.level)
         self.phi = TorusFunctional(ctx, self.mu1, self.mu2, self.V3)
-        if sp:  # phi closes geometric tails at X = chi~(pi) and 1/rho, rho = X (chi_d/chi_a)(pi) q: neither may be 1
-            chtil, W = self.phi.chtil, WProfile(self.V3, self.level)
-            X, rho = chtil.value_at_pi, chtil.value_at_pi * W.ratio_pi_q
-            if (chtil.c == 0 and X == 1) or ((W.ratio * chtil).c == 0 and rho == 1):
-                raise ConfigError(f"the specialization puts a geometric tail of phi at ratio 1 (X = {X.render()}, rho = {rho.render()})")
+        if sp:  # phi closes geometric tails at X = chi~(pi) and at its negative ratio (tail_ratios): neither may be 1
+            chtil, X, rho = self.phi.chtil, self.phi.chtil.value_at_pi, self.phi.tail_ratios["negative"]
+            if (chtil.c == 0 and X == 1) or ((self.V3.borel.chi_d / self.V3.borel.chi_a * chtil).c == 0 and rho == 1):
+                raise ConfigError(f"the specialization puts a geometric tail of phi at ratio 1 (X = {X.render()}, rho = {rho.inverse().render()})")
         self.f = make_indicator_f(ctx, self.mu1, self.mu2, n, self.level)
         import random
 
@@ -277,6 +275,17 @@ class Env:
             v2 = self.v2.translated(self.gamma(-j)) if j else self.v2
             self._chain[i, j] = self.ell(TensorFn.pure(self.ctx, 1, v1, v2))
         return self._chain[i, j]
+
+    @cached_property
+    def A(self) -> Scalar:
+        """A = a^n/((a^2-1)(b^2-1)), the coefficient of the closed form."""
+        a, b = self.a, self.b
+        return a**self.cfg.n / ((a * a - 1) * (b * b - 1))
+
+    @cached_property
+    def closed_form(self) -> TensorFn:
+        """The closed form A * v1' (x) v2' of ext(f), built once per Env."""
+        return closed_form_tensor(self.ctx, self.mu1, self.mu2, self.v1, self.v2, self.cfg.n, self.A)
 
     @cached_property
     def ext_f(self) -> TensorFn:
@@ -353,7 +362,7 @@ def scenario_formula_FK(env: Env) -> list:
     F = env.ext_f
     table = p1_table(ctx, F.level)
     corrupt = env.cfg.inject_fault
-    FV = closed_form_tensor(ctx, env.mu1, env.mu2, env.v1, env.v2, n)
+    FV = env.closed_form
     if corrupt:
         FV = FV.scaled(ctx.one() + ctx.a)  # deliberately wrong coefficient
     bad_closed = bad_ext = None  # first mismatched cell pair of each route
@@ -380,19 +389,11 @@ def scenario_formula_FK(env: Env) -> list:
 def scenario_lemma_FV(env: Env) -> list:
     checks = Records()
     ctx, n = env.ctx, env.cfg.n
-    a, b = env.a, env.b
-    A = a**n / ((a * a - 1) * (b * b - 1))
+    A = env.A
     F = env.ext_f
-    FV = closed_form_tensor(ctx, env.mu1, env.mu2, env.v1, env.v2, n)
+    FV = env.closed_form
     table = p1_table(ctx, F.level)
-    ok = True
-    for rep1 in table.reps:
-        for rep2 in table.reps:
-            if not (FV.eval_pair(rep1, rep2) == F.eval_pair(rep1, rep2)):
-                ok = False
-                break
-        if not ok:
-            break
+    ok = all(FV.eval_pair(rep1, rep2) == F.eval_pair(rep1, rep2) for rep1 in table.reps for rep2 in table.reps)
     _check(
         checks,
         "lemma-FV.tensor",
@@ -459,9 +460,8 @@ def scenario_simple_case(env: Env) -> list:
     v2s = new_vector_unramified(V2s)
     v1s = env.v1.translated(env.gamma(-1))
     F = TensorFn.pure(ctx, 1, v1s, v2s)
-    res = res_diag(F, env.mu1, mu2s)
-    val_id = res.eval(GroupElement.identity(ctx.p))
-    val_w = res.eval(GroupElement.w(ctx.p))
+    one, w = GroupElement.identity(ctx.p), GroupElement.w(ctx.p)
+    val_id, val_w = F.eval_pair(one, one), F.eval_pair(w, w)  # res(F) at 1 and at w
     ok = (val_id == a.inverse()) and (val_w == a) and not (val_id == val_w)
     _check(
         checks,
@@ -470,7 +470,7 @@ def scenario_simple_case(env: Env) -> list:
         ok,
         scalars={"at_identity": val_id, "at_w": val_w},
     )
-    pairing = simple_case_pairing(res, env.v3)
+    pairing = simple_case_pairing(F, env.mu1, mu2s, env.v3)
     _check(
         checks,
         "simple-case.pairing",
@@ -479,7 +479,7 @@ def scenario_simple_case(env: Env) -> list:
         scalars={"pairing": pairing},
     )
     Fconst = TensorFn.pure(ctx, 1, env.v1, v2s)
-    z = simple_case_pairing(res_diag(Fconst, env.mu1, mu2s), env.v3)
+    z = simple_case_pairing(Fconst, env.mu1, mu2s, env.v3)
     _check(checks, "simple-case.constants", "the constant tensor pairs to zero against the zero-average vector", z.is_zero())
     return checks
 
@@ -487,21 +487,13 @@ def scenario_simple_case(env: Env) -> list:
 def scenario_phi_equivariance(env: Env) -> list:
     checks = Records()
     ctx = env.ctx
-    ok = True
     sections = [env.rand_section(env.V3, env.level) for _ in range(5)]
-    trials = 0
-    for sec in sections:
+
+    def law_holds(sec) -> bool:  # (chi2/chi1)(diag(t1, t2)) = (mu2/mu1)(t1/t2)
         base = env.phi.eval(sec)
-        for _ in range(10):
-            t = env.rand_torus(3)
-            lhs = env.phi.eval(sec.translated(t))
-            rhs = env.phi.torus_factor(t) * base
-            trials += 1
-            if not (lhs == rhs):
-                ok = False
-                break
-        if not ok:
-            break
+        return all(env.phi.eval(sec.translated(t)) == env.phi.ratio21.eval(*t.ratio(0, 3)) * base for t in (env.rand_torus(3) for _ in range(10)))
+
+    ok = all(law_holds(sec) for sec in sections)
     _check(
         checks,
         "phi-equivariance.law",
@@ -621,13 +613,8 @@ def scenario_main_theorem(env: Env) -> list:
     )
     # v1* = pi(gamma^-n) v1 is invariant under the conjugated maximal compact
     v1star = env.v1.translated(env.gamma(-n))
-    ok = True
     gam_n = env.gamma(n)
-    for _ in range(5):
-        rho = gam_n.inv() * env.rand_K(n + 2) * gam_n
-        if not sections_equal(v1star.translated(rho), v1star):
-            ok = False
-            break
+    ok = all(sections_equal(v1star.translated(gam_n.inv() * env.rand_K(n + 2) * gam_n), v1star) for _ in range(5))
     _check(checks, "main-theorem.invariance", "pi(gamma^-n) v1 is invariant under the order conjugate of K", ok)
 
     val = env.ell_pure(n, 0)
@@ -639,8 +626,7 @@ def scenario_main_theorem(env: Env) -> list:
         not val.is_zero(),
         scalars={"ell_value": val},
     )
-    a, b = env.a, env.b
-    A = a**n / ((a * a - 1) * (b * b - 1))
+    a, b, A = env.a, env.b, env.A
     psiF = env.ell_ext()
     if n >= 2:
         ok = A * val == psiF
@@ -658,8 +644,7 @@ def scenario_n1_identity(env: Env) -> list:
     if n != 1:
         _skip(checks, "n1-identity", "the depth-one identity chain applies at n = 1", "requires n = 1")
         return checks
-    a, b = env.a, env.b
-    A = a / ((a * a - 1) * (b * b - 1))
+    a, b, A = env.a, env.b, env.A
     g1 = env.gamma(-1)
     psiF = env.ell_ext()
     ok = psiF == A * (a * b * env.ell_pure(0, 1) + env.ell_pure(1, 0))
@@ -721,12 +706,7 @@ def scenario_g_invariance(env: Env) -> list:
     base = env.ell_pure(0, 1)
     count = 8 if n == 1 else 7
     gs = [env.rand_K() for _ in range(count - 2)] + [GroupElement.w(ctx.p) * env.rand_K(), env.rand_G(1)]
-    ok = True
-    for g in gs:
-        lhs = env.ell(F.translated(g), env.v3.translated(g))
-        if not (lhs == base):
-            ok = False
-            break
+    ok = all(env.ell(F.translated(g), env.v3.translated(g)) == base for g in gs)
     _check(
         checks,
         "g-invariance.chain",
@@ -741,16 +721,12 @@ def scenario_g_invariance(env: Env) -> list:
     f2 = env.rand_section(env.V2, 1)
     f3 = env.rand_section(env.V3, env.V3.min_level)
     base_k = kform.eval(f1, f2, f3)
-    ok2 = True
     gs2 = (
         [env.rand_K() for _ in range(16)]
         + [GroupElement.w(ctx.p), GroupElement.diag(ctx.p, env.rand_unit(), env.rand_unit())]
         + [env.gamma(1), GroupElement.w(ctx.p) * env.rand_K()]
     )
-    for g in gs2:
-        if not (kform.eval(f1.translated(g), f2.translated(g), f3.translated(g)) == base_k):
-            ok2 = False
-            break
+    ok2 = all(kform.eval(f1.translated(g), f2.translated(g), f3.translated(g)) == base_k for g in gs2)
     _check(
         checks,
         "g-invariance.kernel",

@@ -66,7 +66,7 @@ def test_equivariance_exact(setup21):
             d1 = Fraction(rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-3, 3)
             d2 = Fraction(rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-3, 3)
             t = GroupElement.diag(2, d1, d2)
-            assert s.phi.eval(sec.translated(t)) == s.phi.torus_factor(t) * s.phi.eval(sec)
+            assert s.phi.eval(sec.translated(t)) == s.phi.ratio21.eval(*t.ratio(0, 3)) * s.phi.eval(sec)
 
 
 def test_equivariance_ramified(setup32):
@@ -77,7 +77,7 @@ def test_equivariance_ramified(setup32):
         d1 = Fraction(rng.choice([1, 2, 4, 5])) * Fraction(3) ** rng.randint(-2, 2)
         d2 = Fraction(rng.choice([1, 2, 4, 5])) * Fraction(3) ** rng.randint(-2, 2)
         t = GroupElement.diag(3, d1, d2)
-        assert s.phi.eval(sec.translated(t)) == s.phi.torus_factor(t) * s.phi.eval(sec)
+        assert s.phi.eval(sec.translated(t)) == s.phi.ratio21.eval(*t.ratio(0, 3)) * s.phi.eval(sec)
 
 
 def test_fast_equals_reference(setup21, setup32):
@@ -97,9 +97,10 @@ def test_fast_equals_reference(setup21, setup32):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 2**32))
 def test_reader_matches_eval_of_the_translate(setup21, setup32, setup24, case, seed):
-    """At an upper-triangular b and a cell rep, the terms the reader hoists
-    for (v, rep) sum to phi(pi(b rep) v), which eval reaches through the
-    translated section and its own Iwasawa splits."""
+    """At an upper-triangular b, read as the ints (alpha, beta, delta), and a
+    cell rep, the terms the reader hoists for (v, rep) sum to phi(pi(b rep) v),
+    which eval reaches through the translated section and its own Iwasawa
+    splits."""
     s = (setup21, setup32, setup24)[case]
     ctx, p = s.ctx, s.ctx.p
     rng = random.Random(seed)
@@ -114,7 +115,8 @@ def test_reader_matches_eval_of_the_translate(setup21, setup32, setup24, case, s
 
     t = GroupElement.diag(p, unit() * Fraction(p) ** rng.randint(-3, 3), unit() * Fraction(p) ** rng.randint(-3, 3))
     b = t * GroupElement.upper(p, Fraction(rng.randint(-40, 40)) / unit() / p ** rng.randint(0, 3))
-    got = sum_products(ctx.field, s.phi.reader(v, rep)(b))
+    # b = (alpha beta; 0 delta)/D, and the scalar 1/D acts trivially on phi
+    got = sum_products(ctx.field, s.phi.reader(v, rep)(b.X, b.Y, b.T))
     assert got == s.phi.eval(v.translated(b * rep)), (s.cfg.p, s.cfg.n, seed)
 
 
@@ -421,21 +423,28 @@ def test_phi_table_fold_matches_unit_key(args):
 
 
 def test_close_tail():
-    """Three terms in geometric progression close to t2 rho/(1 - rho); three
-    zeros close to 0; anything else is refused."""
+    """Two terms at the derived ratio close to t1 rho/(1 - rho); two zeros
+    close to 0 without forming the closure; a progression at another ratio,
+    and any other pair, is refused."""
     ctx = Context(2)
     t = [ctx.scalar(x) for x in (1, 2, 4, 5, 0)]
-    assert close_tail(t[0], t[1], t[2]) == ctx.scalar(-8)
-    assert close_tail(t[4], t[4], t[4]).is_zero()
-    for bad in ((t[0], t[1], t[3]), (t[0], t[4], t[4])):
-        with pytest.raises(TailError):
-            close_tail(*bad)
-    # terms over three different denominator multisets: rho = b/(a + 1)
+    two = ctx.scalar(2)
+    assert close_tail(t[0], t[1], two) == ctx.scalar(-4)
+    assert close_tail(t[1], t[2], two) == ctx.scalar(-8)
+    assert close_tail(t[4], t[4], ctx.one(), closure=lambda: pytest.fail("closure formed for a zero tail")).is_zero()
+    assert close_tail(t[0], t[1], two, closure=lambda: ctx.scalar(7)) == ctx.scalar(14)
+    for bad in ((t[0], t[3]), (t[0], t[4]), (t[4], t[0])):
+        with pytest.raises(TailError, match="tail not stabilized"):
+            close_tail(*bad, two)
+    # geometric at ratio 2, checked against the wrong derived ratio 4
+    with pytest.raises(TailError, match="derived ratio 4"):
+        close_tail(t[0], t[1], ctx.scalar(4))
+    # terms over two different denominator multisets: rho = b/(a + 1)
     a, b = ctx.a, ctx.b
-    t0 = 1 / (a - 1)
-    t1, t2 = b / ((a - 1) * (a + 1)), b * b / ((a - 1) * (a + 1) * (a + 1))
-    assert len({tuple(x.den) for x in (t0, t1, t2)}) == 3
+    t0, t1 = 1 / (a - 1), b / ((a - 1) * (a + 1))
+    assert len({tuple(x.den) for x in (t0, t1)}) == 2
     rho = b / (a + 1)
-    assert close_tail(t0, t1, t2) == t2 * rho / (1 - rho)
-    with pytest.raises(TailError):
-        close_tail(t0, t1, b * b / ((a - 1) * (a + 2)))
+    assert close_tail(t0, t1, rho) == t1 * rho / (1 - rho)
+    for wrong in (b / (a + 2), a / (a + 1)):
+        with pytest.raises(TailError):
+            close_tail(t0, t1, wrong)

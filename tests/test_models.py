@@ -225,7 +225,7 @@ def test_cell_twist_matches_generator_exponents(setup32, setup24):
             reps = p1_table(ctx, level).reps
             for _ in range(40):
                 k = rand_K(ctx, rng, m=level + 1)
-                j, factor = model.locate(k, level)
+                j, factor = model.locate(k.Z, k.T, k.D, k.N, level)
                 h = k * reps[j].inv()
                 ua, ud = (unit_residue(*h.entry(i), ctx.p, c) for i in (0, 3))
                 e = (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m
@@ -299,3 +299,23 @@ def test_iwasawa_k_part_carries_no_twist(p, ramified, extra, seed):
         ua, ud = (unit_residue(*h.entry(i), p, borel.conductor()) for i in (0, 3))
         assert (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m == 0
         assert tbl.eval(g) == borel.eval(*b.borel_diagonal()) * tbl.values[j]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("setup21", "setup32", "setup24")), st.integers(0, 2**32))
+def test_section_eval_at_the_bottom_row(request, setup, seed):
+    """Section.eval reads x through its bottom row and determinant only: it
+    equals the sum of c * tbl.eval(x * g) over the terms, with x * g formed as
+    a GroupElement product, for random x in G and random translated sections."""
+    s = request.getfixturevalue(setup)
+    ctx, rng = s.ctx, random.Random(seed)
+    level = s.V3.min_level + rng.randint(0, 1)
+    sec = rand_section(s.V3, level, rng).scaled(ctx.a + 1)
+    for _ in range(rng.randint(1, 3)):
+        sec = sec + rand_section(s.V3, level, rng).translated(rand_G(ctx, rng, val_range=2)).scaled(rng.randint(-2, 2))
+    for _ in range(4):
+        x = rand_G(ctx, rng, val_range=2)
+        want = ctx.zero()
+        for c, g, tbl in sec.terms:
+            want = want + c * tbl.eval(x * g)
+        assert sec.eval(x) == want, (setup, seed)

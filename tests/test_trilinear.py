@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps, units_mod
-from triform.functionals import CompactInducedFn, Phi_eval, close_tail, make_indicator_f
+from triform.characters import SmoothCharacter
+from triform.functionals import CompactInducedFn, FunctionalError, Phi_eval, TailError, make_indicator_f
 from triform.matrices import GroupElement
-from triform.models import TableSection
+from triform.models import TableSection, new_vector_unramified, principal_series_model
 from triform.scalars import sum_products
 from triform.trilinear import (
     KernelForm,
@@ -19,7 +20,6 @@ from triform.trilinear import (
     derive_kernel_characters,
     ell_chain,
     ext,
-    res_diag,
     simple_case_pairing,
 )
 
@@ -48,7 +48,8 @@ def test_closed_form_matches_ext(setup21, setup32):
         ctx = s.ctx
         f = make_indicator_f(ctx, s.mu1, s.mu2, n)
         F = ext(f, s.V1, s.V2)
-        FV = closed_form_tensor(ctx, s.mu1, s.mu2, s.v1, s.v2, n)
+        a, b = s.a, s.b
+        FV = closed_form_tensor(ctx, s.mu1, s.mu2, s.v1, s.v2, n, a**n / ((a * a - 1) * (b * b - 1)))
         table = p1_table(ctx, F.level)
         for rep1 in table.reps:
             for rep2 in table.reps:
@@ -107,9 +108,9 @@ def test_res_diag_values(setup21):
     ctx = s.ctx
     v1star = s.v1.translated(s.gamma(-1))
     F = TensorFn.pure(ctx, 1, v1star, s.v2)
-    res = res_diag(F, s.mu1, s.mu2)
-    assert res.eval(GroupElement.identity(2)) == ctx.a.inverse()
-    assert res.eval(GroupElement.w(2)) == ctx.a
+    # the restriction to the diagonal, g -> F(g, g)
+    assert F.eval_pair(GroupElement.identity(2), GroupElement.identity(2)) == ctx.a.inverse()
+    assert F.eval_pair(GroupElement.w(2), GroupElement.w(2)) == ctx.a
 
 
 def test_chain_consistency_random_supports(setup21):
@@ -138,31 +139,22 @@ def test_main_theorem_values(setup21, setup32):
         assert not val.is_zero()
 
 
-def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
-    """The near-diagonal depths are geometric from e0 = Lstar + 1 on, so
-    closing the tail two or four depths past e0 gives the same ell."""
-    for s in (setup21, setup31, setup32):
-        tensors = (
-            TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.cfg.n)), s.v2),
-            TensorFn.pure(s.ctx, 1, s.v1, s.v2.translated(s.gamma(-1))),
-            ext(s.f, s.V1, s.V2, s.level),
-        )
-        for F in tensors:
-            assert ell_chain(s.phi, F, s.v3, depth_margin=2) == ell_chain(s.phi, F, s.v3, depth_margin=4)
-
-
-def test_depth_margin_below_two_is_refused(setup21, setup32):
-    """The tail is closed only at depths past e0 = L* + 1, which needs a margin of at least 2."""
-    for s in (setup21, setup32):
-        F = TensorFn.pure(s.ctx, 1, s.v1, s.v2)
-        for margin in (-1, 0, 1):
-            with pytest.raises(ValueError):
-                ell_chain(s.phi, F, s.v3, depth_margin=margin)
+def three_term_closure(t0, t1, t2):
+    """The sum past t2 of a series whose last three terms are in geometric
+    progression, at the ratio they show (t2/t1): the reference infers the
+    ratio, so it does not read the chain's derived one."""
+    if t0.is_zero() and t1.is_zero() and t2.is_zero():
+        return t0
+    assert not t1.is_zero() and t1 * t1 == t0 * t2, "reference tail not geometric"
+    rho = t2 / t1
+    return t2 * rho / (1 - rho)
 
 
 def reference_ell_chain(phi, F, v, depth_margin=2):
-    """The chain term by term: F(w sigma) is one Scalar per cell pair, each
-    stratum a separate deferred sum, and the strata are added one at a time."""
+    """The chain term by term: F(w sigma) is one Scalar per cell pair formed
+    from GroupElement products, each stratum a separate deferred sum, the
+    strata added one at a time, and the tail closed past e0 + depth_margin
+    by three_term_closure."""
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
     Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
@@ -181,16 +173,16 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
                     Fv = row.eval(w * sigma)
                     if not Fv.is_zero():
                         b = sigma * rep.inv()
-                        for term in read(b):
+                        for term in read(b.X, b.Y, b.T):
                             yield w0, borel1.eval(*b.borel_diagonal()), Fv, *term
 
     def stratum(e):
         for eta in units_mod(p, Lstar):
             bs = GroupElement(p, eta * p**e, 1, 0, 1)
             for rep, _, row, read in cell_pre:
-                Fv = row.eval(GroupElement(p, 0, 1, eta * p**e, 1) * rep)
+                Fv = row.eval(w * bs * rep)
                 if not Fv.is_zero():
-                    for term in read(bs):
+                    for term in read(bs.X, bs.Y, bs.T):
                         yield borel1.eval(*bs.borel_diagonal()), Fv, *term
 
     total = sum_products(ctx.field, unit_distance())
@@ -198,7 +190,57 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
     for e in range(1, Lstar + 2 + depth_margin):
         depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, stratum(e)))
         total = total + depth_sums[-1]
-    return total + close_tail(*depth_sums[-3:])
+    return total + three_term_closure(*depth_sums[-3:])
+
+
+def test_chain_matches_the_reference_at_margins_two_and_four(setup21, setup31, setup32):
+    """The near-diagonal depths are geometric from e0 = L* + 1 on: the chain,
+    closed from strata e0 and e0 + 1 at the derived ratio, equals the
+    reference closed two or four depths past e0 at the ratio it observes."""
+    for s in (setup21, setup31, setup32):
+        tensors = (
+            TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.cfg.n)), s.v2),
+            TensorFn.pure(s.ctx, 1, s.v1, s.v2.translated(s.gamma(-1))),
+            ext(s.f, s.V1, s.V2, s.level),
+        )
+        for F in tensors:
+            got = ell_chain(s.phi, F, s.v3)
+            assert got == reference_ell_chain(s.phi, F, s.v3, depth_margin=2)
+            assert got == reference_ell_chain(s.phi, F, s.v3, depth_margin=4)
+
+
+def test_wrong_mu1_fails_the_depth_guard(setup21, setup31):
+    """F built on a V1 whose mu_1(pi) is not phi's keeps the strata geometric,
+    but at the ratio of the wrong character: the guard refuses it, while the
+    same tensor on V1 itself closes."""
+    for s in (setup21, setup31):
+        ctx = s.ctx
+        assert s.phi.tail_ratios["depth"] == s.a * s.b  # mu_1(pi) mu_2(pi)/q on the Steinberg model
+        V1x = principal_series_model(ctx, SmoothCharacter.unramified(ctx, 2 * s.a * ctx.r), tag="V1x")
+        F = TensorFn.pure(ctx, 1, new_vector_unramified(V1x).translated(s.gamma(-1)), s.v2)
+        with pytest.raises(TailError, match="tail not stabilized"):
+            ell_chain(s.phi, F, s.v3)
+        assert not ell_chain(s.phi, TensorFn.pure(ctx, 1, s.v1.translated(s.gamma(-1)), s.v2), s.v3).is_zero()
+
+
+def test_steinberg_vector_outside_sp_is_named(setup21, setup31):
+    """A Steinberg-model table with nonzero K-average is outside Sp: the
+    chain's guard fails and the chain says so, with the average, as a
+    FunctionalError that is not a TailError.  Projected into Sp, the same
+    table closes."""
+    rng = random.Random(11)
+    for s in (setup21, setup31):
+        F = TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-1)), s.v2)
+        tbl = rand_section(s.V3, 1, rng).as_table()
+        while tbl.k_average().is_zero():
+            tbl = rand_section(s.V3, 1, rng).as_table()
+        avg = tbl.k_average()
+        with pytest.raises(FunctionalError, match="outside Sp") as err:
+            ell_chain(s.phi, F, tbl.as_section())
+        assert not isinstance(err.value, TailError)
+        assert avg.render() in str(err.value)
+        in_sp = TableSection(s.V3, 1, [x - avg for x in tbl.values]).as_section()
+        assert ell_chain(s.phi, F, in_sp) == reference_ell_chain(s.phi, F, in_sp)
 
 
 @settings(max_examples=25, deadline=None)
@@ -300,15 +342,12 @@ def test_kernel_nonvanishing_main_tensor(setup32):
 def test_simple_case(setup21):
     s = setup21
     ctx = s.ctx
-    from triform.characters import SmoothCharacter
-    from triform.models import new_vector_unramified, principal_series_model
 
     mu2s = SmoothCharacter.unramified(ctx, ctx.a.inverse() * ctx.r)
     V2s = principal_series_model(ctx, mu2s, tag="V2s")
     v2s = new_vector_unramified(V2s)
     F = TensorFn.pure(ctx, 1, s.v1.translated(s.gamma(-1)), v2s)
-    res = res_diag(F, s.mu1, mu2s)
-    pairing = simple_case_pairing(res, s.v3)
+    pairing = simple_case_pairing(F, s.mu1, mu2s, s.v3)
     assert pairing == (1 - ctx.a**2) / (ctx.scalar(3) * ctx.a)
-    zero = simple_case_pairing(res_diag(TensorFn.pure(ctx, 1, s.v1, v2s), s.mu1, mu2s), s.v3)
+    zero = simple_case_pairing(TensorFn.pure(ctx, 1, s.v1, v2s), s.mu1, mu2s, s.v3)
     assert zero.is_zero()

@@ -230,7 +230,7 @@ def test_cli_engine_error_is_a_fail_record():
     too-small depth cap) is that scenario's FAIL record with the reason: exit 1,
     no traceback."""
     proc = subprocess.run(
-        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--depth-cap", "3",
+        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--depth-cap", "2",
          "--scenario", "intro-vanishing", "--format", "json-like"],
         capture_output=True,
         text=True,
@@ -239,7 +239,7 @@ def test_cli_engine_error_is_a_fail_record():
     assert "Traceback" not in proc.stderr
     (check,) = json.loads(proc.stdout)["checks"]
     assert (check["id"], check["verdict"]) == ("intro-vanishing", "FAIL")
-    assert check["reason"].startswith("TailError: depth cap 3 below")
+    assert check["reason"].startswith("TailError: depth cap 2 below")
 
 
 @pytest.mark.parametrize(
