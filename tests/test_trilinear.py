@@ -155,6 +155,8 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
     from GroupElement products, each stratum a separate deferred sum, the
     strata added one at a time, and the tail closed past e0 + depth_margin
     by three_term_closure."""
+    if depth_margin < 2:
+        raise ValueError(f"depth margin {depth_margin} < 2: the three-term closure needs strata e0 .. e0 + 2")
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
     Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
@@ -193,7 +195,7 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
     return total + three_term_closure(*depth_sums[-3:])
 
 
-def test_chain_matches_the_reference_at_margins_two_and_four(setup21, setup31, setup32):
+def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
     """The near-diagonal depths are geometric from e0 = L* + 1 on: the chain,
     closed from strata e0 and e0 + 1 at the derived ratio, equals the
     reference closed two or four depths past e0 at the ratio it observes."""
@@ -207,6 +209,23 @@ def test_chain_matches_the_reference_at_margins_two_and_four(setup21, setup31, s
             got = ell_chain(s.phi, F, s.v3)
             assert got == reference_ell_chain(s.phi, F, s.v3, depth_margin=2)
             assert got == reference_ell_chain(s.phi, F, s.v3, depth_margin=4)
+
+
+def test_depth_margin_below_two_is_refused(setup21, setup32):
+    """The tail is closed only from depths past e0 = L* + 1.  The chain needs
+    strata through its guard e0 + 1, so a depth cap below that is refused;
+    the reference's three-term closure needs strata through e0 + 2, so a
+    margin below 2 is refused."""
+    for s in (setup21, setup32):
+        F = TensorFn.pure(s.ctx, 1, s.v1, s.v2)
+        e0 = max(F.level_bound(), s.v3.level_bound(), s.phi.model3.min_level, 1) + 1
+        for cap in (e0 - 1, e0):
+            with pytest.raises(TailError, match="below the guard stratum"):
+                ell_chain(s.phi, F, s.v3, depth_cap=cap)
+        assert ell_chain(s.phi, F, s.v3, depth_cap=e0 + 1) == reference_ell_chain(s.phi, F, s.v3)
+        for margin in (-1, 0, 1):
+            with pytest.raises(ValueError):
+                reference_ell_chain(s.phi, F, s.v3, depth_margin=margin)
 
 
 def test_wrong_mu1_fails_the_depth_guard(setup21, setup31):
