@@ -33,6 +33,7 @@ class InducedModel:
         self.tag = tag or f"Ind({borel.chi_a.render_spec()}, {borel.chi_d.render_spec()})"
         self.steinberg = steinberg
         self.min_level = max(1, borel.conductor())
+        self._actions: dict = {}  # (level, k mod p^level) -> action
 
     def require_level(self, level: int):
         """Refuse a table level below the conductor.
@@ -64,8 +65,30 @@ class InducedModel:
         j = p1_table(self.ctx, level).cell_of_row((Z, piv), (T, piv))
         return j, self.borel.eval((N, D * piv), (piv, D))
 
+    def action(self, k: GroupElement, level: int) -> tuple:
+        """One (j, c) per cell i with f(rep_i k) = c f(rep_j) for every level-`level`
+        section f, k in K; memoized by k mod p^level, as sections are
+        right-K(level)-invariant.  rep_i has det 1 and bottom row (z, t), so rep_i k
+        has bottom row (z X + t Z, z Y + t T)/D and det N/D^2, all that locate
+        reads; its pivot is a unit, so c is a root of unity."""
+        key = (level, _k_residue(k, level))
+        if key not in self._actions:
+            X, Y, Z, T, D, N = k.X, k.Y, k.Z, k.T, k.D, k.N
+            rows = p1_table(self.ctx, level).rows
+            self._actions[key] = tuple(self.locate(z * X + t * Z, z * Y + t * T, D, N, level) for z, t in rows)
+        return self._actions[key]
+
     def __repr__(self):
         return f"InducedModel<{self.tag}>"
+
+
+def _k_residue(k: GroupElement, level: int) -> tuple[int, int, int, int]:
+    """The entries of k in K mod p^level."""
+    if not k.in_K():
+        raise ModelError("table translation needs k in K; use Section for general g")
+    mod = k.p**level
+    d = pow(k.D, -1, mod)
+    return k.X * d % mod, k.Y * d % mod, k.Z * d % mod, k.T * d % mod
 
 
 def principal_series_model(ctx: Context, mu: SmoothCharacter, tag: str = "") -> InducedModel:
@@ -110,22 +133,19 @@ class TableSection:
         return c * self.values[j]
 
     def translate_K(self, k: GroupElement) -> "TableSection":
-        """The right translate by k in K, again at the same level.
+        """The right translate by k in K, again at the same level: cell i takes
+        c * values[j] for the (j, c) of InducedModel.action.
 
         The table is right-K(m)-invariant, so the translate depends on k mod p^m
         only: it is memoized under that key, and k = 1 mod p^m gives the table.
         """
-        if not k.in_K():
-            raise ModelError("table translation needs k in K; use Section for general g")
-        mod = self.ctx.p**self.level
-        d = pow(k.D, -1, mod)
-        key = (k.X * d % mod, k.Y * d % mod, k.Z * d % mod, k.T * d % mod)
+        key = _k_residue(k, self.level)
         if key == (1, 0, 0, 1):
             return self
         out = self._translates.get(key)
         if out is None:
-            reps = p1_table(self.ctx, self.level).reps
-            out = TableSection(self.model, self.level, [self.eval(rep * k) for rep in reps])
+            values = self.values
+            out = TableSection(self.model, self.level, [c * values[j] for j, c in self.model.action(k, self.level)])
             self._translates[key] = out
         return out
 
@@ -252,65 +272,44 @@ def iwahori_generators(ctx: Context, n: int, level: int) -> list[GroupElement]:
     return gens
 
 
-def _kernel_basis(ctx: Context, rows: list, ncols: int) -> list:
-    """Kernel of the row system over the Scalar field (exact Gaussian elimination)."""
-    mat = [list(r) for r in rows]
-    pivots: dict[int, int] = {}
-    rank_rows: list[list[Scalar]] = []
-    for row in mat:
-        cur = list(row)
-        for col, rr in pivots.items():
-            if not cur[col].is_zero():
-                f = cur[col]
-                cur = [x - f * y for x, y in zip(cur, rank_rows[rr])]
-        lead = next((j for j in range(ncols) if not cur[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = cur[lead].inverse()
-        cur = [inv * x for x in cur]
-        # eliminate the new pivot from earlier rows
-        for rr, prev in enumerate(rank_rows):
-            if not prev[lead].is_zero():
-                f = prev[lead]
-                rank_rows[rr] = [x - f * y for x, y in zip(prev, cur)]
-        pivots[lead] = len(rank_rows)
-        rank_rows.append(cur)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [ctx.zero()] * ncols
-        vec[j] = ctx.one()
-        for col, rr in pivots.items():
-            vec[col] = -rank_rows[rr][j]
-        basis.append(vec)
-    return basis
-
-
 def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     """Basis of the I(n)-fixed vectors in the level-`level` table space.
 
-    For the Steinberg model the zero-K-average condition is part of the
-    system, so the answer lives in Sp itself.
+    A fixed v has v[i] = c v[j] for each generator's (j, c) at cell i
+    (InducedModel.action), so one value pins it on an orbit of the generators.
+    Walked from its first cell with value 1, an orbit gives one fixed line when
+    every edge closes, and none otherwise.  For the Steinberg model the zero
+    K-average is one relation on those lines, so the answer lives in Sp itself.
     """
     ctx = model.ctx
     lvl = max(level or 0, n, model.min_level, 1)
     ctx.check_level(lvl)
-    reps = p1_table(ctx, lvl).reps
-    ncols = len(reps)
-    rows = []
-    one = ctx.one()
-    for gen in iwahori_generators(ctx, n, lvl):
-        for i, rep in enumerate(reps):
-            k = rep * gen
-            j, c = model.locate(k.Z, k.T, k.D, k.N, lvl)
-            # fixed vector: v[i] - c * v[j] = 0, c a root of unity as rep * gen is in K
-            row = [ctx.zero()] * ncols
-            row[i] = row[i] + one
-            row[j] = row[j] - c
-            rows.append(row)
-    if model.steinberg:
-        rows.append([one] * ncols)  # zero K-average cuts Sp out of the induced model
-    return _kernel_basis(ctx, rows, ncols)
+    actions = [model.action(g, lvl) for g in iwahori_generators(ctx, n, lvl)]
+    ncols, zero = len(actions[0]), ctx.zero()
+    seen: set[int] = set()
+    lines = []
+    for start in range(ncols):
+        if start in seen:
+            continue
+        orbit, v, closed = [start], {start: ctx.one()}, True
+        for i in orbit:  # the orbit grows as it is walked
+            for act in actions:
+                j, c = act[i]
+                if j not in v:
+                    v[j] = v[i] * c**-1
+                    orbit.append(j)
+                elif v[j] * c != v[i]:
+                    closed = False
+        seen.update(orbit)
+        if closed:
+            lines.append([v.get(i, zero) for i in range(ncols)])
+    if model.steinberg:  # zero K-average cuts Sp out of the induced model
+        sums = [sum(line, zero) for line in lines]
+        pivot = next((k for k, s in enumerate(sums) if not s.is_zero()), None)
+        if pivot is not None:
+            base, base_sum = lines.pop(pivot), sums.pop(pivot)
+            lines = [[x - s / base_sum * y for x, y in zip(line, base)] for line, s in zip(lines, sums)]
+    return lines
 
 
 def new_vector_unramified(model: InducedModel) -> Section:

@@ -45,6 +45,11 @@ def setup24():
     return Env(ScenarioConfig(2, 4))
 
 
+@pytest.fixture(scope="session")
+def setup52():
+    return Env(ScenarioConfig(5, 2))
+
+
 def rand_K(ctx, rng: random.Random, m: int = 3) -> GroupElement:
     p = ctx.p
     while True:

@@ -15,6 +15,7 @@ from triform.models import (
     TableSection,
     conductor_search,
     fixed_space,
+    iwahori_generators,
     new_vector_by_solve,
     new_vector_unramified,
     principal_series_model,
@@ -22,6 +23,7 @@ from triform.models import (
     steinberg_model,
 )
 from triform.padic import residue, unit_residue
+from triform.verifier import Env, ScenarioConfig
 
 from conftest import image_exponent, rand_G, rand_K, rand_section
 
@@ -319,3 +321,92 @@ def test_section_eval_at_the_bottom_row(request, setup, seed):
         for c, g, tbl in sec.terms:
             want = want + c * tbl.eval(x * g)
         assert sec.eval(x) == want, (setup, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("setup21", "setup32", "setup24", "setup52")), st.integers(0, 2**32))
+def test_translate_by_the_action_matches_group_products(request, setup, seed):
+    """translate_K reads InducedModel.action, built from ints: cell i of the
+    translate equals tbl.eval(rep_i * k) with rep_i * k formed as a
+    GroupElement product, for random k in K and random tables, and translating
+    by k1 and then by k2 is translating by k2 k1."""
+    s = request.getfixturevalue(setup)
+    ctx, rng = s.ctx, random.Random(seed)
+    level = s.V3.min_level + rng.randint(0, 1)
+    reps = p1_table(ctx, level).reps
+    tbl = TableSection(s.V3, level, [rng.randint(-3, 3) for _ in reps]).scaled(ctx.a + 1)
+    k1, k2 = (rand_K(ctx, rng, m=level + 1) for _ in range(2))
+    moved = tbl.translate_K(k1)
+    assert all(moved.values[i] == tbl.eval(rep * k1) for i, rep in enumerate(reps)), (setup, seed)
+    assert moved.translate_K(k2).values == tbl.translate_K(k2 * k1).values, (setup, seed)
+
+
+def kernel_basis(ctx, rows: list, ncols: int) -> list:
+    """Kernel of the row system over the Scalar field (exact Gaussian elimination)."""
+    pivots: dict[int, int] = {}
+    rank_rows: list = []
+    for row in rows:
+        cur = list(row)
+        for col, rr in pivots.items():
+            if not cur[col].is_zero():
+                f = cur[col]
+                cur = [x - f * y for x, y in zip(cur, rank_rows[rr])]
+        lead = next((j for j in range(ncols) if not cur[j].is_zero()), None)
+        if lead is None:
+            continue
+        inv = cur[lead].inverse()
+        cur = [inv * x for x in cur]
+        # eliminate the new pivot from earlier rows
+        for rr, prev in enumerate(rank_rows):
+            if not prev[lead].is_zero():
+                f = prev[lead]
+                rank_rows[rr] = [x - f * y for x, y in zip(prev, cur)]
+        pivots[lead] = len(rank_rows)
+        rank_rows.append(cur)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [ctx.zero()] * ncols
+        vec[j] = ctx.one()
+        for col, rr in pivots.items():
+            vec[col] = -rank_rows[rr][j]
+        basis.append(vec)
+    return basis
+
+
+def dense_fixed_rows(model, n: int, level: int) -> list:
+    """The fixed-vector conditions as dense rows: v[i] - c v[j] = 0 per
+    (generator, cell), with (j, c) located from the GroupElement product
+    rep_i * gen, and the all-ones row of the zero K-average on the Steinberg
+    model."""
+    ctx = model.ctx
+    reps = p1_table(ctx, level).reps
+    rows = []
+    for gen in iwahori_generators(ctx, n, level):
+        for i, rep in enumerate(reps):
+            k = rep * gen
+            j, c = model.locate(k.Z, k.T, k.D, k.N, level)
+            row = [ctx.zero()] * len(reps)
+            row[i] = row[i] + ctx.one()
+            row[j] = row[j] - c
+            rows.append(row)
+    if model.steinberg:
+        rows.append([ctx.one()] * len(reps))
+    return rows
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (5, 1), (3, 2), (5, 2), (2, 4), (3, 4)])
+def test_orbit_walk_matches_dense_elimination(key):
+    """fixed_space's orbit walk spans the kernel of the dense rows, solved by
+    Gaussian elimination, for n' = 0 .. n on the V3 and level of every Env the
+    acceptance gate builds: equal dimension, every walked vector solves every
+    row, and the walked vectors are independent."""
+    env = Env(ScenarioConfig(*key))
+    ctx, ncols = env.ctx, p1_table(env.ctx, env.level).size
+    for n in range(key[1] + 1):
+        walk = fixed_space(env.V3, n, env.level)
+        rows = dense_fixed_rows(env.V3, n, env.level)
+        assert len(walk) == len(kernel_basis(ctx, rows, ncols)), (key, n)
+        for v in walk:
+            for row in rows:
+                assert sum((x * y for x, y in zip(row, v) if not x.is_zero()), ctx.zero()).is_zero(), (key, n)
+        assert len(kernel_basis(ctx, walk, ncols)) == ncols - len(walk), (key, n)
