@@ -46,7 +46,7 @@ def read_config_file(path: str) -> dict:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip().replace("-", "_"), value.strip()
-        if key in ("p", "n", "level", "seed", "depth_cap"):
+        if key in ("p", "n", "level", "seed"):
             try:
                 out[key] = int(value)
             except ValueError as e:
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", type=str, default=None, help="write the report to a file instead of stdout")
     ap.add_argument("--format", type=str, default="text", choices=FORMATS)
     ap.add_argument("--dump-tables", action="store_true", help="dump enumerated coset tables and exit")
-    ap.add_argument("--depth-cap", type=int, default=24)
     ap.add_argument("--config", type=str, default=None, help="flat key=value file mirroring these flags")
     ap.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return ap
@@ -120,7 +119,6 @@ def main(argv=None) -> int:
             mu3=merged["mu3"],
             scenario=merged["scenario"],
             seed=merged["seed"],
-            depth_cap=merged["depth_cap"],
             specialize=parse_specialize(merged["specialize"]) if merged.get("specialize") else None,
             inject_fault=merged.get("inject_fault", False),
         )

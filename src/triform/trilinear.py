@@ -156,7 +156,7 @@ def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter,
 # ---------------------------------------------------------------------------
 
 
-def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_cap: int = 24) -> Scalar:
+def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     """ell(F (x) v) by pair-of-cells quadrature with near-diagonal closure.
 
     Weights: c_K = (p+1)/p normalizes the unit-distance region to total mass
@@ -233,8 +233,6 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section, depth_cap: int = 24
     # any depth, but val delta >= R - gap >= m.
     R = Lstar
     e0 = R + 1
-    if e0 + 1 > depth_cap:
-        raise TailError(f"depth cap {depth_cap} below the guard stratum {e0 + 1} of the structural stabilization depth {e0}")
     units = units_mod(p, R)
 
     def stratum(e):

@@ -122,7 +122,6 @@ class ScenarioConfig:
     mu3: str | None = None
     scenario: str = "all"
     seed: int = 0
-    depth_cap: int = 24
     specialize: dict | None = None
     inject_fault: bool = False
 
@@ -221,6 +220,8 @@ class Env:
             chtil, X, rho = self.phi.chtil, self.phi.chtil.value_at_pi, self.phi.tail_ratios["negative"]
             if (chtil.c == 0 and X == 1) or ((self.V3.borel.chi_d / self.V3.borel.chi_a * chtil).c == 0 and rho == 1):
                 raise ConfigError(f"the specialization puts a geometric tail of phi at ratio 1 (X = {X.render()}, rho = {rho.inverse().render()})")
+            if chtil.c == 0 and self.phi.tail_ratios["depth"] == 1:  # ramified chi~: the depth tail vanishes
+                raise ConfigError("the specialization puts the chain's depth tail at ratio 1")
         self.f = make_indicator_f(ctx, self.mu1, self.mu2, n, self.level)
         import random
 
@@ -265,8 +266,8 @@ class Env:
         return GroupElement.gamma(self.ctx.p, k)
 
     def ell(self, F: TensorFn, v: Section | None = None) -> Scalar:
-        """ell(F (x) v) by the chain evaluator under the configured depth cap; v defaults to v3."""
-        return ell_chain(self.phi, F, self.v3 if v is None else v, depth_cap=self.cfg.depth_cap)
+        """ell(F (x) v) by the chain evaluator; v defaults to v3."""
+        return ell_chain(self.phi, F, self.v3 if v is None else v)
 
     def ell_pure(self, i: int, j: int) -> Scalar:
         """ell(gamma^-i v1 (x) gamma^-j v2 (x) v3), computed once per Env."""
@@ -897,7 +898,6 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
         "level": env.level,
         "mu3": env.mu3.render_spec() if env.mu3 is not None else "steinberg",
         "scenario": cfg.scenario,
-        "depth_cap": cfg.depth_cap,
         "specialize": {k: str(v) for k, v in (cfg.specialize or {}).items()},
         "inject_fault": cfg.inject_fault,
     }

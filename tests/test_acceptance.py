@@ -13,9 +13,10 @@ and the pi3-dependent claims run at (2, 4) instead (the nonexistence itself is
 test_verifier.py::test_no_conductor_two_at_p2, and the (2, 2) open-orbit block,
 which needs no third representation, is an input of
 test_trilinear.py::test_closed_form_matches_ext).  (3, 4) runs the claims on
-phi alone: its equivariance, its nonvanishing on the new vector and
-Phi = lambda phi.  (5, 2) runs every scenario symbolic in a, b and u over
-Q(zeta_4), last, as it is the slowest configuration.
+phi (its equivariance, its nonvanishing on the new vector and
+Phi = lambda phi), the main theorem and the intro vanishing.  (5, 2) runs
+every scenario symbolic in a, b and u over Q(zeta_4), last, as it is the
+slowest configuration.
 """
 
 import re
@@ -26,8 +27,9 @@ from triform.verifier import COVERAGE, SCENARIOS, Env, ScenarioConfig, run_check
 
 # (p, n) -> the scenarios the gate runs there, in report order.  (2, 4) leaves
 # out the Steinberg-only scenarios and the enumeration and open-orbit blocks,
-# which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) runs the three phi scenarios
-# only; tools/reach.py times its chain scenarios.
+# which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) runs the three phi scenarios,
+# main-theorem and intro-vanishing; tools/reach.py times its other chain
+# scenarios.
 GATE = {
     (2, 1): SCENARIOS,
     (3, 1): SCENARIOS,
@@ -44,7 +46,7 @@ GATE = {
         "intro-vanishing",
     ),
     (5, 1): SCENARIOS,
-    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda"),
+    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda", "main-theorem", "intro-vanishing"),
     (5, 2): SCENARIOS,
 }
 

@@ -14,7 +14,7 @@ import pytest
 from triform import verifier
 from triform.cli import main as cli_main
 from triform.context import MAX_LEVEL, Context
-from triform.functionals import TorusFunctional
+from triform.functionals import FunctionalError, TorusFunctional
 from triform.scalars import ScalarError
 from triform.trilinear import KernelForm
 from triform.verifier import (
@@ -225,21 +225,22 @@ def test_cli_level_past_cap():
         assert "Traceback" not in proc.stderr
 
 
-def test_cli_engine_error_is_a_fail_record():
-    """An engine error inside a scenario (here the chain's TailError under a
-    too-small depth cap) is that scenario's FAIL record with the reason: exit 1,
-    no traceback."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "triform", "--p", "2", "--n", "1", "--depth-cap", "2",
-         "--scenario", "intro-vanishing", "--format", "json-like"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    (check,) = json.loads(proc.stdout)["checks"]
+def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys):
+    """An engine error inside a scenario (here a FunctionalError raised by its
+    runner) is that scenario's FAIL record with the reason: exit 1, no
+    traceback."""
+
+    def runner(env):
+        raise FunctionalError("injected engine error")
+
+    monkeypatch.setitem(verifier._RUNNERS, "intro-vanishing", runner)
+    code = cli_main(["--p", "2", "--n", "1", "--scenario", "intro-vanishing", "--format", "json-like"])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    assert "Traceback" not in err
+    (check,) = json.loads(out)["checks"]
     assert (check["id"], check["verdict"]) == ("intro-vanishing", "FAIL")
-    assert check["reason"].startswith("TailError: depth cap 2 below")
+    assert check["reason"] == "FunctionalError: injected engine error"
 
 
 @pytest.mark.parametrize(
@@ -263,6 +264,7 @@ def test_cli_engine_error_is_a_fail_record():
         ["--specialize", "a=4,b=2", "--scenario", "main-theorem"],
         ["--specialize", "a=2,b=4", "--scenario", "main-theorem"],
         ["--specialize", "a=1/2,b=1/4"],
+        ["--p", "2", "--n", "1", "--scenario", "main-theorem", "--specialize", "a=2,b=1/2"],  # depth tail at ab = 1
         ["--specialize", "u=5"],  # the Steinberg model at n = 1 has no u
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u-5)", "--specialize", "u=5"],  # zero at pi
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=1/(u-5))", "--specialize", "u=5"],  # pole
