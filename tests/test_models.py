@@ -363,8 +363,9 @@ def kernel_basis(ctx, rows: list, ncols: int) -> list:
                 rank_rows[rr] = [x - f * y for x, y in zip(prev, cur)]
         pivots[lead] = len(rank_rows)
         rank_rows.append(cur)
+    free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for j in (j for j in range(ncols) if j not in pivots):
+    for j in free:
         vec = [ctx.zero()] * ncols
         vec[j] = ctx.one()
         for col, rr in pivots.items():

@@ -264,12 +264,12 @@ def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys):
         ["--specialize", "a=4,b=2", "--scenario", "main-theorem"],
         ["--specialize", "a=2,b=4", "--scenario", "main-theorem"],
         ["--specialize", "a=1/2,b=1/4"],
-        ["--p", "2", "--n", "1", "--scenario", "main-theorem", "--specialize", "a=2,b=1/2"],  # depth tail at ab = 1
         ["--specialize", "u=5"],  # the Steinberg model at n = 1 has no u
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u-5)", "--specialize", "u=5"],  # zero at pi
         ["--p", "3", "--n", "2", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=1/(u-5))", "--specialize", "u=5"],  # pole
         ["--config", "{tmp}/format.cfg"],  # a config file gets the checks of the flags
         ["--config", "{tmp}/flag.cfg"],
+        ["--p", "2", "--n", "1", "--scenario", "main-theorem", "--specialize", "a=2,b=1/2"],  # depth tail at ab = 1
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
