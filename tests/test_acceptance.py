@@ -17,9 +17,15 @@ phi (its equivariance, its nonvanishing on the new vector and
 Phi = lambda phi), the main theorem and the intro vanishing.  (5, 2) runs
 every scenario symbolic in a, b and u over Q(zeta_4), last, as it is the
 slowest configuration.
+
+tests/gate_scalars.json pins the rendered scalars of every record the gate
+produces, per configuration, so a change of a certified value fails the gate
+until that file changes with it.
 """
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +160,18 @@ def test_criterion_11_simple_case():
 
 def test_criterion_12_structural():
     assert_criterion(12, "structural solves, conductors and enumerations")
+
+
+def gate_scalars(key) -> dict:
+    """check id -> {name: rendered scalar} over the gate's records at key that
+    carry scalars: one configuration's entry in tests/gate_scalars.json, keyed
+    there by "p,n"."""
+    _, checks = gate_run(key)
+    return {c.id: c.scalars for c in checks if c.scalars}
+
+
+def test_gate_scalars_pinned():
+    pinned = json.loads((Path(__file__).parent / "gate_scalars.json").read_text())
+    assert sorted(pinned) == sorted(f"{p},{n}" for p, n in GATE)
+    for p, n in GATE:
+        assert gate_scalars((p, n)) == pinned[f"{p},{n}"], f"the recorded scalars at ({p},{n}) changed"
