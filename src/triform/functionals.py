@@ -34,16 +34,16 @@ class TailError(FunctionalError):
     pass
 
 
-def close_tail(t0: Scalar, t1: Scalar, rho: Scalar, closure=None) -> Scalar:
+def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
     """The sum t2 + t3 + ... of a series that continues t0, t1 at the derived
-    ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish.  t1 = rho t0 is
-    required exactly, by cross-multiplying numerators and denominator factors;
-    anything else raises TailError.  closure(), when given, returns
-    rho/(1 - rho) from the caller's memo; it is called only for a nonzero tail."""
+    ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish, in which case
+    rho/(1 - rho) is not formed.  t1 = rho t0 is required exactly, by
+    cross-multiplying numerators and denominator factors; anything else
+    raises TailError."""
     if t0.is_zero() and t1.is_zero():
         return t1
     if products_equal(t1.field, (t1,), (rho, t0)):
-        return t1 * (rho.geometric_tail(1) if closure is None else closure())
+        return t1 * rho.geometric_tail(1)
     raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} is not a progression at the derived ratio {rho.render()}")
 
 
@@ -118,7 +118,6 @@ class TorusFunctional:
         self.chtil = derive_phi_twist(mu1, mu2, model3)
         self.ratio21 = mu2 / mu1  # (chi_2/chi_1)(diag(t1, t2)) = ratio21(t1/t2)
         self._vectors: dict = {}
-        self._closures: dict = {}
 
     # -- the derived ratios of the two tails that close_tail closes ----------
     @cached_property
@@ -135,10 +134,8 @@ class TorusFunctional:
         return {"negative": neg, "depth": self.mu2.value_at_pi**2 * neg}
 
     def close(self, t0: Scalar, t1: Scalar, tail: str) -> Scalar:
-        """close_tail at the derived ratio of `tail`; rho/(1 - rho) is formed on
-        the first nonzero tail and kept."""
-        rho, memo = self.tail_ratios[tail], self._closures
-        return close_tail(t0, t1, rho, lambda: memo[tail] if tail in memo else memo.setdefault(tail, rho.geometric_tail(1)))
+        """close_tail at the derived ratio of `tail`."""
+        return close_tail(t0, t1, self.tail_ratios[tail])
 
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
@@ -304,13 +301,8 @@ class TorusFunctional:
         p = ctx.p
         units = units_mod(p, max(section.level_bound(), self.chtil.c))
         wbar = GroupElement.w(p)
-        acc = ctx.zero()
-        for eps in units:
-            y = Fraction(eps * p**k) if k >= 0 else Fraction(eps, p**-k)
-            v = section.eval(wbar * GroupElement.upper(p, y))
-            if not v.is_zero():
-                acc = acc + v * ctx.zeta_powers[self.chtil.unit_exponent(eps)]
-        return acc * ctx.scalar(Fraction(1, len(units)))
+        weight, pk = ctx.scalar(Fraction(1, len(units))), Fraction(p) ** k
+        return sum_products(ctx.field, ((weight, section.eval(wbar * GroupElement.upper(p, eps * pk)), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units))
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the
@@ -394,13 +386,7 @@ def Phi_eval(phi: TorusFunctional, f: CompactInducedFn, v: Section) -> Scalar:
     """Phi(f)(v) = integral over T\\G of f(g) phi(pi(g) v) dg, a finite sum
     over the unit-orbit cells with the fixed measure conventions."""
     ctx = phi.ctx
-    out = ctx.zero()
-    for rep, wt in f.orbit_cells():
-        fv = f.eval(rep)
-        if fv.is_zero():
-            continue
-        out = out + ctx.scalar(wt) * fv * phi.eval(v.translated(rep))
-    return out
+    return sum_products(ctx.field, ((ctx.scalar(wt), f.eval(rep), phi.eval(v.translated(rep))) for rep, wt in f.orbit_cells()))
 
 
 def coset_constant(ctx: Context, n: int) -> Fraction:

@@ -154,10 +154,7 @@ class TableSection:
         if self.model.borel.conductor() != 0:
             raise ModelError("K-average is only computed on unramified-twist models")
         mass = self.ctx.scalar(p1_table(self.ctx, self.level).cell_mass)
-        out = self.ctx.zero()
-        for v in self.values:
-            out = out + v
-        return mass * out
+        return sum_products(self.ctx.field, ((mass, v) for v in self.values))
 
     def scaled(self, c: Scalar) -> "TableSection":
         return TableSection(self.model, self.level, [c * v for v in self.values])

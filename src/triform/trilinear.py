@@ -96,24 +96,24 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
     lvl = max(level or 0, f.level, f.n, 1)
     table = p1_table(ctx, lvl)
     p = ctx.p
-    w = GroupElement.w(p)
     rows = []
-    for rep1, (z1, t1) in zip(table.reps, table.rows):
+    for z1, t1 in table.rows:
         row = []
-        for rep2, (z2, t2) in zip(table.reps, table.rows):
-            # the section matrix built from the two bottom rows lies in T I(n)
-            # only if its determinant is a unit, so near pairs contribute 0
-            if not (z2 * t1 - t2 * z1) % p:
+        for z2, t2 in table.rows:
+            # the section matrix sigma = (z2 t2; z1 t1) lies in T I(n) only if
+            # its determinant Delta is a unit, so near pairs contribute 0
+            delta = z2 * t1 - t2 * z1
+            if not delta % p:
                 row.append(ctx.zero())
                 continue
-            sigma = GroupElement(p, z2, t2, z1, t1)
-            fv = f.eval(sigma)
+            fv = f.eval(GroupElement(p, z2, t2, z1, t1))
             if fv.is_zero():
                 row.append(ctx.zero())
                 continue
-            b1 = rep1 * sigma.inv()
-            b2 = rep2 * (w * sigma).inv()
-            row.append(model1.borel.eval(*b1.borel_diagonal()) * model2.borel.eval(*b2.borel_diagonal()) * fv)
+            # rep1 = b1 sigma and rep2 = b2 w sigma share the bottom rows of
+            # sigma and w sigma and have det 1, so b1 = diag(1/Delta, 1) and
+            # b2 = diag(-1/Delta, 1) up to unipotents
+            row.append(model1.borel.eval((1, delta), (1, 1)) * model2.borel.eval((-1, delta), (1, 1)) * fv)
         section = TableSection(model2, lvl, row)
         rows.append(None if section.is_zero() else section.as_section())
     return TensorFn(model1, lvl, rows)
@@ -143,12 +143,7 @@ def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter,
     lvl = max(F.level_bound(), v3.level_bound(), 1)
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
-    out = ctx.zero()
-    for rep in table.reps:
-        rv = F.eval_pair(rep, rep)
-        if not rv.is_zero():
-            out = out + mass * rv * v3.eval(rep)
-    return out
+    return sum_products(ctx.field, ((mass, F.eval_pair(rep, rep), v3.eval(rep)) for rep in table.reps))
 
 
 # ---------------------------------------------------------------------------
@@ -359,88 +354,40 @@ class KernelForm:
 
     # -- the evaluator -----------------------------------------------------------
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
+        """The three strata streamed as factor tuples into one sum_products:
+        three distinct cells, one pair collapsed inside a cell with the third
+        point away, and all three points in one cell."""
         ctx = self.ctx
         p, q = ctx.p, ctx.q
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level, 1)
         ctx.check_level(L0)
-        t1, t2, t3 = f1.as_table(L0), f2.as_table(L0), f3.as_table(L0)
+        vals1, vals2, vals3 = (f.as_table(L0).values for f in (f1, f2, f3))
         table = p1_table(ctx, L0)
-        N = table.size
-        rows = table.rows
+        cells = range(table.size)
         # the cells are lifted through det-one matrices, so the wedge of a
         # bottom row with its offset direction, -det(rep), is -1 on every cell
         mass = ctx.scalar(table.cell_mass)
-        vals1, vals2, vals3 = t1.values, t2.values, t3.values
 
-        def wedge(i: int, j: int):
-            zi, ti = rows[i]
-            zj, tj = rows[j]
-            return zi * tj - ti * zj
+        def wedges(nu: SmoothCharacter) -> dict:
+            """nu of the wedge z_i t_j - t_i z_j of two distinct cells' bottom rows, which is nonzero."""
+            return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in enumerate(table.rows) for j, (zj, tj) in enumerate(table.rows) if i != j}
 
-        # pair-character value tables on distinct cells
-        W12 = [[None] * N for _ in range(N)]
-        W13 = [[None] * N for _ in range(N)]
-        W23 = [[None] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                wd = wedge(i, j)
-                W12[i][j] = self.nu12.eval(wd)
-                W13[i][j] = self.nu13.eval(wd)
-                W23[i][j] = self.nu23.eval(wd)
+        W12, W13, W23 = wedges(self.nu12), wedges(self.nu13), wedges(self.nu23)
+        mass3 = mass * mass * mass
+        distinct = ((mass3, vals1[i], vals2[j], vals3[k], W12[i, j], W13[i, k], W23[j, k]) for i in cells for j in cells if j != i for k in cells if k not in (i, j))
 
-        # stratum (i): three pairwise distinct cells
-        s_i = ctx.zero()
-        for i in range(N):
-            v1 = vals1[i]
-            if v1.is_zero():
-                continue
-            for j in range(N):
-                if j == i:
-                    continue
-                v2 = vals2[j]
-                if v2.is_zero():
-                    continue
-                v12 = v1 * v2 * W12[i][j]
-                for k in range(N):
-                    if k == i or k == j:
-                        continue
-                    v3 = vals3[k]
-                    if not v3.is_zero():
-                        s_i = s_i + v12 * v3 * W13[i][k] * W23[j][k]
-        total = s_i * mass * mass * mass
+        def collapsed():
+            """One pair collapses inside cell c; the third point stays in cell k."""
+            cases = [
+                (self.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
+                (self.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
+                (self.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
+            ]
+            for nu_pair, va, vb, vthird, far in cases:
+                tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
+                lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu_pair, -1)]) * tail
+                yield from ((lead, va[c], vb[c], vthird[k], *far(c, k)) for c in cells for k in cells if k != c)
 
-        # stratum (ii): one pair collapses inside a cell, the third stays away
-        pair_density = ctx.scalar(Fraction(p, p + 1))
-        cases = [
-            (self.nu12, vals1, vals2, vals3, lambda c, k: (W13[c][k], W23[c][k])),
-            (self.nu13, vals1, vals3, vals2, lambda c, k: (W12[c][k], W23[k][c])),
-            (self.nu23, vals2, vals3, vals1, lambda c, k: (W12[k][c], W13[k][c])),
-        ]
-        for nu_pair, va, vb, vthird, far in cases:
-            tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
-            usum = self._usum([(nu_pair, -1)])
-            for c in range(N):
-                fv = va[c] * vb[c]
-                if fv.is_zero():
-                    continue
-                base = fv * usum * tail
-                if base.is_zero():
-                    continue
-                for k in range(N):
-                    if k == c:
-                        continue
-                    v3 = vthird[k]
-                    if v3.is_zero():
-                        continue
-                    wx, wy = far(c, k)
-                    total = total + base * v3 * wx * wy * mass * mass * pair_density
-
-        # stratum (iii): all three points in one cell
-        for c in range(N):
-            fv = vals1[c] * vals2[c] * vals3[c]
-            if not fv.is_zero():
-                total = total + fv * mass * self._G(-1, L0)
-        return total
-
+        diagonal = mass * self._G(-1, L0)
+        one_cell = ((diagonal, vals1[c], vals2[c], vals3[c]) for c in cells)
+        return sum_products(ctx.field, chain(distinct, collapsed(), one_cell))
