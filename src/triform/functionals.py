@@ -34,16 +34,16 @@ class TailError(FunctionalError):
     pass
 
 
-def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
+def close_tail(t0: Scalar, t1: Scalar, rho: Scalar, closure=None) -> Scalar:
     """The sum t2 + t3 + ... of a series that continues t0, t1 at the derived
-    ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish, in which case
-    rho/(1 - rho) is not formed.  t1 = rho t0 is required exactly, by
-    cross-multiplying numerators and denominator factors; anything else
-    raises TailError."""
+    ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish.  t1 = rho t0 is
+    required exactly, by cross-multiplying numerators and denominator factors;
+    anything else raises TailError.  closure(), when given, returns
+    rho/(1 - rho) from the caller's memo; it is called only for a nonzero tail."""
     if t0.is_zero() and t1.is_zero():
         return t1
     if products_equal(t1.field, (t1,), (rho, t0)):
-        return t1 * rho.geometric_tail(1)
+        return t1 * (rho.geometric_tail(1) if closure is None else closure())
     raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} is not a progression at the derived ratio {rho.render()}")
 
 
@@ -118,6 +118,7 @@ class TorusFunctional:
         self.chtil = derive_phi_twist(mu1, mu2, model3)
         self.ratio21 = mu2 / mu1  # (chi_2/chi_1)(diag(t1, t2)) = ratio21(t1/t2)
         self._vectors: dict = {}
+        self._closures: dict = {}
 
     # -- the derived ratios of the two tails that close_tail closes ----------
     @cached_property
@@ -134,8 +135,10 @@ class TorusFunctional:
         return {"negative": neg, "depth": self.mu2.value_at_pi**2 * neg}
 
     def close(self, t0: Scalar, t1: Scalar, tail: str) -> Scalar:
-        """close_tail at the derived ratio of `tail`."""
-        return close_tail(t0, t1, self.tail_ratios[tail])
+        """close_tail at the derived ratio of `tail`; rho/(1 - rho) is formed on
+        the first nonzero tail and kept."""
+        rho, memo = self.tail_ratios[tail], self._closures
+        return close_tail(t0, t1, rho, lambda: memo[tail] if tail in memo else memo.setdefault(tail, rho.geometric_tail(1)))
 
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
@@ -302,7 +305,9 @@ class TorusFunctional:
         units = units_mod(p, max(section.level_bound(), self.chtil.c))
         wbar = GroupElement.w(p)
         weight, pk = ctx.scalar(Fraction(1, len(units))), Fraction(p) ** k
-        return sum_products(ctx.field, ((weight, section.eval(wbar * GroupElement.upper(p, eps * pk)), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units))
+        return sum_products(
+            ctx.field, ((weight, section.eval(wbar * GroupElement.upper(p, eps * pk)), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units)
+        )
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the

@@ -369,12 +369,16 @@ class KernelForm:
         mass = ctx.scalar(table.cell_mass)
 
         def wedges(nu: SmoothCharacter) -> dict:
-            """nu of the wedge z_i t_j - t_i z_j of two distinct cells' bottom rows, which is nonzero."""
-            return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in enumerate(table.rows) for j, (zj, tj) in enumerate(table.rows) if i != j}
+            """nu at the wedge z_i t_j - t_i z_j of two distinct cells' bottom rows, which is nonzero."""
+            rows = list(enumerate(table.rows))
+            return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
 
         W12, W13, W23 = wedges(self.nu12), wedges(self.nu13), wedges(self.nu23)
-        mass3 = mass * mass * mass
-        distinct = ((mass3, vals1[i], vals2[j], vals3[k], W12[i, j], W13[i, k], W23[j, k]) for i in cells for j in cells if j != i for k in cells if k not in (i, j))
+        mass3, diagonal = mass * mass * mass, mass * self._G(-1, L0)
+        distinct = (
+            (mass3, vals1[i], vals2[j], vals3[k], W12[i, j], W13[i, k], W23[j, k])
+            for i in cells for j in cells if j != i for k in cells if k not in (i, j)
+        )
 
         def collapsed():
             """One pair collapses inside cell c; the third point stays in cell k."""
@@ -388,6 +392,5 @@ class KernelForm:
                 lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu_pair, -1)]) * tail
                 yield from ((lead, va[c], vb[c], vthird[k], *far(c, k)) for c in cells for k in cells if k != c)
 
-        diagonal = mass * self._G(-1, L0)
         one_cell = ((diagonal, vals1[c], vals2[c], vals3[c]) for c in cells)
         return sum_products(ctx.field, chain(distinct, collapsed(), one_cell))

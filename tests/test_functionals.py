@@ -431,8 +431,8 @@ def test_close_tail():
     two = ctx.scalar(2)
     assert close_tail(t[0], t[1], two) == ctx.scalar(-4)
     assert close_tail(t[1], t[2], two) == ctx.scalar(-8)
-    # rho/(1 - rho) at rho = 1 would raise PoleError
-    assert close_tail(t[4], t[4], ctx.one()).is_zero()
+    assert close_tail(t[4], t[4], ctx.one(), closure=lambda: pytest.fail("closure formed for a zero tail")).is_zero()
+    assert close_tail(t[0], t[1], two, closure=lambda: ctx.scalar(7)) == ctx.scalar(14)
     for bad in ((t[0], t[3]), (t[0], t[4]), (t[4], t[0])):
         with pytest.raises(TailError, match="tail not stabilized"):
             close_tail(*bad, two)
