@@ -304,10 +304,9 @@ class TorusFunctional:
         p = ctx.p
         units = units_mod(p, max(section.level_bound(), self.chtil.c))
         wbar = GroupElement.w(p)
-        weight, pk = ctx.scalar(Fraction(1, len(units))), Fraction(p) ** k
-        return sum_products(
-            ctx.field, ((weight, section.eval(wbar * GroupElement.upper(p, eps * pk)), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units)
-        )
+        num, den = p ** max(k, 0), p ** max(-k, 0)  # y = eps num/den = eps pi^k
+        terms = ((section.eval(wbar * GroupElement.upper(p, Fraction(eps * num, den))), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units)
+        return sum_products(ctx.field, terms) * ctx.scalar(Fraction(1, len(units)))
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the

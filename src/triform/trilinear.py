@@ -354,9 +354,7 @@ class KernelForm:
 
     # -- the evaluator -----------------------------------------------------------
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
-        """The three strata streamed as factor tuples into one sum_products:
-        three distinct cells, one pair collapsed inside a cell with the third
-        point away, and all three points in one cell."""
+        """The three strata streamed as factor tuples into one sum_products."""
         ctx = self.ctx
         p, q = ctx.p, ctx.q
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level, 1)
@@ -366,7 +364,7 @@ class KernelForm:
         cells = range(table.size)
         # the cells are lifted through det-one matrices, so the wedge of a
         # bottom row with its offset direction, -det(rep), is -1 on every cell
-        mass = ctx.scalar(table.cell_mass)
+        mass, mass3 = ctx.scalar(table.cell_mass), ctx.scalar(table.cell_mass**3)
 
         def wedges(nu: SmoothCharacter) -> dict:
             """nu at the wedge z_i t_j - t_i z_j of two distinct cells' bottom rows, which is nonzero."""
@@ -374,23 +372,27 @@ class KernelForm:
             return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
 
         W12, W13, W23 = wedges(self.nu12), wedges(self.nu13), wedges(self.nu23)
-        mass3, diagonal = mass * mass * mass, mass * self._G(-1, L0)
-        distinct = (
-            (mass3, vals1[i], vals2[j], vals3[k], W12[i, j], W13[i, k], W23[j, k])
-            for i in cells for j in cells if j != i for k in cells if k not in (i, j)
-        )
+        cases = [  # stratum (ii): the collapsed pair's character and slots, the third slot, its two wedges
+            (self.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
+            (self.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
+            (self.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
+        ]
 
-        def collapsed():
-            """One pair collapses inside cell c; the third point stays in cell k."""
-            cases = [
-                (self.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
-                (self.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
-                (self.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
-            ]
+        def strata():
+            """(i) three distinct cells, led per (i, j) by mass^3 f1 f2 W12; (ii) a pair collapsed
+            in cell c, the third point in cell k, led per c by mass^2 p/(p+1) usum tail fa fb; (iii) one cell."""
+            for i in cells:
+                for j in cells:
+                    if j != i:
+                        lead = mass3 * vals1[i] * vals2[j] * W12[i, j]
+                        yield from ((lead, vals3[k], W13[i, k], W23[j, k]) for k in cells if k not in (i, j))
             for nu_pair, va, vb, vthird, far in cases:
                 tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
                 lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu_pair, -1)]) * tail
-                yield from ((lead, va[c], vb[c], vthird[k], *far(c, k)) for c in cells for k in cells if k != c)
+                for c in cells:
+                    lead_c = lead * va[c] * vb[c]
+                    yield from ((lead_c, vthird[k], *far(c, k)) for k in cells if k != c)
+            lead = mass * self._G(-1, L0)
+            yield from ((lead, vals1[c], vals2[c], vals3[c]) for c in cells)
 
-        one_cell = ((diagonal, vals1[c], vals2[c], vals3[c]) for c in cells)
-        return sum_products(ctx.field, chain(distinct, collapsed(), one_cell))
+        return sum_products(ctx.field, strata())
