@@ -34,16 +34,16 @@ class TailError(FunctionalError):
     pass
 
 
-def close_tail(t0: Scalar, t1: Scalar, rho: Scalar, closure=None) -> Scalar:
+def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
     """The sum t2 + t3 + ... of a series that continues t0, t1 at the derived
     ratio rho: t1 rho/(1 - rho), or 0 when both terms vanish.  t1 = rho t0 is
     required exactly, by cross-multiplying numerators and denominator factors;
-    anything else raises TailError.  closure(), when given, returns
-    rho/(1 - rho) from the caller's memo; it is called only for a nonzero tail."""
+    anything else raises TailError.  rho/(1 - rho) is formed only for a nonzero
+    tail, and rho keeps it (`Scalar.geometric_tail`)."""
     if t0.is_zero() and t1.is_zero():
         return t1
     if products_equal(t1.field, (t1,), (rho, t0)):
-        return t1 * (rho.geometric_tail(1) if closure is None else closure())
+        return t1 * rho.geometric_tail(1)
     raise TailError(f"tail not stabilized: {t0.render()} | {t1.render()} is not a progression at the derived ratio {rho.render()}")
 
 
@@ -118,7 +118,6 @@ class TorusFunctional:
         self.chtil = derive_phi_twist(mu1, mu2, model3)
         self.ratio21 = mu2 / mu1  # (chi_2/chi_1)(diag(t1, t2)) = ratio21(t1/t2)
         self._vectors: dict = {}
-        self._closures: dict = {}
 
     # -- the derived ratios of the two tails that close_tail closes ----------
     @cached_property
@@ -135,10 +134,8 @@ class TorusFunctional:
         return {"negative": neg, "depth": self.mu2.value_at_pi**2 * neg}
 
     def close(self, t0: Scalar, t1: Scalar, tail: str) -> Scalar:
-        """close_tail at the derived ratio of `tail`; rho/(1 - rho) is formed on
-        the first nonzero tail and kept."""
-        rho, memo = self.tail_ratios[tail], self._closures
-        return close_tail(t0, t1, rho, lambda: memo[tail] if tail in memo else memo.setdefault(tail, rho.geometric_tail(1)))
+        """close_tail at the derived ratio of `tail`."""
+        return close_tail(t0, t1, self.tail_ratios[tail])
 
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:

@@ -30,7 +30,10 @@ divide a canonical numerator does not divide it times a monomial.
 
 Sums of products are deferred: `sum_products` adds the numerator products of
 terms with the same denominator multiset and canonicalizes once per multiset,
-not once per term, which saves the trial divisions of the partial sums.
+not once per term, which saves the trial divisions of the partial sums.  It
+classifies factors by their fields and multiplies each term straight into its
+multiset's int accumulator with `Poly.__mul__`'s term-product loop, building
+no product Poly per term (S. C. Johnson, Sparse polynomial arithmetic, 1974).
 """
 
 from __future__ import annotations
@@ -201,9 +204,13 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        den = _add_into(out, self.den, other)
-        return Poly._make(self.field, out, den)
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        out = dict(self.terms) if s == 1 else {mo: c * s for mo, c in self.terms.items()}
+        for mo, c in other.terms.items():
+            c *= t
+            out[mo] = out[mo] + c if mo in out else c
+        return Poly._make(self.field, out, d)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -213,21 +220,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict = {}
-        dr, dz, table = self.field.reduction
-        for (a1, b1, u1, r1, z1), c1 in self.terms.items():
-            for (a2, b2, u2, r2, z2), c2 in other.terms.items():
-                c = c1 * c2
-                er, ez = r1 + r2, z1 + z2
-                if er >= dr or ez >= dz:  # r^2 -> q and zeta^d -> its Phi_M row
-                    for (kr, kz), f in table[er, ez]:
-                        mo = (a1 + a2, b1 + b2, u1 + u2, kr, kz)
-                        out[mo] = out[mo] + c * f if mo in out else c * f
-                    continue
-                mo = (a1 + a2, b1 + b2, u1 + u2, er, ez)
-                if mo in out:
-                    out[mo] = out[mo] + c
-                else:
-                    out[mo] = c
+        _mul_into(out, self.field, self.terms, other.terms, 1)
         return Poly._make(self.field, out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
@@ -331,17 +324,25 @@ class Poly:
         return f"Poly<{self.render()}>"
 
 
-def _add_into(acc: dict, den: int, poly: Poly) -> int:
-    """Add poly to the int terms acc over den in place; return the lcm of the denominators, acc's new one."""
-    d = lcm(den, poly.den)
-    if d != den:
-        for mo in acc:
-            acc[mo] *= d // den
-    s = d // poly.den
-    for mo, c in poly.terms.items():
-        c *= s
-        acc[mo] = acc[mo] + c if mo in acc else c
-    return d
+def _mul_into(out: dict, field: FieldSpec, terms1: dict, terms2: dict, s: int) -> None:
+    """Add s times the product of two int term dicts to out in place, one
+    term product at a time, reduced by r^2 -> q and zeta^d -> its Phi_M row."""
+    dr, dz, table = field.reduction
+    for (a1, b1, u1, r1, z1), c1 in terms1.items():
+        c1 *= s
+        for (a2, b2, u2, r2, z2), c2 in terms2.items():
+            c = c1 * c2
+            er, ez = r1 + r2, z1 + z2
+            if er >= dr or ez >= dz:
+                for (kr, kz), f in table[er, ez]:
+                    mo = (a1 + a2, b1 + b2, u1 + u2, kr, kz)
+                    out[mo] = out[mo] + c * f if mo in out else c * f
+                continue
+            mo = (a1 + a2, b1 + b2, u1 + u2, er, ez)
+            if mo in out:
+                out[mo] = out[mo] + c
+            else:
+                out[mo] = c
 
 
 def _render_term(names: tuple, mo: tuple, c: Fraction, first: bool) -> str:
@@ -367,12 +368,12 @@ class Scalar:
     numerator.
     """
 
-    __slots__ = ("field", "num", "den", "_powers")
+    __slots__ = ("field", "num", "den", "_memo")
 
     def __init__(self, field: FieldSpec, num: Poly, den: tuple = (), trial: bool = True):
         self.field = field
         self.num, self.den = _canonicalize(field, num, den, trial)
-        self._powers = None  # k -> self**k, made on the first power
+        self._memo = None  # k -> self**k and ("tail", k0) -> self.geometric_tail(k0), made on first use
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -440,7 +441,7 @@ class Scalar:
 
     def __neg__(self):
         s = Scalar.__new__(Scalar)
-        s.field, s.num, s.den, s._powers = self.field, -self.num, self.den, None
+        s.field, s.num, s.den, s._memo = self.field, -self.num, self.den, None
         return s
 
     def __mul__(self, other):
@@ -495,9 +496,9 @@ class Scalar:
         zero**-1 raises every time."""
         if k == 1:
             return self
-        if self._powers is None:
-            self._powers = {}
-        out = self._powers.get(k)
+        if self._memo is None:
+            self._memo = {}
+        out = self._memo.get(k)
         if out is None:
             if k < 0:
                 out = (self.inverse() if k == -1 else self**-1) ** (-k)
@@ -508,16 +509,22 @@ class Scalar:
                         out = out * base
                     base = base * base if e > 1 else base
                     e >>= 1
-            self._powers[k] = out
+            self._memo[k] = out
         return out
 
     # -- the regularization primitive --------------------------------------
     def geometric_tail(self, k0: int) -> "Scalar":
-        """Sum_{k >= k0} self^k in closed form: self^k0 / (1 - self)."""
-        denom = 1 - self
-        if denom.is_zero():
-            raise PoleError("pole on parameter locus: geometric tail at ratio 1 (factor 1 - (%s))" % self.render())
-        return (self**k0) / denom
+        """Sum_{k >= k0} self^k in closed form: self^k0 / (1 - self), memoized
+        per object as powers are; a pole stores nothing and raises every time."""
+        if self._memo is None:
+            self._memo = {}
+        out = self._memo.get(("tail", k0))
+        if out is None:
+            denom = 1 - self
+            if denom.is_zero():
+                raise PoleError("pole on parameter locus: geometric tail at ratio 1 (factor 1 - (%s))" % self.render())
+            out = self._memo["tail", k0] = (self**k0) / denom
+        return out
 
     # -- specialization -----------------------------------------------------
     def specialize(self, assignment: dict) -> "Scalar":
@@ -614,29 +621,33 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
 
 def sum_products(field: FieldSpec, products) -> Scalar:
     """The sum over `products` of each factor tuple's product, canonicalized
-    once per denominator multiset: the numerator products of the tuples are
-    summed per sorted multiset of their denominator factors.  A group of one
-    tuple is that tuple's Scalar product.  `products` is consumed as it
-    streams; a tuple with a zero factor is skipped, and an empty one is 1."""
+    once per denominator multiset.  A factor is classified by its fields: a zero
+    skips the tuple, a one is dropped, and only denominator factors make the
+    multiset key (none: the key ()).  A group of one tuple is that tuple's Scalar
+    product; a larger group's numerators are multiplied into one int accumulator
+    in place (`_accumulate`).  `products` is consumed as it streams; () is 1."""
     groups: dict = {}
     for factors in products:
-        fs = []
+        fs, den = [], ()
         for f in factors:
-            if f.is_zero():
+            terms = f.num.terms
+            if not terms:
                 break
-            if not f.is_one():
-                fs.append(f)
+            if f.den:
+                den += f.den
+            elif len(terms) == 1 and f.num.den == 1 and terms.get(_CONST) == 1:
+                continue
+            fs.append(f)
         else:
-            den = tuple(g for f in fs for g in f.den)
-            key = tuple(sorted(g.den_key() for g in den))
+            key = tuple(sorted(g.den_key() for g in den)) if den else ()
             group = groups.get(key)
             if group is None:
                 groups[key] = [den, fs, None, 1]  # the numerators are summed once a second tuple joins
                 continue
             if group[2] is None:
                 group[2] = {}
-                group[3] = _add_into(group[2], 1, _product(field, (f.num for f in group[1])))
-            group[3] = _add_into(group[2], group[3], _product(field, (f.num for f in fs)))
+                group[3] = _accumulate(field, group[2], 1, group[1])
+            group[3] = _accumulate(field, group[2], group[3], fs)
     out = None
     for den, fs, acc, acc_den in groups.values():
         if acc is None:
@@ -647,6 +658,23 @@ def sum_products(field: FieldSpec, products) -> Scalar:
             term = Scalar(field, Poly._make(field, acc, acc_den), den)
         out = term if out is None else out + term
     return Scalar(field, Poly.zero(field)) if out is None else out
+
+
+def _accumulate(field: FieldSpec, acc: dict, den: int, fs: list) -> int:
+    """Add the numerators' product of fs to the int terms acc over den in place (the last
+    one multiplied straight in); return the lcm of the denominators, acc's new one."""
+    last = fs[-1].num if fs else _product(field, ())
+    lead, pd = ({_CONST: 1}, last.den) if len(fs) < 2 else (fs[0].num.terms, fs[0].num.den * last.den)
+    for f in fs[1:-1]:
+        lead, terms = {}, lead
+        _mul_into(lead, field, terms, f.num.terms, 1)
+        pd *= f.num.den
+    d = lcm(den, pd)
+    if d != den:
+        for mo in acc:
+            acc[mo] *= d // den
+    _mul_into(acc, field, lead, last.terms, d // pd)
+    return d
 
 
 def products_equal(field: FieldSpec, lhs, rhs) -> bool:

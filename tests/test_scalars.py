@@ -2,10 +2,10 @@
 hypothesis properties over randomly built scalars."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triform import Context, PoleError, ScalarDivisionError
 from triform.cyclo import Cyclo, cyclotomic_polynomial
@@ -102,8 +102,11 @@ def test_geometric_tail():
     t = x.geometric_tail(3)
     assert t == x**3 / (1 - x)
     assert t * (1 - x) == x**3
-    with pytest.raises(PoleError):
-        ctx.one().geometric_tail(0)
+    assert x.geometric_tail(3) is t  # memoized per object, as powers are
+    one = ctx.one()
+    for _ in range(2):  # a pole stores nothing: it raises every time
+        with pytest.raises(PoleError):
+            one.geometric_tail(0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -386,6 +389,18 @@ def quotients(c):
     return st.one_of(st.just(c.zero()), st.builds(lambda x, d: x / d, scalars(c, max_terms=2), st.sampled_from(dens)))
 
 
+def sum_factors(c):
+    """quotients, and the constants the classification and reduction see:
+    zero, one, r, zeta and rationals over a denominator, such as 3/7 zeta."""
+    z = c.scalar(c.zeta(c.field.m))
+    third = c.scalar(Fraction(3, 7))
+    return st.one_of(quotients(c), st.sampled_from([c.zero(), c.one(), c.r, z, third * z, third, -c.r / 5, z * c.r]))
+
+
+# one group whose second tuple's numerator is over 7 and its first's over 1
+RESCALED = (ctx4, [[ctx4.a, ctx4.r], [ctx4.scalar(Fraction(3, 7)), ctx4.scalar(ctx4.zeta(4))]])
+
+
 def left_fold(c, products):
     out = c.zero()
     for factors in products:
@@ -399,16 +414,86 @@ def left_fold(c, products):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([ctx, ctx4, ctx6]).flatmap(
-        lambda c: st.tuples(st.just(c), st.lists(st.lists(quotients(c), max_size=4), max_size=6))
+        lambda c: st.tuples(st.just(c), st.lists(st.lists(sum_factors(c), max_size=4), max_size=6))
     )
 )
+@example(RESCALED)
 def test_sum_products_is_the_left_fold(case):
     """The deferred sum is the fold of + and * over the factor tuples, which
-    may be empty, hold zero factors, or multiply r and zeta past reduction."""
+    may be empty, hold zero factors, multiply r and zeta past reduction, or
+    put numerators over different int denominators in one group."""
     c, products = case
     got = sum_products(c.field, (tuple(fs) for fs in products))
     assert got == left_fold(c, products)
     assert got.den == tuple(sorted(got.den, key=Poly.den_key))
+
+
+def reference_sum_products(field, products):
+    """sum_products as it was before the fused accumulate, kept as its oracle:
+    is_zero and is_one per factor, then one product Poly per tuple added into
+    its group's int accumulator."""
+
+    def product(polys):
+        acc = None
+        for f in polys:
+            acc = f if acc is None else acc * f
+        return Poly._raw(field, {(0, 0, 0, 0, 0): 1}) if acc is None else acc
+
+    def add_into(acc, den, poly):
+        d = lcm(den, poly.den)
+        if d != den:
+            for mo in acc:
+                acc[mo] *= d // den
+        for mo, c in poly.terms.items():
+            c *= d // poly.den
+            acc[mo] = acc[mo] + c if mo in acc else c
+        return d
+
+    groups = {}
+    for factors in products:
+        fs = []
+        for f in factors:
+            if f.is_zero():
+                break
+            if not f.is_one():
+                fs.append(f)
+        else:
+            den = tuple(g for f in fs for g in f.den)
+            key = tuple(sorted(g.den_key() for g in den))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [den, fs, None, 1]
+                continue
+            if group[2] is None:
+                group[2] = {}
+                group[3] = add_into(group[2], 1, product(f.num for f in group[1]))
+            group[3] = add_into(group[2], group[3], product(f.num for f in fs))
+    out = None
+    for den, fs, acc, acc_den in groups.values():
+        if acc is None:
+            term = fs[0] if fs else Scalar.from_rational(field, 1)
+            for f in fs[1:]:
+                term = term * f
+        else:
+            term = Scalar(field, Poly._make(field, acc, acc_den), den)
+        out = term if out is None else out + term
+    return Scalar(field, Poly.zero(field)) if out is None else out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([ctx, ctx4, ctx6]).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.lists(sum_factors(c), max_size=6), max_size=8))
+    )
+)
+@example(RESCALED)
+def test_sum_products_canonical_form_does_not_depend_on_the_path(case):
+    """The fused accumulate gives the very canonical form, numerator Poly and
+    factor tuple, that one product Poly per tuple gave."""
+    c, products = case
+    got = sum_products(c.field, (tuple(fs) for fs in products))
+    ref = reference_sum_products(c.field, products)
+    assert got.num == ref.num and got.den == ref.den
 
 
 def test_sum_products_cases():
