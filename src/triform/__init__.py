@@ -8,7 +8,8 @@ test-vector statements as nonzero rational functions in the parameters.
 """
 
 from .context import Context
-from .scalars import Scalar, PoleError, ScalarDivisionError
+from .errors import PoleError, TriformError
+from .scalars import Scalar
 
-__all__ = ["Context", "Scalar", "PoleError", "ScalarDivisionError"]
+__all__ = ["Context", "Scalar", "PoleError", "TriformError"]
 __version__ = "0.1.0"

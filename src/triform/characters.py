@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from .context import Context
+from .errors import TriformError
 from .padic import as_ratio, split
 from .scalars import Scalar
 
@@ -97,7 +98,8 @@ def _effective_conductor(p: int, table: list) -> int:
 
 
 class SmoothCharacter:
-    """A smooth character of F*, with minimal (effective) conductor exponent."""
+    """A smooth character of F*, with minimal (effective) conductor exponent c:
+    the least c with trivial unit data on 1 + p^c (0 when unramified)."""
 
     __slots__ = ("ctx", "c", "images", "value_at_pi", "_exponents", "_values")
 
@@ -106,17 +108,17 @@ class SmoothCharacter:
         m = ctx.field.m
         gens = unit_group_generators(ctx.p, c)
         if len(images) != len(gens):
-            raise ValueError(f"(O/p^{c})* has {len(gens)} canonical generators, got {len(images)} images")
+            raise TriformError(f"(O/p^{c})* has {len(gens)} canonical generators, got {len(images)} images")
         if value_at_pi.is_zero():
-            raise ValueError("a character's value at pi must be nonzero")
+            raise TriformError("a character's value at pi must be nonzero")
         images = tuple(j % m for j in images)
         for j, (g, order) in zip(images, gens):
             if j * order % m:
-                raise ValueError(f"image of generator {g} must have order dividing {order}")
+                raise TriformError(f"image of generator {g} must have order dividing {order}")
         table = _exponent_table(ctx.p, c, images, m)
         eff = _effective_conductor(ctx.p, table)
         if eff != c:
-            raise ValueError(
+            raise TriformError(
                 f"declared conductor exponent {c} is not minimal (unit data factors through level {eff}); "
                 "construct the character at its effective conductor"
             )
@@ -139,10 +141,6 @@ class SmoothCharacter:
 
     def is_unramified(self) -> bool:
         return self.c == 0
-
-    def conductor(self) -> int:
-        """Minimal c with trivial unit data on 1 + p^c (0 when unramified)."""
-        return self.c
 
     # -- evaluation --------------------------------------------------------------
     def unit_exponent(self, residue: int) -> int:
@@ -171,7 +169,7 @@ class SmoothCharacter:
         if type(x) is not int:
             x, d = as_ratio(x)
         if not x:
-            raise ZeroDivisionError("character evaluated at 0")
+            raise TriformError("character evaluated at 0")
         return self.value(*self.val_exponent(x, d))
 
     # -- group structure ---------------------------------------------------------
@@ -231,20 +229,20 @@ def parse_character_spec(ctx: Context, text: str) -> SmoothCharacter:
         gens = unit_group_generators(ctx.p, c)
         entries = [e for e in m.group("gens").split(",") if e.strip()]
         if len(entries) != len(gens):
-            raise ValueError(f"expected {len(gens)} generator images for (p, c) = ({ctx.p}, {c})")
+            raise TriformError(f"expected {len(gens)} generator images for (p, c) = ({ctx.p}, {c})")
         images = []
         for entry, (g, _) in zip(entries, gens):
             gm = _GEN.match(entry)
             if not gm:
-                raise ValueError(f"bad generator image {entry!r}")
+                raise TriformError(f"bad generator image {entry!r}")
             if int(gm.group("g")) % ctx.p**c != g:
-                raise ValueError(f"generator {gm.group('g')} is not the canonical generator {g} for (p, c) = ({ctx.p}, {c})")
+                raise TriformError(f"generator {gm.group('g')} is not the canonical generator {g} for (p, c) = ({ctx.p}, {c})")
             order = int(gm.group("order"))
             if not order or ctx.field.m % order:
-                raise ValueError(f"zeta{order} does not live in Q(zeta_{ctx.field.m})")
+                raise TriformError(f"zeta{order} does not live in Q(zeta_{ctx.field.m})")
             images.append(int(gm.group("e") or 1) * (ctx.field.m // order))
         return SmoothCharacter(ctx, c, tuple(images), ctx.scalar(m.group("pi")))
-    raise ValueError(f"bad character spec {text!r}")
+    raise TriformError(f"bad character spec {text!r}")
 
 
 class BorelCharacter:

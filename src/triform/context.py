@@ -10,20 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import TriformError
 from .scalars import FieldSpec, Poly, Scalar, parse_scalar
 
 SUPPORTED_PRIMES = (2, 3, 5)
 MAX_LEVEL = 8
 
 
-class LevelTooDeepError(Exception):
-    pass
-
-
 class Context:
     def __init__(self, p: int, zeta_order: int = 1):
         if p not in SUPPORTED_PRIMES:
-            raise ValueError(f"prime {p} outside the supported desk-scale set {SUPPORTED_PRIMES}")
+            raise TriformError(f"prime {p} outside the supported desk-scale set {SUPPORTED_PRIMES}")
         self.p = p
         self.q = p
         self.field = FieldSpec(m=zeta_order, q=p)
@@ -86,12 +83,12 @@ class Context:
     def zeta(self, order: int, exponent: int = 1) -> Scalar:
         """zeta_order^exponent, the shared Scalar zeta_M^(exponent M / order)."""
         if self.field.m % order != 0:
-            raise ValueError(f"zeta_{order} not available: configured M = {self.field.m}")
+            raise TriformError(f"zeta_{order} not available: configured M = {self.field.m}")
         return self.zeta_powers[exponent * (self.field.m // order) % self.field.m]
 
     def check_level(self, m: int):
         if m > MAX_LEVEL:
-            raise LevelTooDeepError(f"level too deep: {m} > cap {MAX_LEVEL}")
+            raise TriformError(f"level too deep: {m} > cap {MAX_LEVEL}")
 
     def cache(self, key, build):
         if key not in self._caches:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .context import Context, LevelTooDeepError
+from .context import Context
+from .errors import TriformError
 from .matrices import GroupElement
 from .padic import ratio_val, residue
 
@@ -56,7 +57,7 @@ class P1Table:
 
     def __init__(self, ctx: Context, m: int):
         if m < 1:
-            raise ValueError("level must be >= 1")
+            raise TriformError("level must be >= 1")
         ctx.check_level(m)
         self.ctx = ctx
         self.m = m
@@ -85,7 +86,7 @@ class P1Table:
         if tn and ratio_val(tn, td, p) == 0:
             return residue(zn * td, zd * tn, p, m)
         if not zn or ratio_val(zn, zd, p) != 0:
-            raise ValueError(f"row ({Fraction(zn, zd)}, {Fraction(tn, td)}) is not primitive")
+            raise TriformError(f"row ({Fraction(zn, zd)}, {Fraction(tn, td)}) is not primitive")
         return p**m + residue(tn * zd, td * zn, p, m) // p
 
     def cell_of(self, k: GroupElement) -> int:
@@ -104,7 +105,7 @@ def enumerate_K_mod(ctx: Context, m: int) -> CosetTable:
     p = ctx.p
     size = gl2_size(p, m)
     if size > ENUMERATION_CAP:
-        raise LevelTooDeepError(f"level too deep: |K/K({m})| = {size} exceeds cap")
+        raise TriformError(f"level too deep: |K/K({m})| = {size} exceeds cap")
     mod = p**m
     reps = []
     for x in range(mod):
@@ -121,16 +122,16 @@ def enumerate_K_mod(ctx: Context, m: int) -> CosetTable:
 def enumerate_iwahori_mod(ctx: Context, n: int, m: int) -> CosetTable:
     """I(n)/K(m) via the Iwahori factorization nbar(pi^n zbar) diag(e1,e2) n(x)."""
     if m < n or m < 1 or n < 0:
-        raise ValueError("need m >= n >= 0, m >= 1")
+        raise TriformError("need m >= n >= 0, m >= 1")
     ctx.check_level(m)
     p = ctx.p
     if n == 0:
-        raise ValueError("I(0) = K; use enumerate_K_mod")
+        raise TriformError("I(0) = K; use enumerate_K_mod")
     reps = []
     us = units_mod(p, m)
     size_est = p ** (m - n) * len(us) ** 2 * p**m
     if size_est > ENUMERATION_CAP:
-        raise LevelTooDeepError(f"level too deep: |I({n})/K({m})| = {size_est} exceeds cap")
+        raise TriformError(f"level too deep: |I({n})/K({m})| = {size_est} exceeds cap")
     for zbar in range(p ** (m - n)):
         low = GroupElement.lower(p, p**n * zbar)
         for e1 in us:
@@ -159,7 +160,7 @@ def torus_orbit_reps(ctx: Context, n: int, m: int) -> CosetTable:
     [T cap K : T cap K(m)] / [K : K(m)]; the total is 1/[K : I(n)].
     """
     if n < 1 or m < n:
-        raise ValueError("need m >= n >= 1")
+        raise TriformError("need m >= n >= 1")
     ctx.check_level(m)
     p = ctx.p
     reps = []
@@ -182,6 +183,6 @@ def iwahori_orbit_key(ctx: Context, k: GroupElement, n: int, m: int) -> tuple[in
     u * e1/e2 = ZX/N and x = Y/X; X and N are units on I(n) for n >= 1.
     """
     if n < 1 or not k.in_iwahori(n):
-        raise ValueError("element not in I(n) with n >= 1")
+        raise TriformError("element not in I(n) with n >= 1")
     p = k.p
     return residue(k.Z * k.X, k.N, p, m), residue(k.Y, k.X, p, m)

@@ -20,18 +20,11 @@ from functools import cached_property
 from .characters import SmoothCharacter
 from .context import Context
 from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
+from .errors import TailError, TriformError
 from .matrices import GroupElement, in_T_In, iwasawa
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
 from .scalars import Scalar, products_equal, sum_products
-
-
-class FunctionalError(Exception):
-    pass
-
-
-class TailError(FunctionalError):
-    pass
 
 
 def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
@@ -110,7 +103,7 @@ class TorusFunctional:
 
     def __init__(self, ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel):
         if not (mu1.is_unramified() and mu2.is_unramified()):
-            raise FunctionalError("the first two representations must be unramified principal series")
+            raise TriformError("the first two representations must be unramified principal series")
         self.ctx = ctx
         self.mu1 = mu1
         self.mu2 = mu2
@@ -262,7 +255,7 @@ class TorusFunctional:
         computed once, here.  With bh = (X Y; 0 T)/D, b bh = t n(x0) has
         t = diag(alpha X, delta T)/D and x0 = (alpha Y + beta T)/(alpha X)."""
         if section.model is not self.model3:
-            raise FunctionalError("phi evaluated on a section of a different model")
+            raise TriformError("phi evaluated on a section of a different model")
         pre = []
         for c, g, tbl in section.terms:
             if not c.is_zero():
@@ -349,9 +342,9 @@ class CompactInducedFn:
 
     def __init__(self, ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, n: int, level: int, support=None):
         if not (mu1.is_unramified() and mu2.is_unramified()):
-            raise FunctionalError("chi_1/chi_2 must be trivial on T cap K: unramified data required")
+            raise TriformError("chi_1/chi_2 must be trivial on T cap K: unramified data required")
         if n < 1 or level < n:
-            raise FunctionalError("need level >= n >= 1")
+            raise TriformError("need level >= n >= 1")
         self.ctx = ctx
         self.mu1 = mu1
         self.mu2 = mu2

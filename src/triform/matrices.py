@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import TriformError
 from .padic import INF, as_ratio, vp
 
 _new = object.__new__
@@ -42,7 +43,7 @@ class GroupElement:
             X, Y, Z, T, D = X // c, Y // c, Z // c, T // c, D // c
         N = X * T - Y * Z  # det = N / D^2
         if not N:
-            raise ValueError("singular matrix is not a group element")
+            raise TriformError("singular matrix is not a group element")
         self.p, self.X, self.Y, self.Z, self.T, self.D, self.N = p, X, Y, Z, T, D, N
         self._inv = None
 
@@ -147,7 +148,7 @@ class GroupElement:
     def borel_diagonal(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The diagonal entries (x, t) as pairs, for an element of the Borel subgroup."""
         if self.Z:
-            raise ValueError("Borel character evaluated off the Borel subgroup")
+            raise TriformError("Borel character evaluated off the Borel subgroup")
         return (self.X, self.D), (self.T, self.D)
 
     def is_diagonal(self) -> bool:

@@ -13,17 +13,10 @@ from __future__ import annotations
 from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
+from .errors import TriformError
 from .matrices import GroupElement
 from .padic import vp
 from .scalars import Scalar, sum_products
-
-
-class ModelError(Exception):
-    pass
-
-
-class NewVectorError(ModelError):
-    """The fixed-space solve returned a dimension other than one."""
 
 
 class InducedModel:
@@ -35,6 +28,10 @@ class InducedModel:
         self.min_level = max(1, borel.conductor())
         self._actions: dict = {}  # (level, k mod p^level) -> action
 
+    def fixed_level(self, n: int, level: int | None = None) -> int:
+        """The table level of the I(n)-fixed space: `level`, raised to n and to min_level."""
+        return max(level or 0, n, self.min_level)
+
     def require_level(self, level: int):
         """Refuse a table level below the conductor.
 
@@ -44,7 +41,7 @@ class InducedModel:
         table or none.  (test_stabilizer_twist_brute_force checks this.)
         """
         if level < self.min_level:
-            raise ModelError(
+            raise TriformError(
                 f"refine level: level {level} cannot carry sections of {self.tag} (needs >= {self.min_level})"
             )
 
@@ -85,7 +82,7 @@ class InducedModel:
 def _k_residue(k: GroupElement, level: int) -> tuple[int, int, int, int]:
     """The entries of k in K mod p^level."""
     if not k.in_K():
-        raise ModelError("table translation needs k in K; use Section for general g")
+        raise TriformError("table translation needs k in K; use Section for general g")
     mod = k.p**level
     d = pow(k.D, -1, mod)
     return k.X * d % mod, k.Y * d % mod, k.Z * d % mod, k.T * d % mod
@@ -117,7 +114,7 @@ class TableSection:
         n = len(p1_table(model.ctx, level).reps)
         values = [model.ctx.scalar(v) for v in values]
         if len(values) != n:
-            raise ModelError(f"expected {n} cell values, got {len(values)}")
+            raise TriformError(f"expected {n} cell values, got {len(values)}")
         self.model = model
         self.level = level
         self.values = values
@@ -152,7 +149,7 @@ class TableSection:
     def k_average(self) -> Scalar:
         """Integral over K (unramified models only: ramified cells average to 0)."""
         if self.model.borel.conductor() != 0:
-            raise ModelError("K-average is only computed on unramified-twist models")
+            raise TriformError("K-average is only computed on unramified-twist models")
         mass = self.ctx.scalar(p1_table(self.ctx, self.level).cell_mass)
         return sum_products(self.ctx.field, ((mass, v) for v in self.values))
 
@@ -216,7 +213,7 @@ class Section:
 
     def __add__(self, other: "Section") -> "Section":
         if other.model is not self.model:
-            raise ModelError("section addition needs a common model")
+            raise TriformError("section addition needs a common model")
         return Section(self.model, self.terms + other.terms)
 
     def __sub__(self, other: "Section") -> "Section":
@@ -237,7 +234,7 @@ class Section:
         lvl = level if level is not None else self.level_bound()
         self.ctx.check_level(lvl)
         if lvl < self.level_bound():
-            raise ModelError(f"refine level: need >= {self.level_bound()}, got {lvl}")
+            raise TriformError(f"refine level: need >= {self.level_bound()}, got {lvl}")
         reps = p1_table(self.ctx, lvl).reps
         return TableSection(self.model, lvl, [self.eval(rep) for rep in reps])
 
@@ -279,7 +276,7 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     K-average is one relation on those lines, so the answer lives in Sp itself.
     """
     ctx = model.ctx
-    lvl = max(level or 0, n, model.min_level, 1)
+    lvl = model.fixed_level(n, level)
     ctx.check_level(lvl)
     actions = [model.action(g, lvl) for g in iwahori_generators(ctx, n, lvl)]
     ncols, zero = len(actions[0]), ctx.zero()
@@ -312,7 +309,7 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
 def new_vector_unramified(model: InducedModel) -> Section:
     """The constant-1 table: the spherical vector of an unramified model."""
     if model.borel.conductor() != 0 or model.steinberg:
-        raise ModelError("unramified new vector requested on a ramified (or Steinberg) model")
+        raise TriformError("unramified new vector requested on a ramified (or Steinberg) model")
     tbl = TableSection(model, 1, [model.ctx.one()] * len(p1_table(model.ctx, 1).reps))
     return tbl.as_section()
 
@@ -320,12 +317,12 @@ def new_vector_unramified(model: InducedModel) -> Section:
 def new_vector_by_solve(model: InducedModel, n: int, level: int | None = None) -> Section:
     basis = fixed_space(model, n, level)
     if len(basis) == 0:
-        raise NewVectorError(f"I({n})-fixed space has dimension 0 (n below the conductor?)")
+        raise TriformError(f"I({n})-fixed space has dimension 0 (n below the conductor?)")
     if len(basis) > 1:
-        raise NewVectorError(f"I({n})-fixed space has dimension {len(basis)} (level too coarse or model error)")
+        raise TriformError(f"I({n})-fixed space has dimension {len(basis)} (level too coarse or model error)")
     vec = basis[0]
     inv = next(v for v in vec if not v.is_zero()).inverse()  # the identity cell's value when nonzero
-    lvl = max(level or 0, n, model.min_level, 1)
+    lvl = model.fixed_level(n, level)
     tbl = TableSection(model, lvl, [inv * v for v in vec])
     return tbl.as_section()
 
@@ -333,11 +330,11 @@ def new_vector_by_solve(model: InducedModel, n: int, level: int | None = None) -
 def conductor_search(model: InducedModel, cap: int = 6) -> int:
     """Minimal n with a nonzero I(n)-fixed vector (in Sp for the Steinberg model)."""
     for n in range(0, cap + 1):
-        if max(n, model.min_level) > MAX_LEVEL:
+        if model.fixed_level(n) > MAX_LEVEL:
             break
         dim = len(fixed_space(model, n))
         if dim:
             if dim != 1:
-                raise NewVectorError(f"fixed space at n = {n} has dimension {dim}, expected 1")
+                raise TriformError(f"fixed space at n = {n} has dimension {dim}, expected 1")
             return n
-    raise NewVectorError(f"no fixed vector found up to the cap n = {cap}")
+    raise TriformError(f"no fixed vector found up to the cap n = {cap}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import TriformError
+
 INF = math.inf
 
 
@@ -45,7 +47,7 @@ def residue(n: int, d: int, p: int, m: int) -> int:
     vn, un = split(n, p)
     vd, ud = split(d, p)
     if vn < vd:
-        raise ValueError("residue of a non-integral value")
+        raise TriformError("residue of a non-integral value")
     mod = p**m
     return un * p ** (vn - vd) * pow(ud, -1, mod) % mod
 

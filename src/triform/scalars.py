@@ -45,21 +45,10 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .cyclo import cyclotomic_polynomial
+from .errors import PoleError, TriformError
 
 VARS = ("a", "b", "u", "r", "zeta")  # the exponent order of a monomial; zeta renders as zeta<M>
 _CONST = (0, 0, 0, 0, 0)
-
-
-class ScalarError(Exception):
-    pass
-
-
-class ScalarDivisionError(ScalarError):
-    """Division by the zero Scalar (or by a zero divisor of the coefficient ring)."""
-
-
-class PoleError(ScalarError):
-    """A geometric tail or specialization hit the excluded parameter locus."""
 
 
 def power_rows(minpoly: tuple, count: int) -> tuple:
@@ -252,7 +241,7 @@ class Poly:
         coefficient that is not an int proves that f does not divide self.
         """
         if f.is_zero():
-            raise ZeroDivisionError
+            raise TriformError("exact division by the zero Poly")
         assert not any(mo[3] or mo[4] for mo in f.terms), "divisors must be free of r and zeta"
         fmo, fc = f.leading()
         f0, f1, f2, _, _ = fmo
@@ -298,7 +287,7 @@ class Poly:
         vals = {}
         for name, v in assignment.items():
             if name not in ("a", "b", "u"):
-                raise ScalarError(f"cannot specialize variable {name!r}")
+                raise TriformError(f"cannot specialize variable {name!r}")
             vals[VARS.index(name)] = Fraction(v)
         out: dict = {}
         for mo, c in self.coefficients():
@@ -478,7 +467,7 @@ class Scalar:
         units 1 < k < M, then r -> -r), over their product with the numerator,
         which lies in Q[a, b, u]."""
         if self.is_zero():
-            raise ScalarDivisionError("division by the zero Scalar")
+            raise TriformError("division by the zero Scalar")
         num, norm, m = _product(self.field, self.den), self.num, self.field.m
         conjugates = [norm.galois(1, k) for k in range(2, m) if gcd(k, m) == 1] if norm.has_zeta() else []
         for conj in conjugates:
@@ -487,7 +476,7 @@ class Scalar:
             conj = norm.galois(-1, 1)
             num, norm = num * conj, norm * conj
         if norm.is_zero():
-            raise ScalarDivisionError("zero divisor: the numerator times its Galois conjugates vanishes")
+            raise TriformError("zero divisor: the numerator times its Galois conjugates vanishes")
         return Scalar(self.field, num, (norm,))
 
     def __pow__(self, k: int) -> "Scalar":
@@ -564,7 +553,7 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
             out.append(f)
             continue
         if f.is_zero():
-            raise ScalarDivisionError("zero denominator factor")
+            raise TriformError("zero denominator factor")
         if f.has_r() or f.has_zeta():
             raise AssertionError("denominator factors must be free of r and zeta")
         # split off the monomial content so a*b-powers cancel transparently
@@ -710,7 +699,7 @@ def _tokenize(s: str) -> list:
         elif ch in "+-*/^()":
             toks.append((ch, ch))
         elif not ch.isspace():
-            raise ScalarError(f"bad character {ch!r} in scalar literal")
+            raise TriformError(f"bad character {ch!r} in scalar literal")
         i = j
     return toks
 
@@ -726,7 +715,7 @@ class _Parser:
 
     def next(self):
         if self.pos == len(self.toks):
-            raise ScalarError("unexpected end of scalar literal")
+            raise TriformError("unexpected end of scalar literal")
         self.pos += 1
         return self.toks[self.pos - 1]
 
@@ -780,7 +769,7 @@ class _Parser:
                 sign = -sign
             kind, val = self.next()
             if kind != "int":
-                raise ScalarError("exponent must be an integer")
+                raise TriformError("exponent must be an integer")
             base = base ** (sign * val)
         return -base if neg else base
 
@@ -791,7 +780,7 @@ class _Parser:
         if kind == "(":
             e = self.parse_expr()
             if self.next()[0] != ")":
-                raise ScalarError("unbalanced parenthesis")
+                raise TriformError("unbalanced parenthesis")
             return e
         if kind == "name":
             if val in ("a", "b", "u", "r"):
@@ -799,16 +788,16 @@ class _Parser:
             if val.startswith("zeta"):
                 order = int(val[4:]) if val[4:].isdecimal() else 0
                 if not order:
-                    raise ScalarError(f"{val!r} is not zeta with a positive order")
+                    raise TriformError(f"{val!r} is not zeta with a positive order")
                 if self.field.m % order != 0:
-                    raise ScalarError(f"zeta{order} does not live in Q(zeta_{self.field.m})")
+                    raise TriformError(f"zeta{order} does not live in Q(zeta_{self.field.m})")
                 return Scalar(self.field, Poly.zeta_sum(self.field, {self.field.m // order: 1}))
-        raise ScalarError(f"unexpected token {val!r}")
+        raise TriformError(f"unexpected token {val!r}")
 
 
 def parse_scalar(field: FieldSpec, text: str) -> Scalar:
     p = _Parser(field, _tokenize(text))
     out = p.parse_expr()
     if p.pos != len(p.toks):
-        raise ScalarError("trailing input in scalar literal")
+        raise TriformError("trailing input in scalar literal")
     return out

@@ -26,14 +26,11 @@ from itertools import chain
 from .characters import SmoothCharacter
 from .context import Context
 from .cosets import p1_table, units_mod
-from .functionals import CompactInducedFn, FunctionalError, TailError, TorusFunctional
+from .errors import KernelUnsupportedError, TailError, TriformError
+from .functionals import CompactInducedFn, TorusFunctional
 from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection
 from .scalars import Scalar, sum_products
-
-
-class KernelUnsupportedError(FunctionalError):
-    pass
 
 
 class TensorFn:
@@ -137,9 +134,9 @@ def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter,
     ctx = F.ctx
     prod = mu1 * mu2
     if prod.c != 0 or not (prod.value_at_pi == ctx.scalar(ctx.q)):
-        raise FunctionalError("simple-case pairing needs mu1 mu2 |.|^{1/2} = |.|^{-1/2}")
+        raise TriformError("simple-case pairing needs mu1 mu2 |.|^{1/2} = |.|^{-1/2}")
     if not v3.model.steinberg:
-        raise FunctionalError("simple-case pairing needs a Steinberg third vector")
+        raise TriformError("simple-case pairing needs a Steinberg third vector")
     lvl = max(F.level_bound(), v3.level_bound(), 1)
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
@@ -259,7 +256,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
         if phi.model3.steinberg:
             avg = v.as_table(Lstar).k_average()
             if not avg.is_zero():
-                raise FunctionalError(f"v lies outside Sp: its K-average is {avg.render()}, not 0, so the depth tail diverges from the Sp regime") from None
+                raise TriformError(f"v lies outside Sp: its K-average is {avg.render()}, not 0, so the depth tail diverges from the Sp regime") from None
         raise
     return head + t0 + t1 + rest
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .characters import SmoothCharacter, parse_character_spec, unit_group_generators
-from .context import MAX_LEVEL, SUPPORTED_PRIMES, Context, LevelTooDeepError
+from .context import MAX_LEVEL, SUPPORTED_PRIMES, Context
 from .cosets import (
     enumerate_iwahori_mod,
     enumerate_K_mod,
@@ -24,11 +24,11 @@ from .cosets import (
     p1_table,
     torus_orbit_reps,
 )
-from .functionals import CompactInducedFn, FunctionalError, Phi_eval, TailError, TorusFunctional, coset_constant, make_indicator_f
+from .errors import ConfigError, KernelUnsupportedError, PoleError, TailError, TriformError
+from .functionals import CompactInducedFn, Phi_eval, TorusFunctional, coset_constant, make_indicator_f
 from .matrices import GroupElement, in_T_In
 from .models import (
     InducedModel,
-    ModelError,
     Section,
     TableSection,
     conductor_search,
@@ -40,10 +40,9 @@ from .models import (
     steinberg_model,
 )
 from .padic import ratio_val
-from .scalars import PoleError, Scalar, ScalarError
+from .scalars import Scalar
 from .trilinear import (
     KernelForm,
-    KernelUnsupportedError,
     TensorFn,
     closed_form_tensor,
     ell_chain,
@@ -77,10 +76,6 @@ CONVENTIONS = {
     "sqrt_q": "formal generator r with r^2 -> q; r -> -r is a field automorphism fixing every verdict",
     "lambda": "convention-bound constant 1/[K:I(n)], recorded, not asserted as ground truth",
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -192,7 +187,7 @@ class Env:
         try:
             self.mu1 = SmoothCharacter.unramified(ctx, aval * ctx.r)
             self.mu2 = SmoothCharacter.unramified(ctx, bval * ctx.r)
-        except ValueError as e:
+        except TriformError as e:
             raise ConfigError(f"specialized a or b: {e}") from e
         self.V1 = principal_series_model(ctx, self.mu1, tag="V1")
         self.V2 = principal_series_model(ctx, self.mu2, tag="V2")
@@ -204,14 +199,14 @@ class Env:
                 mu3 = parse_character_spec(ctx, spec)
                 if "u" in sp:
                     mu3 = SmoothCharacter(ctx, mu3.c, mu3.images, mu3.value_at_pi.specialize({"u": sp["u"]}))
-            except (ValueError, ScalarError) as e:
+            except TriformError as e:
                 raise ConfigError(f"mu3 {spec!r}: {e}") from e
-            if 2 * mu3.conductor() != n:
-                raise ConfigError(f"mu3 has conductor exponent {mu3.conductor()}, so the third "
-                                  f"representation has conductor {2*mu3.conductor()}, not n = {n}")
+            if 2 * mu3.c != n:
+                raise ConfigError(f"mu3 has conductor exponent {mu3.c}, so the third "
+                                  f"representation has conductor {2*mu3.c}, not n = {n}")
             self.mu3 = mu3
             self.V3 = principal_series_model(ctx, mu3, tag="V3")
-        self.level = max(cfg.level or 0, n, self.V3.min_level, 1)
+        self.level = self.V3.fixed_level(n, cfg.level)
         self.v1 = new_vector_unramified(self.V1)
         self.v2 = new_vector_unramified(self.V2)
         self.v3 = new_vector_by_solve(self.V3, n, self.level)
@@ -880,7 +875,7 @@ def run_checks(env: Env, names) -> list[Check]:
         start = time.perf_counter()
         try:
             checks.extend(_RUNNERS[name](env))
-        except (FunctionalError, ModelError, LevelTooDeepError, ScalarError, ConfigError) as e:
+        except TriformError as e:
             ms = (time.perf_counter() - start) * 1000  # the scenario's time up to the error
             checks.append(Check(id=name, claim="scenario execution", verdict="FAIL", reason=f"{type(e).__name__}: {e}", ms=ms))
     return checks

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triform import Context
+from triform.errors import TailError, TriformError
 from triform.characters import SmoothCharacter, parse_character_spec
 from triform.cosets import p1_size, p1_table, units_mod
 from triform.functionals import (
     CompactInducedFn,
-    FunctionalError,
     Phi_eval,
-    TailError,
     TorusFunctional,
     close_tail,
     coset_constant,
@@ -186,7 +185,7 @@ def test_indicator(setup21):
 
 
 def test_indicator_needs_unramified(setup32):
-    with pytest.raises(FunctionalError):
+    with pytest.raises(TriformError, match="unramified data required"):
         CompactInducedFn(setup32.ctx, setup32.mu3, setup32.mu2, 2, 2)
 
 

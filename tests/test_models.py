@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
 from triform.cosets import enumerate_K_mod, p1_table
+from triform.errors import TriformError
 from triform.matrices import GroupElement, iwasawa
 from triform.models import (
     InducedModel,
-    ModelError,
-    NewVectorError,
     TableSection,
     conductor_search,
     fixed_space,
@@ -134,7 +133,7 @@ def test_ramified_solve_and_conductor(setup32, setup24):
         for below in range(expected):
             assert len(fixed_space(s.V3, below)) == 0
         assert len(fixed_space(s.V3, expected)) == 1
-        with pytest.raises(NewVectorError):
+        with pytest.raises(TriformError, match="fixed space has dimension 0"):
             new_vector_by_solve(s.V3, expected - 1)
 
 
@@ -158,16 +157,16 @@ def test_v1_star_invariance(setup32):
 
 def test_mask_levels(setup32):
     # ramified data has no sections below its conductor exponent
-    with pytest.raises(ModelError):
+    with pytest.raises(TriformError, match="refine level"):
         TableSection(setup32.V3, 0, [])
     setup32.V3.require_level(1)
     ctx = Context(2, zeta_order=2)
     mu3 = parse_character_spec(ctx, "ram(c=2, gens=[3->zeta2^1], pi=u)")
     V3 = principal_series_model(ctx, mu3)
-    with pytest.raises(ModelError):
+    with pytest.raises(TriformError, match="refine level"):
         V3.require_level(1)
     V3.require_level(2)
-    with pytest.raises(ModelError):
+    with pytest.raises(TriformError, match="refine level"):
         TableSection(V3, 1, [ctx.one()] * p1_table(ctx, 1).size)
 
 
@@ -276,7 +275,7 @@ def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
     assert moved.values == [tbl.eval(rep * k * kappa) for rep in reps]
     assert tbl.translate_K(kappa) is tbl
     for g in (GroupElement.diag(p, p, 1), k * GroupElement.diag(p, 1, Fraction(1, p))):
-        with pytest.raises(ModelError):
+        with pytest.raises(TriformError, match="needs k in K"):
             tbl.translate_K(g)
 
 

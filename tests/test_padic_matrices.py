@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triform.errors import TriformError
 from triform.matrices import GroupElement, _element, in_T_In, iwasawa
 from triform.padic import INF, ratio_val, residue, split, unit_residue
 
@@ -233,7 +234,7 @@ def test_kernel_entry_valuations_and_residues(case):
             want = x.numerator * pow(x.denominator, -1, p**m) % p**m
             assert residue(n, d, p, m) == want
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(TriformError, match="non-integral"):
                 residue(n, d, p, m)
 
 
@@ -260,11 +261,11 @@ def test_kernel_one_form_per_element(case):
 
 def test_kernel_refuses_singular_input():
     for p in (2, 3, 5):
-        with pytest.raises(ValueError):
+        with pytest.raises(TriformError, match="singular matrix"):
             GroupElement(p, 1, 2, 2, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TriformError, match="singular matrix"):
             GroupElement(p, Fraction(1, p), Fraction(2, 3), Fraction(3, p), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TriformError, match="singular matrix"):
             GroupElement(p, 0, 0, 5, 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(TriformError, match="singular matrix"):
             _element(p, 2, 4, 3, 6, -p)

@@ -7,9 +7,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from triform import Context, PoleError, ScalarDivisionError
+from triform import Context, PoleError, TriformError
 from triform.cyclo import Cyclo, cyclotomic_polynomial
-from triform.scalars import Poly, Scalar, ScalarError, parse_scalar, sum_products
+from triform.scalars import Poly, Scalar, parse_scalar, sum_products
 
 ctx = Context(3, zeta_order=2)
 ctx4 = Context(5, zeta_order=4)
@@ -59,7 +59,7 @@ def test_subtraction_and_zero(x, y):
 def test_division(xy):
     x, y = xy
     if y.is_zero():
-        with pytest.raises(ScalarDivisionError):
+        with pytest.raises(TriformError, match="division by the zero Scalar"):
             x / y
     else:
         assert (x / y) * y == x
@@ -158,7 +158,7 @@ def test_zero_has_no_negative_power():
     for c in (ctx, ctx4):
         for z in (c.zero(), -c.zero(), c.a - c.a):
             for k in (-1, -1, -3, -1):
-                with pytest.raises(ScalarDivisionError):
+                with pytest.raises(TriformError, match="division by the zero Scalar"):
                     z**k
             assert (z**2).is_zero()
 
@@ -178,7 +178,7 @@ def test_render_grammar_example():
 
 @pytest.mark.parametrize("text", ["", "a+", "(a", "a^", "2/", "zeta", "zeta0", "2²"])
 def test_malformed_literal_is_a_scalar_error(text):
-    with pytest.raises(ScalarError):
+    with pytest.raises(TriformError):
         parse_scalar(ctx.field, text)
 
 
@@ -192,7 +192,7 @@ def test_cyclotomic_field():
     z8 = ctx8.zeta(8)
     assert z8 * z8 == ctx8.zeta(4)
     assert (z8**8).is_one()
-    with pytest.raises(ValueError):
+    with pytest.raises(TriformError, match="zeta_8 not available"):
         ctx4.zeta(8)
 
 
@@ -342,7 +342,7 @@ def test_divexact_cases():
         g.divexact(a + r)
     with pytest.raises(AssertionError):
         g4.divexact(z * a4 + Poly.const(F4, 1))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(TriformError, match="zero Poly"):
         g.divexact(Poly.zero(F))
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps, units_mod
 from triform.characters import SmoothCharacter
-from triform.functionals import CompactInducedFn, FunctionalError, Phi_eval, TailError, make_indicator_f
+from triform.errors import KernelUnsupportedError, TailError, TriformError
+from triform.functionals import CompactInducedFn, Phi_eval, make_indicator_f
 from triform.matrices import GroupElement
 from triform.models import TableSection, new_vector_unramified, principal_series_model
 from triform.scalars import sum_products
 from triform.trilinear import (
     KernelForm,
-    KernelUnsupportedError,
     TensorFn,
     closed_form_tensor,
     derive_kernel_characters,
@@ -239,7 +239,7 @@ def test_wrong_mu1_fails_the_depth_guard(setup21, setup31):
 def test_steinberg_vector_outside_sp_is_named(setup21, setup31):
     """A Steinberg-model table with nonzero K-average is outside Sp: the
     chain's guard fails and the chain says so, with the average, as a
-    FunctionalError that is not a TailError.  Projected into Sp, the same
+    TriformError that is not a TailError.  Projected into Sp, the same
     table closes."""
     rng = random.Random(11)
     for s in (setup21, setup31):
@@ -248,7 +248,7 @@ def test_steinberg_vector_outside_sp_is_named(setup21, setup31):
         while tbl.k_average().is_zero():
             tbl = rand_section(s.V3, 1, rng).as_table()
         avg = tbl.k_average()
-        with pytest.raises(FunctionalError, match="outside Sp") as err:
+        with pytest.raises(TriformError, match="outside Sp") as err:
             ell_chain(s.phi, F, tbl.as_section())
         assert not isinstance(err.value, TailError)
         assert avg.render() in str(err.value)

@@ -14,8 +14,9 @@ import pytest
 from triform import verifier
 from triform.cli import main as cli_main
 from triform.context import MAX_LEVEL, Context
-from triform.functionals import FunctionalError, TorusFunctional
-from triform.scalars import ScalarError
+from triform.errors import PoleError, TailError, TriformError
+from triform.functionals import TorusFunctional
+from triform.matrices import GroupElement
 from triform.trilinear import KernelForm
 from triform.verifier import (
     COVERAGE,
@@ -130,11 +131,11 @@ def test_engine_error_record_carries_scenario_time(monkeypatch, setup21):
 
     def slow_failure(env):
         time.sleep(0.05)
-        raise ScalarError("late failure")
+        raise TriformError("late failure")
 
     monkeypatch.setitem(verifier._RUNNERS, "lemma-FV", slow_failure)
     (check,) = verifier.run_checks(setup21, ["lemma-FV"])
-    assert (check.id, check.verdict, check.reason) == ("lemma-FV", "FAIL", "ScalarError: late failure")
+    assert (check.id, check.verdict, check.reason) == ("lemma-FV", "FAIL", "TriformError: late failure")
     assert check.ms >= 50
 
 
@@ -225,14 +226,27 @@ def test_cli_level_past_cap():
         assert "Traceback" not in proc.stderr
 
 
-def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys):
-    """An engine error inside a scenario (here a FunctionalError raised by its
-    runner) is that scenario's FAIL record with the reason: exit 1, no
-    traceback."""
-
+def _raises(error):
     def runner(env):
-        raise FunctionalError("injected engine error")
+        raise error
 
+    return runner
+
+
+@pytest.mark.parametrize(
+    "runner,reason",
+    [
+        (_raises(TriformError("injected engine error")), "TriformError: injected engine error"),
+        (_raises(PoleError("injected pole")), "PoleError: injected pole"),
+        (_raises(TailError("injected tail")), "TailError: injected tail"),
+        (lambda env: GroupElement(2, 1, 2, 2, 4), "TriformError: singular matrix is not a group element"),
+    ],
+    ids=["TriformError", "PoleError", "TailError", "singular-matrix"],
+)
+def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys, runner, reason):
+    """An engine error inside a scenario (raised by its runner, or by the
+    matrix layer it calls) is that scenario's FAIL record with the reason:
+    exit 1, no traceback."""
     monkeypatch.setitem(verifier._RUNNERS, "intro-vanishing", runner)
     code = cli_main(["--p", "2", "--n", "1", "--scenario", "intro-vanishing", "--format", "json-like"])
     out, err = capsys.readouterr()
@@ -240,7 +254,7 @@ def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys):
     assert "Traceback" not in err
     (check,) = json.loads(out)["checks"]
     assert (check["id"], check["verdict"]) == ("intro-vanishing", "FAIL")
-    assert check["reason"] == "FunctionalError: injected engine error"
+    assert check["reason"] == reason
 
 
 @pytest.mark.parametrize(
