@@ -89,9 +89,6 @@ class P1Table:
             raise TriformError(f"row ({Fraction(zn, zd)}, {Fraction(tn, td)}) is not primitive")
         return p**m + residue(tn * zd, td * zn, p, m) // p
 
-    def cell_of(self, k: GroupElement) -> int:
-        return self.cell_of_row(k.entry(2), k.entry(3))
-
     def as_coset_table(self) -> CosetTable:
         return CosetTable("P1", self.m, 0, list(self.reps), [self.cell_mass] * self.size)
 
@@ -100,12 +97,22 @@ def p1_table(ctx: Context, m: int) -> P1Table:
     return ctx.cache(("p1", m), lambda: P1Table(ctx, m))
 
 
+def enumeration_refusal(p: int, n: int, m: int) -> str | None:
+    """Why I(n)/K(m) (K/K(m) for n = 0) has too many cosets to list, or None:
+    its size, |GL_2(O/p^m)|/[K : I(n)], against ENUMERATION_CAP."""
+    size = gl2_size(p, m) // (p1_size(p, n) if n else 1)
+    if size > ENUMERATION_CAP:
+        return f"level too deep: |{f'I({n})' if n else 'K'}/K({m})| = {size} exceeds cap"
+    return None
+
+
 def enumerate_K_mod(ctx: Context, m: int) -> CosetTable:
     """All of GL_2(O/p^m), lifted; a validation oracle (m small)."""
     p = ctx.p
+    refusal = enumeration_refusal(p, 0, m)
+    if refusal:
+        raise TriformError(refusal)
     size = gl2_size(p, m)
-    if size > ENUMERATION_CAP:
-        raise TriformError(f"level too deep: |K/K({m})| = {size} exceeds cap")
     mod = p**m
     reps = []
     for x in range(mod):
@@ -127,11 +134,11 @@ def enumerate_iwahori_mod(ctx: Context, n: int, m: int) -> CosetTable:
     p = ctx.p
     if n == 0:
         raise TriformError("I(0) = K; use enumerate_K_mod")
+    refusal = enumeration_refusal(p, n, m)
+    if refusal:
+        raise TriformError(refusal)
     reps = []
     us = units_mod(p, m)
-    size_est = p ** (m - n) * len(us) ** 2 * p**m
-    if size_est > ENUMERATION_CAP:
-        raise TriformError(f"level too deep: |I({n})/K({m})| = {size_est} exceeds cap")
     for zbar in range(p ** (m - n)):
         low = GroupElement.lower(p, p**n * zbar)
         for e1 in us:

@@ -7,8 +7,9 @@ equivariance law phi(pi(t) v) = (chi_2/chi_1)(t) phi(v) via the exact cocycle
 Every evaluation reduces to one universal shape phi(pi(n(x0)) w) with w a
 table section, which is an exact piecewise character sum: finitely many annuli
 of F* resolved into unit classes, plus closed geometric tails on both ends.
-The engine returns the vector of values on the cell basis, so translates cost
-one table transform and a dot product.
+The engine returns the vector of values on the cell basis, and phi of a
+K-translate of a table is read against it through the transpose of the
+K-action on cells, over the table's support: no translate is built.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 
 from .characters import SmoothCharacter
 from .context import Context
-from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
+from .cosets import p1_size, p1_table, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .errors import TailError, TriformError
-from .matrices import GroupElement, in_T_In, iwasawa
+from .matrices import GroupElement, in_T_In
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
 from .scalars import Scalar, products_equal, sum_products
@@ -223,49 +224,51 @@ class TorusFunctional:
         return vec
 
     # -- public evaluation -----------------------------------------------------
-    def phi_table(self, tbl: TableSection, x0: int = 0, den: int = 1) -> Scalar:
-        """phi(pi(n(x0 / den)) tbl) for ints x0 and den, memoized on the table
-        (tbl.phi_values) per (functional, val x0).
+    def phi_table(self, tbl: TableSection, x0: int = 0, den: int = 1, cell: int = 0) -> Scalar:
+        """phi(pi(n(x0 / den) rep_cell) tbl) for ints x0 and den, memoized on the
+        table (tbl.phi_values) per (functional, cell, unit u of x0 mod p^level, val x0).
 
-        For x0 = pi^v u with u a unit, n(x0) = diag(u, 1) n(pi^v) diag(1/u, 1),
-        and phi does not see diag(u, 1) (chi_2/chi_1 is trivial on units), so
-        the unit goes into the K-translate of the table by diag(1/u, 1), which
-        reads u mod p^level only.
+        n(pi^v u) = diag(u, 1) n(pi^v) diag(1/u, 1), and phi does not see diag(u, 1)
+        (chi_2/chi_1 is trivial on units), so this is <T, W> for the Tate vector T
+        of val x0 and W[i] = tbl(rep_i g), g = diag(1/u, 1) rep_cell.  It is read
+        through the transpose, over tbl's support: where the action of g^{-1}
+        (two memoized actions) takes s to (i, c), W[i] = c^{-1} tbl[s], c a root of unity.
         """
         p, level = self.ctx.p, tbl.level
         v = ratio_val(x0, den, p)
-        if v >= level:  # including x0 = 0
-            v = None
-        else:
-            u_inv = unit_residue(den, x0, p, level)  # 1/u for x0 = pi^v u
-            if u_inv != 1:
-                tbl = tbl.translate_K(GroupElement.diag(p, u_inv, 1))
-        key = (self, v)
+        v, u = (None, 1) if v >= level else (v, unit_residue(x0, den, p, level))  # x0 = 0 has val inf
+        key = (self, cell, u, v)
         out = tbl.phi_values.get(key)
         if out is None:
-            out = sum_products(self.ctx.field, zip(tbl.values, self.tate_vector(level, v)))
-            tbl.phi_values[key] = out
+            model, tate = tbl.model, self.tate_vector(level, v)
+            back = model.action(p1_table(self.ctx, level).reps[cell].inv(), level)
+            fold = model.action(GroupElement.diag(p, u, 1), level)
+            steps = ((value, c1, *fold[j]) for s, value in tbl.support for j, c1 in (back[s],))
+            reads = ((value, c1**-1, c2**-1, tate[i]) for value, c1, i, c2 in steps)
+            out = tbl.phi_values[key] = sum_products(self.ctx.field, reads)
         return out
 
     def reader(self, section: Section, k: GroupElement | None = None):
         """phi(pi(b k) section) as a function of b = (alpha beta; 0 delta), three
         ints (k, b = 1 when None), yielding one factor tuple
         (c, (chi_2/chi_1)(t), phi_table) per term c pi(g) tbl for sum_products.
-        The Iwasawa split k g = bh kh and the K-translate of tbl by kh are
-        computed once, here.  With bh = (X Y; 0 T)/D, b bh = t n(x0) has
-        t = diag(alpha X, delta T)/D and x0 = (alpha Y + beta T)/(alpha X)."""
+        Each h = k g is split once, here: h = bh rep_j mod K(level) with j and the
+        pivot of InducedModel.cell, and bh = (N/piv, top; 0, piv)/D, top the entry
+        above the pivot, read as the ints (X, Y, T) = (N, top piv, piv^2).  Then
+        b bh = t n(x0) has t = diag(alpha X, delta T)/(D piv) and x0 = (alpha Y + beta T)/(alpha X)."""
         if section.model is not self.model3:
             raise TriformError("phi evaluated on a section of a different model")
         pre = []
         for c, g, tbl in section.terms:
             if not c.is_zero():
-                bh, kh = iwasawa(g if k is None else k * g)
-                pre.append((c, bh.X, bh.Y, bh.T, tbl.translate_K(kh)))
+                h = g if k is None else k * g
+                j, piv = self.model3.cell(h.Z, h.T, tbl.level)
+                pre.append((c, h.N, (h.Y if piv == h.T else h.X) * piv, piv * piv, j, tbl))
 
         def terms(alpha: int = 1, beta: int = 0, delta: int = 1):
-            for c, X, Y, T, tbl in pre:
+            for c, X, Y, T, j, tbl in pre:
                 ax = alpha * X
-                yield c, self.ratio21.eval(ax, delta * T), self.phi_table(tbl, alpha * Y + beta * T, ax)
+                yield c, self.ratio21.eval(ax, delta * T), self.phi_table(tbl, alpha * Y + beta * T, ax, j)
 
         return terms
 

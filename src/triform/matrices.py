@@ -1,5 +1,5 @@
-"""Invertible 2x2 matrices over F = Q_p, with the subgroup tests and the
-Iwasawa decomposition that the phi reader runs through.
+"""Invertible 2x2 matrices over F = Q_p, with the subgroup tests and the one
+pivot rule of every Borel-times-K split.
 
 Conventions: K = GL_2(O), K(m) the principal congruence subgroup, I(n) the
 congruence subgroup with lower-left entry divisible by pi^n, T the diagonal
@@ -8,9 +8,9 @@ torus, B the upper-triangular Borel.  gamma = diag(pi, 1), w = antidiagonal.
 An element is stored in one integer normal form, (X Y; Z T)/D with X, Y, Z,
 T, D ints, D > 0 and gcd(X, Y, Z, T, D) = 1, so equal elements have equal
 fields and every product, inverse and decomposition runs on ints.  Callers
-read an entry as a pair (numerator, denominator) of ints, the one format of
-padic.py, through entry() and ratio(), or use the fields directly: the
-determinant is N/D^2 with N = XT - YZ.
+read the fields directly (the determinant is N/D^2 with N = XT - YZ), or a
+ratio of two entries as a pair (numerator, denominator) of ints, the one
+format of padic.py, through ratio().
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class GroupElement:
         return cls(p, 1, 0, x, 1)
 
     # -- entries ------------------------------------------------------------
-    def entry(self, i: int) -> tuple[int, int]:
-        """Entry i of (x, y, z, t) as a pair (numerator, denominator)."""
-        return (self.X, self.Y, self.Z, self.T)[i], self.D
-
     def ratio(self, i: int, j: int) -> tuple[int, int]:
         """Entry i over entry j (nonzero) as a pair (numerator, denominator)."""
         e = (self.X, self.Y, self.Z, self.T)
@@ -133,23 +129,8 @@ class GroupElement:
         p = self.p
         return bool(self.D % p and self.N % p)
 
-    def in_K_principal(self, m: int) -> bool:
-        if not self.in_K():
-            return False
-        mod, D = self.p**m, self.D
-        return not ((self.X - D) % mod or self.Y % mod or self.Z % mod or (self.T - D) % mod)
-
     def in_iwahori(self, n: int) -> bool:
         return self.in_K() and not self.Z % self.p**n
-
-    def is_upper(self) -> bool:
-        return not self.Z
-
-    def borel_diagonal(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The diagonal entries (x, t) as pairs, for an element of the Borel subgroup."""
-        if self.Z:
-            raise TriformError("Borel character evaluated off the Borel subgroup")
-        return (self.X, self.D), (self.T, self.D)
 
     def is_diagonal(self) -> bool:
         return not (self.Y or self.Z)
@@ -162,14 +143,15 @@ def _element(p: int, X: int, Y: int, Z: int, T: int, D: int) -> GroupElement:
     return g
 
 
-def iwasawa(g: GroupElement) -> tuple[GroupElement, GroupElement]:
-    """g = b * k with b upper triangular, k in K with det a unit.
+def pivot(Z: int, T: int, p: int) -> int:
+    """The bottom-row entry of least valuation, T on ties (so `== T` tells that case)."""
+    return T if vp(T, p) <= vp(Z, p) else Z
 
-    Pivot on the bottom-row entry of minimal valuation, preferring (2,2) on
-    ties, so decompositions are reproducible.
-    """
+
+def iwasawa(g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    """g = b * k with b upper triangular, k in K, at pivot(); for the tests and the tracer."""
     p, X, Y, Z, T, D, N = g.p, g.X, g.Y, g.Z, g.T, g.D, g.N
-    if vp(T, p) <= vp(Z, p):  # pivot (2,2): k = (1 0; z/t 1), b = (det/t y; 0 t)
+    if pivot(Z, T, p) == T:  # pivot (2,2): k = (1 0; z/t 1), b = (det/t y; 0 t)
         k = _element(p, T, 0, Z, T, T)
         b = _element(p, N, Y * T, 0, T * T, D * T)
     else:  # pivot (2,1): k = (0 -1; 1 t/z), b = (det/z x; 0 z)

@@ -14,8 +14,7 @@ from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
 from .errors import TriformError
-from .matrices import GroupElement
-from .padic import vp
+from .matrices import GroupElement, pivot
 from .scalars import Scalar, sum_products
 
 
@@ -45,21 +44,19 @@ class InducedModel:
                 f"refine level: level {level} cannot carry sections of {self.tag} (needs >= {self.min_level})"
             )
 
+    def cell(self, Z: int, T: int, level: int) -> tuple[int, int]:
+        """The cell j of g with bottom row (Z, T)/D and g's pivot piv (matrices.pivot):
+        g = b k, b in B of diagonal (N/(D piv), piv/D) for det g = N/D^2, and
+        k = (1 0; z 1) or (0 -1; 1 t) = rep_j (1 0; delta 1), delta = 0 mod p^level."""
+        piv = pivot(Z, T, self.ctx.p)
+        return p1_table(self.ctx, level).cell_of_row((Z, piv), (T, piv)), piv
+
     def locate(self, Z: int, T: int, D: int, N: int, level: int) -> tuple[int, Scalar]:
         """The cell j and the factor c with f(g) = c f(rep_j) for every level-`level`
         section f, for g with bottom row (Z, T)/D and determinant N/D^2 (ints, not
-        necessarily in lowest terms): f(g) reads nothing else of g.
-
-        With piv the bottom-row entry of least valuation ((2,2) on ties), g = b k
-        with b in B of diagonal (N/(D piv), piv/D) and k = (1 0; z 1) or
-        (0 -1; 1 t), as is rep_j with the same z or t mod p^level.  So
-        k rep_j^{-1} = (1 0; delta 1), delta = 0 mod p^level, lies in the
-        normal subgroup K(level): it carries no Borel twist, f(k) = f(rep_j)
-        and c = chi delta^{1/2}(b).
-        """
-        p = self.ctx.p
-        piv = T if vp(T, p) <= vp(Z, p) else Z
-        j = p1_table(self.ctx, level).cell_of_row((Z, piv), (T, piv))
+        necessarily in lowest terms): g = b rep_j mod the normal subgroup K(level)
+        (`cell`), which carries no Borel twist, so c = chi delta^{1/2}(b)."""
+        j, piv = self.cell(Z, T, level)
         return j, self.borel.eval((N, D * piv), (piv, D))
 
     def action(self, k: GroupElement, level: int) -> tuple:
@@ -82,7 +79,7 @@ class InducedModel:
 def _k_residue(k: GroupElement, level: int) -> tuple[int, int, int, int]:
     """The entries of k in K mod p^level."""
     if not k.in_K():
-        raise TriformError("table translation needs k in K; use Section for general g")
+        raise TriformError("the action on cells needs k in K; use Section for general g")
     mod = k.p**level
     d = pow(k.D, -1, mod)
     return k.X * d % mod, k.Y * d % mod, k.Z * d % mod, k.T * d % mod
@@ -102,12 +99,12 @@ def steinberg_model(ctx: Context) -> InducedModel:
 class TableSection:
     """A level-m section: Scalar values on the P^1(O/p^m) cells.
 
-    Two caches live on the table and die with it: its K-translates, keyed by
-    the translating element mod p^m, and its phi values, which
-    TorusFunctional.phi_table keys by (functional, val x0).
+    Two caches live on the table and die with it: its support, and its phi
+    values, which TorusFunctional.phi_table keys by (functional, cell, unit of
+    x0 mod p^m, val x0).  No translate of the table is ever built.
     """
 
-    __slots__ = ("model", "level", "values", "_translates", "phi_values")
+    __slots__ = ("model", "level", "values", "_support", "phi_values")
 
     def __init__(self, model: InducedModel, level: int, values):
         model.require_level(level)
@@ -118,8 +115,15 @@ class TableSection:
         self.model = model
         self.level = level
         self.values = values
-        self._translates: dict = {}
+        self._support = None
         self.phi_values: dict = {}
+
+    @property
+    def support(self) -> list:
+        """The (cell, value) pairs of the nonzero cells, made on first use."""
+        if self._support is None:
+            self._support = [(j, v) for j, v in enumerate(self.values) if not v.is_zero()]
+        return self._support
 
     @property
     def ctx(self) -> Context:
@@ -128,23 +132,6 @@ class TableSection:
     def eval(self, g: GroupElement) -> Scalar:
         j, c = self.model.locate(g.Z, g.T, g.D, g.N, self.level)
         return c * self.values[j]
-
-    def translate_K(self, k: GroupElement) -> "TableSection":
-        """The right translate by k in K, again at the same level: cell i takes
-        c * values[j] for the (j, c) of InducedModel.action.
-
-        The table is right-K(m)-invariant, so the translate depends on k mod p^m
-        only: it is memoized under that key, and k = 1 mod p^m gives the table.
-        """
-        key = _k_residue(k, self.level)
-        if key == (1, 0, 0, 1):
-            return self
-        out = self._translates.get(key)
-        if out is None:
-            values = self.values
-            out = TableSection(self.model, self.level, [c * values[j] for j, c in self.model.action(k, self.level)])
-            self._translates[key] = out
-        return out
 
     def k_average(self) -> Scalar:
         """Integral over K (unramified models only: ramified cells average to 0)."""

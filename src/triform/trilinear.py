@@ -217,7 +217,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     # argument.  For b_s bh = (s x, s y + t; 0, t) the argument is
     # x0 = y/x + t/(s x), and moving eta by p^R moves it by delta with
     # val delta >= val(t/x) - e + R.  phi_table reads x0 through val x0 and
-    # its unit mod p^m (m the level of the translated table), so it is
+    # its unit mod p^m (m the level of the table), so it is
     # unchanged once val delta >= min(m, val x0 + m).  bh comes from rep g
     # with rep in K, so val(y/x), val(t/x) >= -gap with gap = cartan_gap(g),
     # and R >= m + gap.  If val(t/x) - e < val(y/x), that is val x0; if it is

@@ -76,3 +76,40 @@ def image_exponent(ch, residue: int) -> int:
         return 0
     dlog = _dlog_table(ch.ctx.p, ch.c)[residue % ch.ctx.p**ch.c]
     return sum(j * e for j, e in zip(ch.images, dlog)) % ch.ctx.field.m
+
+
+# readers of a GroupElement that only the tests use
+
+
+def entry(g: GroupElement, i: int) -> tuple[int, int]:
+    """Entry i of (x, y, z, t) as a pair (numerator, denominator)."""
+    return (g.X, g.Y, g.Z, g.T)[i], g.D
+
+
+def is_upper(g: GroupElement) -> bool:
+    return not g.Z
+
+
+def in_K_principal(g: GroupElement, m: int) -> bool:
+    """g in K(m): integral entries, = 1 mod p^m."""
+    if not g.in_K():
+        return False
+    mod, D = g.p**m, g.D
+    return not ((g.X - D) % mod or g.Y % mod or g.Z % mod or (g.T - D) % mod)
+
+
+def borel_diagonal(b: GroupElement) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The diagonal entries (x, t) as pairs, for b in the Borel subgroup."""
+    assert not b.Z, f"{b} is off the Borel subgroup"
+    return (b.X, b.D), (b.T, b.D)
+
+
+def cell_of(table, k: GroupElement) -> int:
+    """The cell of k in K in a P1Table."""
+    return table.cell_of_row(entry(k, 2), entry(k, 3))
+
+
+def translate(tbl: TableSection, k: GroupElement) -> TableSection:
+    """The right translate of tbl by k in K, built in full, cell by cell, from
+    InducedModel.action: cell i takes c * values[j] for the action's (j, c)."""
+    return TableSection(tbl.model, tbl.level, [c * tbl.values[j] for j, c in tbl.model.action(k, tbl.level)])

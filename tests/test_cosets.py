@@ -22,7 +22,7 @@ from triform.errors import TriformError
 from triform.matrices import GroupElement
 from triform.padic import ratio_val, residue
 
-from conftest import rand_K
+from conftest import cell_of, entry, rand_K
 
 
 def brute_p1_count(p: int, m: int) -> int:
@@ -59,14 +59,14 @@ def test_p1_cell_lookup_partition(ctx3):
     table = p1_table(ctx3, 2)
     for _ in range(100):
         k = rand_K(ctx3, rng, m=3)
-        cell = table.cell_of(k)
+        cell = cell_of(table, k)
         rep = table.reps[cell]
         h = k * rep.inv()
         # h lies in (B cap K) K(m): its lower-left entry dies mod p^m
-        assert ratio_val(*h.entry(2), 3) >= 2
+        assert ratio_val(*entry(h, 2), 3) >= 2
     # distinct reps are pairwise inequivalent
     for i, rep in enumerate(table.reps):
-        assert table.cell_of(rep) == i
+        assert cell_of(table, rep) == i
 
 
 def test_iwahori_enumeration(ctx2):
@@ -77,7 +77,7 @@ def test_iwahori_enumeration(ctx2):
     # pairwise inequivalent mod K(2)
     keys = set()
     for rep in t.reps:
-        keys.add(tuple(residue(*rep.entry(i), 2, 2) for i in range(4)))
+        keys.add(tuple(residue(*entry(rep, i), 2, 2) for i in range(4)))
     assert len(keys) == len(t)
 
 

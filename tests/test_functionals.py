@@ -21,11 +21,12 @@ from triform.functionals import (
     derive_phi_twist,
     make_indicator_f,
 )
-from triform.matrices import GroupElement
+from triform.matrices import GroupElement, iwasawa
 from triform.models import Section, TableSection, principal_series_model, steinberg_model
+from triform.padic import ratio_val, unit_residue
 from triform.scalars import sum_products
 
-from conftest import image_exponent, rand_G, rand_K, rand_section
+from conftest import image_exponent, rand_G, rand_K, rand_section, translate
 
 
 def test_twist_derivation(setup21, setup32):
@@ -211,10 +212,11 @@ def test_tate_engine_key_normalization(setup21):
 
 
 def test_phi_table_memo_on_the_table(setup21, setup32):
-    """phi_table caches on the table per (functional, val x0): each cached value
-    is the dot product of the cells with the Tate vector, two functionals on one
-    table keep their own values, every x0 with val >= level is the None key, and
-    an x0 whose unit is not 1 mod p^level is cached on the table's K-translate."""
+    """phi_table caches on the table per (functional, cell, unit u of x0 mod
+    p^level, val x0): each cached value is the dot product of the Tate vector
+    with the translate of the table by diag(1/u, 1) rep_cell, two functionals
+    on one table keep their own values, every x0 with val >= level is the key
+    (cell, 1, None), and x0 with one unit mod p^level share one entry."""
     s = setup21
     ctx = s.ctx
     swapped = TorusFunctional(ctx, s.mu2, s.mu1, s.V3)
@@ -233,19 +235,18 @@ def test_phi_table_memo_on_the_table(setup21, setup32):
     for phi, value in values.items():
         assert value == dot(phi, tbl, half)
         assert phi.phi_table(tbl, 1, 2) is value
-        assert tbl.phi_values[(phi, half)] is value
+        assert tbl.phi_values[(phi, 0, 1, half)] is value
     for x0 in (0, 2, 4, 6):  # val(x0) >= 1 = level
         assert s.phi.phi_table(tbl, x0) == dot(s.phi, tbl, None)
-    assert set(tbl.phi_values) == {(s.phi, half), (swapped, half), (s.phi, None)}
-    # x0 = 2/3 at (3, 2): val -1 and unit 2, folded into the translate by diag(1/2, 1)
+    assert set(tbl.phi_values) == {(s.phi, 0, 1, half), (swapped, 0, 1, half), (s.phi, 0, 1, None)}
+    # x0 = 2/3 at (3, 2): val -1 and unit 2, read at cell 4 of the untranslated table
     t = setup32
     tbl3 = rand_section(t.V3, 2, rng).terms[0][2]
-    value = t.phi.phi_table(tbl3, 2, 3)
-    moved = tbl3.translate_K(GroupElement.diag(3, pow(2, -1, 9), 1))
-    assert moved is not tbl3 and tbl3.phi_values == {}
-    assert moved.phi_values == {(t.phi, -1): value}
-    assert value == dot(t.phi, moved, -1)
-    assert t.phi.phi_table(tbl3, 20, 3) is value  # 20 = 2 mod 9
+    value = t.phi.phi_table(tbl3, 2, 3, 4)
+    assert tbl3.phi_values == {(t.phi, 4, 2, -1): value}
+    rep4 = p1_table(t.ctx, 2).reps[4]
+    assert value == dot(t.phi, translate(tbl3, GroupElement.diag(3, pow(2, -1, 9), 1) * rep4), -1)
+    assert t.phi.phi_table(tbl3, 20, 3, 4) is value  # 20 = 2 mod 9
 
 
 # ---------------------------------------------------------------------------
@@ -391,34 +392,100 @@ def test_tate_histograms_match_per_unit_loop(args):
 
 @st.composite
 def folded_arguments(draw):
-    """A functional, a table level, a seed for a random integer table, and
-    x0 = p^v u with v in [-3, level + 1], u a unit mod p^(level + 4), written
-    as a ratio whose numerator and denominator share a unit den."""
+    """A functional, a table level, a seed for a random integer table, whether
+    it is sparse, and x0 = p^v u with v in [-3, level + 1], u a unit mod
+    p^(level + 4), written as a ratio whose numerator and denominator share a
+    unit den."""
     case = draw(st.integers(0, len(TATE_CASES) - 1))
     phi = tate_phi(case)
     p = phi.ctx.p
     level = phi.model3.min_level + draw(st.integers(0, 1))
     v = draw(st.integers(-3, level + 1))
     u = p * draw(st.integers(0, p ** (level + 3) - 1)) + draw(st.integers(1, p - 1))
-    return case, level, v, u, draw(st.sampled_from((1, 7, 11, 13))), draw(st.integers(0, 2**16))
+    return case, level, v, u, draw(st.sampled_from((1, 7, 11, 13))), draw(st.integers(0, 2**16)), draw(st.booleans())
 
 
 @settings(max_examples=96, deadline=None)
 @given(folded_arguments())
 def test_phi_table_fold_matches_unit_key(args):
-    """phi_table reads x0 = p^v u through v and the K-translate of the table by
-    diag(1/u, 1); the reference keeps u mod p^mt in the Tate argument."""
-    case, level, v, u, den, seed = args
+    """phi_table reads x0 = p^v u through v and the action of diag(u, 1) on the
+    table's support; the reference keeps u mod p^mt in the Tate argument.  A
+    sparse table has at most three nonzero cells, each a root of unity times
+    an int, as v3's are."""
+    case, level, v, u, den, seed, sparse = args
     phi = tate_phi(case)
     p = phi.ctx.p
     rng = random.Random(seed)
-    tbl = TableSection(phi.model3, level, [rng.randint(-3, 3) for _ in range(p1_size(p, level))])
+    tbl = TableSection(phi.model3, level, rand_values(phi.ctx, p1_size(p, level), rng, sparse))
     num, d = (p**v * u * den, den) if v >= 0 else (u * den, p ** (-v) * den)
     key = None if v >= level else (v, u % p ** old_key_level(phi, level))
     want = phi.ctx.zero()
     for c, w in zip(tbl.values, reference_tate_vector(phi, level, key)):
         want = want + c * w
-    assert phi.phi_table(tbl, num, d) == want, (TATE_CASES[case], level, v, u, den)
+    assert phi.phi_table(tbl, num, d) == want, (TATE_CASES[case], level, v, u, den, sparse)
+
+
+def rand_values(ctx, size: int, rng: random.Random, sparse: bool) -> list:
+    """Random int cell values, or, when sparse, one to three nonzero cells each
+    a root of unity times a nonzero int."""
+    if not sparse:
+        return [rng.randint(-3, 3) for _ in range(size)]
+    vals = [ctx.zero()] * size
+    for i in rng.sample(range(size), rng.randint(1, 3)):
+        vals[i] = ctx.scalar(rng.choice((-2, -1, 1, 3))) * rng.choice(ctx.zeta_powers)
+    return vals
+
+
+def dense_reader(phi: TorusFunctional, section: Section, k: GroupElement | None):
+    """The reader by the two-split route, as an oracle: k g = bh kh by
+    matrices.iwasawa, the table translated in full by kh and then by
+    diag(1/u, 1) for x0 = p^v u (cell by cell through InducedModel.action),
+    and the dot product with the Tate vector of val x0."""
+    p = phi.ctx.p
+    pre = []
+    for c, g, tbl in section.terms:
+        if not c.is_zero():
+            bh, kh = iwasawa(g if k is None else k * g)
+            pre.append((c, bh.X, bh.Y, bh.T, translate(tbl, kh)))
+
+    def terms(alpha: int = 1, beta: int = 0, delta: int = 1):
+        for c, X, Y, T, moved in pre:
+            x0, den = alpha * Y + beta * T, alpha * X
+            v = ratio_val(x0, den, p)
+            if v >= moved.level:
+                v = None
+            else:
+                moved = translate(moved, GroupElement.diag(p, unit_residue(den, x0, p, moved.level), 1))
+            read = sum_products(phi.ctx.field, zip(moved.values, phi.tate_vector(moved.level, v)))
+            yield c, phi.ratio21.eval(den, delta * T), read
+
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("setup24", "setup32", "setup52")), st.booleans(), st.integers(0, 2**32))
+def test_reader_matches_the_two_split_route(request, setup, sparse, seed):
+    """The reader (one split of k g by InducedModel.cell, phi_table through
+    the transpose over the support) against dense_reader, on random sections
+    of sparse or dense tables and their translates, random k in K (or none)
+    and random upper-triangular b = (alpha beta; 0 delta)."""
+    s = request.getfixturevalue(setup)
+    ctx, p = s.ctx, s.ctx.p
+    rng = random.Random(seed)
+    level = s.V3.min_level + rng.randint(0, 1)
+    size = p1_size(p, level)
+    v = TableSection(s.V3, level, rand_values(ctx, size, rng, sparse)).as_section()
+    for _ in range(rng.randint(0, 2)):
+        tbl = TableSection(s.V3, level, rand_values(ctx, size, rng, sparse))
+        v = v + tbl.as_section().translated(rand_G(ctx, rng, val_range=1)).scaled(rng.randint(-2, 2))
+    k = None if rng.random() < 0.2 else rand_K(ctx, rng, m=level + 1)
+    units = [x for x in range(1, p**3) if x % p]
+    for _ in range(3):
+        b = GroupElement.diag(p, rng.choice(units) * Fraction(p) ** rng.randint(-3, 3), rng.choice(units))
+        b = b * GroupElement.upper(p, Fraction(rng.randint(-40, 40), rng.choice(units) * p ** rng.randint(0, 3)))
+        got = sum_products(ctx.field, s.phi.reader(v, k)(b.X, b.Y, b.T))
+        want = sum_products(ctx.field, dense_reader(s.phi, v, k)(b.X, b.Y, b.T))
+        assert got == want, (setup, sparse, seed)
 
 
 def test_close_tail():

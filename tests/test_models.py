@@ -24,7 +24,7 @@ from triform.models import (
 from triform.padic import residue, unit_residue
 from triform.verifier import Env, ScenarioConfig
 
-from conftest import image_exponent, rand_G, rand_K, rand_section
+from conftest import borel_diagonal, cell_of, entry, image_exponent, in_K_principal, rand_G, rand_K, rand_section, translate
 
 
 def test_new_vector_values(setup21):
@@ -55,7 +55,7 @@ def test_condition_one_consistency(setup31):
             Fraction(rng.choice([1, 2, 4, 5])),
         )
         k = rand_K(s.ctx, rng)
-        assert sec.eval(b * k) == s.V3.borel.eval(*b.borel_diagonal()) * sec.eval(k)
+        assert sec.eval(b * k) == s.V3.borel.eval(*borel_diagonal(b)) * sec.eval(k)
 
 
 def test_refinement_consistency(setup32):
@@ -171,7 +171,7 @@ def test_mask_levels(setup32):
 
 
 def entries_mod(k: GroupElement, m: int) -> tuple:
-    return tuple(residue(*k.entry(i), k.p, m) for i in range(4))
+    return tuple(residue(*entry(k, i), k.p, m) for i in range(4))
 
 
 def test_full_K_table_oracle(setup32):
@@ -200,7 +200,7 @@ def test_stabilizer_twist_brute_force(setup32):
                 for b2 in (1, 2):
                     b = GroupElement(p, b1, b0, 0, b2)
                     conj = rep.inv() * b * rep
-                    if conj.in_K_principal(m):
+                    if in_K_principal(conj, m):
                         if (image_exponent(mu3, b1) + image_exponent(mu3.inverse(), b2)) % ctx.field.m:
                             trivial = False
         assert trivial  # so level 1 carries every cell for c = 1, as require_level(1) accepts
@@ -228,7 +228,7 @@ def test_cell_twist_matches_generator_exponents(setup32, setup24):
                 k = rand_K(ctx, rng, m=level + 1)
                 j, factor = model.locate(k.Z, k.T, k.D, k.N, level)
                 h = k * reps[j].inv()
-                ua, ud = (unit_residue(*h.entry(i), ctx.p, c) for i in (0, 3))
+                ua, ud = (unit_residue(*entry(h, i), ctx.p, c) for i in (0, 3))
                 e = (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m
                 assert factor == ctx.zeta_powers[e]
 
@@ -259,9 +259,10 @@ def rand_K_level(p: int, level: int, rng: random.Random) -> GroupElement:
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((2, 3, 5)), st.booleans(), st.integers(0, 1), st.integers(0, 2**32))
-def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
-    """translate_K(k) and translate_K(k kappa), kappa in K(level), are one memoized
-    table whose cells are the values at rep k; a kappa alone gives the table back."""
+def test_action_by_class_mod_level(p, ramified, extra, seed):
+    """action(k) and action(k kappa), kappa in K(level), are one action, and
+    the translate it gives holds the values at rep k; a kappa alone acts as the
+    identity, and an element outside K is refused."""
     model = translate_model(p, ramified)
     level = model.min_level + extra
     rng = random.Random(seed)
@@ -269,14 +270,13 @@ def test_translate_memo_by_class_mod_level(p, ramified, extra, seed):
     tbl = TableSection(model, level, [rng.randint(-3, 3) for _ in reps])
     k = rand_K(model.ctx, rng, m=level + 1)
     kappa = rand_K_level(p, level, rng) * rand_K_level(p, level, rng).inv()  # entries with unit denominators
-    moved = tbl.translate_K(k)
-    assert tbl.translate_K(k * kappa) is moved
-    assert moved.values == [tbl.eval(rep * k) for rep in reps]
-    assert moved.values == [tbl.eval(rep * k * kappa) for rep in reps]
-    assert tbl.translate_K(kappa) is tbl
+    assert model.action(k * kappa, level) == model.action(k, level)
+    assert translate(tbl, k).values == [tbl.eval(rep * k) for rep in reps]
+    assert translate(tbl, k * kappa).values == [tbl.eval(rep * k * kappa) for rep in reps]
+    assert all(j == i and c.is_one() for i, (j, c) in enumerate(model.action(kappa, level)))
     for g in (GroupElement.diag(p, p, 1), k * GroupElement.diag(p, 1, Fraction(1, p))):
         with pytest.raises(TriformError, match="needs k in K"):
-            tbl.translate_K(g)
+            model.action(g, level)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,12 +294,12 @@ def test_iwasawa_k_part_carries_no_twist(p, ramified, extra, seed):
     for _ in range(5):
         g = rand_G(ctx, rng, val_range=2)
         b, k = iwasawa(g)
-        j = table.cell_of(k)
+        j = cell_of(table, k)
         h = k * table.reps[j].inv()
-        assert h.in_K_principal(level)
-        ua, ud = (unit_residue(*h.entry(i), p, borel.conductor()) for i in (0, 3))
+        assert in_K_principal(h, level)
+        ua, ud = (unit_residue(*entry(h, i), p, borel.conductor()) for i in (0, 3))
         assert (image_exponent(borel.chi_a, ua) + image_exponent(borel.chi_d, ud)) % ctx.field.m == 0
-        assert tbl.eval(g) == borel.eval(*b.borel_diagonal()) * tbl.values[j]
+        assert tbl.eval(g) == borel.eval(*borel_diagonal(b)) * tbl.values[j]
 
 
 @settings(max_examples=30, deadline=None)
@@ -324,20 +324,19 @@ def test_section_eval_at_the_bottom_row(request, setup, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(("setup21", "setup32", "setup24", "setup52")), st.integers(0, 2**32))
-def test_translate_by_the_action_matches_group_products(request, setup, seed):
-    """translate_K reads InducedModel.action, built from ints: cell i of the
-    translate equals tbl.eval(rep_i * k) with rep_i * k formed as a
-    GroupElement product, for random k in K and random tables, and translating
-    by k1 and then by k2 is translating by k2 k1."""
+def test_action_matches_group_products(request, setup, seed):
+    """InducedModel.action, built from ints, against GroupElement products:
+    its (j, c) at cell i gives tbl.eval(rep_i * k) = c * tbl[j] for random k in
+    K and random tables, and acting by k1 and then by k2 is acting by k2 k1."""
     s = request.getfixturevalue(setup)
     ctx, rng = s.ctx, random.Random(seed)
     level = s.V3.min_level + rng.randint(0, 1)
     reps = p1_table(ctx, level).reps
     tbl = TableSection(s.V3, level, [rng.randint(-3, 3) for _ in reps]).scaled(ctx.a + 1)
     k1, k2 = (rand_K(ctx, rng, m=level + 1) for _ in range(2))
-    moved = tbl.translate_K(k1)
-    assert all(moved.values[i] == tbl.eval(rep * k1) for i, rep in enumerate(reps)), (setup, seed)
-    assert moved.translate_K(k2).values == tbl.translate_K(k2 * k1).values, (setup, seed)
+    act = s.V3.action(k1, level)
+    assert all(tbl.eval(rep * k1) == c * tbl.values[j] for rep, (j, c) in zip(reps, act)), (setup, seed)
+    assert translate(translate(tbl, k1), k2).values == translate(tbl, k2 * k1).values, (setup, seed)
 
 
 def kernel_basis(ctx, rows: list, ncols: int) -> list:

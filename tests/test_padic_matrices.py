@@ -9,7 +9,7 @@ from triform.errors import TriformError
 from triform.matrices import GroupElement, _element, in_T_In, iwasawa
 from triform.padic import INF, ratio_val, residue, split, unit_residue
 
-from conftest import rand_G, rand_K
+from conftest import entry, in_K_principal, is_upper, rand_G, rand_K
 
 
 def test_valuation():
@@ -35,9 +35,9 @@ def test_membership(ctx2):
     low = GroupElement.lower(p, 2)
     assert low.in_iwahori(1) and not low.in_iwahori(2)
     assert not GroupElement.gamma(p).in_K()
-    assert GroupElement(p, 1, 7, 0, 3).is_upper()
-    assert GroupElement(p, 1, 0, 4, 1).in_K_principal(2)
-    assert not GroupElement(p, 1, 2, 4, 1).in_K_principal(2)
+    assert is_upper(GroupElement(p, 1, 7, 0, 3))
+    assert in_K_principal(GroupElement(p, 1, 0, 4, 1), 2)
+    assert not in_K_principal(GroupElement(p, 1, 2, 4, 1), 2)
 
 
 def test_iwasawa_roundtrip(ctx3):
@@ -46,7 +46,7 @@ def test_iwasawa_roundtrip(ctx3):
         g = rand_G(ctx3, rng, val_range=4)
         b, k = iwasawa(g)
         assert b * k == g
-        assert b.is_upper()
+        assert is_upper(b)
         assert k.in_K()
 
 
@@ -89,7 +89,7 @@ def test_R_star_membership(ctx2):
         k = rand_K(ctx2, rng, m=4)
         g = GroupElement.gamma(p, -n) * k * GroupElement.gamma(p, n)
         if g.in_K():
-            assert g.in_iwahori(n) == (g.in_K() and ratio_val(*g.entry(2), p) >= n)
+            assert g.in_iwahori(n) == (g.in_K() and ratio_val(*entry(g, 2), p) >= n)
             assert g.in_iwahori(n)  # integrality of all entries forces val(z) >= n
 
 
@@ -162,7 +162,7 @@ def ref_unit_residue(x: Fraction, p: int, m: int) -> int:
 
 
 def entries_of(g: GroupElement):
-    return tuple(Fraction(*g.entry(i)) for i in range(4))
+    return tuple(Fraction(*entry(g, i)) for i in range(4))
 
 
 def p_adic_fractions(p):
@@ -205,7 +205,7 @@ def test_kernel_iwasawa_matches_fractions(case):
     b, k = iwasawa(g)
     want_b, want_k = ref_iwasawa(a, p)
     assert entries_of(b) == want_b and entries_of(k) == want_k  # the same pivot
-    assert b.is_upper() and k.in_K() and ref_in_K(entries_of(k), p)
+    assert is_upper(b) and k.in_K() and ref_in_K(entries_of(k), p)
     assert entries_of(b * k) == a
 
 
@@ -226,7 +226,7 @@ def test_kernel_entry_valuations_and_residues(case):
     p, a, m = case
     g = GroupElement(p, *a)
     for i, x in enumerate(a):
-        n, d = g.entry(i)
+        n, d = entry(g, i)
         assert ratio_val(n, d, p) == ref_val(x, p)
         if x != 0:
             assert unit_residue(n, d, p, m) == ref_unit_residue(x, p, m)

@@ -23,7 +23,7 @@ from triform.trilinear import (
     simple_case_pairing,
 )
 
-from conftest import rand_G, rand_K, rand_section
+from conftest import borel_diagonal, rand_G, rand_K, rand_section
 
 
 def test_ext_is_the_pair_indicator(setup21, setup32):
@@ -176,7 +176,7 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
                     if not Fv.is_zero():
                         b = sigma * rep.inv()
                         for term in read(b.X, b.Y, b.T):
-                            yield w0, borel1.eval(*b.borel_diagonal()), Fv, *term
+                            yield w0, borel1.eval(*borel_diagonal(b)), Fv, *term
 
     def stratum(e):
         for eta in units_mod(p, Lstar):
@@ -185,7 +185,7 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
                 Fv = row.eval(w * bs * rep)
                 if not Fv.is_zero():
                     for term in read(bs.X, bs.Y, bs.T):
-                        yield borel1.eval(*bs.borel_diagonal()), Fv, *term
+                        yield borel1.eval(*borel_diagonal(bs)), Fv, *term
 
     total = sum_products(ctx.field, unit_distance())
     depth_sums = []

@@ -284,6 +284,7 @@ def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys, runner, reason):
         ["--config", "{tmp}/format.cfg"],  # a config file gets the checks of the flags
         ["--config", "{tmp}/flag.cfg"],
         ["--p", "2", "--n", "1", "--scenario", "main-theorem", "--specialize", "a=2,b=1/2"],  # depth tail at ab = 1
+        ["--p", "2", "--n", "2", "--level", "8", "--dump-tables"],  # |I(2)/K(8)| is past the enumeration cap
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
@@ -305,6 +306,7 @@ BAD_CONFIGS = [
     ["--p", "7"],  # rejected by validation
     ["--p", "2", "--n", "1", "--level", "9"],
     ["--p", "2", "--n", "1", "--level", "9", "--dump-tables"],
+    ["--p", "2", "--n", "2", "--level", "8", "--dump-tables"],  # refused before any table is built
     ["--p", "3", "--n", "4", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u)"],  # rejected in Env: conductor 2, not 4
 ]
 
