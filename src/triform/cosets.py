@@ -37,13 +37,13 @@ class CosetTable:
     level: int
     n: int
     reps: list
-    weights: list
+    weight: Fraction  # the mass of each cell
 
     def __len__(self):
         return len(self.reps)
 
     def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return self.weight * len(self.reps)
 
     def dump(self) -> str:
         lines = [f"# {self.kind} level {self.level}" + (f" n {self.n}" if self.n else "")]
@@ -90,7 +90,7 @@ class P1Table:
         return p**m + residue(tn * zd, td * zn, p, m) // p
 
     def as_coset_table(self) -> CosetTable:
-        return CosetTable("P1", self.m, 0, list(self.reps), [self.cell_mass] * self.size)
+        return CosetTable("P1", self.m, 0, list(self.reps), self.cell_mass)
 
 
 def p1_table(ctx: Context, m: int) -> P1Table:
@@ -122,8 +122,7 @@ def enumerate_K_mod(ctx: Context, m: int) -> CosetTable:
                     if (x * t - y * z) % p != 0:
                         reps.append(GroupElement(p, x, y, z, t))
     assert len(reps) == size
-    w = Fraction(1, size)
-    return CosetTable("K/K(m)", m, 0, reps, [w] * size)
+    return CosetTable("K/K(m)", m, 0, reps, Fraction(1, size))
 
 
 def enumerate_iwahori_mod(ctx: Context, n: int, m: int) -> CosetTable:
@@ -147,16 +146,14 @@ def enumerate_iwahori_mod(ctx: Context, n: int, m: int) -> CosetTable:
                 ld = low * d
                 for x in range(p**m):
                     reps.append(ld * GroupElement.upper(p, x))
-    w = Fraction(1, gl2_size(p, m))
-    return CosetTable("I(n)/K(m)", m, n, reps, [w] * len(reps))
+    return CosetTable("I(n)/K(m)", m, n, reps, Fraction(1, gl2_size(p, m)))
 
 
 def enumerate_T_cap_K_mod(ctx: Context, m: int) -> CosetTable:
     p = ctx.p
     us = units_mod(p, m)
     reps = [GroupElement.diag(p, e1, e2) for e1 in us for e2 in us]
-    w = Fraction(1, len(reps))
-    return CosetTable("TcapK", m, 0, reps, [w] * len(reps))
+    return CosetTable("TcapK", m, 0, reps, Fraction(1, len(reps)))
 
 
 def torus_orbit_reps(ctx: Context, n: int, m: int) -> CosetTable:
@@ -176,8 +173,7 @@ def torus_orbit_reps(ctx: Context, n: int, m: int) -> CosetTable:
         for x in range(p**m):
             reps.append(low * GroupElement.upper(p, x))
     t_index = len(units_mod(p, m)) ** 2
-    w = Fraction(t_index, gl2_size(p, m))
-    table = CosetTable("TmodG-I(n)", m, n, reps, [w] * len(reps))
+    table = CosetTable("TmodG-I(n)", m, n, reps, Fraction(t_index, gl2_size(p, m)))
     assert table.total_mass() == Fraction(1, p1_size(p, n))
     return table
 

@@ -366,13 +366,13 @@ class CompactInducedFn:
                 return self.ctx.zero()
         return self.ratio12.eval(*t.ratio(0, 3))
 
-    def orbit_cells(self):
+    def orbit_cells(self) -> tuple[Fraction, list]:
+        """The T\\G mass of one unit-orbit cell, and the cells' representatives
+        in the support.  f is 1 on each: its T I(n) split has t = 1."""
         table = torus_orbit_reps(self.ctx, self.n, self.level)
-        for rep, wt in zip(table.reps, table.weights):
-            if self.support is not None:
-                if iwahori_orbit_key(self.ctx, rep, self.n, self.level) not in self.support:
-                    continue
-            yield rep, wt
+        if self.support is None:
+            return table.weight, table.reps
+        return table.weight, [rep for rep in table.reps if iwahori_orbit_key(self.ctx, rep, self.n, self.level) in self.support]
 
 
 def make_indicator_f(ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, n: int, level: int | None = None) -> CompactInducedFn:
@@ -383,7 +383,8 @@ def Phi_eval(phi: TorusFunctional, f: CompactInducedFn, v: Section) -> Scalar:
     """Phi(f)(v) = integral over T\\G of f(g) phi(pi(g) v) dg, a finite sum
     over the unit-orbit cells with the fixed measure conventions."""
     ctx = phi.ctx
-    return sum_products(ctx.field, ((ctx.scalar(wt), f.eval(rep), phi.eval(v.translated(rep))) for rep, wt in f.orbit_cells()))
+    wt, reps = f.orbit_cells()
+    return ctx.scalar(wt) * sum_products(ctx.field, ((phi.eval(v.translated(rep)),) for rep in reps))
 
 
 def coset_constant(ctx: Context, n: int) -> Fraction:

@@ -797,7 +797,10 @@ class _Parser:
 
 def parse_scalar(field: FieldSpec, text: str) -> Scalar:
     p = _Parser(field, _tokenize(text))
-    out = p.parse_expr()
+    try:
+        out = p.parse_expr()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise TriformError("scalar literal nested too deeply") from None
     if p.pos != len(p.toks):
         raise TriformError("trailing input in scalar literal")
     return out

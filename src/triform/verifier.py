@@ -95,8 +95,8 @@ class Check:
 
 
 class Records(list):
-    """A scenario's check list: each appended Check is stamped with the wall
-    time since the previous record, or since the list was made."""
+    """A run's check list: each appended Check is stamped with the wall time
+    since the previous record, or since the list was made."""
 
     def __init__(self):
         super().__init__()
@@ -315,7 +315,6 @@ def _check(checks, cid, claim, ok, scalars=None, reason=""):
             reason=reason,
         )
     )
-    return ok
 
 
 def _skip(checks, cid, claim, reason):
@@ -327,8 +326,7 @@ def _skip(checks, cid, claim, reason):
 # ---------------------------------------------------------------------------
 
 
-def scenario_lemma_calcul(env: Env) -> list:
-    checks = Records()
+def scenario_lemma_calcul(env: Env, checks: Records):
     a = env.a
     table = p1_table(env.ctx, 5)
     for i in range(0, 5):
@@ -349,11 +347,9 @@ def scenario_lemma_calcul(env: Env) -> list:
             ok,
             reason="" if ok else f"mismatch at {witness}",
         )
-    return checks
 
 
-def scenario_formula_FK(env: Env) -> list:
-    checks = Records()
+def scenario_formula_FK(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     F = env.ext_f
     table = p1_table(ctx, F.level)
@@ -379,11 +375,9 @@ def scenario_formula_FK(env: Env) -> list:
         ("formula-FK.ext", "ext of the unit-orbit indicator reproduces the same pair indicator", bad_ext),
     ):
         _check(checks, cid, claim, bad is None, reason="" if bad is None else f"first mismatched cell pair {bad}")
-    return checks
 
 
-def scenario_lemma_FV(env: Env) -> list:
-    checks = Records()
+def scenario_lemma_FV(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     A = env.A
     F = env.ext_f
@@ -402,11 +396,9 @@ def scenario_lemma_FV(env: Env) -> list:
         ((env.mu1.value_at_pi / ctx.r) ** 2 - 1) * ((env.mu2.value_at_pi / ctx.r) ** 2 - 1)
     )
     _check(checks, "lemma-FV.A", "the coefficient equals a^n/((a^2-1)(b^2-1))", A == want_A, scalars={"A": A})
-    return checks
 
 
-def scenario_t_in_membership(env: Env) -> list:
-    checks = Records()
+def scenario_t_in_membership(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     ok = True
     for _ in range(30):
@@ -440,14 +432,12 @@ def scenario_t_in_membership(env: Env) -> list:
         okc = okc and len(enumerate_iwahori_mod(ctx, n, m)) == gl2_size(ctx.p, m) // p1_size(ctx.p, n)
         okc = okc and torus_orbit_reps(ctx, n, m).total_mass() == coset_constant(ctx, n)
     _check(checks, "t-in-membership.counts", "coset enumeration sizes match the closed-form counts", okc)
-    return checks
 
 
-def scenario_simple_case(env: Env) -> list:
-    checks = Records()
+def scenario_simple_case(env: Env, checks: Records):
     if env.cfg.n != 1:
         _skip(checks, "simple-case", "the natural-surjection route needs n = 1 (Steinberg)", "requires n = 1")
-        return checks
+        return
     ctx = env.ctx
     # the simple case pins mu2 = mu1^{-1} |.|^{-1}: with a generic, b = 1/a
     a = env.a
@@ -477,11 +467,9 @@ def scenario_simple_case(env: Env) -> list:
     Fconst = TensorFn.pure(ctx, 1, env.v1, v2s)
     z = simple_case_pairing(Fconst, env.mu1, mu2s, env.v3)
     _check(checks, "simple-case.constants", "the constant tensor pairs to zero against the zero-average vector", z.is_zero())
-    return checks
 
 
-def scenario_phi_equivariance(env: Env) -> list:
-    checks = Records()
+def scenario_phi_equivariance(env: Env, checks: Records):
     ctx = env.ctx
     sections = [env.rand_section(env.V3, env.level) for _ in range(5)]
 
@@ -501,11 +489,9 @@ def scenario_phi_equivariance(env: Env) -> list:
     up = GroupElement.upper(ctx.p, 1)
     ok2 = ok2 and env.phi.eval(sections[1].translated(up)) == env.phi.eval_reference(sections[1].translated(up), depths=1)[0]
     _check(checks, "phi-equivariance.reference", "the fast engine matches the direct annulus reference on translated sections", ok2)
-    return checks
 
 
-def scenario_phi_nonvanishing(env: Env) -> list:
-    checks = Records()
+def scenario_phi_nonvanishing(env: Env, checks: Records):
     val = env.phi.eval(env.v3)
     _check(
         checks,
@@ -529,13 +515,11 @@ def scenario_phi_nonvanishing(env: Env) -> list:
         closed_q = val.specialize({"a": Fraction(1, 5), "b": Fraction(1, 7), "u": Fraction(1, 3)})
     except PoleError as e:
         _check(checks, "phi-nonvanishing.stabilization", claim, False, reason=str(e))
-        return checks
+        return
     _check(checks, "phi-nonvanishing.stabilization", claim, not reason, scalars={"closed_form_at_(1/5,1/7,1/3)": closed_q}, reason=reason)
-    return checks
 
 
-def scenario_Phi_lambda(env: Env) -> list:
-    checks = Records()
+def scenario_Phi_lambda(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     lam = coset_constant(ctx, n)
     lhs = Phi_eval(env.phi, env.f, env.v3)
@@ -562,15 +546,13 @@ def scenario_Phi_lambda(env: Env) -> list:
         "the chain evaluator composed with ext agrees with Phi on a random union of unit-orbit cells",
         lhs2 == rhs2,
     )
-    return checks
 
 
-def scenario_conductor_vanishing(env: Env) -> list:
-    checks = Records()
+def scenario_conductor_vanishing(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     if n < 2:
         _skip(checks, "conductor-vanishing", "psi-vanishing needs conductor n >= 2", "requires n >= 2")
-        return checks
+        return
     n_random = 5 if ctx.p**n <= 9 else 3
     for m in (n - 2, n - 1):
         F = TensorFn.pure(ctx, 1, env.v1.translated(env.gamma(-m)), env.v2)
@@ -587,11 +569,9 @@ def scenario_conductor_vanishing(env: Env) -> list:
             "vectors (the dual conductor kills it)",
             ok,
         )
-    return checks
 
 
-def scenario_main_theorem(env: Env) -> list:
-    checks = Records()
+def scenario_main_theorem(env: Env, checks: Records):
     n = env.cfg.n
     # structural preconditions: fixed-space dimensions and the conductor search
     dims_ok = True
@@ -631,15 +611,13 @@ def scenario_main_theorem(env: Env) -> list:
         ok = psiF == A * (a * b * env.ell_pure(0, 1) + val)
         claim = "the same value reaches the compact route: Psi(ext f)(v3) = A (ab ell(v1 (x) gamma^-1 v2 (x) v3) + ell(gamma^-1 v1 (x) v2 (x) v3))"
     _check(checks, "main-theorem.chain", claim, ok, scalars={"Psi_F_v3": psiF, "A": A})
-    return checks
 
 
-def scenario_n1_identity(env: Env) -> list:
-    checks = Records()
+def scenario_n1_identity(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     if n != 1:
         _skip(checks, "n1-identity", "the depth-one identity chain applies at n = 1", "requires n = 1")
-        return checks
+        return
     a, b, A = env.a, env.b, env.A
     g1 = env.gamma(-1)
     psiF = env.ell_ext()
@@ -660,11 +638,9 @@ def scenario_n1_identity(env: Env) -> list:
         "the same value collapses to A ell(gamma^-1 v1 (x) v2 (x) v3') with v3' = ab (0 1; pi 0)^{-1} v3 + v3",
         psiF == A * t3,
     )
-    return checks
 
 
-def scenario_nb_swap(env: Env) -> list:
-    checks = Records()
+def scenario_nb_swap(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     gmat = GroupElement(ctx.p, 0, 1, Fraction(ctx.p) ** n, 0)
     gam_n = env.gamma(-n)
@@ -692,11 +668,9 @@ def scenario_nb_swap(env: Env) -> list:
             "ell(v1 (x) gamma^-n v2 (x) g v3) = ell(gamma^-n v1 (x) v2 (x) v3), exactly",
             moved == env.ell_pure(n, 0),
         )
-    return checks
 
 
-def scenario_g_invariance(env: Env) -> list:
-    checks = Records()
+def scenario_g_invariance(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     F = TensorFn.pure(ctx, 1, env.v1, env.v2.translated(env.gamma(-1)))
     base = env.ell_pure(0, 1)
@@ -712,7 +686,7 @@ def scenario_g_invariance(env: Env) -> list:
     kform = env.kernel_form
     if isinstance(kform, str):
         _skip(checks, "g-invariance.kernel", "kernel-route invariance", kform)
-        return checks
+        return
     f1 = env.rand_section(env.V1, 1)
     f2 = env.rand_section(env.V2, 1)
     f3 = env.rand_section(env.V3, env.V3.min_level)
@@ -729,16 +703,14 @@ def scenario_g_invariance(env: Env) -> list:
         f"the kernel evaluator is invariant under {len(gs2)} translations (compact, Weyl, torus and one diagonal-pi)",
         ok2,
     )
-    return checks
 
 
-def scenario_proportionality(env: Env) -> list:
-    checks = Records()
+def scenario_proportionality(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     kform = env.kernel_form
     if isinstance(kform, str):
         _skip(checks, "proportionality", "two-evaluator comparison", kform)
-        return checks
+        return
     ratio = None
     ok = True
     tested = 0
@@ -768,11 +740,9 @@ def scenario_proportionality(env: Env) -> list:
         ok and ratio is not None and not ratio.is_zero(),
         scalars={"constant": ratio if ratio is not None else ctx.zero()},
     )
-    return checks
 
 
-def scenario_intro_vanishing(env: Env) -> list:
-    checks = Records()
+def scenario_intro_vanishing(env: Env, checks: Records):
     z = env.ell_pure(0, 0)
     _check(
         checks,
@@ -782,7 +752,6 @@ def scenario_intro_vanishing(env: Env) -> list:
         z.is_zero(),
         scalars={"ell_spherical": z},
     )
-    return checks
 
 
 _RUNNERS = {
@@ -867,26 +836,24 @@ def coverage_complete() -> bool:
     return all(ss and all(s.split(".")[0] in SCENARIOS for s in ss) for ss in COVERAGE.values())
 
 
-def run_checks(env: Env, names) -> list[Check]:
-    """Run the named scenarios in order on one Env.  An engine error ends its
-    scenario as a FAIL record carrying the reason."""
-    checks: list[Check] = []
+def run_checks(env: Env, names) -> Records:
+    """Run the named scenarios in order on one Env, each appending to the one
+    Records of the run.  An engine error ends its scenario as a FAIL record
+    carrying the reason, after the checks the scenario had already recorded."""
+    checks = Records()
     for name in names:
-        start = time.perf_counter()
         try:
-            checks.extend(_RUNNERS[name](env))
+            _RUNNERS[name](env, checks)
         except TriformError as e:
-            ms = (time.perf_counter() - start) * 1000  # the scenario's time up to the error
-            checks.append(Check(id=name, claim="scenario execution", verdict="FAIL", reason=f"{type(e).__name__}: {e}", ms=ms))
+            checks.append(Check(id=name, claim="scenario execution", verdict="FAIL", reason=f"{type(e).__name__}: {e}"))
     return checks
 
 
 def run_scenario(cfg: ScenarioConfig) -> Report:
     env = Env(cfg)
-    checks: list[Check] = []
+    checks = run_checks(env, SCENARIOS if cfg.scenario == "all" else (cfg.scenario,))
     if not coverage_complete():
-        checks.append(Check(id="meta.coverage", claim="every acceptance claim is covered by a scenario", verdict="FAIL"))
-    checks += run_checks(env, SCENARIOS if cfg.scenario == "all" else (cfg.scenario,))
+        checks.insert(0, Check(id="meta.coverage", claim="every acceptance claim is covered by a scenario", verdict="FAIL"))
     config_dict = {
         "p": cfg.p,
         "n": cfg.n,

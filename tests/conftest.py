@@ -46,6 +46,11 @@ def setup24():
 
 
 @pytest.fixture(scope="session")
+def setup34():  # mu3 of order 6: mu3^-2 of a pivot is not +-1
+    return Env(ScenarioConfig(3, 4))
+
+
+@pytest.fixture(scope="session")
 def setup52():
     return Env(ScenarioConfig(5, 2))
 

@@ -146,5 +146,5 @@ def test_dispatcher_and_dump(ctx2):
     dump = t.dump()
     assert "level 1: [1 0; 0 1]" in dump
     assert len(dump.splitlines()) == len(t) + 1
-    half = CosetTable("T", 1, 0, [GroupElement(2, Fraction(1, 2), 0, Fraction(-3, 4), 3)], [Fraction(1)])
+    half = CosetTable("T", 1, 0, [GroupElement(2, Fraction(1, 2), 0, Fraction(-3, 4), 3)], Fraction(1))
     assert half.dump().splitlines()[1] == "level 1: [1/2 0; -3/4 3]"

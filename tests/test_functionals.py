@@ -463,7 +463,7 @@ def dense_reader(phi: TorusFunctional, section: Section, k: GroupElement | None)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("setup24", "setup32", "setup52")), st.booleans(), st.integers(0, 2**32))
+@given(st.sampled_from(("setup24", "setup32", "setup34", "setup52")), st.booleans(), st.integers(0, 2**32))
 def test_reader_matches_the_two_split_route(request, setup, sparse, seed):
     """The reader (one split of k g by InducedModel.cell, phi_table through
     the transpose over the support) against dense_reader, on random sections

@@ -176,10 +176,17 @@ def test_render_grammar_example():
     assert parse_scalar(ctx.field, s.render()) == s
 
 
-@pytest.mark.parametrize("text", ["", "a+", "(a", "a^", "2/", "zeta", "zeta0", "2²"])
+@pytest.mark.parametrize(
+    "text", ["", "a+", "(a", "a^", "2/", "zeta", "zeta0", "2²", pytest.param("(" * 400 + "u" + ")" * 400, id="400-deep")]
+)
 def test_malformed_literal_is_a_scalar_error(text):
     with pytest.raises(TriformError):
         parse_scalar(ctx.field, text)
+
+
+def test_flat_sum_parses():
+    """Only nesting recurses: a flat 3,000-term sum parses."""
+    assert parse_scalar(ctx.field, "+".join(["a"] * 3000)) == 3000 * ctx.a
 
 
 def test_cyclotomic_field():

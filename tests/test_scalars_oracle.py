@@ -1,13 +1,16 @@
 """Differential test of the Scalar kernel against sympy as an independent oracle.
 
 Random expression trees in a, b, u, r (and zeta4) with sums, products,
-inverses and geometric tails are evaluated twice: as Scalars, and as sympy
-rational functions in which r is a plain symbol.  Over Q(a, b, u), x^2 - q is
-irreducible, so a sympy value is zero in Q(zeta_M)(a, b, u)[r]/(r^2 - q)
-exactly when its numerator over a nonzero denominator is divisible by r^2 - q.
+inverses and geometric tails are evaluated twice: as Scalars, and in sympy's
+sparse field Q(a, b, u, r, z), in which r and z (for zeta4) are plain symbols.
+Q[r, z]/(r^2 - q, z^2 + 1) is a field for the q used here, so (r^2 - q,
+z^2 + 1) is the kernel of r -> sqrt(q), z -> zeta4, and a sympy value is zero
+in Q(zeta_M)(a, b, u)[r]/(r^2 - q) exactly when its numerator over a nonzero
+denominator reduces to 0 modulo r^2 - q and z^2 + 1.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,7 +20,7 @@ from triform.scalars import Poly, sum_products
 
 sympy = pytest.importorskip("sympy")
 
-A, B, U, R = sympy.symbols("a b u r")
+FIELD, A, B, U, R, Z = sympy.field("a,b,u,r,z", sympy.QQ)
 CONTEXTS = {2: Context(3, zeta_order=2), 4: Context(5, zeta_order=4)}
 
 
@@ -64,7 +67,7 @@ def as_scalar(ctx, t):
 def as_sympy(t):
     if t[0] == "atom":
         name = t[1]
-        return {"a": A, "b": B, "u": U, "r": R, "zeta4": sympy.I}.get(name) or sympy.Rational(name)
+        return {"a": A, "b": B, "u": U, "r": R, "zeta4": Z}.get(name) or FIELD(sympy.Rational(name))
     if t[0] == "tail":
         x = as_sympy(t[1])
         return x ** t[2] / (1 - x)
@@ -72,12 +75,11 @@ def as_sympy(t):
     return {"+": x + y, "-": x - y, "*": x * y, "/": x / y}[t[0]]
 
 
-def oracle_is_zero(expr, q) -> bool:
-    """The numerator of together(expr), uncancelled, is 0 mod r^2 - q.  Its
-    denominator is a product of the tree's denominators, each nonzero in the
-    field because evaluate() discards any tree with one that vanishes there."""
-    num, _ = sympy.fraction(sympy.together(expr))
-    return sympy.expand(sympy.rem(sympy.expand(num), R**2 - q, R)) == 0
+def oracle_is_zero(x, q) -> bool:
+    """The numerator of x is 0 mod (r^2 - q, z^2 + 1).  Its denominator divides
+    a product of the tree's denominators, each nonzero in the field because
+    evaluate() discards any tree with one that vanishes there."""
+    return x.numer.rem([(R**2 - q).numer, (Z**2 + 1).numer]) == 0
 
 
 def evaluate(ctx, t):
@@ -103,8 +105,8 @@ def test_zero_test_and_equality_match_sympy(case):
 
 
 def as_rendered_sympy(x):
-    text = x.render().replace("^", "**").replace("zeta4", "I")
-    return sympy.sympify(text, locals={"a": A, "b": B, "u": U, "r": R, "I": sympy.I})
+    text = x.render().replace("^", "**").replace("zeta4", "z")
+    return FIELD.from_expr(sympy.sympify(text, locals={str(g): g for g in FIELD.symbols}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,11 +130,11 @@ def test_sum_products_matches_sympy(case):
     m, products = case
     ctx = CONTEXTS[m]
     got = sum_products(ctx.field, [[evaluate(ctx, t) for t in ts] for ts in products])
-    expected = sympy.Add(*(sympy.Mul(*(as_sympy(t) for t in ts)) for ts in products))
+    expected = sum((prod((as_sympy(t) for t in ts), start=FIELD.one) for ts in products), FIELD.zero)
     assert oracle_is_zero(as_rendered_sympy(got) - expected, ctx.q)
 
 
-GENS = (A, B, U, R, sympy.Symbol("zeta"))  # over Q(zeta4), zeta4 stays a plain symbol of degree < 2
+GENS = (*sympy.symbols("a b u r"), sympy.Symbol("zeta"))  # over Q(zeta4), zeta4 stays a plain symbol of degree < 2
 
 
 def poly_to_sympy(p):

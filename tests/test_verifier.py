@@ -127,9 +127,9 @@ def test_chain_values_memoized_per_env(monkeypatch):
 
 def test_engine_error_record_carries_scenario_time(monkeypatch, setup21):
     """A scenario that fails with an engine error after 50 ms of work ends as a
-    FAIL record carrying that time."""
+    FAIL record carrying the time since the previous record."""
 
-    def slow_failure(env):
+    def slow_failure(env, checks):
         time.sleep(0.05)
         raise TriformError("late failure")
 
@@ -137,6 +137,35 @@ def test_engine_error_record_carries_scenario_time(monkeypatch, setup21):
     (check,) = verifier.run_checks(setup21, ["lemma-FV"])
     assert (check.id, check.verdict, check.reason) == ("lemma-FV", "FAIL", "TriformError: late failure")
     assert check.ms >= 50
+
+
+def test_engine_error_keeps_the_checks_already_recorded(monkeypatch):
+    """An engine error in main-theorem's second chain evaluation (Psi(ext f))
+    ends the scenario after the three checks it had already recorded.  One
+    clock stamps all four records, so their times add up to at most the run's
+    wall time."""
+    real = verifier.ell_chain
+    calls = []
+
+    def failing_second_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TriformError("injected chain error")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "ell_chain", failing_second_call)
+    env = Env(ScenarioConfig(2, 1))
+    start = time.perf_counter()
+    checks = verifier.run_checks(env, ["main-theorem"])
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    assert [(c.id, c.verdict) for c in checks] == [
+        ("main-theorem.newvector", "PASS"),
+        ("main-theorem.invariance", "PASS"),
+        ("main-theorem.testvector", "PASS"),
+        ("main-theorem", "FAIL"),
+    ]
+    assert checks[-1].reason == "TriformError: injected chain error"
+    assert sum(c.ms for c in checks) <= elapsed_ms
 
 
 def test_fault_injection_pinpoints_cell():
@@ -227,7 +256,7 @@ def test_cli_level_past_cap():
 
 
 def _raises(error):
-    def runner(env):
+    def runner(env, checks):
         raise error
 
     return runner
@@ -239,7 +268,7 @@ def _raises(error):
         (_raises(TriformError("injected engine error")), "TriformError: injected engine error"),
         (_raises(PoleError("injected pole")), "PoleError: injected pole"),
         (_raises(TailError("injected tail")), "TailError: injected tail"),
-        (lambda env: GroupElement(2, 1, 2, 2, 4), "TriformError: singular matrix is not a group element"),
+        (lambda env, checks: GroupElement(2, 1, 2, 2, 4), "TriformError: singular matrix is not a group element"),
     ],
     ids=["TriformError", "PoleError", "TailError", "singular-matrix"],
 )
@@ -308,6 +337,7 @@ BAD_CONFIGS = [
     ["--p", "2", "--n", "1", "--level", "9", "--dump-tables"],
     ["--p", "2", "--n", "2", "--level", "8", "--dump-tables"],  # refused before any table is built
     ["--p", "3", "--n", "4", "--mu3", "ram(c=1, gens=[2->zeta2^1], pi=u)"],  # rejected in Env: conductor 2, not 4
+    ["--p", "3", "--n", "2", "--scenario", "intro-vanishing", "--mu3", f"ram(c=1, gens=[2->zeta2^1], pi={'(' * 400}u{')' * 400})"],
 ]
 
 
