@@ -7,7 +7,7 @@ import time
 
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
-from triform.functionals import Phi_eval, TorusFunctional, coset_constant, make_indicator_f
+from triform.functionals import CompactInducedFn, Phi_eval, TorusFunctional, coset_constant
 from triform.matrices import GroupElement
 from triform.models import new_vector_by_solve, new_vector_unramified, principal_series_model
 from triform.trilinear import KernelForm, TensorFn, ell_chain, ext
@@ -31,7 +31,7 @@ phi = TorusFunctional(ctx, mu1, mu2, V3)
 print("phi(v3) =", phi.eval(v3).render())
 
 # Phi integrates phi over the unit orbit: a finite sum worth lambda phi(v3).
-f = make_indicator_f(ctx, mu1, mu2, n)
+f = CompactInducedFn(ctx, mu1, mu2, n, n)
 print("lambda  =", coset_constant(ctx, n), " and Phi(f)(v3) =", Phi_eval(phi, f, v3).render())
 
 # The chain evaluator agrees with Phi on the image of ext ... exactly.

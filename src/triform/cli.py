@@ -8,9 +8,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .context import Context
 from .cosets import enumerate_iwahori_mod, enumerate_K_mod, enumerate_T_cap_K_mod, enumeration_refusal, p1_table
-from .verifier import SCENARIOS, ConfigError, ScenarioConfig, run_scenario
+from .verifier import SCENARIOS, ConfigError, Env, ScenarioConfig, run_scenario
 
 FORMATS = ("text", "json-like")
 BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -84,14 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dump_tables(cfg: ScenarioConfig) -> str:
     """The coset tables at level m: P^1, K/K(m) for m <= 2, I(n)/K(m) and
-    T cap K; a table too large to list is refused before any is built."""
+    T cap K, for a configuration that a run accepts (its `Env`); a table too
+    large to list is refused before any is built."""
     cfg.validate()
     m = max(cfg.level or 0, cfg.n, 1)
     for n in (0, cfg.n) if m <= 2 else (cfg.n,):
         refusal = enumeration_refusal(cfg.p, n, m)
         if refusal:
             raise ConfigError(refusal)
-    ctx = Context(cfg.p, zeta_order=2)
+    ctx = Env(cfg).ctx
     chunks = [p1_table(ctx, m).as_coset_table().dump()]
     if m <= 2:
         chunks.append(enumerate_K_mod(ctx, m).dump())

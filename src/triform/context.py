@@ -7,7 +7,6 @@ exponents of zeta_M; `zeta_powers` holds the one shared Scalar for each.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import TriformError
@@ -28,7 +27,7 @@ class Context:
         self._zero = Scalar.from_rational(self.field, 0)
         self._one = Scalar.from_rational(self.field, 1)
         self._r = Scalar.variable(self.field, "r")
-        self._q_powers: dict[int, Scalar] = {}  # h -> q^h; Scalars are immutable
+        self._q = Scalar.from_rational(self.field, p)  # its powers are memoized on it
 
     # -- scalar factories --------------------------------------------------
     def scalar(self, x) -> Scalar:
@@ -73,12 +72,7 @@ class Context:
     def q_power_half(self, k: int) -> Scalar:
         """q^{k/2} as a Scalar (an r-power when k is odd)."""
         half, odd = divmod(k, 2)
-        out = self._q_powers.get(half)
-        if out is None:
-            out = self._q_powers[half] = self.scalar(Fraction(self.q) ** half)
-        if odd:
-            out = out * self._r
-        return out
+        return self._q**half * self._r if odd else self._q**half
 
     def zeta(self, order: int, exponent: int = 1) -> Scalar:
         """zeta_order^exponent, the shared Scalar zeta_M^(exponent M / order)."""

@@ -72,7 +72,6 @@ class WProfile:
         self.m = level
         self.ratio = model.borel.chi_d / model.borel.chi_a
         self.sign_factor = self.ctx.zeta_powers[model.borel.chi_a.unit_exponent(-1)]
-        self.zero_cell = 0  # z-chart cell of z = 0
         self.ratio_pi_q = self.ratio.value_at_pi * self.ctx.scalar(self.ctx.q)
 
     def scale(self, k: int) -> Scalar:
@@ -127,10 +126,6 @@ class TorusFunctional:
         neg = (self.chtil.value_at_pi * borel.chi_d.value_at_pi / borel.chi_a.value_at_pi * q).inverse()
         return {"negative": neg, "depth": self.mu2.value_at_pi**2 * neg}
 
-    def close(self, t0: Scalar, t1: Scalar, tail: str) -> Scalar:
-        """close_tail at the derived ratio of `tail`."""
-        return close_tail(t0, t1, self.tail_ratios[tail])
-
     # -- the Tate engine: vectors of phi over the cell basis ------------------
     def tate_vector(self, level: int, x0_key) -> list[Scalar]:
         """phi(pi(n(x0)) delta_cell) for every cell, as one vector.
@@ -183,13 +178,10 @@ class TorusFunctional:
             if ch.c != 0:
                 return  # the unit integral kills every deep annulus
             # annulus k - 1 over annulus k: 1/(X (chi_d/chi_a)(pi) q)
-            add(W.zero_cell, W.sign_factor * self.tail_ratios["negative"].geometric_tail(-k_hi))
+            add(0, W.sign_factor * self.tail_ratios["negative"].geometric_tail(-k_hi))  # cell 0: z = 0
 
         def plain_upto(k_hi: int):
-            if k_hi <= -m:
-                plain_neg_tail(k_hi)
-                return
-            plain_neg_tail(-m)
+            plain_neg_tail(min(k_hi, -m))
             for k in range(-m + 1, k_hi + 1):
                 plain_window(k)
 
@@ -322,7 +314,7 @@ class TorusFunctional:
             partial = partial + terms[-d] + terms[d]
             out = partial if top is None else partial + top * X.geometric_tail(d + 1)
             try:  # negative tail: verified geometric continuation of the last annuli
-                closures.append(out + self.close(terms[-d + 1], terms[-d], "negative"))
+                closures.append(out + close_tail(terms[-d + 1], terms[-d], self.tail_ratios["negative"]))
             except TailError as e:
                 if d == D:
                     raise
@@ -373,10 +365,6 @@ class CompactInducedFn:
         if self.support is None:
             return table.weight, table.reps
         return table.weight, [rep for rep in table.reps if iwahori_orbit_key(self.ctx, rep, self.n, self.level) in self.support]
-
-
-def make_indicator_f(ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, n: int, level: int | None = None) -> CompactInducedFn:
-    return CompactInducedFn(ctx, mu1, mu2, n, level if level is not None else max(n, 1))
 
 
 def Phi_eval(phi: TorusFunctional, f: CompactInducedFn, v: Section) -> Scalar:

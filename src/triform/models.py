@@ -219,7 +219,6 @@ class Section:
 
     def as_table(self, level: int | None = None) -> TableSection:
         lvl = level if level is not None else self.level_bound()
-        self.ctx.check_level(lvl)
         if lvl < self.level_bound():
             raise TriformError(f"refine level: need >= {self.level_bound()}, got {lvl}")
         reps = p1_table(self.ctx, lvl).reps
@@ -264,7 +263,6 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     """
     ctx = model.ctx
     lvl = model.fixed_level(n, level)
-    ctx.check_level(lvl)
     actions = [model.action(g, lvl) for g in iwahori_generators(ctx, n, lvl)]
     ncols, zero = len(actions[0]), ctx.zero()
     seen: set[int] = set()

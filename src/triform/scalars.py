@@ -2,11 +2,12 @@
 
 a and b are the Satake-type parameters of the two spherical principal series
 (mu_i(pi)/sqrt q), u is the value at the uniformizer of the ramified character
-cutting out the third representation, and r is a formal square root of q.
-Every certificate the engine emits is ultimately an `is_zero` question about
-one of these Scalars, so all arithmetic is exact and zero-testing syntactic:
-a Scalar is an expanded numerator polynomial over a multiset of monic
-denominator factors in a, b, u.
+cutting out the third representation, and r is a square root of q: formal,
+or the one in Q(zeta_M) where that field holds it (`Poly.var`).  Every
+certificate the engine emits is ultimately an `is_zero` question about one of
+these Scalars, so all arithmetic is exact and zero-testing syntactic: a Scalar
+is an expanded numerator polynomial over a multiset of monic denominator
+factors in a, b, u.
 
 A polynomial carries both algebraic generators, r and zeta = zeta_M, as
 exponents next to those of a, b, u, and has int coefficients over one int
@@ -96,6 +97,20 @@ class FieldSpec:
         }
         return 2, dz, table
 
+    @cached_property
+    def sqrt_q(self) -> dict | None:
+        """sqrt(q) as counts of zeta_M exponents where Q(zeta_M) holds it, else
+        None: the root that is positive under zeta_M -> e^{2 pi i/M}.  For q = 2
+        it is zeta_8 + zeta_8^7; for an odd prime q it is the Gauss sum
+        sum_a (a/q) zeta_q^a, times -i = zeta_4^3 when q = 3 mod 4."""
+        q, m = self.q, self.m
+        if q == 2:
+            return {m // 8: 1, 7 * m // 8: 1} if m % 8 == 0 else None
+        if m % (q if q % 4 == 1 else 4 * q):
+            return None
+        shift = 0 if q % 4 == 1 else 3 * m // 4
+        return {(shift + a * m // q) % m: 1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)}
+
 
 class Poly:
     """Polynomial in (a, b, u, r, zeta) over Q, reduced by r^2 = q and Phi_M(zeta) = 0:
@@ -140,6 +155,11 @@ class Poly:
 
     @classmethod
     def var(cls, field: FieldSpec, name: str) -> "Poly":
+        """The generator `name`.  r is formal unless Q(zeta_M) holds sqrt(q):
+        there x^2 - q splits, so r is that root (`FieldSpec.sqrt_q`), and the
+        ring stays a field."""
+        if name == "r" and field.sqrt_q is not None:
+            return cls.zeta_sum(field, field.sqrt_q)
         mono = tuple(1 if v == name else 0 for v in VARS)
         return cls._raw(field, {mono: 1})
 

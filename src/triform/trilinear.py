@@ -27,7 +27,7 @@ from .characters import SmoothCharacter
 from .context import Context
 from .cosets import p1_table, units_mod
 from .errors import KernelUnsupportedError, TailError, TriformError
-from .functionals import CompactInducedFn, TorusFunctional
+from .functionals import CompactInducedFn, TorusFunctional, close_tail
 from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection
 from .scalars import Scalar, sum_products
@@ -77,10 +77,6 @@ class TensorFn:
             row = self.slot1(rep * g)
             rows.append(None if row is None else row.translated(g))
         return TensorFn(self.model1, level, rows)
-
-    def scaled(self, c) -> "TensorFn":
-        c = self.ctx.scalar(c)
-        return TensorFn(self.model1, self.level, [None if row is None else row.scaled(c) for row in self.rows])
 
     def level_bound(self) -> int:
         return max([self.level] + [row.level_bound() for row in self.rows if row is not None])
@@ -251,7 +247,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, e0))))
     t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (e0, e0 + 1))
     try:
-        rest = phi.close(t0, t1, "depth")
+        rest = close_tail(t0, t1, phi.tail_ratios["depth"])
     except TailError:
         if phi.model3.steinberg:
             avg = v.as_table(Lstar).k_average()
@@ -312,41 +308,40 @@ class KernelForm:
         counts = Counter(sum(ch.unit_exponent(sgn * eps) for ch, sgn in chars_signs) % m for eps in range(1, ctx.p))
         return ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, ctx.q))
 
-    def _G(self, sgn: int, lam: int) -> Scalar:
+    def _G(self, lam: int) -> Scalar:
         """The universal collision integral over val(s), val(s') >= lam of
-        nu12(sgn s) nu13(sgn s') nu23(sgn (s'-s)), flat dz^2 measure, times
+        nu12(-s) nu13(-s') nu23(s - s'), flat dz^2 measure, times
         the chart density (p/(p+1))^2."""
-        key = (sgn, lam)
-        if key in self._g_cache:
-            return self._g_cache[key]
+        if lam in self._g_cache:
+            return self._g_cache[lam]
         ctx = self.ctx
         q = ctx.q
         qs = ctx.scalar(q)
         X12, X13, X23 = self.nu12.value_at_pi, self.nu13.value_at_pi, self.nu23.value_at_pi
-        # val s < val s': the difference sits with s, unit -sgn eps
-        UA = self._usum([(self.nu12, sgn), (self.nu23, -sgn)])
-        UB = self._usum([(self.nu13, sgn)])
+        # val s < val s': the difference sits with s, unit eps
+        UA = self._usum([(self.nu12, -1), (self.nu23, 1)])
+        UB = self._usum([(self.nu13, -1)])
         gA = X13 / qs
         part_a = UA * UB * gA.geometric_tail(1) * ((X12 * X23 / qs) * gA).geometric_tail(lam)
-        # val s' < val s: the difference sits with s', unit +sgn eps'
-        UA2 = self._usum([(self.nu13, sgn), (self.nu23, sgn)])
-        UB2 = self._usum([(self.nu12, sgn)])
+        # val s' < val s: the difference sits with s', unit -eps'
+        UA2 = self._usum([(self.nu13, -1), (self.nu23, -1)])
+        UB2 = self._usum([(self.nu12, -1)])
         gB = X12 / qs
         part_b = UA2 * UB2 * gB.geometric_tail(1) * ((X13 * X23 / qs) * gB).geometric_tail(lam)
         # equal valuations: split by the collision depth of the unit parts
         counts = Counter(
-            (self.nu12.unit_exponent(sgn * e1) + self.nu13.unit_exponent(sgn * e2) + self.nu23.unit_exponent(sgn * (e2 - e1)))
+            (self.nu12.unit_exponent(-e1) + self.nu13.unit_exponent(-e2) + self.nu23.unit_exponent(e1 - e2))
             % ctx.field.m
             for e1 in range(1, ctx.p)
             for e2 in range(1, ctx.p)
             if (e1 - e2) % ctx.p
         )
         C0 = ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, q * q))
-        C1 = self._usum([(self.nu12, sgn), (self.nu13, sgn)]) * self._usum([(self.nu23, sgn)])
+        C1 = self._usum([(self.nu12, -1), (self.nu13, -1)]) * self._usum([(self.nu23, -1)])
         rho_diag = (X12 * X13 * X23) / (qs * qs)
         part_c = (C0 + C1 * (X23 / qs).geometric_tail(1)) * rho_diag.geometric_tail(lam)
         out = (part_a + part_b + part_c) * ctx.scalar(Fraction(ctx.p, ctx.p + 1) ** 2)
-        self._g_cache[key] = out
+        self._g_cache[lam] = out
         return out
 
     # -- the evaluator -----------------------------------------------------------
@@ -355,7 +350,6 @@ class KernelForm:
         ctx = self.ctx
         p, q = ctx.p, ctx.q
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level, 1)
-        ctx.check_level(L0)
         vals1, vals2, vals3 = (f.as_table(L0).values for f in (f1, f2, f3))
         table = p1_table(ctx, L0)
         cells = range(table.size)
@@ -389,7 +383,7 @@ class KernelForm:
                 for c in cells:
                     lead_c = lead * va[c] * vb[c]
                     yield from ((lead_c, vthird[k], *far(c, k)) for k in cells if k != c)
-            lead = mass * self._G(-1, L0)
+            lead = mass * self._G(L0)
             yield from ((lead, vals1[c], vals2[c], vals3[c]) for c in cells)
 
         return sum_products(ctx.field, strata())

@@ -25,7 +25,7 @@ from .cosets import (
     torus_orbit_reps,
 )
 from .errors import ConfigError, KernelUnsupportedError, PoleError, TailError, TriformError
-from .functionals import CompactInducedFn, Phi_eval, TorusFunctional, coset_constant, make_indicator_f
+from .functionals import CompactInducedFn, Phi_eval, TorusFunctional, coset_constant
 from .matrices import GroupElement, in_T_In
 from .models import (
     InducedModel,
@@ -217,11 +217,11 @@ class Env:
                 raise ConfigError(f"the specialization puts a geometric tail of phi at ratio 1 (X = {X.render()}, rho = {rho.inverse().render()})")
             if chtil.c == 0 and self.phi.tail_ratios["depth"] == 1:  # ramified chi~: the depth tail vanishes
                 raise ConfigError("the specialization puts the chain's depth tail at ratio 1")
-        self.f = make_indicator_f(ctx, self.mu1, self.mu2, n, self.level)
+        self.f = CompactInducedFn(ctx, self.mu1, self.mu2, n, self.level)
         import random
 
         self.rng = random.Random(cfg.seed)
-        self._chain: dict = {}  # memoized chain values, see ell_pure and ell_ext
+        self._chain: dict = {}  # (i, j) -> ell_pure(i, j)
 
     # -- seeded random elements ------------------------------------------------
     def rand_unit(self, m: int = 3) -> int:
@@ -298,11 +298,10 @@ class Env:
         except KernelUnsupportedError as e:
             return str(e)
 
+    @cached_property
     def ell_ext(self) -> Scalar:
         """Psi(ext f)(v3) = ell(ext f (x) v3), computed once per Env."""
-        if "ext" not in self._chain:
-            self._chain["ext"] = self.ell(self.ext_f)
-        return self._chain["ext"]
+        return self.ell(self.ext_f)
 
 
 def _check(checks, cid, claim, ok, scalars=None, reason=""):
@@ -353,10 +352,9 @@ def scenario_formula_FK(env: Env, checks: Records):
     ctx, n = env.ctx, env.cfg.n
     F = env.ext_f
     table = p1_table(ctx, F.level)
-    corrupt = env.cfg.inject_fault
     FV = env.closed_form
-    if corrupt:
-        FV = FV.scaled(ctx.one() + ctx.a)  # deliberately wrong coefficient
+    if env.cfg.inject_fault:  # deliberately wrong coefficient
+        FV = closed_form_tensor(ctx, env.mu1, env.mu2, env.v1, env.v2, n, env.A * (ctx.one() + ctx.a))
     bad_closed = bad_ext = None  # first mismatched cell pair of each route
     for i, rep1 in enumerate(table.reps):
         for j, rep2 in enumerate(table.reps):
@@ -603,7 +601,7 @@ def scenario_main_theorem(env: Env, checks: Records):
         scalars={"ell_value": val},
     )
     a, b, A = env.a, env.b, env.A
-    psiF = env.ell_ext()
+    psiF = env.ell_ext
     if n >= 2:
         ok = A * val == psiF
         claim = "the same value reaches the compact route: Psi(ext f)(v3) = A * ell(gamma^-n v1 (x) v2 (x) v3) (depth vanishing kills the other terms)"
@@ -620,7 +618,7 @@ def scenario_n1_identity(env: Env, checks: Records):
         return
     a, b, A = env.a, env.b, env.A
     g1 = env.gamma(-1)
-    psiF = env.ell_ext()
+    psiF = env.ell_ext
     ok = psiF == A * (a * b * env.ell_pure(0, 1) + env.ell_pure(1, 0))
     _check(
         checks,

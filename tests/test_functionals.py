@@ -19,7 +19,6 @@ from triform.functionals import (
     close_tail,
     coset_constant,
     derive_phi_twist,
-    make_indicator_f,
 )
 from triform.matrices import GroupElement, iwasawa
 from triform.models import Section, TableSection, principal_series_model, steinberg_model
@@ -171,7 +170,7 @@ def test_phi_nonvanishing_on_new_vectors(setup21, setup32):
 def test_indicator(setup21):
     s = setup21
     rng = random.Random(5)
-    f = make_indicator_f(s.ctx, s.mu1, s.mu2, 1)
+    f = CompactInducedFn(s.ctx, s.mu1, s.mu2, 1, 1)
     for _ in range(20):
         k = rand_K(s.ctx, rng)
         if k.in_iwahori(1):
@@ -193,7 +192,7 @@ def test_indicator_needs_unramified(setup32):
 def test_Phi_equals_lambda_phi(setup21, setup32):
     for s in (setup21, setup32):
         p, n = s.cfg.p, s.cfg.n
-        f = make_indicator_f(s.ctx, s.mu1, s.mu2, n)
+        f = CompactInducedFn(s.ctx, s.mu1, s.mu2, n, n)
         lam = coset_constant(s.ctx, n)
         if (p, n) == (2, 1):
             assert lam == Fraction(1, 3)

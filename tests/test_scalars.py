@@ -1,6 +1,7 @@
 """Field axioms, canonicalization and the regularization primitive, mostly as
 hypothesis properties over randomly built scalars."""
 
+import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -75,6 +76,28 @@ def test_defining_relation():
         z = c.scalar(c.zeta(c.field.m))
         s = (1 + c.r * z + c.a * z**3) ** 4 / (c.b - z) + z ** (c.field.m - 1)
         assert all(mo[3] <= 1 and mo[4] < phi for poly in (s.num, *s.den) for mo in poly.terms)
+
+
+@pytest.mark.parametrize(
+    "p, m, root",
+    [(5, 20, "zeta5 + zeta5^4 - zeta5^2 - zeta5^3"), (3, 12, "-zeta4*(zeta3 - zeta3^2)"), (2, 8, "zeta8 + zeta8^7")],
+)
+def test_r_is_the_positive_root_where_zeta_m_holds_sqrt_q(p, m, root):
+    """Where Q(zeta_M) holds sqrt(q), a formal r would make (r - s)(r + s) = 0
+    with neither factor zero; r is that s instead, and the ring stays a field."""
+    c = Context(p, zeta_order=m)
+    s = c.scalar(root)
+    assert c.r * c.r == c.scalar(p)
+    assert (c.r - s).is_zero()
+    assert ((c.r + s) * (c.r + s).inverse()).is_one()
+    assert abs(sum(co * cmath.exp(2j * cmath.pi * mo[4] / m) for mo, co in c.r.num.coefficients()) - p**0.5) < 1e-9
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_r_stays_formal_where_zeta_m_lacks_sqrt_q(p, m):
+    c = Context(p, zeta_order=m)
+    assert c.r.num.terms == {(0, 0, 0, 1, 0): 1}
 
 
 def test_field_identities():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from triform.cosets import iwahori_orbit_key, p1_table, torus_orbit_reps, units_mod
 from triform.characters import SmoothCharacter
 from triform.errors import KernelUnsupportedError, TailError, TriformError
-from triform.functionals import CompactInducedFn, Phi_eval, make_indicator_f
+from triform.functionals import CompactInducedFn, Phi_eval
 from triform.matrices import GroupElement
 from triform.models import TableSection, new_vector_unramified, principal_series_model
 from triform.scalars import sum_products
@@ -28,7 +28,7 @@ from conftest import borel_diagonal, rand_G, rand_K, rand_section
 
 def test_ext_is_the_pair_indicator(setup21, setup32):
     for s in (setup21, setup32):
-        f = make_indicator_f(s.ctx, s.mu1, s.mu2, s.cfg.n)
+        f = CompactInducedFn(s.ctx, s.mu1, s.mu2, s.cfg.n, s.cfg.n)
         F = ext(f, s.V1, s.V2)
         table = p1_table(s.ctx, F.level)
         for rep1 in table.reps:
@@ -46,7 +46,7 @@ def test_closed_form_matches_ext(setup21, setup32):
     rng = random.Random(0)
     for s, n in ((setup21, 1), (setup32, 2), (setup21, 2)):
         ctx = s.ctx
-        f = make_indicator_f(ctx, s.mu1, s.mu2, n)
+        f = CompactInducedFn(ctx, s.mu1, s.mu2, n, n)
         F = ext(f, s.V1, s.V2)
         a, b = s.a, s.b
         FV = closed_form_tensor(ctx, s.mu1, s.mu2, s.v1, s.v2, n, a**n / ((a * a - 1) * (b * b - 1)))
@@ -95,7 +95,7 @@ def test_translated_tensor_keeps_the_slot_levels(setup21, setup32):
 def test_ext_vanishes_on_diagonal_orbit(setup21):
     s = setup21
     rng = random.Random(1)
-    f = make_indicator_f(s.ctx, s.mu1, s.mu2, 1)
+    f = CompactInducedFn(s.ctx, s.mu1, s.mu2, 1, 1)
     F = ext(f, s.V1, s.V2)
     for _ in range(15):
         g = rand_G(s.ctx, rng, val_range=1)

@@ -314,6 +314,8 @@ def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys, runner, reason):
         ["--config", "{tmp}/flag.cfg"],
         ["--p", "2", "--n", "1", "--scenario", "main-theorem", "--specialize", "a=2,b=1/2"],  # depth tail at ab = 1
         ["--p", "2", "--n", "2", "--level", "8", "--dump-tables"],  # |I(2)/K(8)| is past the enumeration cap
+        ["--p", "3", "--n", "2", "--mu3", "garbage", "--dump-tables"],  # tables only for a configuration a run accepts
+        ["--p", "2", "--n", "1", "--specialize", "a=2,b=1/2", "--dump-tables"],
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
