@@ -6,8 +6,8 @@ cutting out the third representation, and r is a square root of q: formal,
 or the one in Q(zeta_M) where that field holds it (`Poly.var`).  Every
 certificate the engine emits is ultimately an `is_zero` question about one of
 these Scalars, so all arithmetic is exact and zero-testing syntactic: a Scalar
-is an expanded numerator polynomial over a multiset of monic denominator
-factors in a, b, u.
+is an expanded Laurent numerator (exponents of a, b, u may be negative) over a
+multiset of monic denominator factors in a, b, u with no monomial content.
 
 A polynomial carries both algebraic generators, r and zeta = zeta_M, as
 exponents next to those of a, b, u, and has int coefficients over one int
@@ -21,13 +21,15 @@ from that polynomial.  An inverse multiplies by the Galois conjugates of the
 numerator (zeta -> zeta^k for the units k mod M, then r -> -r), which leaves
 a denominator free of r and zeta.
 
-Cancellation has two parts.  Monomial content (powers of a, b, u) is split
-off every denominator factor and cancelled against the numerator's content by
-subtracting exponents, with no division.  The remaining factors are then
-tried against the numerator by exact division over Z, which stops at the
-first quotient coefficient that is not an int (Gauss's lemma, see `divexact`).
-A product with a monomial skips the trial divisions: a factor that did not
-divide a canonical numerator does not divide it times a monomial.
+Cancellation has two parts.  The units of Z[a^+-1, b^+-1, u^+-1] are its
+monomials, so a denominator factor's monomial content moves into the
+numerator as negative exponents, with no division (Geddes, Czapor and
+Labahn, 1992).  The factors are then tried against the numerator shifted to
+zero a, b, u content by exact division over Z, which stops at the first
+quotient coefficient that is not an int (Gauss's lemma, see `divexact`).  A
+product with a monomial, a Laurent one included, skips the trial divisions: a
+unit cannot change divisibility.  `render` and `specialize` see the negative
+exponents as one monomial factor, sorted among the others.
 
 Sums of products are deferred: `sum_products` adds the numerator products of
 terms with the same denominator multiset and canonicalizes once per multiset,
@@ -113,7 +115,8 @@ class FieldSpec:
 
 
 class Poly:
-    """Polynomial in (a, b, u, r, zeta) over Q, reduced by r^2 = q and Phi_M(zeta) = 0:
+    """Laurent polynomial in a, b, u (a Scalar's numerator; factors and divisors have no
+    negative exponent) and polynomial in r, zeta over Q, reduced by r^2 = q and Phi_M(zeta) = 0:
     nonzero int `terms` over one int `den` > 0 with gcd(den, terms) = 1 (den = 1 for zero)."""
 
     __slots__ = ("field", "terms", "den", "_lead", "_den_key", "_canonical")
@@ -251,6 +254,8 @@ class Poly:
     def divexact(self, f: "Poly") -> "Poly | None":
         """Exact quotient self / f, or None when f does not divide self.
 
+        Both are polynomials (`_canonicalize` shifts a Laurent numerator), so a
+        quotient term with a negative exponent proves that f does not divide.
         f must be free of r and zeta (every denominator factor is), so no
         product below needs a reduction and the remainder is updated in place:
         each step takes the leading term off the remainder and subtracts only
@@ -294,7 +299,7 @@ class Poly:
         return Poly._make(self.field, {mo: c * f.den for mo, c in quot.items()}, self.den * content)
 
     def shift_down(self, mono: tuple) -> "Poly":
-        """self / mono for a monomial dividing every term: exponents shift, coefficients stay."""
+        """self / mono for a Laurent monomial: exponents shift, coefficients stay."""
         e0, e1, e2, e3, e4 = mono
         return Poly._raw(
             self.field,
@@ -371,8 +376,9 @@ def _render_term(names: tuple, mo: tuple, c: Fraction, first: bool) -> str:
 class Scalar:
     """An element of Q(zeta_M)(a, b, u)[r]/(r^2 - q).
 
-    num is a Poly; den a sorted tuple of monic, non-constant Poly factors in
-    a, b, u (free of r and zeta), none of which divides num.  Equality is
+    num is a Laurent Poly (its exponents of a, b, u may be negative); den a
+    sorted tuple of monic Poly factors in a, b, u (free of r and zeta) with no
+    monomial content, so none is a monomial, and none divides num.  Equality is
     decided exactly by cross-multiplication; is_zero by the (expanded)
     numerator.
     """
@@ -466,8 +472,7 @@ class Scalar:
         if other.is_one():
             return self
         # A canonical numerator has no den factor dividing it, and a monomial
-        # multiplier cannot change that (den factors have no monomial content),
-        # so only the monomial cancellation is needed.
+        # multiplier, a Laurent one included, is a unit that cannot change that.
         monomial = (not self.den and len(self.num.terms) == 1) or (not other.den and len(other.num.terms) == 1)
         return Scalar(self.field, self.num * other.num, self.den + other.den, trial=not monomial)
 
@@ -537,8 +542,9 @@ class Scalar:
 
     # -- specialization -----------------------------------------------------
     def specialize(self, assignment: dict) -> "Scalar":
-        out = Scalar(self.field, self.num.substitute(assignment))
-        for f in self.den:
+        num, den = self._quotient()
+        out = Scalar(self.field, num.substitute(assignment))
+        for f in den:
             fv = f.substitute(assignment)
             if fv.is_zero():
                 raise PoleError("specialization pole: denominator factor (%s) vanishes" % f.render())
@@ -546,28 +552,36 @@ class Scalar:
         return out
 
     # -- rendering ------------------------------------------------------------
+    def _quotient(self) -> tuple[Poly, tuple]:
+        """num / den as polynomials: num times the monomial of exponent max(0, -least
+        exponent) per variable, which joins the factors in den_key order."""
+        up = tuple(min(0, e) for e in _content_monomial(self.num))
+        if not any(up):
+            return self.num, self.den
+        mono = Poly._raw(self.field, {tuple(-e for e in up): 1})
+        return self.num.shift_down(up), tuple(sorted((*self.den, mono), key=Poly.den_key))
+
     def render(self) -> str:
-        if not self.den:
-            return self.num.render()
-        dens = "*".join("(%s)" % f.render() for f in self.den)
-        return "(%s)/(%s)" % (self.num.render(), dens)
+        num, den = self._quotient()
+        return "(%s)/(%s)" % (num.render(), "*".join("(%s)" % f.render() for f in den)) if den else num.render()
 
     def __repr__(self):
         return f"Scalar<{self.render()}>"
 
 
 def _content_monomial(poly: Poly) -> tuple:
-    return tuple(map(min, zip(*poly.terms))) if poly.terms else _CONST
+    """The least exponents of a, b and u over poly's terms (0 for r and zeta)."""
+    ea, eb, eu, _, _ = map(min, zip(*poly.terms)) if poly.terms else _CONST
+    return (ea, eb, eu, 0, 0)
 
 
 def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -> tuple[Poly, tuple]:
-    """Cancel monomial content, make factors monic, then (when `trial`) try
-    each factor against the numerator; trial=False is for callers that know no
-    non-monomial factor can divide num."""
+    """Move each factor's monomial content into the numerator, make factors
+    monic, then (when `trial`) try each factor against the numerator;
+    trial=False is for callers that know no factor can divide num."""
     if num.is_zero():
         return Poly.zero(field), ()
     out: list[Poly] = []
-    den_mono = _CONST
     for f in den:
         if f._canonical:  # a factor this function returned before: monic, r- and zeta-free, no monomial content
             out.append(f)
@@ -576,11 +590,9 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
             raise TriformError("zero denominator factor")
         if f.has_r() or f.has_zeta():
             raise AssertionError("denominator factors must be free of r and zeta")
-        # split off the monomial content so a*b-powers cancel transparently
         mono = _content_monomial(f)
-        if any(mono):
-            f = f.shift_down(mono)
-            den_mono = tuple(x + y for x, y in zip(den_mono, mono))
+        if any(mono):  # a unit: it moves to the numerator as negative exponents
+            f, num = f.shift_down(mono), num.shift_down(mono)
         _, lc = f.leading()
         if lc != f.den:  # make f monic (a constant becomes 1)
             inv = Fraction(f.den, lc)
@@ -588,41 +600,29 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
         if not f.is_constant():
             f._canonical = True
             out.append(f)
-    if any(den_mono):
-        # cancel against the numerator's own monomial content
-        num_mono = _content_monomial(num)
-        common = tuple(min(x, y) for x, y in zip(num_mono, den_mono))
-        left = tuple(x - y for x, y in zip(den_mono, common))
-        if any(common):
-            num = num.shift_down(common)
-        if any(left):
-            out.append(Poly._raw(field, {left: 1}))
-    # cancel factors dividing the numerator (with cheap divisibility prefilters:
-    # both the leading and the trailing monomial of a divisor must divide the
-    # numerator's, and a monomial can only be divided by a monomial)
-    changed = trial
-    while changed and out:
-        changed = False
-        if num.is_constant():
-            break
-        nlead = num.leading()[0]
-        ntrail = num.trailing_monomial()
-        n_terms = len(num.terms)
-        for i, f in enumerate(out):
-            if n_terms == 1 and len(f.terms) > 1:
-                continue
-            flead = f.leading()[0]
-            if nlead[0] < flead[0] or nlead[1] < flead[1] or nlead[2] < flead[2]:
-                continue
-            ftrail = f.trailing_monomial()
-            if ntrail[0] < ftrail[0] or ntrail[1] < ftrail[1] or ntrail[2] < ftrail[2]:
-                continue
-            q = num.divexact(f)
-            if q is not None:
-                num = q
-                out.pop(i)
-                changed = True
+    if trial and out:
+        # cancel factors dividing num shifted to zero a, b, u content; prefilters: a
+        # factor has two terms or more, and its leading and trailing monomials divide
+        low = _content_monomial(num)
+        part = start = num.shift_down(low) if any(low) else num
+        while out and len(part.terms) > 1:
+            nlead, ntrail = part.leading()[0], part.trailing_monomial()
+            for i, f in enumerate(out):
+                flead = f.leading()[0]
+                if nlead[0] < flead[0] or nlead[1] < flead[1] or nlead[2] < flead[2]:
+                    continue
+                ftrail = f.trailing_monomial()
+                if ntrail[0] < ftrail[0] or ntrail[1] < ftrail[1] or ntrail[2] < ftrail[2]:
+                    continue
+                q = part.divexact(f)
+                if q is not None:
+                    part = q
+                    del out[i]
+                    break
+            else:
                 break
+        if part is not start:
+            num = part.shift_down(tuple(-e for e in low)) if any(low) else part
     if len(out) > 1:
         out.sort(key=Poly.den_key)
     return num, tuple(out)

@@ -346,13 +346,12 @@ class KernelForm:
 
     # -- the evaluator -----------------------------------------------------------
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
-        """The three strata streamed as factor tuples into one sum_products."""
+        """The three strata, over the tables' supports and nonzero leads, streamed as factor tuples into one sum_products."""
         ctx = self.ctx
         p, q = ctx.p, ctx.q
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level, 1)
-        vals1, vals2, vals3 = (f.as_table(L0).values for f in (f1, f2, f3))
+        vals1, vals2, vals3 = (dict(f.as_table(L0).support) for f in (f1, f2, f3))
         table = p1_table(ctx, L0)
-        cells = range(table.size)
         # the cells are lifted through det-one matrices, so the wedge of a
         # bottom row with its offset direction, -det(rep), is -1 on every cell
         mass, mass3 = ctx.scalar(table.cell_mass), ctx.scalar(table.cell_mass**3)
@@ -372,18 +371,19 @@ class KernelForm:
         def strata():
             """(i) three distinct cells, led per (i, j) by mass^3 f1 f2 W12; (ii) a pair collapsed
             in cell c, the third point in cell k, led per c by mass^2 p/(p+1) usum tail fa fb; (iii) one cell."""
-            for i in cells:
-                for j in cells:
+            for i, x1 in vals1.items():
+                for j, x2 in vals2.items():
                     if j != i:
-                        lead = mass3 * vals1[i] * vals2[j] * W12[i, j]
-                        yield from ((lead, vals3[k], W13[i, k], W23[j, k]) for k in cells if k not in (i, j))
+                        lead = mass3 * x1 * x2 * W12[i, j]
+                        yield from ((lead, x3, W13[i, k], W23[j, k]) for k, x3 in vals3.items() if k not in (i, j))
             for nu_pair, va, vb, vthird, far in cases:
                 tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
                 lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu_pair, -1)]) * tail
-                for c in cells:
-                    lead_c = lead * va[c] * vb[c]
-                    yield from ((lead_c, vthird[k], *far(c, k)) for k in cells if k != c)
+                for c, xa in va.items():
+                    if c in vb and lead:
+                        lead_c = lead * xa * vb[c]
+                        yield from ((lead_c, x, *far(c, k)) for k, x in vthird.items() if k != c)
             lead = mass * self._G(L0)
-            yield from ((lead, vals1[c], vals2[c], vals3[c]) for c in cells)
+            yield from ((lead, x1, vals2[c], vals3[c]) for c, x1 in vals1.items() if lead and c in vals2 and c in vals3)
 
         return sum_products(ctx.field, strata())

@@ -2,8 +2,10 @@
 hypothesis properties over randomly built scalars."""
 
 import cmath
+import re
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -581,3 +583,195 @@ def test_golden_renders(build, text):
     assert s.render() == text
     assert parse_scalar(c.field, text) == s
     assert parse_scalar(c.field, text).render() == text
+
+
+# -- Laurent numerators: the form before them is kept as the oracle -----------
+
+def reference_canonicalize(field, num, den, trial=True):
+    """_canonicalize as it was before Laurent numerators, kept as their oracle:
+    monomial content is split off each factor and cancelled against the
+    numerator's, what is left stays a monomial den factor, and every factor is
+    tried against the numerator as it stands."""
+    if num.is_zero():
+        return Poly.zero(field), ()
+
+    def content(poly):
+        return tuple(map(min, zip(*poly.terms)))
+
+    out, den_mono = [], (0, 0, 0, 0, 0)
+    for f in den:
+        if f._canonical:
+            out.append(f)
+            continue
+        mono = content(f)
+        if any(mono):
+            f = f.shift_down(mono)
+            den_mono = tuple(x + y for x, y in zip(den_mono, mono))
+        _, lc = f.leading()
+        if lc != f.den:
+            inv = Fraction(f.den, lc)
+            f, num = f.scale(inv), num.scale(inv)
+        if not f.is_constant():
+            f._canonical = True
+            out.append(f)
+    if any(den_mono):
+        common = tuple(min(x, y) for x, y in zip(content(num), den_mono))
+        left = tuple(x - y for x, y in zip(den_mono, common))
+        if any(common):
+            num = num.shift_down(common)
+        if any(left):
+            out.append(Poly._raw(field, {left: 1}))
+    changed = trial
+    while changed and out:
+        changed = False
+        if num.is_constant():
+            break
+        nlead, ntrail, n_terms = num.leading()[0], num.trailing_monomial(), len(num.terms)
+        for i, f in enumerate(out):
+            if n_terms == 1 and len(f.terms) > 1:
+                continue
+            flead, ftrail = f.leading()[0], f.trailing_monomial()
+            if any(n < e for n, e in zip(nlead[:3], flead[:3])) or any(n < e for n, e in zip(ntrail[:3], ftrail[:3])):
+                continue
+            q = num.divexact(f)
+            if q is not None:
+                num, changed = q, True
+                out.pop(i)
+                break
+    return num, tuple(sorted(out, key=Poly.den_key))
+
+
+def polynomial_form(x):
+    """A Laurent Scalar as the (numerator, factors) pair of the form before:
+    the numerator times the monomial that clears its negative exponents, which
+    joins the factors in den_key order."""
+    low = [min([0, *(mo[i] for mo in x.num.terms)]) for i in range(3)]
+    if not any(low):
+        return x.num, x.den
+    mono = (*(-e for e in low), 0, 0)
+    return x.num * Poly._raw(x.field, {mono: 1}), tuple(sorted((*x.den, Poly._raw(x.field, {mono: 1})), key=Poly.den_key))
+
+
+def reference_render(form):
+    num, den = form
+    return num.render() if not den else "(%s)/(%s)" % (num.render(), "*".join("(%s)" % f.render() for f in den))
+
+
+def is_one(form):
+    num, den = form
+    return not den and num.terms == {(0, 0, 0, 0, 0): 1} and num.den == 1
+
+
+def reference_mul(field, x, y):
+    if x[0].is_zero() or is_one(y):
+        return x
+    if y[0].is_zero() or is_one(x):
+        return y
+    monomial = any(not den and len(num.terms) == 1 for num, den in (x, y))
+    return reference_canonicalize(field, x[0] * y[0], x[1] + y[1], trial=not monomial)
+
+
+def reference_add(field, x, y):
+    if x[0].is_zero():
+        return y
+    if y[0].is_zero():
+        return x
+    if x[1] == y[1]:
+        return reference_canonicalize(field, x[0] + y[0], x[1])
+    poly = {f.den_key(): f for f in (*x[1], *y[1])}
+    mine, theirs = Counter(map(Poly.den_key, x[1])), Counter(map(Poly.den_key, y[1]))
+    common = mine | theirs
+    one = Poly.const(field, 1)
+    num = x[0] * prod(map(poly.get, (common - mine).elements()), start=one)
+    num = num + y[0] * prod(map(poly.get, (common - theirs).elements()), start=one)
+    return reference_canonicalize(field, num, tuple(map(poly.get, common.elements())))
+
+
+def reference_inverse(field, x):
+    num, norm, m = prod(x[1], start=Poly.const(field, 1)), x[0], field.m
+    if norm.has_zeta():
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = x[0].galois(1, k)
+                num, norm = num * conj, norm * conj
+    if norm.has_r():
+        conj = norm.galois(-1, 1)
+        num, norm = num * conj, norm * conj
+    return reference_canonicalize(field, num, (norm,))
+
+
+def reference_pow(field, x, k):
+    if k == 1:
+        return x
+    if k < 0:
+        return reference_pow(field, reference_inverse(field, x), -k)
+    out, e = (Poly.const(field, 1), ()), k
+    while e:
+        if e & 1:
+            out = reference_mul(field, out, x)
+        x = reference_mul(field, x, x) if e > 1 else x
+        e >>= 1
+    return out
+
+
+def laurent(c):
+    """Scalars whose numerators carry negative exponents of a, b and u, over
+    zero, one or two non-monomial factors."""
+    units = [c.b / c.a, c.r / (2 * c.a), c.u**-2, (c.a - 2 * c.b) / c.a**3, c.a * c.u / c.b**2, c.one()]
+    dens = [c.one(), c.a - 1, 1 - c.a * c.b, (c.a - 2 * c.b) * (c.u + 1)]
+    return st.builds(lambda x, m, d: x * m / d, scalars(c, max_terms=2), st.sampled_from(units), st.sampled_from(dens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ctx, ctx4, ctx6]).flatmap(lambda c: st.tuples(laurent(c), laurent(c), st.integers(-3, 3))))
+def test_laurent_numerators_match_the_polynomial_form(case):
+    """Products, quotients, sums, powers and inverses of Laurent Scalars render
+    as the polynomial quotients of the form before render, equal them, and
+    move to the very Laurent form when their monomial factor is moved back."""
+    x, y, k = case
+    F = x.field
+    X, Y = polynomial_form(x), polynomial_form(y)
+    cases = [(x * y, reference_mul(F, X, Y)), (x + y, reference_add(F, X, Y)), (x - y, reference_add(F, X, (-Y[0], Y[1])))]
+    if k >= 0 or not x.is_zero():
+        cases.append((x**k, reference_pow(F, X, k)))
+    if not y.is_zero():
+        cases += [(y.inverse(), reference_inverse(F, Y)), (x / y, reference_mul(F, X, reference_inverse(F, Y)))]
+    for got, want in cases:
+        assert got.render() == reference_render(want)
+        assert got == Scalar(F, *want)
+        assert polynomial_form(got) == want
+        assert not any(len(f.terms) == 1 for f in got.den)
+
+
+def test_no_monomial_denominator_factor_in_a_run(monkeypatch):
+    """Every Scalar made in a (2,1) `all` run keeps its monomials in the
+    numerator: each den factor has two terms or more and no monomial content."""
+    from triform import scalars
+    from triform.verifier import ScenarioConfig, run_scenario
+
+    seen, laurent_nums = [0], [0]
+    canonicalize = scalars._canonicalize
+
+    def checked(field, num, den, trial=True):
+        num, den = canonicalize(field, num, den, trial)
+        for f in den:
+            assert len(f.terms) > 1 and not any(min(mo[i] for mo in f.terms) for i in range(3)), f.render()
+        seen[0] += 1
+        laurent_nums[0] += any(e < 0 for mo in num.terms for e in mo[:3])
+        return num, den
+
+    monkeypatch.setattr(scalars, "_canonicalize", checked)
+    run_scenario(ScenarioConfig(p=2, n=1, scenario="all", seed=3))
+    assert seen[0] > 1000 and laurent_nums[0] > 100, (seen, laurent_nums)
+
+
+@pytest.mark.parametrize(
+    "build, assignment, factor",
+    [(lambda a, b: b / a, {"a": 0}, "a"), (lambda a, b: 1 / (a**2 * b), {"b": 0}, "a^2*b"), (lambda a, b: (a - 1) / (a * b * (a - 2)), {"a": 2}, "a - 2")],
+)
+def test_specialize_names_the_polynomial_factor(build, assignment, factor):
+    """A variable set to 0 where the numerator holds a negative power of it is
+    a pole named by the monomial factor the Scalar renders with, never a
+    ZeroDivisionError; the first vanishing factor in render order is named."""
+    with pytest.raises(PoleError, match=r"^specialization pole: denominator factor \(%s\) vanishes$" % re.escape(factor)):
+        build(ctx.a, ctx.b).specialize(assignment)

@@ -136,10 +136,14 @@ def test_sum_products_matches_sympy(case):
 
 def as_field(x):
     """A Scalar in the oracle's field, from the terms of its numerator and
-    denominator factors: the exponents of a Poly are those of a, b, u, r, z."""
+    denominator factors: the exponents of a Poly are those of a, b, u, r, z.
+    Numerator and denominator are multiplied through by the content monomial
+    that clears the Laurent numerator's negative exponents."""
     ring = FIELD.ring
-    num, *den = (ring({mo: sympy.QQ(c, f.den) for mo, c in f.terms.items()}) for f in (x.num, *x.den))
-    return FIELD.new(num, prod(den, start=ring.one))
+    low = [min([0, *(mo[i] for mo in x.num.terms)]) for i in range(5)]
+    num = ring({tuple(e - k for e, k in zip(mo, low)): sympy.QQ(c, x.num.den) for mo, c in x.num.terms.items()})
+    den = (ring({mo: sympy.QQ(c, f.den) for mo, c in f.terms.items()}) for f in x.den)
+    return FIELD.new(num, prod(den, start=ring({tuple(-k for k in low): 1})))
 
 
 GENS = (*sympy.symbols("a b u r"), sympy.Symbol("zeta"))  # over Q(zeta4), zeta4 stays a plain symbol of degree < 2
