@@ -52,17 +52,24 @@ def read_config_file(path: str) -> dict:
                 raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from e
         elif key in ("mu3", "scenario", "out", "specialize") or key == "format" and value in FORMATS:
             out[key] = value
-        elif key in ("dump_tables", "inject_fault") and value.lower() in BOOLEANS:
+        elif key == "dump_tables" and value.lower() in BOOLEANS:
             out[key] = BOOLEANS[value.lower()]
-        elif key in ("format", "dump_tables", "inject_fault"):
+        elif key in ("format", "dump_tables"):
             raise ConfigError(f"config key {key!r} cannot be {value!r}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown flag or a malformed flag value is a configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="triform-verify",
         description="exact certification of trilinear test-vector statements on GL2(Q_p)",
     )
@@ -77,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", type=str, default="text", choices=FORMATS)
     ap.add_argument("--dump-tables", action="store_true", help="dump enumerated coset tables and exit")
     ap.add_argument("--config", type=str, default=None, help="flat key=value file mirroring these flags")
-    ap.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return ap
 
 
@@ -109,13 +115,11 @@ def write_report(text: str, path: str | None):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    merged = vars(args).copy()
     out, created = None, False
     try:
-        if args.config:
-            merged.update(read_config_file(args.config))
+        merged = vars(build_parser().parse_args(argv))
+        if merged["config"]:
+            merged.update(read_config_file(merged["config"]))
         out = merged.get("out")
         cfg = ScenarioConfig(
             p=merged["p"],
@@ -125,7 +129,6 @@ def main(argv=None) -> int:
             scenario=merged["scenario"],
             seed=merged["seed"],
             specialize=parse_specialize(merged["specialize"]) if merged.get("specialize") else None,
-            inject_fault=merged.get("inject_fault", False),
         )
         cfg.validate()
         if out:

@@ -224,7 +224,8 @@ class TorusFunctional:
         (chi_2/chi_1 is trivial on units), so this is <T, W> for the Tate vector T
         of val x0 and W[i] = tbl(rep_i g), g = diag(1/u, 1) rep_cell.  It is read
         through the transpose, over tbl's support: where the action of g^{-1}
-        (two memoized actions) takes s to (i, c), W[i] = c^{-1} tbl[s], c a root of unity.
+        (two memoized actions) takes s to (i, c), W[i] = c^{-1} tbl[s], c a root of unity;
+        a cell whose Tate entry T[i] is zero adds nothing and builds no factor tuple.
         """
         p, level = self.ctx.p, tbl.level
         v = ratio_val(x0, den, p)
@@ -236,7 +237,7 @@ class TorusFunctional:
             back = model.action(p1_table(self.ctx, level).reps[cell].inv(), level)
             fold = model.action(GroupElement.diag(p, u, 1), level)
             steps = ((value, c1, *fold[j]) for s, value in tbl.support for j, c1 in (back[s],))
-            reads = ((value, c1**-1, c2**-1, tate[i]) for value, c1, i, c2 in steps)
+            reads = ((value, c1**-1, c2**-1, tate[i]) for value, c1, i, c2 in steps if not tate[i].is_zero())
             out = tbl.phi_values[key] = sum_products(self.ctx.field, reads)
         return out
 
@@ -290,7 +291,8 @@ class TorusFunctional:
         units = units_mod(p, max(section.level_bound(), self.chtil.c))
         wbar = GroupElement.w(p)
         num, den = p ** max(k, 0), p ** max(-k, 0)  # y = eps num/den = eps pi^k
-        terms = ((section.eval(wbar * GroupElement.upper(p, Fraction(eps * num, den))), ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units)
+        values = ((eps, section.eval(wbar * GroupElement.upper(p, Fraction(eps * num, den)))) for eps in units)
+        terms = ((v, ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps, v in values if not v.is_zero())
         return sum_products(ctx.field, terms) * ctx.scalar(Fraction(1, len(units)))
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:

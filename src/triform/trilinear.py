@@ -83,7 +83,7 @@ class TensorFn:
 
 
 def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: int | None = None) -> TensorFn:
-    """The open-orbit injection: the tensor F with F(g, wg) = f(g), vanishing
+    """The open-orbit extension: the tensor F with F(g, wg) = f(g), vanishing
     on the diagonal orbit, built row by row from its values on cell pairs."""
     ctx = f.ctx
     lvl = max(level or 0, f.level, f.n, 1)

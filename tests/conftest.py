@@ -1,14 +1,10 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from triform import Context
 from triform.characters import _dlog_table
-from triform.cosets import p1_table
 from triform.matrices import GroupElement
 from triform.models import TableSection
-from triform.verifier import Env, ScenarioConfig
+from triform.verifier import Env, ScenarioConfig, rand_G, rand_K, rand_section  # noqa: F401  (the test modules' drawers)
 
 
 @pytest.fixture(scope="session")
@@ -53,25 +49,6 @@ def setup34():  # mu3 of order 6: mu3^-2 of a pivot is not +-1
 @pytest.fixture(scope="session")
 def setup52():
     return Env(ScenarioConfig(5, 2))
-
-
-def rand_K(ctx, rng: random.Random, m: int = 3) -> GroupElement:
-    p = ctx.p
-    while True:
-        x, y, z, t = (rng.randrange(p**m) for _ in range(4))
-        if (x * t - y * z) % p != 0:
-            return GroupElement(p, x, y, z, t)
-
-
-def rand_G(ctx, rng: random.Random, val_range: int = 2) -> GroupElement:
-    p = ctx.p
-    d = GroupElement.diag(p, Fraction(p) ** rng.randint(-val_range, val_range), Fraction(p) ** rng.randint(-val_range, val_range))
-    return rand_K(ctx, rng) * d * rand_K(ctx, rng)
-
-
-def rand_section(model, level, rng: random.Random):
-    vals = [model.ctx.scalar(rng.randint(-3, 3)) for _ in range(p1_table(model.ctx, level).size)]
-    return TableSection(model, level, vals).as_section()
 
 
 def image_exponent(ch, residue: int) -> int:

@@ -59,7 +59,7 @@ def test_cocycle_identity(setup21):
 def test_equivariance_exact(setup21):
     s = setup21
     rng = random.Random(1)
-    secs = [rand_section(s.V3, 1, rng) for _ in range(5)]
+    secs = [rand_section(s.ctx, rng, s.V3, 1) for _ in range(5)]
     for sec in secs:
         for _ in range(10):
             d1 = Fraction(rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-3, 3)
@@ -83,7 +83,7 @@ def test_fast_equals_reference(setup21, setup32):
     rng = random.Random(3)
     for s in (setup21, setup32):
         phi = s.phi
-        targets = [s.v3, s.v3.translated(s.gamma(-1)), rand_section(s.V3, s.V3.min_level, rng)]
+        targets = [s.v3, s.v3.translated(s.gamma(-1)), rand_section(s.ctx, rng, s.V3, s.V3.min_level)]
         targets.append(s.v3.translated(rand_G(s.ctx, rng, val_range=1)))
         for sec in targets:
             want = phi.eval(sec)
@@ -104,9 +104,9 @@ def test_reader_matches_eval_of_the_translate(setup21, setup32, setup24, case, s
     ctx, p = s.ctx, s.ctx.p
     rng = random.Random(seed)
     level = s.V3.min_level + rng.randint(0, 1)
-    v = rand_section(s.V3, level, rng)
+    v = rand_section(s.ctx, rng, s.V3, level)
     for _ in range(rng.randint(1, 3)):
-        v = v + rand_section(s.V3, level, rng).translated(rand_G(ctx, rng, val_range=1))
+        v = v + rand_section(s.ctx, rng, s.V3, level).translated(rand_G(ctx, rng, val_range=1))
     rep = rng.choice(p1_table(ctx, level).reps)
 
     def unit():
@@ -142,7 +142,7 @@ def test_annulus_resolution(setup21, setup32, setup24):
     for s in (setup21, setup32, setup24):
         phi = s.phi
         for level in (2, 3):
-            sec = rand_section(s.V3, level, rng)
+            sec = rand_section(s.ctx, rng, s.V3, level)
             for g in (None, s.gamma(1), s.gamma(-1), rand_G(s.ctx, rng, val_range=1)):
                 target = sec if g is None else sec.translated(g)
                 R = max(target.level_bound(), phi.chtil.c)
@@ -155,8 +155,8 @@ def test_annulus_resolution(setup21, setup32, setup24):
 def test_phi_linear(setup21):
     s = setup21
     rng = random.Random(4)
-    x = rand_section(s.V3, 1, rng)
-    y = rand_section(s.V3, 1, rng)
+    x = rand_section(s.ctx, rng, s.V3, 1)
+    y = rand_section(s.ctx, rng, s.V3, 1)
     c = s.ctx.scalar(Fraction(3, 7))
     assert s.phi.eval(x.scaled(c) + y) == c * s.phi.eval(x) + s.phi.eval(y)
     assert s.phi.eval(Section(s.V3, ())).is_zero()
@@ -220,7 +220,7 @@ def test_phi_table_memo_on_the_table(setup21, setup32):
     ctx = s.ctx
     swapped = TorusFunctional(ctx, s.mu2, s.mu1, s.V3)
     rng = random.Random(11)
-    tbl = rand_section(s.V3, 1, rng).terms[0][2]
+    tbl = rand_section(s.ctx, rng, s.V3, 1).terms[0][2]
 
     def dot(phi, table, x0_key):
         out = phi.ctx.zero()
@@ -240,7 +240,7 @@ def test_phi_table_memo_on_the_table(setup21, setup32):
     assert set(tbl.phi_values) == {(s.phi, 0, 1, half), (swapped, 0, 1, half), (s.phi, 0, 1, None)}
     # x0 = 2/3 at (3, 2): val -1 and unit 2, read at cell 4 of the untranslated table
     t = setup32
-    tbl3 = rand_section(t.V3, 2, rng).terms[0][2]
+    tbl3 = rand_section(t.ctx, rng, t.V3, 2).terms[0][2]
     value = t.phi.phi_table(tbl3, 2, 3, 4)
     assert tbl3.phi_values == {(t.phi, 4, 2, -1): value}
     rep4 = p1_table(t.ctx, 2).reps[4]

@@ -45,7 +45,7 @@ def test_condition_one_consistency(setup31):
     """f(b k) = chi delta^{1/2}(b) f(k) for upper-triangular integral b."""
     s = setup31
     rng = random.Random(1)
-    sec = rand_section(s.V3, 2, rng)
+    sec = rand_section(s.ctx, rng, s.V3, 2)
     for _ in range(50):
         b = GroupElement(
             3,
@@ -311,9 +311,9 @@ def test_section_eval_at_the_bottom_row(request, setup, seed):
     s = request.getfixturevalue(setup)
     ctx, rng = s.ctx, random.Random(seed)
     level = s.V3.min_level + rng.randint(0, 1)
-    sec = rand_section(s.V3, level, rng).scaled(ctx.a + 1)
+    sec = rand_section(s.ctx, rng, s.V3, level).scaled(ctx.a + 1)
     for _ in range(rng.randint(1, 3)):
-        sec = sec + rand_section(s.V3, level, rng).translated(rand_G(ctx, rng, val_range=2)).scaled(rng.randint(-2, 2))
+        sec = sec + rand_section(s.ctx, rng, s.V3, level).translated(rand_G(ctx, rng, val_range=2)).scaled(rng.randint(-2, 2))
     for _ in range(4):
         x = rand_G(ctx, rng, val_range=2)
         want = ctx.zero()

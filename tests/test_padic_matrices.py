@@ -59,7 +59,7 @@ def test_iwasawa_gamma():
 def test_det_multiplicative(ctx2):
     rng = random.Random(2)
     for _ in range(50):
-        g, h = rand_G(ctx2, rng), rand_G(ctx2, rng)
+        g, h = rand_G(ctx2, rng, 2), rand_G(ctx2, rng, 2)
         gh = g * h
         assert Fraction(gh.N, gh.D**2) == Fraction(g.N, g.D**2) * Fraction(h.N, h.D**2)
 

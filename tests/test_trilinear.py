@@ -70,8 +70,8 @@ def test_pure_tensor_is_the_product_of_its_slots(setup21, setup32):
     for s in (setup21, setup32):
         ctx = s.ctx
         c = ctx.a + 2
-        s1 = rand_section(s.V1, 1, rng).translated(s.gamma(-1)) + s.v1.translated(rand_K(ctx, rng))
-        s2 = rand_section(s.V2, 2, rng).translated(rand_G(ctx, rng, 1))
+        s1 = rand_section(s.ctx, rng, s.V1, 1).translated(s.gamma(-1)) + s.v1.translated(rand_K(ctx, rng))
+        s2 = rand_section(s.ctx, rng, s.V2, 2).translated(rand_G(ctx, rng, 1))
         F = TensorFn.pure(ctx, c, s1, s2)
         g = rand_G(ctx, rng, 1)
         Fg = F.translated(g)
@@ -244,9 +244,9 @@ def test_steinberg_vector_outside_sp_is_named(setup21, setup31):
     rng = random.Random(11)
     for s in (setup21, setup31):
         F = TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-1)), s.v2)
-        tbl = rand_section(s.V3, 1, rng).as_table()
+        tbl = rand_section(s.ctx, rng, s.V3, 1).as_table()
         while tbl.k_average().is_zero():
-            tbl = rand_section(s.V3, 1, rng).as_table()
+            tbl = rand_section(s.ctx, rng, s.V3, 1).as_table()
         avg = tbl.k_average()
         with pytest.raises(TriformError, match="outside Sp") as err:
             ell_chain(s.phi, F, tbl.as_section())
@@ -267,8 +267,8 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
     moves = [GroupElement.identity(ctx.p), rand_K(ctx, rng), GroupElement.w(ctx.p), s.gamma(-1)]
     if kind == "pure":
         c = rng.choice([ctx.one(), ctx.a + 2, ctx.b / ctx.a])
-        s1 = rand_section(s.V1, 1, rng).translated(rng.choice(moves)) + s.v1.translated(rng.choice(moves))
-        s2 = rand_section(s.V2, 1, rng).translated(rng.choice(moves))
+        s1 = rand_section(s.ctx, rng, s.V1, 1).translated(rng.choice(moves)) + s.v1.translated(rng.choice(moves))
+        s2 = rand_section(s.ctx, rng, s.V2, 1).translated(rng.choice(moves))
         F = TensorFn.pure(ctx, c, s1, s2)
     else:
         table = torus_orbit_reps(ctx, s.cfg.n, s.level)
@@ -277,7 +277,7 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
         F = ext(CompactInducedFn(ctx, s.mu1, s.mu2, s.cfg.n, s.level, support=support), s.V1, s.V2, s.level)
     v = rng.choice([s.v3, s.v3.translated(rng.choice(moves[:3])), None])
     if v is None:
-        tbl = rand_section(s.V3, s.V3.min_level, rng).as_table()
+        tbl = rand_section(s.ctx, rng, s.V3, s.V3.min_level).as_table()
         if s.V3.steinberg:  # into Sp, where ell lives: subtract the K-average from every cell
             tbl = TableSection(s.V3, tbl.level, [x - tbl.k_average() for x in tbl.values])
         v = tbl.as_section()
@@ -321,9 +321,9 @@ def test_kernel_invariance_and_proportionality(setup32):
     ctx = s.ctx
     rng = random.Random(4)
     kform = KernelForm(ctx, s.mu1, s.mu2, s.V3)
-    f1 = rand_section(s.V1, 1, rng)
-    f2 = rand_section(s.V2, 1, rng)
-    f3 = rand_section(s.V3, 1, rng)
+    f1 = rand_section(s.ctx, rng, s.V1, 1)
+    f2 = rand_section(s.ctx, rng, s.V2, 1)
+    f3 = rand_section(s.ctx, rng, s.V3, 1)
     base = kform.eval(f1, f2, f3)
     for g in [rand_K(s.ctx, rng) for _ in range(5)] + [GroupElement.w(3), s.gamma(1)]:
         assert kform.eval(f1.translated(g), f2.translated(g), f3.translated(g)) == base
@@ -331,7 +331,7 @@ def test_kernel_invariance_and_proportionality(setup32):
     ratio = None
     checked = 0
     while checked < 3:
-        fa, fb, fc = (rand_section(s.V1, 1, rng), rand_section(s.V2, 1, rng), rand_section(s.V3, 1, rng))
+        fa, fb, fc = (rand_section(s.ctx, rng, s.V1, 1), rand_section(s.ctx, rng, s.V2, 1), rand_section(s.ctx, rng, s.V3, 1))
         cv = ell_chain(s.phi, TensorFn.pure(ctx, 1, fa, fb), fc)
         kv = kform.eval(fa, fb, fc)
         if cv.is_zero():

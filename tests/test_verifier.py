@@ -3,6 +3,8 @@ configuration validation, CLI plumbing."""
 
 import importlib.util
 import json
+import random
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +19,8 @@ from triform.context import MAX_LEVEL, Context
 from triform.errors import PoleError, TailError, TriformError
 from triform.functionals import TorusFunctional
 from triform.matrices import GroupElement
+from triform.models import Section
+from triform.scalars import FieldSpec
 from triform.trilinear import KernelForm
 from triform.verifier import (
     COVERAGE,
@@ -24,7 +28,6 @@ from triform.verifier import (
     ConfigError,
     Env,
     ScenarioConfig,
-    coverage_complete,
     default_mu3_spec,
     parse_report,
     run_scenario,
@@ -32,7 +35,7 @@ from triform.verifier import (
 
 
 def test_coverage_complete():
-    assert coverage_complete()
+    assert all(COVERAGE.values())
     assert {cid.split(".")[0] for cid in sum(COVERAGE.values(), [])} <= set(SCENARIOS)
 
 
@@ -87,7 +90,68 @@ def test_report_roundtrip_and_determinism():
     assert [c.verdict for c in parsed.checks] == [c.verdict for c in rep1.checks]
     assert parsed.config == rep1.config
     data = json.loads(rep1.emit("structured"))
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
+
+
+DRAWERS = ("rand_unit", "rand_K", "rand_torus", "rand_G", "rand_section")
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 4)])
+def test_scenario_draws_the_same_alone_and_inside_all(monkeypatch, p, n):
+    """Each scenario draws from its own stream, seeded by (seed, scenario id):
+    inside `all` it draws the same elements, and records the same ids,
+    verdicts, reasons and scalars, as when it runs alone with the same seed."""
+    current, draws = [None], []
+
+    def recording(name, real):
+        def drawer(*args):
+            out = real(*args)
+            shown = [v.render() for v in out.as_table().values] if isinstance(out, Section) else repr(out)
+            draws.append((current[0], name, shown))
+            return out
+
+        return drawer
+
+    def marking(sid, runner):
+        def run(*args):
+            current[0] = sid
+            return runner(*args)
+
+        return run
+
+    for name in DRAWERS:
+        monkeypatch.setattr(verifier, name, recording(name, getattr(verifier, name)))
+    real_random = random.Random.random
+    monkeypatch.setattr(random.Random, "random", recording("random", real_random))
+    for sid in SCENARIOS:
+        monkeypatch.setitem(verifier._RUNNERS, sid, marking(sid, verifier._RUNNERS[sid]))
+
+    def per_scenario(scenario: str) -> dict:
+        draws.clear()
+        report = run_scenario(ScenarioConfig(p, n, scenario=scenario, seed=3))
+        records = [(c.id, c.verdict, c.reason, c.scalars) for c in report.checks]
+        return {
+            sid: ([d[1:] for d in draws if d[0] == sid], [r for r in records if r[0].split(".")[0] == sid])
+            for sid in {r[0].split(".")[0] for r in records}
+        }
+
+    inside_all = per_scenario("all")
+    assert set(inside_all) == set(SCENARIOS)
+    assert len(inside_all["g-invariance"][0]) >= 6 and inside_all["Phi-lambda"][0]  # the drawers are seen
+    for sid in SCENARIOS:
+        assert per_scenario(sid) == {sid: inside_all[sid]}, sid
+
+
+def test_sqrt_q_convention_says_what_r_is():
+    """The sqrt_q line keeps the formal text where Q(zeta_M) lacks sqrt(q),
+    and says which root r is where Q(zeta_M) holds it (M = 20 and q = 5, as
+    for the default mu3 at (5,4))."""
+    assert verifier.sqrt_q_convention(FieldSpec(m=4, q=5)) == (
+        "formal generator r with r^2 -> q; r -> -r is a field automorphism fixing every verdict"
+    )
+    assert verifier.sqrt_q_convention(FieldSpec(m=20, q=5)) == (
+        "r is sqrt(5) in Q(zeta20), the root that is positive under zeta20 -> e^(2 pi i/20)"
+    )
 
 
 def test_scalar_strings_reparse():
@@ -129,7 +193,7 @@ def test_engine_error_record_carries_scenario_time(monkeypatch, setup21):
     """A scenario that fails with an engine error after 50 ms of work ends as a
     FAIL record carrying the time since the previous record."""
 
-    def slow_failure(env, checks):
+    def slow_failure(env, checks, rng):
         time.sleep(0.05)
         raise TriformError("late failure")
 
@@ -168,11 +232,21 @@ def test_engine_error_keeps_the_checks_already_recorded(monkeypatch):
     assert sum(c.ms for c in checks) <= elapsed_ms
 
 
-def test_fault_injection_pinpoints_cell():
-    rep = run_scenario(ScenarioConfig(p=2, n=1, scenario="formula-FK", inject_fault=True))
-    assert rep.has_failure()
-    bad = [c for c in rep.checks if c.verdict == "FAIL"]
-    assert any("first mismatched cell pair" in c.reason for c in bad)
+def test_fault_injection_pinpoints_cell(monkeypatch):
+    """A wrong coefficient in the closed form, (1 + a) A for A, fails
+    formula-FK.indicator at its first mismatched cell pair; the ext route,
+    which does not read the closed form, still passes."""
+    real = verifier.closed_form_tensor
+
+    def wrong_coefficient(ctx, mu1, mu2, v1, v2, n, A):
+        return real(ctx, mu1, mu2, v1, v2, n, A * (ctx.one() + ctx.a))
+
+    monkeypatch.setattr(verifier, "closed_form_tensor", wrong_coefficient)
+    rep = run_scenario(ScenarioConfig(p=2, n=1, scenario="formula-FK"))
+    indicator, ext_route = rep.checks
+    assert (indicator.id, indicator.verdict) == ("formula-FK.indicator", "FAIL")
+    assert re.fullmatch(r"first mismatched cell pair \(\d+, \d+\)", indicator.reason)
+    assert (ext_route.id, ext_route.verdict) == ("formula-FK.ext", "PASS")
 
 
 def test_verdicts_partition():
@@ -256,7 +330,7 @@ def test_cli_level_past_cap():
 
 
 def _raises(error):
-    def runner(env, checks):
+    def runner(env, checks, rng):
         raise error
 
     return runner
@@ -268,7 +342,7 @@ def _raises(error):
         (_raises(TriformError("injected engine error")), "TriformError: injected engine error"),
         (_raises(PoleError("injected pole")), "PoleError: injected pole"),
         (_raises(TailError("injected tail")), "TailError: injected tail"),
-        (lambda env, checks: GroupElement(2, 1, 2, 2, 4), "TriformError: singular matrix is not a group element"),
+        (lambda env, checks, rng: GroupElement(2, 1, 2, 2, 4), "TriformError: singular matrix is not a group element"),
     ],
     ids=["TriformError", "PoleError", "TailError", "singular-matrix"],
 )
@@ -316,13 +390,16 @@ def test_cli_engine_error_is_a_fail_record(monkeypatch, capsys, runner, reason):
         ["--p", "2", "--n", "2", "--level", "8", "--dump-tables"],  # |I(2)/K(8)| is past the enumeration cap
         ["--p", "3", "--n", "2", "--mu3", "garbage", "--dump-tables"],  # tables only for a configuration a run accepts
         ["--p", "2", "--n", "1", "--specialize", "a=2,b=1/2", "--dump-tables"],
+        ["--inject-fault"],  # no such flag
+        ["--config", "{tmp}/fault.cfg"],  # no such config key
     ],
 )
 def test_cli_bad_input_is_a_config_error(argv, tmp_path):
     """Malformed input exits 2 with a configuration error, not a traceback."""
     (tmp_path / "bad.cfg").write_text("p = x\n")
     (tmp_path / "format.cfg").write_text("format = json\n")
-    (tmp_path / "flag.cfg").write_text("inject_fault = treu\n")
+    (tmp_path / "flag.cfg").write_text("dump_tables = treu\n")
+    (tmp_path / "fault.cfg").write_text("inject_fault = 1\n")
     proc = subprocess.run(
         [sys.executable, "-m", "triform", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,
