@@ -236,7 +236,7 @@ class TorusFunctional:
             model, tate = tbl.model, self.tate_vector(level, v)
             back = model.action(p1_table(self.ctx, level).reps[cell].inv(), level)
             fold = model.action(GroupElement.diag(p, u, 1), level)
-            steps = ((value, c1, *fold[j]) for s, value in tbl.support for j, c1 in (back[s],))
+            steps = ((value, c1, *fold[j]) for s, value in tbl.support.items() for j, c1 in (back[s],))
             reads = ((value, c1**-1, c2**-1, tate[i]) for value, c1, i, c2 in steps if not tate[i].is_zero())
             out = tbl.phi_values[key] = sum_products(self.ctx.field, reads)
         return out
@@ -253,10 +253,9 @@ class TorusFunctional:
             raise TriformError("phi evaluated on a section of a different model")
         pre = []
         for c, g, tbl in section.terms:
-            if not c.is_zero():
-                h = g if k is None else k * g
-                j, piv = self.model3.cell(h.Z, h.T, tbl.level)
-                pre.append((c, h.N, (h.Y if piv == h.T else h.X) * piv, piv * piv, j, tbl))
+            h = g if k is None else k * g
+            j, piv = self.model3.cell(h.Z, h.T, tbl.level)
+            pre.append((c, h.N, (h.Y if piv == h.T else h.X) * piv, piv * piv, j, tbl))
 
         def terms(alpha: int = 1, beta: int = 0, delta: int = 1):
             for c, X, Y, T, j, tbl in pre:
@@ -273,7 +272,7 @@ class TorusFunctional:
     def annulus(self, section: Section, k: int) -> Scalar:
         """The integral of section(wbar n(y)) chi~(y / pi^k) d*y over y in pi^k O*,
         as the average over the units eps mod p^R of y = eps pi^k, with
-        R = max(section.level_bound(), c(chi~)).
+        R = max(section.table_level(), c(chi~)), at least 1.
 
         The integrand reads eps mod p^R for every k, so the average is the same
         Scalar at any finer resolution.  Write eps' = eps (1 + p^R delta):
@@ -288,7 +287,7 @@ class TorusFunctional:
         """
         ctx = self.ctx
         p = ctx.p
-        units = units_mod(p, max(section.level_bound(), self.chtil.c))
+        units = units_mod(p, max(section.table_level(), self.chtil.c))
         wbar = GroupElement.w(p)
         num, den = p ** max(k, 0), p ** max(-k, 0)  # y = eps num/den = eps pi^k
         values = ((eps, section.eval(wbar * GroupElement.upper(p, Fraction(eps * num, den)))) for eps in units)

@@ -96,15 +96,27 @@ def steinberg_model(ctx: Context) -> InducedModel:
     return InducedModel(ctx, BorelCharacter(chi_a, chi_d), tag="Steinberg", steinberg=True)
 
 
-class TableSection:
-    """A level-m section: Scalar values on the P^1(O/p^m) cells.
+def table_level(level: int) -> int:
+    """The level of the P^1 table or unit group that carries a function
+    right-K(level)-invariant: level itself, raised to 1, as level 0 (K
+    itself) has no P^1(O/p^0) table to build."""
+    return max(1, level)
 
-    Two caches live on the table and die with it: its support, and its phi
-    values, which TorusFunctional.phi_table keys by (functional, cell, unit of
-    x0 mod p^m, val x0).  No translate of the table is ever built.
+
+class TableSection:
+    """A level-m section: Scalar values on the P^1(O/p^m) cells, held as its
+    support, the dict cell -> value of its nonzero cells.
+
+    k_level is the least l the table is known to be right-K(l)-invariant at:
+    0 where every cell holds one value on an unramified model (B(O) acts
+    trivially, so f(bk) = chi delta^{1/2}(b) f(1) is K-invariant; the
+    Steinberg model is such an induced model), m otherwise.  One
+    cache lives on the table and dies with it: its phi values, which
+    TorusFunctional.phi_table keys by (functional, cell, unit of x0 mod p^m,
+    val x0).  No translate of the table is ever built.
     """
 
-    __slots__ = ("model", "level", "values", "_support", "phi_values")
+    __slots__ = ("model", "level", "support", "k_level", "phi_values")
 
     def __init__(self, model: InducedModel, level: int, values):
         model.require_level(level)
@@ -114,16 +126,17 @@ class TableSection:
             raise TriformError(f"expected {n} cell values, got {len(values)}")
         self.model = model
         self.level = level
-        self.values = values
-        self._support = None
+        self.support = {j: v for j, v in enumerate(values) if not v.is_zero()}
+        spherical = model.borel.conductor() == 0
+        constant = len(self.support) in (0, n) and all(v is values[0] or v == values[0] for v in values)
+        self.k_level = 0 if spherical and constant else level
         self.phi_values: dict = {}
 
     @property
-    def support(self) -> list:
-        """The (cell, value) pairs of the nonzero cells, made on first use."""
-        if self._support is None:
-            self._support = [(j, v) for j, v in enumerate(self.values) if not v.is_zero()]
-        return self._support
+    def values(self) -> list:
+        """The dense list of cell values, zeros included, built from the support on each read."""
+        zero = self.ctx.zero()
+        return [self.support.get(j, zero) for j in range(p1_table(self.ctx, self.level).size)]
 
     @property
     def ctx(self) -> Context:
@@ -131,20 +144,14 @@ class TableSection:
 
     def eval(self, g: GroupElement) -> Scalar:
         j, c = self.model.locate(g.Z, g.T, g.D, g.N, self.level)
-        return c * self.values[j]
+        return c * self.support.get(j, self.ctx.zero())
 
     def k_average(self) -> Scalar:
         """Integral over K (unramified models only: ramified cells average to 0)."""
         if self.model.borel.conductor() != 0:
             raise TriformError("K-average is only computed on unramified-twist models")
         mass = self.ctx.scalar(p1_table(self.ctx, self.level).cell_mass)
-        return sum_products(self.ctx.field, ((mass, v) for v in self.values))
-
-    def scaled(self, c: Scalar) -> "TableSection":
-        return TableSection(self.model, self.level, [c * v for v in self.values])
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return sum_products(self.ctx.field, ((mass, v) for v in self.support.values()))
 
     def dump(self) -> str:
         """Deterministic cell -> scalar dump: `cell (z:t) -> scalar`."""
@@ -156,11 +163,13 @@ class TableSection:
         return "\n".join(lines)
 
     def as_section(self) -> "Section":
-        return Section(self.model, ((self.ctx.one(), GroupElement.identity(self.ctx.p), self),))
+        """The table as a one-term Section, the empty sum where it vanishes."""
+        return Section(self.model, ((self.ctx.one(), GroupElement.identity(self.ctx.p), self),) if self.support else ())
 
 
 class Section:
-    """A finite formal sum  sum_i c_i * (right-translate by g_i of a table).
+    """A finite formal sum  sum_i c_i * (right-translate by g_i of a table),
+    every c_i nonzero: a zero-coefficient term is dropped when the sum is made.
 
     Evaluation is exact: eval(x) = sum c_i * table_i(x * g_i).  Translation by
     any group element is lazy, so no level management is ever needed for
@@ -172,7 +181,7 @@ class Section:
 
     def __init__(self, model: InducedModel, terms):
         self.model = model
-        self.terms = tuple((c, g, t) for (c, g, t) in terms)
+        self.terms = tuple((c, g, t) for (c, g, t) in terms if not c.is_zero())
 
     @property
     def ctx(self) -> Context:
@@ -180,16 +189,15 @@ class Section:
 
     def factors(self, Z: int, T: int, D: int, N: int):
         """One tuple (c, chi delta^{1/2} factor of locate, table value) per term of
-        section(x) = sum c tbl(x g) with c and value nonzero, for x with bottom
-        row (Z, T)/D and determinant N/D^2: no new Scalar and no matrix.  x g has
-        bottom row (Z g.X + T g.Z, Z g.Y + T g.T)/(D g.D) and determinant
-        numerator N g.N, which is all that locate reads."""
+        section(x) = sum c tbl(x g) whose cell is in the table's support, for x
+        with bottom row (Z, T)/D and determinant N/D^2: no new Scalar and no
+        matrix.  x g has bottom row (Z g.X + T g.Z, Z g.Y + T g.T)/(D g.D) and
+        determinant numerator N g.N, which is all that locate reads."""
         for c, g, tbl in self.terms:
-            if not c.is_zero():
-                j, f = tbl.model.locate(Z * g.X + T * g.Z, Z * g.Y + T * g.T, D * g.D, N * g.N, tbl.level)
-                v = tbl.values[j]
-                if not v.is_zero():
-                    yield c, f, v
+            j, f = tbl.model.locate(Z * g.X + T * g.Z, Z * g.Y + T * g.T, D * g.D, N * g.N, tbl.level)
+            v = tbl.support.get(j)
+            if v is not None:
+                yield c, f, v
 
     def eval(self, x: GroupElement) -> Scalar:
         return sum_products(self.ctx.field, self.factors(x.Z, x.T, x.D, x.N))
@@ -211,14 +219,19 @@ class Section:
         return Section(self.model, tuple((c * c0, g, t) for c0, g, t in self.terms))
 
     def level_bound(self) -> int:
-        """A level at which the section is right-K(level)-invariant."""
-        out = 1
-        for _, g, tbl in self.terms:
-            out = max(out, tbl.level + g.cartan_gap())
-        return out
+        """A level l at which the section is right-K(l)-invariant, 0 for K itself.
+
+        A term tbl(x g) is right-invariant under g^{-1} K(k) g, which holds
+        K(k + cartan_gap(g)) for k = tbl.k_level, so the sum is invariant at the
+        largest of those levels; the empty sum is K-invariant."""
+        return max((tbl.k_level + g.cartan_gap() for _, g, tbl in self.terms), default=0)
+
+    def table_level(self) -> int:
+        """The least level a table or unit group of the section is built at."""
+        return table_level(self.level_bound())
 
     def as_table(self, level: int | None = None) -> TableSection:
-        lvl = level if level is not None else self.level_bound()
+        lvl = level if level is not None else self.table_level()
         if lvl < self.level_bound():
             raise TriformError(f"refine level: need >= {self.level_bound()}, got {lvl}")
         reps = p1_table(self.ctx, lvl).reps
@@ -226,7 +239,7 @@ class Section:
 
 
 def sections_equal(s1: Section, s2: Section) -> bool:
-    lvl = max(s1.level_bound(), s2.level_bound())
+    lvl = max(s1.table_level(), s2.table_level())
     t1 = s1.as_table(lvl)
     t2 = s2.as_table(lvl)
     return all((x - y).is_zero() for x, y in zip(t1.values, t2.values))

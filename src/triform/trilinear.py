@@ -29,19 +29,21 @@ from .cosets import p1_table, units_mod
 from .errors import KernelUnsupportedError, TailError, TriformError
 from .functionals import CompactInducedFn, TorusFunctional, close_tail
 from .matrices import GroupElement
-from .models import InducedModel, Section, TableSection
+from .models import InducedModel, Section, TableSection, table_level
 from .scalars import Scalar, sum_products
 
 
 class TensorFn:
-    """F in V1 (x) V2, held by its first slot: a level-m table over the P^1
-    cells of V1 whose entry i is the V2 section F(rep_i, .), or None where that
-    section vanishes.  Left B-equivariance and right K(m)-invariance in slot 1
-    give every other F(g1, .) from the table."""
+    """F in V1 (x) V2, held by its first slot, which is right-K(level)-invariant
+    (level 0: K-invariant): a table over the P^1 cells of V1 at
+    table_level(level) whose entry i is the V2 section F(rep_i, .), the empty
+    section where that vanishes.  Left B-equivariance and the right
+    invariance in slot 1 give every other F(g1, .) from the table."""
 
     def __init__(self, model1: InducedModel, level: int, rows):
         self.model1 = model1
         self.level = level
+        self.table_level = table_level(level)
         self.rows = list(rows)
 
     @property
@@ -53,33 +55,25 @@ class TensorFn:
         """coeff * s1 (x) s2; slot 2 stays a lazy section with its own level bound."""
         coeff = ctx.scalar(coeff)
         level = s1.level_bound()
-        rows = []
-        for rep in p1_table(ctx, level).reps:
-            c = coeff * s1.eval(rep)
-            rows.append(None if c.is_zero() else s2.scaled(c))
+        rows = [s2.scaled(coeff * s1.eval(rep)) for rep in p1_table(ctx, table_level(level)).reps]
         return cls(s1.model, level, rows)
 
-    def slot1(self, g1: GroupElement) -> Section | None:
-        """The V2 section F(g1, .), or None where it vanishes."""
-        j, c = self.model1.locate(g1.Z, g1.T, g1.D, g1.N, self.level)
-        row = self.rows[j]
-        return None if row is None else row.scaled(c)
+    def slot1(self, g1: GroupElement) -> Section:
+        """The V2 section F(g1, .)."""
+        j, c = self.model1.locate(g1.Z, g1.T, g1.D, g1.N, self.table_level)
+        return self.rows[j].scaled(c)
 
     def eval_pair(self, g1: GroupElement, g2: GroupElement) -> Scalar:
-        row = self.slot1(g1)
-        return self.ctx.zero() if row is None else row.eval(g2)
+        return self.slot1(g1).eval(g2)
 
     def translated(self, g: GroupElement) -> "TensorFn":
         """The diagonal action of g on V1 (x) V2."""
         level = self.level + g.cartan_gap()
-        rows = []
-        for rep in p1_table(self.ctx, level).reps:
-            row = self.slot1(rep * g)
-            rows.append(None if row is None else row.translated(g))
+        rows = [self.slot1(rep * g).translated(g) for rep in p1_table(self.ctx, table_level(level)).reps]
         return TensorFn(self.model1, level, rows)
 
     def level_bound(self) -> int:
-        return max([self.level] + [row.level_bound() for row in self.rows if row is not None])
+        return max([self.level] + [row.level_bound() for row in self.rows])
 
 
 def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: int | None = None) -> TensorFn:
@@ -107,8 +101,7 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
             # sigma and w sigma and have det 1, so b1 = diag(1/Delta, 1) and
             # b2 = diag(-1/Delta, 1) up to unipotents
             row.append(model1.borel.eval((1, delta), (1, 1)) * model2.borel.eval((-1, delta), (1, 1)) * fv)
-        section = TableSection(model2, lvl, row)
-        rows.append(None if section.is_zero() else section.as_section())
+        rows.append(TableSection(model2, lvl, row).as_section())
     return TensorFn(model1, lvl, rows)
 
 
@@ -133,7 +126,7 @@ def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter,
         raise TriformError("simple-case pairing needs mu1 mu2 |.|^{1/2} = |.|^{-1/2}")
     if not v3.model.steinberg:
         raise TriformError("simple-case pairing needs a Steinberg third vector")
-    lvl = max(F.level_bound(), v3.level_bound(), 1)
+    lvl = table_level(max(F.level_bound(), v3.level_bound()))
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
     return sum_products(ctx.field, ((mass, F.eval_pair(rep, rep), v3.eval(rep)) for rep in table.reps))
@@ -175,17 +168,13 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     """
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
-    Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
+    Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level)
     table = p1_table(ctx, Lstar)
 
     # Everything that does not move with sigma = b rep (b upper triangular) is
     # hoisted per cell: F(b rep, .) = chi_1(b) F(rep, .), and phi's reader
     # splits rep g once per term g of v.  rep = (x y; z t) has det 1.
-    cell_pre = []
-    for rep, (z, t) in zip(table.reps, table.rows):
-        row = F.slot1(rep)
-        if row is not None:
-            cell_pre.append((rep.X, rep.Y, z, t, row, phi.reader(v, rep)))
+    cell_pre = [(rep.X, rep.Y, z, t, F.slot1(rep), phi.reader(v, rep)) for rep, (z, t) in zip(table.reps, table.rows)]
 
     def products(lead, row_factors, read_terms):
         """The factor tuples lead + (c, Borel factor, value) of a row + a reader term."""
@@ -209,16 +198,11 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
                     yield from products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1)))
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
-    # which resolves every section's right-invariance level and the Tate
-    # argument.  For b_s bh = (s x, s y + t; 0, t) the argument is
-    # x0 = y/x + t/(s x), and moving eta by p^R moves it by delta with
-    # val delta >= val(t/x) - e + R.  phi_table reads x0 through val x0 and
-    # its unit mod p^m (m the level of the table), so it is
-    # unchanged once val delta >= min(m, val x0 + m).  bh comes from rep g
-    # with rep in K, so val(y/x), val(t/x) >= -gap with gap = cartan_gap(g),
-    # and R >= m + gap.  If val(t/x) - e < val(y/x), that is val x0; if it is
-    # larger, val delta > val x0 + R; if the two are equal, x0 may cancel to
-    # any depth, but val delta >= R - gap >= m.
+    # at least the invariance level (level_bound) of F in either slot and of v.
+    # Moving eta by p^R moves sigma = b_s rep to sigma k with
+    # k = rep^-1 diag(1 + p^R d, 1) rep, which lies in K(R) as rep is in K.
+    # So F(sigma k, w sigma k) = F(sigma, w sigma) and pi(sigma k) v = pi(sigma) v:
+    # every term of a class is the term at its eta.
     R = Lstar
     e0 = R + 1
     units = units_mod(p, R)
@@ -349,8 +333,8 @@ class KernelForm:
         """The three strata, over the tables' supports and nonzero leads, streamed as factor tuples into one sum_products."""
         ctx = self.ctx
         p, q = ctx.p, ctx.q
-        L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level, 1)
-        vals1, vals2, vals3 = (dict(f.as_table(L0).support) for f in (f1, f2, f3))
+        L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level)
+        vals1, vals2, vals3 = (f.as_table(L0).support for f in (f1, f2, f3))
         table = p1_table(ctx, L0)
         # the cells are lifted through det-one matrices, so the wedge of a
         # bottom row with its offset direction, -det(rep), is -1 on every cell

@@ -361,7 +361,7 @@ def scenario_lemma_calcul(env: Env, checks: Records, rng: random.Random):
 def scenario_formula_FK(env: Env, checks: Records, rng: random.Random):
     ctx, n = env.ctx, env.cfg.n
     F = env.ext_f
-    table = p1_table(ctx, F.level)
+    table = p1_table(ctx, F.table_level)
     FV = env.closed_form
     bad_closed = bad_ext = None  # first mismatched cell pair of each route
     for i, rep1 in enumerate(table.reps):
@@ -388,7 +388,7 @@ def scenario_lemma_FV(env: Env, checks: Records, rng: random.Random):
     A = env.A
     F = env.ext_f
     FV = env.closed_form
-    table = p1_table(ctx, F.level)
+    table = p1_table(ctx, F.table_level)
     ok = all(FV.eval_pair(rep1, rep2) == F.eval_pair(rep1, rep2) for rep1 in table.reps for rep2 in table.reps)
     _check(
         checks,

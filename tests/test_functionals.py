@@ -134,7 +134,7 @@ def unit_average(phi: TorusFunctional, section: Section, k: int, prec: int):
 
 
 def test_annulus_resolution(setup21, setup32, setup24):
-    """annulus sums over the units mod p^R, R = max(level bound, c(chi~)), and
+    """annulus sums over the units mod p^R, R = max(table level, c(chi~)), and
     gets the same Scalar as the averages at R + 1 and R + 2 on every annulus
     k in [-R - 2, R + 2].  Random tables and their translates, not only v3:
     on v3 a resolution of R - 1 happens to agree too."""
@@ -145,11 +145,22 @@ def test_annulus_resolution(setup21, setup32, setup24):
             sec = rand_section(s.ctx, rng, s.V3, level)
             for g in (None, s.gamma(1), s.gamma(-1), rand_G(s.ctx, rng, val_range=1)):
                 target = sec if g is None else sec.translated(g)
-                R = max(target.level_bound(), phi.chtil.c)
+                R = max(target.table_level(), phi.chtil.c)
                 for k in range(-R - 2, R + 3):
                     got = phi.annulus(target, k)
                     for prec in (R + 1, R + 2):
                         assert got == unit_average(phi, target, k, prec), (s.cfg.p, s.cfg.n, level, k, prec)
+
+
+def test_reference_route_on_the_empty_section(setup21, setup32):
+    """The empty sum is K-invariant (level bound 0); at (2,1) chi~ is unramified
+    too, so annulus still averages over the units mod p, and both it and the
+    reference route read zero on it."""
+    for s in (setup21, setup32):
+        zero = Section(s.V3, ())
+        assert zero.level_bound() == 0 and zero.table_level() == 1
+        assert all(s.phi.annulus(zero, k).is_zero() for k in range(-3, 4))
+        assert all(v.is_zero() for v in s.phi.eval_reference(zero, depths=1))
 
 
 def test_phi_linear(setup21):

@@ -332,7 +332,7 @@ def test_action_matches_group_products(request, setup, seed):
     ctx, rng = s.ctx, random.Random(seed)
     level = s.V3.min_level + rng.randint(0, 1)
     reps = p1_table(ctx, level).reps
-    tbl = TableSection(s.V3, level, [rng.randint(-3, 3) for _ in reps]).scaled(ctx.a + 1)
+    tbl = TableSection(s.V3, level, [(ctx.a + 1) * rng.randint(-3, 3) for _ in reps])
     k1, k2 = (rand_K(ctx, rng, m=level + 1) for _ in range(2))
     act = s.V3.action(k1, level)
     assert all(tbl.eval(rep * k1) == c * tbl.values[j] for rep, (j, c) in zip(reps, act)), (setup, seed)
@@ -409,3 +409,21 @@ def test_orbit_walk_matches_dense_elimination(key):
             for row in rows:
                 assert sum((x * y for x, y in zip(row, v) if not x.is_zero()), ctx.zero()).is_zero(), (key, n)
         assert len(kernel_basis(ctx, walk, ncols)) == ncols - len(walk), (key, n)
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 2), (5, 1)])
+def test_constant_tables_count_at_the_cartan_gap(key):
+    """The K-fixed v1 and v2 are constant tables, so a translate by g is
+    right-K(gap)-invariant with gap = cartan_gap(g), and level_bound says so;
+    a non-constant level-1 V1 table still counts at 1 + gap."""
+    env = Env(ScenarioConfig(*key))
+    ctx, rng = env.ctx, random.Random(key[0] * 10 + key[1])
+    reps = p1_table(ctx, 1).reps
+    for _ in range(8):
+        g = rand_G(ctx, rng, val_range=2) if rng.random() < 0.75 else rand_K(ctx, rng)
+        assert env.v1.translated(g).level_bound() == g.cartan_gap(), (key, g)
+        assert env.v2.translated(g).level_bound() == g.cartan_gap(), (key, g)
+        values = [rng.randint(-3, 3) for _ in reps]
+        values[rng.randrange(len(values))] = 4  # at least two distinct values
+        tbl = TableSection(env.V1, 1, values)
+        assert tbl.as_section().translated(g).level_bound() == 1 + g.cartan_gap(), (key, g)

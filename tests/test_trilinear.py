@@ -11,7 +11,7 @@ from triform.characters import SmoothCharacter
 from triform.errors import KernelUnsupportedError, TailError, TriformError
 from triform.functionals import CompactInducedFn, Phi_eval
 from triform.matrices import GroupElement
-from triform.models import TableSection, new_vector_unramified, principal_series_model
+from triform.models import Section, TableSection, new_vector_unramified, principal_series_model
 from triform.scalars import sum_products
 from triform.trilinear import (
     KernelForm,
@@ -22,6 +22,8 @@ from triform.trilinear import (
     ext,
     simple_case_pairing,
 )
+
+from triform.verifier import ScenarioConfig, run_scenario
 
 from conftest import borel_diagonal, rand_G, rand_K, rand_section
 
@@ -163,7 +165,6 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
     table = p1_table(ctx, Lstar)
     w = GroupElement.w(p)
     cell_pre = [(rep, bottom, F.slot1(rep), phi.reader(v, rep)) for rep, bottom in zip(table.reps, table.rows)]
-    cell_pre = [c for c in cell_pre if c[2] is not None]
     borel1 = F.model1.borel
     w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
 
@@ -364,3 +365,34 @@ def test_simple_case(setup21):
     assert pairing == (1 - ctx.a**2) / (ctx.scalar(3) * ctx.a)
     zero = simple_case_pairing(TensorFn.pure(ctx, 1, s.v1, v2s), s.mu1, mu2s, s.v3)
     assert zero.is_zero()
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 2)])
+def test_zero_is_held_one_way(monkeypatch, key):
+    """Through every scenario at (p, n), with the constructors wrapped: no
+    table's support holds a zero and its dense view is the dense input, no
+    Section term has a zero coefficient, and every TensorFn row is a Section
+    (a vanishing row is the empty sum)."""
+    made = {TableSection: [], Section: [], TensorFn: []}
+
+    def wrap(cls):
+        init = cls.__init__
+
+        def recorded(self, *args):
+            if cls is TableSection:  # (model, level, values): keep the dense input
+                args = (*args[:2], list(args[2]))
+            init(self, *args)
+            made[cls].append((self, args[-1]))
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+
+    for cls in made:
+        wrap(cls)
+    report = run_scenario(ScenarioConfig(*key, scenario="all"))
+    assert {c.verdict for c in report.checks} <= {"PASS", "SKIPPED"}
+    assert all(made.values())
+    for tbl, dense in made[TableSection]:
+        assert not any(v.is_zero() for v in tbl.support.values())
+        assert tbl.values == [tbl.ctx.scalar(v) for v in dense]
+    assert not any(c.is_zero() for sec, _ in made[Section] for c, _, _ in sec.terms)
+    assert all(isinstance(row, Section) for F, _ in made[TensorFn] for row in F.rows)
