@@ -20,12 +20,12 @@ from functools import cached_property
 
 from .characters import SmoothCharacter
 from .context import Context
-from .cosets import p1_size, p1_table, torus_orbit_reps, iwahori_orbit_key, units_mod
+from .cosets import p1_size, torus_orbit_reps, iwahori_orbit_key, units_mod
 from .errors import TailError, TriformError
 from .matrices import GroupElement, in_T_In
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
-from .scalars import Scalar, products_equal, sum_products
+from .scalars import Scalar, products_equal, sum_products, zeta_products
 
 
 def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
@@ -223,22 +223,21 @@ class TorusFunctional:
         n(pi^v u) = diag(u, 1) n(pi^v) diag(1/u, 1), and phi does not see diag(u, 1)
         (chi_2/chi_1 is trivial on units), so this is <T, W> for the Tate vector T
         of val x0 and W[i] = tbl(rep_i g), g = diag(1/u, 1) rep_cell.  It is read
-        through the transpose, over tbl's support: where the action of g^{-1}
-        (two memoized actions) takes s to (i, c), W[i] = c^{-1} tbl[s], c a root of unity;
-        a cell whose Tate entry T[i] is zero adds nothing and builds no factor tuple.
-        """
+        through the transpose, over tbl's support: where the actions of g^{-1} (read_actions) take
+        s to (i, zeta_M^e), W[i] = zeta_M^-e tbl[s], counted in ints (TableSection.zeta,
+        zeta_products) against each nonzero T[i]; an opaque tbl[s] is multiplied into T[i]."""
         p, level = self.ctx.p, tbl.level
         v = ratio_val(x0, den, p)
         v, u = (None, 1) if v >= level else (v, unit_residue(x0, den, p, level))  # x0 = 0 has val inf
         key = (self, cell, u, v)
         out = tbl.phi_values.get(key)
         if out is None:
-            model, tate = tbl.model, self.tate_vector(level, v)
-            back = model.action(p1_table(self.ctx, level).reps[cell].inv(), level)
-            fold = model.action(GroupElement.diag(p, u, 1), level)
-            steps = ((value, c1, *fold[j]) for s, value in tbl.support.items() for j, c1 in (back[s],))
-            reads = ((value, c1**-1, c2**-1, tate[i]) for value, c1, i, c2 in steps if not tate[i].is_zero())
-            out = tbl.phi_values[key] = sum_products(self.ctx.field, reads)
+            tate = self.tate_vector(level, v)
+            back, fold = tbl.model.read_actions(level, cell, u)
+            d, zeta = tbl.zeta
+            steps = ((value, counts, e1, *fold[j]) for s, (value, counts) in zeta.items() for j, e1 in (back[s],))
+            reads = (((t,) if o is None else (o, t), e - e1 - e2, n) for o, counts, e1, i, e2 in steps for t in (tate[i],) if t.num.terms for e, n in counts)
+            out = tbl.phi_values[key] = zeta_products(self.ctx.field, reads, d)
         return out
 
     def reader(self, section: Section, k: GroupElement | None = None):

@@ -10,6 +10,8 @@ special parameter point (|.|^{1/2}, |.|^{-1/2}).
 
 from __future__ import annotations
 
+from math import lcm
+
 from .characters import BorelCharacter, SmoothCharacter, unit_group_generators
 from .context import MAX_LEVEL, Context
 from .cosets import p1_table
@@ -25,7 +27,7 @@ class InducedModel:
         self.tag = tag or f"Ind({borel.chi_a.render_spec()}, {borel.chi_d.render_spec()})"
         self.steinberg = steinberg
         self.min_level = max(1, borel.conductor())
-        self._actions: dict = {}  # (level, k mod p^level) -> action
+        self._actions: dict = {}  # (level, k mod p^level), and read_actions' keys -> action
 
     def fixed_level(self, n: int, level: int | None = None) -> int:
         """The table level of the I(n)-fixed space: `level`, raised to n and to min_level."""
@@ -60,17 +62,30 @@ class InducedModel:
         return j, self.borel.eval((N, D * piv), (piv, D))
 
     def action(self, k: GroupElement, level: int) -> tuple:
-        """One (j, c) per cell i with f(rep_i k) = c f(rep_j) for every level-`level`
-        section f, k in K; memoized by k mod p^level, as sections are
+        """One (j, e) per cell i with f(rep_i k) = zeta_M^e f(rep_j) for every
+        level-`level` section f, k in K; memoized by k mod p^level, as sections are
         right-K(level)-invariant.  rep_i has det 1 and bottom row (z, t), so rep_i k
         has bottom row (z X + t Z, z Y + t T)/D and det N/D^2, all that locate
-        reads; its pivot is a unit, so c is a root of unity."""
+        reads; its pivot and N/(D piv) are units, so locate's factor is the root
+        of unity chi_a(N/(D piv)) chi_d(piv/D), read here as its exponent."""
         key = (level, _k_residue(k, level))
         if key not in self._actions:
             X, Y, Z, T, D, N = k.X, k.Y, k.Z, k.T, k.D, k.N
-            rows = p1_table(self.ctx, level).rows
-            self._actions[key] = tuple(self.locate(z * X + t * Z, z * Y + t * T, D, N, level) for z, t in rows)
+            chi_a, chi_d, m = self.borel.chi_a, self.borel.chi_d, self.ctx.field.m
+            cells = (self.cell(z * X + t * Z, z * Y + t * T, level) for z, t in p1_table(self.ctx, level).rows)
+            self._actions[key] = tuple((j, (chi_a.val_exponent(N, D * piv)[1] + chi_d.val_exponent(piv, D)[1]) % m) for j, piv in cells)
         return self._actions[key]
+
+    def read_actions(self, level: int, cell: int, u: int) -> tuple:
+        """The actions of rep_cell^{-1} and diag(u, 1) a phi read applies, memoized
+        also by (level, cell) and (level, u): a read builds no GroupElement."""
+        back = self._actions.get(("cell", level, cell))
+        if back is None:
+            back = self._actions["cell", level, cell] = self.action(p1_table(self.ctx, level).reps[cell].inv(), level)
+        fold = self._actions.get(("unit", level, u))
+        if fold is None:
+            fold = self._actions["unit", level, u] = self.action(GroupElement.diag(self.ctx.p, u, 1), level)
+        return back, fold
 
     def __repr__(self):
         return f"InducedModel<{self.tag}>"
@@ -110,13 +125,13 @@ class TableSection:
     k_level is the least l the table is known to be right-K(l)-invariant at:
     0 where every cell holds one value on an unramified model (B(O) acts
     trivially, so f(bk) = chi delta^{1/2}(b) f(1) is K-invariant; the
-    Steinberg model is such an induced model), m otherwise.  One
-    cache lives on the table and dies with it: its phi values, which
+    Steinberg model is such an induced model), m otherwise.  Two caches live on
+    the table and die with it: its support counted in ints (zeta), and its phi values, which
     TorusFunctional.phi_table keys by (functional, cell, unit of x0 mod p^m,
     val x0).  No translate of the table is ever built.
     """
 
-    __slots__ = ("model", "level", "support", "k_level", "phi_values")
+    __slots__ = ("model", "level", "support", "k_level", "_zeta", "phi_values")
 
     def __init__(self, model: InducedModel, level: int, values):
         model.require_level(level)
@@ -130,7 +145,19 @@ class TableSection:
         spherical = model.borel.conductor() == 0
         constant = len(self.support) in (0, n) and all(v is values[0] or v == values[0] for v in values)
         self.k_level = 0 if spherical and constant else level
+        self._zeta = None
         self.phi_values: dict = {}
+
+    @property
+    def zeta(self) -> tuple:
+        """(den, counts), the support counted in ints over one int den on first read (phi, the kernel):
+        cell -> (None, pairs), the value being sum n zeta_M^e / den over (e, n) in pairs
+        (Scalar.zeta_counts), or cell -> (value, ((0, den),)) for a value outside Q(zeta_M)."""
+        if self._zeta is None:
+            counted = {j: v.zeta_counts() for j, v in self.support.items()}
+            den = lcm(*(c[1] for c in counted.values() if c))
+            self._zeta = den, {j: (None, tuple((e, k * den // c[1]) for e, k in c[0])) if c else (self.support[j], ((0, den),)) for j, c in counted.items()}
+        return self._zeta
 
     @property
     def values(self) -> list:
@@ -234,6 +261,9 @@ class Section:
         lvl = level if level is not None else self.table_level()
         if lvl < self.level_bound():
             raise TriformError(f"refine level: need >= {self.level_bound()}, got {lvl}")
+        (c, g, tbl), *more = self.terms or ((None, None, None),)
+        if not more and tbl is not None and tbl.level == lvl and c.is_one() and g == GroupElement.identity(self.ctx.p):
+            return tbl  # the section of one table, untranslated
         reps = p1_table(self.ctx, lvl).reps
         return TableSection(self.model, lvl, [self.eval(rep) for rep in reps])
 
@@ -268,7 +298,7 @@ def iwahori_generators(ctx: Context, n: int, level: int) -> list[GroupElement]:
 def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     """Basis of the I(n)-fixed vectors in the level-`level` table space.
 
-    A fixed v has v[i] = c v[j] for each generator's (j, c) at cell i
+    A fixed v has v[i] = zeta_M^e v[j] for each generator's (j, e) at cell i
     (InducedModel.action), so one value pins it on an orbit of the generators.
     Walked from its first cell with value 1, an orbit gives one fixed line when
     every edge closes, and none otherwise.  For the Steinberg model the zero
@@ -277,7 +307,7 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
     ctx = model.ctx
     lvl = model.fixed_level(n, level)
     actions = [model.action(g, lvl) for g in iwahori_generators(ctx, n, lvl)]
-    ncols, zero = len(actions[0]), ctx.zero()
+    ncols, zero, zeta, m = len(actions[0]), ctx.zero(), ctx.zeta_powers, ctx.field.m
     seen: set[int] = set()
     lines = []
     for start in range(ncols):
@@ -286,11 +316,11 @@ def fixed_space(model: InducedModel, n: int, level: int | None = None) -> list:
         orbit, v, closed = [start], {start: ctx.one()}, True
         for i in orbit:  # the orbit grows as it is walked
             for act in actions:
-                j, c = act[i]
+                j, e = act[i]
                 if j not in v:
-                    v[j] = v[i] * c**-1
+                    v[j] = v[i] * zeta[-e % m]
                     orbit.append(j)
-                elif v[j] * c != v[i]:
+                elif v[j] * zeta[e] != v[i]:
                     closed = False
         seen.update(orbit)
         if closed:

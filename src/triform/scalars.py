@@ -169,12 +169,17 @@ class Poly:
     @classmethod
     def zeta_sum(cls, field: FieldSpec, counts: dict) -> "Poly":
         """sum_j counts[j] zeta_M^j for integer counts, reduced by the rows of Phi_M."""
+        return cls.zeta_reduced(field, {(0, 0, 0, 0, j): n for j, n in counts.items()})
+
+    @classmethod
+    def zeta_reduced(cls, field: FieldSpec, terms: dict, den: int = 1) -> "Poly":
+        """The int terms over den, their zeta exponents taken mod M and reduced by the rows of Phi_M."""
         out: dict = {}
-        for j, n in counts.items():
-            for e, c in field.zeta_rows[j % field.m]:
-                mo = (0, 0, 0, 0, e)
-                out[mo] = out[mo] + n * c if mo in out else n * c
-        return cls._make(field, out)
+        for (a, b, u, r, k), c in terms.items():
+            for j, f in field.zeta_rows[k % field.m]:
+                mo = (a, b, u, r, j)
+                out[mo] = out[mo] + c * f if mo in out else c * f
+        return cls._make(field, out, den)
 
     # -- basic structure ----------------------------------------------
     def is_zero(self) -> bool:
@@ -240,16 +245,9 @@ class Poly:
         return Poly._make(self.field, {mo: co * c.numerator for mo, co in self.terms.items()}, self.den * c.denominator)
 
     def galois(self, s: int, k: int) -> "Poly":
-        """The automorphism r -> s*r (s = +-1), zeta -> zeta^k (k a unit mod M)."""
-        rows, m = self.field.zeta_rows, self.field.m
-        out: dict = {}
-        for (ea, eb, eu, er, ez), c in self.terms.items():
-            if er and s < 0:
-                c = -c
-            for j, f in rows[ez * k % m]:
-                mo = (ea, eb, eu, er, j)
-                out[mo] = out[mo] + c * f if mo in out else c * f
-        return Poly._make(self.field, out, self.den)
+        """The automorphism r -> s*r (s = +-1), zeta -> zeta^k (k a unit mod M, so no two terms meet)."""
+        terms = {(ea, eb, eu, er, ez * k): -c if er and s < 0 else c for (ea, eb, eu, er, ez), c in self.terms.items()}
+        return Poly.zeta_reduced(self.field, terms, self.den)
 
     def divexact(self, f: "Poly") -> "Poly | None":
         """Exact quotient self / f, or None when f does not divide self.
@@ -540,6 +538,13 @@ class Scalar:
             out = self._memo["tail", k0] = (self**k0) / denom
         return out
 
+    def zeta_counts(self) -> tuple | None:
+        """(counts, d) with self = sum of n zeta_M^e over (e, n) in counts, divided by the
+        int d, where self lies in Q(zeta_M); None outside it."""
+        if self.den or any(a or b or u or r for a, b, u, r, _ in self.num.terms):
+            return None
+        return tuple((mo[4], n) for mo, n in self.num.terms.items()), self.num.den
+
     # -- specialization -----------------------------------------------------
     def specialize(self, assignment: dict) -> "Scalar":
         num, den = self._quotient()
@@ -684,6 +689,40 @@ def _accumulate(field: FieldSpec, acc: dict, den: int, fs: list) -> int:
             acc[mo] *= d // den
     _mul_into(acc, field, lead, last.terms, d // pd)
     return d
+
+
+def zeta_products(field: FieldSpec, items, den: int = 1) -> Scalar:
+    """The sum over items (fs, e, n) of n zeta_M^e times the product of the Scalars
+    fs, over the int den: the accumulator of phi's table reads and the kernel's strata.
+    An item adds its numerator product (a lone factor's own numerator) to the int terms
+    of its denominator multiset, zeta exponents moved up by e mod M, and each multiset
+    is reduced by Phi_M once and becomes one Scalar.  A multiset whose items all carry
+    one Scalar skips the trial divisions: a nonzero element of Q(zeta_M) is a unit."""
+    groups: dict = {}
+    m = field.m
+    for fs, e, n in items:
+        dens = ()
+        for f in fs:
+            if f.den:
+                dens += f.den
+        key = tuple(sorted(g.den_key() for g in dens)) if dens else ()
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [dens, {}, 1, fs[0] if len(fs) == 1 else None]
+        elif len(fs) > 1 or fs[0] is not group[3]:
+            group[3] = None  # not one canonical Scalar times an element of Q(zeta_M): try the factors
+        num = fs[0].num if len(fs) == 1 else _product(field, [f.num for f in fs])
+        acc, d = group[1], lcm(group[2], num.den)
+        if d != group[2]:
+            for mo in acc:
+                acc[mo] *= d // group[2]
+            group[2] = d
+        n *= d // num.den
+        for (a, b, u, r, k), c in num.terms.items():
+            mo = (a, b, u, r, (k + e) % m)
+            acc[mo] = acc[mo] + c * n if mo in acc else c * n
+    terms = [Scalar(field, Poly.zeta_reduced(field, acc, d * den), dens, trial=lone is None) for dens, acc, d, lone in groups.values()]
+    return sum(terms[1:], terms[0]) if terms else Scalar(field, Poly.zero(field))
 
 
 def products_equal(field: FieldSpec, lhs, rhs) -> bool:

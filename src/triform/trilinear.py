@@ -30,7 +30,7 @@ from .errors import KernelUnsupportedError, TailError, TriformError
 from .functionals import CompactInducedFn, TorusFunctional, close_tail
 from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection, table_level
-from .scalars import Scalar, sum_products
+from .scalars import Scalar, sum_products, zeta_products
 
 
 class TensorFn:
@@ -276,19 +276,16 @@ class KernelForm:
         if mu3.is_unramified():
             raise KernelUnsupportedError("kernel route expects a ramified third representation")
         self.ctx = ctx
-        self.mu1, self.mu2, self.mu3 = mu1, mu2, mu3
         self.model3 = model3
         self.nu12, self.nu13, self.nu23 = derive_kernel_characters(ctx, mu1, mu2, mu3)
-        self.c0 = max(self.nu12.c, self.nu13.c, self.nu23.c, 1)
-        if self.c0 > 1:
+        if max(self.nu12.c, self.nu13.c, self.nu23.c) > 1:
             raise KernelUnsupportedError("unsupported model for kernel route: pair characters of conductor exponent > 1")
-        self._g_cache: dict = {}
+        self._levels: dict = {}  # L0 -> _level(L0)
 
     # -- closed-form helpers ---------------------------------------------------
     def _usum(self, chars_signs) -> Scalar:
         """(1/q) * sum over units mod p of a product of unit characters."""
-        ctx = self.ctx
-        m = ctx.field.m
+        ctx, m = self.ctx, self.ctx.field.m
         counts = Counter(sum(ch.unit_exponent(sgn * eps) for ch, sgn in chars_signs) % m for eps in range(1, ctx.p))
         return ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, ctx.q))
 
@@ -296,11 +293,7 @@ class KernelForm:
         """The universal collision integral over val(s), val(s') >= lam of
         nu12(-s) nu13(-s') nu23(s - s'), flat dz^2 measure, times
         the chart density (p/(p+1))^2."""
-        if lam in self._g_cache:
-            return self._g_cache[lam]
-        ctx = self.ctx
-        q = ctx.q
-        qs = ctx.scalar(q)
+        ctx, q, qs = self.ctx, self.ctx.q, self.ctx.scalar(self.ctx.q)
         X12, X13, X23 = self.nu12.value_at_pi, self.nu13.value_at_pi, self.nu23.value_at_pi
         # val s < val s': the difference sits with s, unit eps
         UA = self._usum([(self.nu12, -1), (self.nu23, 1)])
@@ -324,50 +317,49 @@ class KernelForm:
         C1 = self._usum([(self.nu12, -1), (self.nu13, -1)]) * self._usum([(self.nu23, -1)])
         rho_diag = (X12 * X13 * X23) / (qs * qs)
         part_c = (C0 + C1 * (X23 / qs).geometric_tail(1)) * rho_diag.geometric_tail(lam)
-        out = (part_a + part_b + part_c) * ctx.scalar(Fraction(ctx.p, ctx.p + 1) ** 2)
-        self._g_cache[lam] = out
-        return out
+        return (part_a + part_b + part_c) * ctx.scalar(Fraction(ctx.p, ctx.p + 1) ** 2)
+
+    def _level(self, L0: int) -> tuple:
+        """What eval reads at level L0, memoized: each pair character at the wedge z_i t_j - t_i z_j
+        of two cells' bottom rows as (valuation, zeta exponent), (0, 0) on the diagonal, and
+        the strata's leads: (i) mass^3, (ii) mass^2 p/(p+1) usum tail per pair, (iii) mass G(L0)."""
+        if L0 not in self._levels:
+            ctx, p, q, nus = self.ctx, self.ctx.p, self.ctx.scalar(self.ctx.q), (self.nu12, self.nu13, self.nu23)
+            table = p1_table(ctx, L0)
+            rows = list(enumerate(table.rows))
+            wedges = [[[nu.val_exponent(zi * tj - ti * zj) if i != j else (0, 0) for j, (zj, tj) in rows] for i, (zi, ti) in rows] for nu in nus]
+            mass = ctx.scalar(table.cell_mass)
+            pair = [mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu, -1)]) * (nu.value_at_pi / q).geometric_tail(L0) for nu in nus]
+            self._levels[L0] = (*wedges, {0: mass**3, 1: pair[0], 2: pair[1], 4: pair[2], 7: mass * self._G(L0)})
+        return self._levels[L0]
 
     # -- the evaluator -----------------------------------------------------------
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
-        """The three strata, over the tables' supports and nonzero leads, streamed as factor tuples into one sum_products."""
-        ctx = self.ctx
-        p, q = ctx.p, ctx.q
+        """The sum over cells (c1, c2, c3) of the tables' supports, counted in ints: the cells
+        the slots share pick the stratum, (i) none, (ii) one pair, (iii) all.  A term adds its
+        values' zeta counts (TableSection.zeta) times its wedges' zeta exponents to the histogram
+        of (stratum, wedge valuations, opaque values by identity), which zeta_products sums led
+        by the stratum's lead, the characters' values at pi to those valuations and the opaque values."""
+        m = self.ctx.field.m
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level)
-        vals1, vals2, vals3 = (f.as_table(L0).support for f in (f1, f2, f3))
-        table = p1_table(ctx, L0)
-        # the cells are lifted through det-one matrices, so the wedge of a
-        # bottom row with its offset direction, -det(rep), is -1 on every cell
-        mass, mass3 = ctx.scalar(table.cell_mass), ctx.scalar(table.cell_mass**3)
-
-        def wedges(nu: SmoothCharacter) -> dict:
-            """nu at the wedge z_i t_j - t_i z_j of two distinct cells' bottom rows, which is nonzero."""
-            rows = list(enumerate(table.rows))
-            return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
-
-        W12, W13, W23 = wedges(self.nu12), wedges(self.nu13), wedges(self.nu23)
-        cases = [  # stratum (ii): the collapsed pair's character and slots, the third slot, its two wedges
-            (self.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
-            (self.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
-            (self.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
-        ]
-
-        def strata():
-            """(i) three distinct cells, led per (i, j) by mass^3 f1 f2 W12; (ii) a pair collapsed
-            in cell c, the third point in cell k, led per c by mass^2 p/(p+1) usum tail fa fb; (iii) one cell."""
-            for i, x1 in vals1.items():
-                for j, x2 in vals2.items():
-                    if j != i:
-                        lead = mass3 * x1 * x2 * W12[i, j]
-                        yield from ((lead, x3, W13[i, k], W23[j, k]) for k, x3 in vals3.items() if k not in (i, j))
-            for nu_pair, va, vb, vthird, far in cases:
-                tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
-                lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu_pair, -1)]) * tail
-                for c, xa in va.items():
-                    if c in vb and lead:
-                        lead_c = lead * xa * vb[c]
-                        yield from ((lead_c, x, *far(c, k)) for k, x in vthird.items() if k != c)
-            lead = mass * self._G(L0)
-            yield from ((lead, x1, vals2[c], vals3[c]) for c, x1 in vals1.items() if lead and c in vals2 and c in vals3)
-
-        return sum_products(ctx.field, strata())
+        (d1, z1), (d2, z2), (d3, z3) = (f.as_table(L0).zeta for f in (f1, f2, f3))
+        W12, W13, W23, leads = self._level(L0)
+        groups: dict = {}  # key -> (lead factors, zeta exponent -> count)
+        for c1, (o1, h1) in z1.items():
+            for c2, (o2, h2) in z2.items():
+                v12, e12 = W12[c1][c2]
+                pre = [(e + f + e12, n * k) for e, n in h1 for f, k in h2]
+                w13, w23 = W13[c1], W23[c2]
+                for c3, (o3, h3) in z3.items():
+                    (v13, e13), (v23, e23) = w13[c3], w23[c3]
+                    key = ((c1 == c2) + 2 * (c1 == c3) + 4 * (c2 == c3), v12, v13, v23, id(o1), id(o2), id(o3))
+                    group = groups.get(key)
+                    if group is None:
+                        powers = (self.nu12.value_at_pi**v12, self.nu13.value_at_pi**v13, self.nu23.value_at_pi**v23)
+                        group = groups[key] = ((leads[key[0]], *powers, *(o for o in (o1, o2, o3) if o is not None)), Counter())
+                    hist = group[1]
+                    for e, n in pre:
+                        for f, k in h3:
+                            hist[(e + f + e13 + e23) % m] += n * k
+        items = ((lead, e, n) for lead, hist in groups.values() for e, n in hist.items() if n)
+        return zeta_products(self.ctx.field, items, d1 * d2 * d3)

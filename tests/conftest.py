@@ -93,5 +93,6 @@ def cell_of(table, k: GroupElement) -> int:
 
 def translate(tbl: TableSection, k: GroupElement) -> TableSection:
     """The right translate of tbl by k in K, built in full, cell by cell, from
-    InducedModel.action: cell i takes c * values[j] for the action's (j, c)."""
-    return TableSection(tbl.model, tbl.level, [c * tbl.values[j] for j, c in tbl.model.action(k, tbl.level)])
+    InducedModel.action: cell i takes zeta_M^e * values[j] for the action's (j, e)."""
+    zeta = tbl.ctx.zeta_powers
+    return TableSection(tbl.model, tbl.level, [zeta[e] * tbl.values[j] for j, e in tbl.model.action(k, tbl.level)])

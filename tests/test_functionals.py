@@ -435,6 +435,44 @@ def test_phi_table_fold_matches_unit_key(args):
     assert phi.phi_table(tbl, num, d) == want, (TATE_CASES[case], level, v, u, den, sparse)
 
 
+def reference_read(phi: TorusFunctional, tbl: TableSection, x0: int, den: int, cell: int):
+    """phi_table by the dot product it replaced, kept as its oracle: the two
+    transposed actions as root-of-unity Scalars c, read back as c^-1, and one
+    factor tuple (value, c1^-1, c2^-1, T[i]) per support cell, summed by
+    sum_products."""
+    ctx, p, level = phi.ctx, phi.ctx.p, tbl.level
+    v = ratio_val(x0, den, p)
+    v, u = (None, 1) if v >= level else (v, unit_residue(x0, den, p, level))
+    tate, zeta = phi.tate_vector(level, v), ctx.zeta_powers
+    back = tbl.model.action(p1_table(ctx, level).reps[cell].inv(), level)
+    fold = tbl.model.action(GroupElement.diag(p, u, 1), level)
+    steps = ((value, zeta[e1], *fold[j]) for s, value in tbl.support.items() for j, e1 in (back[s],))
+    reads = ((value, c1**-1, zeta[e2] ** -1, tate[i]) for value, c1, i, e2 in steps if not tate[i].is_zero())
+    return sum_products(ctx.field, reads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("setup24", "setup32", "setup52")), st.sampled_from(("roots", "ints", "opaque")), st.integers(0, 2**32))
+def test_phi_read_matches_the_dot_product(request, setup, kind, seed):
+    """phi_table, counted in ints, against reference_read on random (cell, u,
+    val x0) at (2,4), (3,2) and (5,2), for tables of roots of unity times ints,
+    of ints, and opaque tables: the table of a gamma-translate, whose values
+    leave Q(zeta_M)."""
+    s = request.getfixturevalue(setup)
+    ctx, p, rng = s.ctx, s.ctx.p, random.Random(seed)
+    level = s.V3.min_level + rng.randint(0, 1)
+    size = p1_size(p, level)
+    if kind == "opaque":
+        tbl = rand_section(ctx, rng, s.V3, level).translated(s.gamma(rng.choice((-1, 1)))).as_table()
+        assert any(value is not None for value, _ in tbl.zeta[1].values())
+    else:
+        tbl = TableSection(s.V3, level, rand_values(ctx, size, rng, kind == "roots"))
+    cell = rng.randrange(p1_size(p, tbl.level))
+    v, u, d = rng.randint(-3, tbl.level + 1), rng.choice(units_mod(p, tbl.level + 2)), rng.choice((1, 7, 11))
+    x0, den = (p**v * u * d, d) if v >= 0 else (u * d, p ** (-v) * d)
+    assert s.phi.phi_table(tbl, x0, den, cell) == reference_read(s.phi, tbl, x0, den, cell), (setup, kind, seed)
+
+
 def rand_values(ctx, size: int, rng: random.Random, sparse: bool) -> list:
     """Random int cell values, or, when sparse, one to three nonzero cells each
     a root of unity times a nonzero int."""

@@ -273,7 +273,7 @@ def test_action_by_class_mod_level(p, ramified, extra, seed):
     assert model.action(k * kappa, level) == model.action(k, level)
     assert translate(tbl, k).values == [tbl.eval(rep * k) for rep in reps]
     assert translate(tbl, k * kappa).values == [tbl.eval(rep * k * kappa) for rep in reps]
-    assert all(j == i and c.is_one() for i, (j, c) in enumerate(model.action(kappa, level)))
+    assert all(j == i and e == 0 for i, (j, e) in enumerate(model.action(kappa, level)))
     for g in (GroupElement.diag(p, p, 1), k * GroupElement.diag(p, 1, Fraction(1, p))):
         with pytest.raises(TriformError, match="needs k in K"):
             model.action(g, level)
@@ -326,8 +326,8 @@ def test_section_eval_at_the_bottom_row(request, setup, seed):
 @given(st.sampled_from(("setup21", "setup32", "setup24", "setup52")), st.integers(0, 2**32))
 def test_action_matches_group_products(request, setup, seed):
     """InducedModel.action, built from ints, against GroupElement products:
-    its (j, c) at cell i gives tbl.eval(rep_i * k) = c * tbl[j] for random k in
-    K and random tables, and acting by k1 and then by k2 is acting by k2 k1."""
+    its (j, e) at cell i gives tbl.eval(rep_i * k) = zeta_M^e * tbl[j] for random
+    k in K and random tables, and acting by k1 and then by k2 is acting by k2 k1."""
     s = request.getfixturevalue(setup)
     ctx, rng = s.ctx, random.Random(seed)
     level = s.V3.min_level + rng.randint(0, 1)
@@ -335,7 +335,7 @@ def test_action_matches_group_products(request, setup, seed):
     tbl = TableSection(s.V3, level, [(ctx.a + 1) * rng.randint(-3, 3) for _ in reps])
     k1, k2 = (rand_K(ctx, rng, m=level + 1) for _ in range(2))
     act = s.V3.action(k1, level)
-    assert all(tbl.eval(rep * k1) == c * tbl.values[j] for rep, (j, c) in zip(reps, act)), (setup, seed)
+    assert all(tbl.eval(rep * k1) == ctx.zeta_powers[e] * tbl.values[j] for rep, (j, e) in zip(reps, act)), (setup, seed)
     assert translate(translate(tbl, k1), k2).values == translate(tbl, k2 * k1).values, (setup, seed)
 
 

@@ -23,7 +23,7 @@ from triform.trilinear import (
     simple_case_pairing,
 )
 
-from triform.verifier import ScenarioConfig, run_scenario
+from triform.verifier import Env, ScenarioConfig, run_scenario
 
 from conftest import borel_diagonal, rand_G, rand_K, rand_section
 
@@ -344,6 +344,75 @@ def test_kernel_invariance_and_proportionality(setup32):
             ratio = r
         assert r == ratio
     assert not ratio.is_zero()
+
+
+def kernel_reference(kform: KernelForm, f1: Section, f2: Section, f3: Section):
+    """KernelForm.eval by the triple loop it replaced, kept as its oracle: the
+    three strata over the tables' supports, each term a factor tuple of Scalars
+    (lead, values, pair characters at the wedges), summed by sum_products."""
+    ctx = kform.ctx
+    p, q = ctx.p, ctx.q
+    L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), kform.model3.min_level)
+    vals1, vals2, vals3 = (f.as_table(L0).support for f in (f1, f2, f3))
+    table = p1_table(ctx, L0)
+    mass, mass3 = ctx.scalar(table.cell_mass), ctx.scalar(table.cell_mass**3)
+
+    def wedges(nu):
+        rows = list(enumerate(table.rows))
+        return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
+
+    W12, W13, W23 = wedges(kform.nu12), wedges(kform.nu13), wedges(kform.nu23)
+    cases = [
+        (kform.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
+        (kform.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
+        (kform.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
+    ]
+
+    def strata():
+        for i, x1 in vals1.items():
+            for j, x2 in vals2.items():
+                if j != i:
+                    lead = mass3 * x1 * x2 * W12[i, j]
+                    yield from ((lead, x3, W13[i, k], W23[j, k]) for k, x3 in vals3.items() if k not in (i, j))
+        for nu_pair, va, vb, vthird, far in cases:
+            tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
+            lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * kform._usum([(nu_pair, -1)]) * tail
+            for c, xa in va.items():
+                if c in vb and lead:
+                    lead_c = lead * xa * vb[c]
+                    yield from ((lead_c, x, *far(c, k)) for k, x in vthird.items() if k != c)
+        lead = mass * kform._G(L0)
+        yield from ((lead, x1, vals2[c], vals3[c]) for c, x1 in vals1.items() if lead and c in vals2 and c in vals3)
+
+    return sum_products(ctx.field, strata())
+
+
+def mixed_section(ctx, rng: random.Random, model, level: int) -> Section:
+    """A random level-`level` section whose nonzero values are ints or roots of unity times ints."""
+    vals = [ctx.scalar(rng.randint(-3, 3)) * rng.choice(ctx.zeta_powers) for _ in p1_table(ctx, level).reps]
+    return TableSection(model, level, vals).as_section()
+
+
+SPECIALIZED = {"a": Fraction(2), "b": Fraction(3), "u": Fraction(5)}
+_kernel_envs: dict = {}
+
+
+@pytest.mark.parametrize("key", [(3, 2, False), (3, 2, True), (5, 2, False), (5, 2, True)])
+def test_kernel_matches_the_triple_loop(key):
+    """KernelForm.eval (counted in ints) against kernel_reference on random
+    triples of int and root-of-unity tables, and on their translates by gamma
+    (which leave Q(zeta_M): opaque values) and by w, at (3,2) and (5,2),
+    symbolic and at a=2, b=3, u=5."""
+    p, n, specialized = key
+    if key not in _kernel_envs:
+        _kernel_envs[key] = Env(ScenarioConfig(p, n, specialize=dict(SPECIALIZED) if specialized else None))
+    s = _kernel_envs[key]
+    kform, rng = s.kernel_form, random.Random(p + 10 * specialized)
+    for _ in range(2):
+        f = [mixed_section(s.ctx, rng, model, model.min_level) for model in (s.V1, s.V2, s.V3)]
+        for g in (None, GroupElement.w(p), s.gamma(1)):
+            fs = f if g is None else [x.translated(g) for x in f]
+            assert kform.eval(*fs) == kernel_reference(kform, *fs), (key, g)
 
 
 def test_kernel_nonvanishing_main_tensor(setup32):

@@ -18,7 +18,7 @@ or one `--dump-tables` output, followed by the configuration it covers:
 - the coset tables of (2,1) at level 2 and of (3,2).
 
 Structured reports carry no timings, so equal certificates give equal lines.
-The whole run takes about 20 s on one core (2-vCPU machine, Python 3.11).
+The whole run takes about 2 s on one core (2-vCPU machine, Python 3.11).
 """
 
 from __future__ import annotations
