@@ -693,7 +693,7 @@ def _accumulate(field: FieldSpec, acc: dict, den: int, fs: list) -> int:
 
 def zeta_products(field: FieldSpec, items, den: int = 1) -> Scalar:
     """The sum over items (fs, e, n) of n zeta_M^e times the product of the Scalars
-    fs, over the int den: the accumulator of phi's table reads and the kernel's strata.
+    fs, over the int den: the accumulator of phi's table reads and the kernel's resolved sum.
     An item adds its numerator product (a lone factor's own numerator) to the int terms
     of its denominator multiset, zeta exponents moved up by e mod M, and each multiset
     is reduced by Phi_M once and becomes one Scalar.  A multiset whose items all carry

@@ -267,7 +267,33 @@ def derive_kernel_characters(ctx: Context, mu1: SmoothCharacter, mu2: SmoothChar
 
 
 class KernelForm:
-    """The triple-integral realization of ell on principal-series data."""
+    """The triple-integral realization of ell on principal-series data,
+      ell(f1, f2, f3) = integral over (P^1)^3 of f1(x1) f2(x2) f3(x3) nu12(x1^x2) nu13(x1^x3) nu23(x2^x3),
+    x^y the wedge z t' - t z' of bottom rows, a point of a level-L0 cell a row = its rep's mod p^L0.
+
+    mu1 and mu2 are unramified, so on units nu12 = mu3^-1 and nu13 = nu23 = mu3: every nu
+    has conductor c = c(mu3) = n/2, and c >= 1 is the refusal of an unramified mu3.
+
+    eval sums the resolved triples: distinct cells with val(x_i^x_j) + c <= L0 for all
+    three pairs.  There each wedge moves within its value at the reps times
+    1 + p^(L0 - val), where its nu is constant, so the triple adds mass^3 times the
+    integrand at the reps.  Every other triple integrates to 0.  Let (x_i, x_j) be the
+    nearest pair (largest wedge valuation v; the other two are equal), x_i in {x1, x2},
+    and x_k the third point.  Moving x_i alone fixes the character of (x_j, x_k) and
+    moves the other two, each not constant, by mu3^(+-1) of R = (x_i^x_k)/(x_i^x_j).
+    (a) Distinct cells, v + c > L0 (as the c agree, a triple is resolved iff its nearest
+        pair is): x_i runs over its cell, a ball of depth L0.  By Pluecker,
+        R(x')/R(x) - 1 = (x'^x)(x_k^x_j)/((x'^x_j)(x^x_k)), a Moebius function of x'
+        with no pole there, so R runs uniformly over R(x)(1 + p^(L0 - v) Z_p), and mu3,
+        of conductor c > L0 - v, sums to 0 over each coset of 1 + p^(L0 - v).
+    (b) x_i, x_j in one cell, x_k in another: fix x_j and x_k, and let x_i = x_j + t d
+        (d^x_j = 1) run over a shell val t = s >= L0 of the cell.  R = (x_j^x_k)/t + d^x_k
+        runs over a whole shell p^(val(x_j^x_k) - s) Z_p^x (the translation has higher
+        valuation), a multiple of Z_p^x, over which mu3 (c >= 1) sums to 0.
+    (c) All three in one cell: with x_i = x2 + t_i d, the dilation t_i -> l t_i by a unit
+        l keeps the cell, the valuations and the measure, and multiplies the integrand
+        by mu3(l)^(-1+1+1) = mu3(l), which is not 1 for some l: the integral is 0.
+    """
 
     def __init__(self, ctx: Context, mu1: SmoothCharacter, mu2: SmoothCharacter, model3: InducedModel):
         if model3.steinberg:
@@ -278,85 +304,50 @@ class KernelForm:
         self.ctx = ctx
         self.model3 = model3
         self.nu12, self.nu13, self.nu23 = derive_kernel_characters(ctx, mu1, mu2, mu3)
-        if max(self.nu12.c, self.nu13.c, self.nu23.c) > 1:
-            raise KernelUnsupportedError("unsupported model for kernel route: pair characters of conductor exponent > 1")
-        self._levels: dict = {}  # L0 -> _level(L0)
+        self._rows: dict = {}  # (k, L0, i) -> _row(k, L0, i)
 
-    # -- closed-form helpers ---------------------------------------------------
-    def _usum(self, chars_signs) -> Scalar:
-        """(1/q) * sum over units mod p of a product of unit characters."""
-        ctx, m = self.ctx, self.ctx.field.m
-        counts = Counter(sum(ch.unit_exponent(sgn * eps) for ch, sgn in chars_signs) % m for eps in range(1, ctx.p))
-        return ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, ctx.q))
+    def _row(self, k: int, L0: int, i: int) -> list:
+        """Pair character k (nu12, nu13, nu23) at the wedges z_i t_j - t_i z_j of level-L0 cell i
+        and each cell j, memoized: (valuation, zeta exponent), or None where the pair is not resolved."""
+        row = self._rows.get((k, L0, i))
+        if row is None:
+            nu, rows = (self.nu12, self.nu13, self.nu23)[k], p1_table(self.ctx, L0).rows
+            zi, ti = rows[i]
+            row = self._rows[k, L0, i] = [None] * len(rows)
+            for j, (zj, tj) in enumerate(rows):
+                if j != i:
+                    v, e = nu.val_exponent(zi * tj - ti * zj)
+                    if v + nu.c <= L0:
+                        row[j] = v, e
+        return row
 
-    def _G(self, lam: int) -> Scalar:
-        """The universal collision integral over val(s), val(s') >= lam of
-        nu12(-s) nu13(-s') nu23(s - s'), flat dz^2 measure, times
-        the chart density (p/(p+1))^2."""
-        ctx, q, qs = self.ctx, self.ctx.q, self.ctx.scalar(self.ctx.q)
-        X12, X13, X23 = self.nu12.value_at_pi, self.nu13.value_at_pi, self.nu23.value_at_pi
-        # val s < val s': the difference sits with s, unit eps
-        UA = self._usum([(self.nu12, -1), (self.nu23, 1)])
-        UB = self._usum([(self.nu13, -1)])
-        gA = X13 / qs
-        part_a = UA * UB * gA.geometric_tail(1) * ((X12 * X23 / qs) * gA).geometric_tail(lam)
-        # val s' < val s: the difference sits with s', unit -eps'
-        UA2 = self._usum([(self.nu13, -1), (self.nu23, -1)])
-        UB2 = self._usum([(self.nu12, -1)])
-        gB = X12 / qs
-        part_b = UA2 * UB2 * gB.geometric_tail(1) * ((X13 * X23 / qs) * gB).geometric_tail(lam)
-        # equal valuations: split by the collision depth of the unit parts
-        counts = Counter(
-            (self.nu12.unit_exponent(-e1) + self.nu13.unit_exponent(-e2) + self.nu23.unit_exponent(e1 - e2))
-            % ctx.field.m
-            for e1 in range(1, ctx.p)
-            for e2 in range(1, ctx.p)
-            if (e1 - e2) % ctx.p
-        )
-        C0 = ctx.zeta_sum(counts) * ctx.scalar(Fraction(1, q * q))
-        C1 = self._usum([(self.nu12, -1), (self.nu13, -1)]) * self._usum([(self.nu23, -1)])
-        rho_diag = (X12 * X13 * X23) / (qs * qs)
-        part_c = (C0 + C1 * (X23 / qs).geometric_tail(1)) * rho_diag.geometric_tail(lam)
-        return (part_a + part_b + part_c) * ctx.scalar(Fraction(ctx.p, ctx.p + 1) ** 2)
-
-    def _level(self, L0: int) -> tuple:
-        """What eval reads at level L0, memoized: each pair character at the wedge z_i t_j - t_i z_j
-        of two cells' bottom rows as (valuation, zeta exponent), (0, 0) on the diagonal, and
-        the strata's leads: (i) mass^3, (ii) mass^2 p/(p+1) usum tail per pair, (iii) mass G(L0)."""
-        if L0 not in self._levels:
-            ctx, p, q, nus = self.ctx, self.ctx.p, self.ctx.scalar(self.ctx.q), (self.nu12, self.nu13, self.nu23)
-            table = p1_table(ctx, L0)
-            rows = list(enumerate(table.rows))
-            wedges = [[[nu.val_exponent(zi * tj - ti * zj) if i != j else (0, 0) for j, (zj, tj) in rows] for i, (zi, ti) in rows] for nu in nus]
-            mass = ctx.scalar(table.cell_mass)
-            pair = [mass * mass * ctx.scalar(Fraction(p, p + 1)) * self._usum([(nu, -1)]) * (nu.value_at_pi / q).geometric_tail(L0) for nu in nus]
-            self._levels[L0] = (*wedges, {0: mass**3, 1: pair[0], 2: pair[1], 4: pair[2], 7: mass * self._G(L0)})
-        return self._levels[L0]
-
-    # -- the evaluator -----------------------------------------------------------
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
-        """The sum over cells (c1, c2, c3) of the tables' supports, counted in ints: the cells
-        the slots share pick the stratum, (i) none, (ii) one pair, (iii) all.  A term adds its
-        values' zeta counts (TableSection.zeta) times its wedges' zeta exponents to the histogram
-        of (stratum, wedge valuations, opaque values by identity), which zeta_products sums led
-        by the stratum's lead, the characters' values at pi to those valuations and the opaque values."""
+        """The resolved sum over cells (c1, c2, c3) of the tables' supports, counted in ints: a
+        term adds its values' zeta counts (TableSection.zeta) times its wedges' zeta exponents to
+        the histogram of (wedge valuations, opaque values by identity), which zeta_products sums led
+        by mass^3, the characters' values at pi to those valuations and the opaque values."""
         m = self.ctx.field.m
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level)
         (d1, z1), (d2, z2), (d3, z3) = (f.as_table(L0).zeta for f in (f1, f2, f3))
-        W12, W13, W23, leads = self._level(L0)
+        mass3 = self.ctx.scalar(p1_table(self.ctx, L0).cell_mass ** 3)
         groups: dict = {}  # key -> (lead factors, zeta exponent -> count)
         for c1, (o1, h1) in z1.items():
+            w12, w13 = self._row(0, L0, c1), self._row(1, L0, c1)
             for c2, (o2, h2) in z2.items():
-                v12, e12 = W12[c1][c2]
+                if w12[c2] is None:
+                    continue
+                v12, e12 = w12[c2]
                 pre = [(e + f + e12, n * k) for e, n in h1 for f, k in h2]
-                w13, w23 = W13[c1], W23[c2]
+                w23 = self._row(2, L0, c2)
                 for c3, (o3, h3) in z3.items():
+                    if w13[c3] is None or w23[c3] is None:
+                        continue
                     (v13, e13), (v23, e23) = w13[c3], w23[c3]
-                    key = ((c1 == c2) + 2 * (c1 == c3) + 4 * (c2 == c3), v12, v13, v23, id(o1), id(o2), id(o3))
+                    key = (v12, v13, v23, id(o1), id(o2), id(o3))
                     group = groups.get(key)
                     if group is None:
                         powers = (self.nu12.value_at_pi**v12, self.nu13.value_at_pi**v13, self.nu23.value_at_pi**v23)
-                        group = groups[key] = ((leads[key[0]], *powers, *(o for o in (o1, o2, o3) if o is not None)), Counter())
+                        group = groups[key] = ((mass3, *powers, *(o for o in (o1, o2, o3) if o is not None)), Counter())
                     hist = group[1]
                     for e, n in pre:
                         for f, k in h3:

@@ -12,9 +12,11 @@ has no conductor-one character, so there is no third representation at (2, 2)
 and the pi3-dependent claims run at (2, 4) instead (the nonexistence itself is
 test_verifier.py::test_no_conductor_two_at_p2, and the (2, 2) open-orbit block,
 which needs no third representation, is an input of
-test_trilinear.py::test_closed_form_matches_ext).  (3, 4) runs the claims on
+test_trilinear.py::test_closed_form_matches_ext); there both kernel
+scenarios run on pair characters of conductor 2.  (3, 4) runs the claims on
 phi (its equivariance, its nonvanishing on the new vector and
-Phi = lambda phi), the main theorem and the intro vanishing.  (5, 2) runs
+Phi = lambda phi), the main theorem, the proportionality of the two
+evaluators and the intro vanishing.  (5, 2) runs
 every scenario symbolic in a, b and u over Q(zeta_4), last, as it is the
 slowest configuration.
 
@@ -34,8 +36,8 @@ from triform.verifier import COVERAGE, SCENARIOS, Env, ScenarioConfig, run_check
 # (p, n) -> the scenarios the gate runs there, in report order.  (2, 4) leaves
 # out the Steinberg-only scenarios and the enumeration and open-orbit blocks,
 # which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) runs the three phi scenarios,
-# main-theorem and intro-vanishing; tools/reach.py times its other chain
-# scenarios.
+# main-theorem, proportionality and intro-vanishing; tools/reach.py times its
+# other chain scenarios (g-invariance's chain half alone takes about 8 s).
 GATE = {
     (2, 1): SCENARIOS,
     (3, 1): SCENARIOS,
@@ -52,7 +54,7 @@ GATE = {
         "intro-vanishing",
     ),
     (5, 1): SCENARIOS,
-    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda", "main-theorem", "intro-vanishing"),
+    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda", "main-theorem", "proportionality", "intro-vanishing"),
     (5, 2): SCENARIOS,
 }
 
@@ -61,7 +63,7 @@ EXPECTED_SKIPS = {
     (2, 1): {"conductor-vanishing", "g-invariance.kernel", "proportionality"},  # n = 1, Steinberg
     (3, 1): {"conductor-vanishing", "g-invariance.kernel", "proportionality"},
     (3, 2): {"simple-case", "n1-identity"},  # n >= 2
-    (2, 4): {"g-invariance.kernel", "proportionality"},  # kernel pair characters of conductor 2
+    (2, 4): set(),
     (5, 1): {"conductor-vanishing", "g-invariance.kernel", "proportionality"},
     (3, 4): set(),
     (5, 2): {"simple-case", "n1-identity"},
@@ -151,7 +153,7 @@ def test_criterion_10_g_invariance():
         return [int(re.search(r"invariant under (\d+)", c.claim)[1]) for _, c in asserted if c.id == cid and c.verdict == "PASS"]
 
     assert sum(translations("g-invariance.chain")) >= 21
-    assert translations("g-invariance.kernel") == [20, 20]
+    assert translations("g-invariance.kernel") == [20, 20, 20]
 
 
 def test_criterion_11_simple_case():

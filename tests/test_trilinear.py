@@ -300,16 +300,18 @@ def test_g_invariance_chain(setup21):
         assert ell_chain(s.phi, F.translated(g), s.v3.translated(g)) == base
 
 
-def test_kernel_characters_derivation(setup32):
-    s = setup32
+@pytest.mark.parametrize("setup", ["setup32", "setup24", "setup34"])
+def test_kernel_characters_derivation(request, setup):
+    """The pair characters' values at pi are derived, then verified here, and
+    each has conductor c(mu3) = n/2: on units they are mu3^-1, mu3 and mu3."""
+    s = request.getfixturevalue(setup)
     ctx = s.ctx
     nu12, nu13, nu23 = derive_kernel_characters(ctx, s.mu1, s.mu2, s.mu3)
-    # value at pi pins q a b / u and friends (derived, then verified here)
-    assert nu12.value_at_pi == ctx.scalar(3) * ctx.a * ctx.b * ctx.r / ctx.u
+    assert nu12.value_at_pi == ctx.scalar(ctx.q) * ctx.a * ctx.b * ctx.r / ctx.u
     assert nu13.value_at_pi == ctx.a * ctx.u * ctx.r / ctx.b
     assert nu23.value_at_pi == ctx.b * ctx.u * ctx.r / ctx.a
     for nu in (nu12, nu13, nu23):
-        assert nu.c == 1
+        assert nu.c == s.mu3.c == s.cfg.n // 2
 
 
 def test_kernel_refuses_steinberg(setup21):
@@ -346,45 +348,39 @@ def test_kernel_invariance_and_proportionality(setup32):
     assert not ratio.is_zero()
 
 
+def valuation(x: int, p: int) -> int:
+    v = 0
+    while not x % p:
+        x, v = x // p, v + 1
+    return v
+
+
 def kernel_reference(kform: KernelForm, f1: Section, f2: Section, f3: Section):
-    """KernelForm.eval by the triple loop it replaced, kept as its oracle: the
-    three strata over the tables' supports, each term a factor tuple of Scalars
-    (lead, values, pair characters at the wedges), summed by sum_products."""
+    """KernelForm.eval by a triple loop of Scalars, kept as its oracle: the
+    distinct-cell triples of the tables' supports whose wedges w all have
+    val(w) + c(nu) <= L0, each term a factor tuple (mass^3, values, pair
+    characters at the wedges) summed by sum_products."""
     ctx = kform.ctx
-    p, q = ctx.p, ctx.q
     L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), kform.model3.min_level)
     vals1, vals2, vals3 = (f.as_table(L0).support for f in (f1, f2, f3))
     table = p1_table(ctx, L0)
-    mass, mass3 = ctx.scalar(table.cell_mass), ctx.scalar(table.cell_mass**3)
+    mass3 = ctx.scalar(table.cell_mass**3)
 
     def wedges(nu):
+        """nu at the wedge of each resolved ordered pair of distinct cells."""
         rows = list(enumerate(table.rows))
-        return {(i, j): nu.eval(zi * tj - ti * zj) for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
+        wedge = {(i, j): zi * tj - ti * zj for i, (zi, ti) in rows for j, (zj, tj) in rows if i != j}
+        return {ij: nu.eval(w) for ij, w in wedge.items() if valuation(w, ctx.p) + nu.c <= L0}
 
     W12, W13, W23 = wedges(kform.nu12), wedges(kform.nu13), wedges(kform.nu23)
-    cases = [
-        (kform.nu12, vals1, vals2, vals3, lambda c, k: (W13[c, k], W23[c, k])),
-        (kform.nu13, vals1, vals3, vals2, lambda c, k: (W12[c, k], W23[k, c])),
-        (kform.nu23, vals2, vals3, vals1, lambda c, k: (W12[k, c], W13[k, c])),
-    ]
-
-    def strata():
-        for i, x1 in vals1.items():
-            for j, x2 in vals2.items():
-                if j != i:
-                    lead = mass3 * x1 * x2 * W12[i, j]
-                    yield from ((lead, x3, W13[i, k], W23[j, k]) for k, x3 in vals3.items() if k not in (i, j))
-        for nu_pair, va, vb, vthird, far in cases:
-            tail = (nu_pair.value_at_pi / ctx.scalar(q)).geometric_tail(L0)
-            lead = mass * mass * ctx.scalar(Fraction(p, p + 1)) * kform._usum([(nu_pair, -1)]) * tail
-            for c, xa in va.items():
-                if c in vb and lead:
-                    lead_c = lead * xa * vb[c]
-                    yield from ((lead_c, x, *far(c, k)) for k, x in vthird.items() if k != c)
-        lead = mass * kform._G(L0)
-        yield from ((lead, x1, vals2[c], vals3[c]) for c, x1 in vals1.items() if lead and c in vals2 and c in vals3)
-
-    return sum_products(ctx.field, strata())
+    terms = (
+        (mass3, x1, x2, x3, W12[i, j], W13[i, k], W23[j, k])
+        for i, x1 in vals1.items()
+        for j, x2 in vals2.items()
+        for k, x3 in vals3.items()
+        if (i, j) in W12 and (i, k) in W13 and (j, k) in W23
+    )
+    return sum_products(ctx.field, terms)
 
 
 def mixed_section(ctx, rng: random.Random, model, level: int) -> Section:
@@ -397,22 +393,66 @@ SPECIALIZED = {"a": Fraction(2), "b": Fraction(3), "u": Fraction(5)}
 _kernel_envs: dict = {}
 
 
-@pytest.mark.parametrize("key", [(3, 2, False), (3, 2, True), (5, 2, False), (5, 2, True)])
-def test_kernel_matches_the_triple_loop(key):
-    """KernelForm.eval (counted in ints) against kernel_reference on random
-    triples of int and root-of-unity tables, and on their translates by gamma
-    (which leave Q(zeta_M): opaque values) and by w, at (3,2) and (5,2),
-    symbolic and at a=2, b=3, u=5."""
+def kernel_env(key) -> Env:
+    """The Env at (p, n), symbolic or at a=2, b=3, u=5, built once per key."""
     p, n, specialized = key
     if key not in _kernel_envs:
         _kernel_envs[key] = Env(ScenarioConfig(p, n, specialize=dict(SPECIALIZED) if specialized else None))
-    s = _kernel_envs[key]
-    kform, rng = s.kernel_form, random.Random(p + 10 * specialized)
+    return _kernel_envs[key]
+
+
+@pytest.mark.parametrize("key", [(3, 2, False), (3, 2, True), (5, 2, False), (5, 2, True), (2, 4, False)])
+def test_kernel_matches_the_triple_loop(key):
+    """KernelForm.eval (counted in ints) against kernel_reference on random
+    triples of int and root-of-unity tables at V3's least level, and on their
+    translates by gamma (which leave Q(zeta_M): opaque values) and by w, at
+    (3,2) and (5,2), symbolic and at a=2, b=3, u=5, and at (2,4), where the pair
+    characters have conductor 2."""
+    p = key[0]
+    s = kernel_env(key)
+    kform, rng = s.kernel_form, random.Random(p + 10 * key[2])
     for _ in range(2):
-        f = [mixed_section(s.ctx, rng, model, model.min_level) for model in (s.V1, s.V2, s.V3)]
+        f = [mixed_section(s.ctx, rng, model, s.V3.min_level) for model in (s.V1, s.V2, s.V3)]
         for g in (None, GroupElement.w(p), s.gamma(1)):
             fs = f if g is None else [x.translated(g) for x in f]
             assert kform.eval(*fs) == kernel_reference(kform, *fs), (key, g)
+
+
+def sparse_triple(s: Env, rng: random.Random) -> list:
+    """(f1, f2, f3) at V3's least level, each nonzero (an int times a root of
+    unity) on k cells, the 3k cells distinct: at p = 2, k = 2 and the cells are
+    all six; at p > 2, k = 1, off the cell z = 0 mod p, which gamma blows up to
+    most of P^1 (its refined tables would be dense)."""
+    ctx, level = s.ctx, s.V3.min_level
+    rows = p1_table(ctx, level).rows
+    k = 2 if ctx.p == 2 else 1
+    cells = rng.sample([i for i, (z, _) in enumerate(rows) if ctx.p == 2 or z % ctx.p], 3 * k)
+    out = []
+    for j, model in enumerate((s.V1, s.V2, s.V3)):
+        vals = [ctx.zero()] * len(rows)
+        for i in cells[j * k : (j + 1) * k]:
+            vals[i] = ctx.scalar(rng.choice([-3, -2, -1, 1, 2, 3])) * rng.choice(ctx.zeta_powers)
+        out.append(TableSection(model, level, vals).as_section())
+    return out
+
+
+@pytest.mark.parametrize("key", [(3, 2, False), (5, 2, False), (5, 2, True), (2, 4, False)])
+def test_kernel_is_unchanged_by_refinement(key):
+    """eval on the tables refined to L0, L0 + 1 and L0 + 2 gives one value, on
+    random triples and their translates by w and gamma: refining resolves
+    triples the coarser sum drops, so this checks, with no closed form, that
+    the dropped triples integrate to 0 (KernelForm's docstring)."""
+    p = key[0]
+    s = kernel_env(key)
+    kform, rng = s.kernel_form, random.Random(p + 20)
+    for _ in range(2):
+        f = sparse_triple(s, rng)
+        for g in (None, GroupElement.w(p), s.gamma(1)):
+            fs = f if g is None else [x.translated(g) for x in f]
+            L0 = max(max(x.level_bound() for x in fs), s.V3.min_level)
+            base, *finer = (kform.eval(*(x.as_table(L).as_section() for x in fs)) for L in (L0, L0 + 1, L0 + 2))
+            assert not base.is_zero(), (key, g)
+            assert all(v == base for v in finer), (key, g)
 
 
 def test_kernel_nonvanishing_main_tensor(setup32):

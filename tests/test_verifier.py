@@ -468,15 +468,33 @@ def test_stabilization_fails_on_a_perturbed_annulus(setup32, monkeypatch, side):
 def test_kernel_form_built_once_per_env(setup21, setup24, setup32):
     """g-invariance.kernel and proportionality share Env.kernel_form, and skip
     with one reason where the kernel route does not apply."""
-    for env, reason in (
-        (setup21, "Steinberg input: unsupported model for kernel route"),
-        (setup24, "unsupported model for kernel route: pair characters of conductor exponent > 1"),
-    ):
-        assert env.kernel_form == reason
-        (skip,) = verifier.run_checks(env, ["proportionality"])
-        assert (skip.verdict, skip.reason) == ("SKIPPED", reason)
-    assert isinstance(setup32.kernel_form, KernelForm)
-    assert setup32.kernel_form is setup32.kernel_form
+    reason = "Steinberg input: unsupported model for kernel route"
+    assert setup21.kernel_form == reason
+    (skip,) = verifier.run_checks(setup21, ["proportionality"])
+    assert (skip.verdict, skip.reason) == ("SKIPPED", reason)
+    for env in (setup24, setup32):
+        assert isinstance(env.kernel_form, KernelForm)
+        assert env.kernel_form is env.kernel_form
+
+
+def test_kernel_scenarios_fail_on_zero_values(monkeypatch):
+    """With both evaluators 0 on every input, g-invariance.kernel and
+    proportionality FAIL after verifier.KERNEL_DRAWS draws each, with the
+    counts in the reason: they neither pass as 0 == 0 nor draw forever."""
+    env = Env(ScenarioConfig(3, 2))
+    calls = [0]
+
+    def zero(*args, **kwargs):
+        calls[0] += 1
+        assert calls[0] <= 1000, "a kernel scenario kept drawing"
+        return env.ctx.zero()
+
+    monkeypatch.setattr(Env, "ell", zero)
+    monkeypatch.setattr(KernelForm, "eval", zero)
+    checks = {c.id: c for c in verifier.run_checks(env, ["g-invariance", "proportionality"])}
+    kernel, constant = checks["g-invariance.kernel"], checks["proportionality.constant"]
+    assert (kernel.verdict, kernel.reason) == ("FAIL", f"the kernel value was 0 on all {verifier.KERNEL_DRAWS} random triples drawn")
+    assert (constant.verdict, constant.reason) == ("FAIL", f"only 0 of the {verifier.KERNEL_DRAWS} random triples drawn gave a nonzero chain value")
 
 
 def test_tracer_entry_points_resolve():

@@ -10,7 +10,9 @@ or one `--dump-tables` output, followed by the configuration it covers:
 - (2,1) `all` at seeds 3 to 6, the job seeds of the `steinberg-all` workload;
 - (5,2) at a=2, b=3, u=5: `Phi-lambda`, `proportionality` and
   `phi-nonvanishing` at seeds 0 and 1, the scenarios of `specialized-zeta4`;
-- (3,2) `all` at seed 1 and (2,4) `main-theorem`;
+- (3,2) `all` at seed 1, and (2,4) `main-theorem`, `g-invariance` and
+  `proportionality` at seed 0 (the kernel evaluator on pair characters of
+  conductor 2);
 - (5,2) symbolic in a, b and u: `phi-equivariance` and `phi-nonvanishing`,
   which put the annulus reference route on Q(zeta_4)(a, b, u), and
   `main-theorem`, which puts the chain's deferred sums there, with
@@ -18,7 +20,7 @@ or one `--dump-tables` output, followed by the configuration it covers:
 - the coset tables of (2,1) at level 2 and of (3,2).
 
 Structured reports carry no timings, so equal certificates give equal lines.
-The whole run takes about 2 s on one core (2-vCPU machine, Python 3.11).
+The whole run takes about 3.5 s on one core (2-vCPU machine, Python 3.11).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def configurations(verifier):
         for scenario in ("Phi-lambda", "proportionality", "phi-nonvanishing"):
             yield f"(5,2) a=2,b=3,u=5 {scenario} seed {seed}", cfg(p=5, n=2, scenario=scenario, seed=seed, specialize=dict(SPECIALIZED))
     yield "(3,2) all seed 1", cfg(p=3, n=2, scenario="all", seed=1)
-    yield "(2,4) main-theorem seed 0", cfg(p=2, n=4, scenario="main-theorem")
+    for scenario in ("main-theorem", "g-invariance", "proportionality"):
+        yield f"(2,4) {scenario} seed 0", cfg(p=2, n=4, scenario=scenario)
     for scenario in ("phi-equivariance", "phi-nonvanishing", "main-theorem"):
         yield f"(5,2) symbolic {scenario} seed 0", cfg(p=5, n=2, scenario=scenario)
 

@@ -9,9 +9,12 @@ only relatively, so both load side by side), then certifies perfbench's jobs
 with its `run_job`, alternating the two engines job by job and swapping which
 goes first on every pair.  Pair k certifies the workload's first job seed plus
 k on both engines.  Prints each pair's ratio new/base of `certify_s`, then one
-JSON object: the quartiles of the paired ratio, the count of pairs where new
-was lower, and the median `certify_s` of each engine.  A ratio below 1 means
-the new checkout is faster.  Separate perfbench processes cannot resolve a 10%
+JSON object: the quartiles of the paired ratio and of each engine's
+`certify_s`, and the two parts of the resolution rule for a claimed gain:
+the pairs new won (lower, ties counting for neither) out of the pairs run,
+which must be at least nine tenths, and the base median minus the new median,
+which must exceed the base's interquartile spread.  A ratio below 1 means the
+new checkout is faster.  Separate perfbench processes cannot resolve a 10%
 change on this machine; alternating in one process removes the drift between
 runs, and an A/A run is the control for what is left.
 """
@@ -65,13 +68,20 @@ def main() -> int:
                 times[name].append(job.certify_s)
             print(f"pair {k}: base {times['base'][-1]:.4f} s, new {times['new'][-1]:.4f} s, ratio {times['new'][-1] / times['base'][-1]:.3f}", flush=True)
     ratios = [n / b for b, n in zip(times["base"], times["new"])]
+    won = sum(n < b for b, n in zip(times["base"], times["new"]))
+    q1, _, q3 = quartiles(times["base"])
+    gain = statistics.median(times["base"]) - statistics.median(times["new"])
     print(json.dumps({
         "workload": workload.name,
         "pairs": args.pairs,
         "ratio_quartiles": quartiles(ratios),
-        "new_lower": sum(r < 1 for r in ratios),
-        "base_median_s": round(statistics.median(times["base"]), 4),
-        "new_median_s": round(statistics.median(times["new"]), 4),
+        "base_quartiles_s": quartiles(times["base"]),
+        "new_quartiles_s": quartiles(times["new"]),
+        "pairs_won": f"{won}/{args.pairs}",
+        "wins_nine_tenths": won >= 0.9 * args.pairs,
+        "median_gain_s": round(gain, 4),
+        "base_iqr_s": round(q3 - q1, 4),
+        "gain_exceeds_iqr": gain > q3 - q1,
     }))
     return 0
 
