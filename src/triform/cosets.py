@@ -8,7 +8,6 @@ mass(O*, x) = 1; all cell weights are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import Context
@@ -31,13 +30,10 @@ def gl2_size(p: int, m: int) -> int:
     return p ** (4 * (m - 1)) * (p**2 - 1) * (p**2 - p)
 
 
-@dataclass
 class CosetTable:
-    kind: str
-    level: int
-    n: int
-    reps: list
-    weight: Fraction  # the mass of each cell
+    def __init__(self, kind: str, level: int, n: int, reps: list, weight: Fraction):
+        self.kind, self.level, self.n, self.reps = kind, level, n, reps
+        self.weight = weight  # the mass of each cell
 
     def __len__(self):
         return len(self.reps)

@@ -152,11 +152,13 @@ class TableSection:
     def zeta(self) -> tuple:
         """(den, counts), the support counted in ints over one int den on first read (phi, the kernel):
         cell -> (None, pairs), the value being sum n zeta_M^e / den over (e, n) in pairs
-        (Scalar.zeta_counts), or cell -> (value, ((0, den),)) for a value outside Q(zeta_M)."""
+        (Scalar.zeta_counts), or cell -> (value, ((0, den),)) for a value outside Q(zeta_M), one object per value."""
         if self._zeta is None:
             counted = {j: v.zeta_counts() for j, v in self.support.items()}
             den = lcm(*(c[1] for c in counted.values() if c))
-            self._zeta = den, {j: (None, tuple((e, k * den // c[1]) for e, k in c[0])) if c else (self.support[j], ((0, den),)) for j, c in counted.items()}
+            first: dict = {}  # (num, den) -> the one object the kernel, keying values by identity, sees for it
+            same = {j: first.setdefault((v.num, v.den), v) for j, v in self.support.items() if not counted[j]}
+            self._zeta = den, {j: (None, tuple((e, k * den // c[1]) for e, k in c[0])) if c else (same[j], ((0, den),)) for j, c in counted.items()}
         return self._zeta
 
     @property

@@ -42,7 +42,6 @@ no product Poly per term (S. C. Johnson, Sparse polynomial arithmetic, 1974).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -71,12 +70,11 @@ def power_rows(minpoly: tuple, count: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Shared read-only scalar-field configuration: zeta order M and q = r^2."""
 
-    m: int
-    q: int
+    def __init__(self, m: int, q: int):
+        self.m, self.q = m, q
 
     @cached_property
     def zeta_rows(self) -> tuple:

@@ -421,12 +421,12 @@ def test_kernel_matches_the_triple_loop(key):
 def sparse_triple(s: Env, rng: random.Random) -> list:
     """(f1, f2, f3) at V3's least level, each nonzero (an int times a root of
     unity) on k cells, the 3k cells distinct: at p = 2, k = 2 and the cells are
-    all six; at p > 2, k = 1, off the cell z = 0 mod p, which gamma blows up to
-    most of P^1 (its refined tables would be dense)."""
+    all six; at p > 2, k = 1, the cell z = 0 mod p among them, which gamma
+    blows up to most of P^1 (its refined tables are dense, one value there)."""
     ctx, level = s.ctx, s.V3.min_level
     rows = p1_table(ctx, level).rows
     k = 2 if ctx.p == 2 else 1
-    cells = rng.sample([i for i, (z, _) in enumerate(rows) if ctx.p == 2 or z % ctx.p], 3 * k)
+    cells = rng.sample(range(len(rows)), 3 * k)
     out = []
     for j, model in enumerate((s.V1, s.V2, s.V3)):
         vals = [ctx.zero()] * len(rows)
@@ -453,6 +453,24 @@ def test_kernel_is_unchanged_by_refinement(key):
             base, *finer = (kform.eval(*(x.as_table(L).as_section() for x in fs)) for L in (L0, L0 + 1, L0 + 2))
             assert not base.is_zero(), (key, g)
             assert all(v == base for v in finer), (key, g)
+
+
+def test_refined_translate_holds_one_opaque_object_per_value():
+    """At (5,2) symbolic, gamma blows the cell z = 0 mod p up to most of P^1:
+    the level-4 refinement of the gamma-translate of a one-cell table there
+    holds hundreds of opaque cells (values outside Q(zeta_M)) and, in
+    TableSection.zeta, one object per distinct value among them, so the kernel,
+    which keys opaque values by identity, forms one group per value."""
+    s = kernel_env((5, 2, False))
+    rows = p1_table(s.ctx, s.V3.min_level).rows
+    assert rows[0][0] == 0
+    for model in (s.V1, s.V2, s.V3):
+        vals = [s.ctx.zero()] * len(rows)
+        vals[0] = s.ctx.scalar(2)
+        table = TableSection(model, s.V3.min_level, vals).as_section().translated(s.gamma(1)).as_table(4)
+        opaque = [o for o, _ in table.zeta[1].values() if o is not None]
+        assert len(opaque) > 100, model
+        assert len({id(o) for o in opaque}) == len({o.render() for o in opaque}), model
 
 
 def test_kernel_nonvanishing_main_tensor(setup32):

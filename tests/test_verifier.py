@@ -512,3 +512,20 @@ def test_tracer_entry_points_resolve():
         assert isinstance(vars(owner).get(attr), types.FunctionType), f"{modname}.{attr_path}"
     for sid in SCENARIOS:
         assert isinstance(verifier._RUNNERS.get(sid), types.FunctionType), sid
+
+
+def test_benchmark_jobs_match_the_goldens(monkeypatch):
+    """Job seed 0 of each benchmark workload, certified by perfbench's own
+    run_job and checked by its check_job against perfbench/goldens.json (read,
+    never written): a change that moves a benchmark check id, verdict or golden
+    scalar fails tier-1, not only the benchmark run."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its siblings by name
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    goldens = json.loads((bench / "goldens.json").read_text())
+    assert set(goldens) == set(run.WORKLOADS)
+    for name, workload in run.WORKLOADS.items():
+        job = run.run_job(verifier, workload, 0)
+        assert run.check_job(goldens[name]["checks"], job) == [], name
