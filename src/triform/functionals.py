@@ -285,12 +285,10 @@ class TorusFunctional:
         - chi~ reads eps mod p^c(chi~).
         """
         ctx = self.ctx
-        p = ctx.p
-        units = units_mod(p, max(section.table_level(), self.chtil.c))
-        wbar = GroupElement.w(p)
-        num, den = p ** max(k, 0), p ** max(-k, 0)  # y = eps num/den = eps pi^k
-        values = ((eps, section.eval(wbar * GroupElement.upper(p, Fraction(eps * num, den)))) for eps in units)
-        terms = ((v, ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps, v in values if not v.is_zero())
+        units = units_mod(ctx.p, max(section.table_level(), self.chtil.c))
+        num, den = ctx.p ** max(k, 0), ctx.p ** max(-k, 0)  # y = eps num/den = eps pi^k
+        # wbar n(y) = (0 1; 1 y): bottom row (den, eps num)/den and det -1
+        terms = ((*f, ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units for f in section.factors(den, eps * num, den, -den * den))
         return sum_products(ctx.field, terms) * ctx.scalar(Fraction(1, len(units)))
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:

@@ -357,14 +357,14 @@ def new_vector_by_solve(model: InducedModel, n: int, level: int | None = None) -
     return tbl.as_section()
 
 
-def conductor_search(model: InducedModel, cap: int = 6) -> int:
-    """Minimal n with a nonzero I(n)-fixed vector (in Sp for the Steinberg model)."""
-    for n in range(0, cap + 1):
-        if model.fixed_level(n) > MAX_LEVEL:
-            break
+def conductor_search(model: InducedModel) -> int:
+    """Minimal n with a nonzero I(n)-fixed vector (in Sp for Steinberg), up to table level MAX_LEVEL."""
+    n = 0
+    while model.fixed_level(n) <= MAX_LEVEL:
         dim = len(fixed_space(model, n))
         if dim:
             if dim != 1:
                 raise TriformError(f"fixed space at n = {n} has dimension {dim}, expected 1")
             return n
-    raise TriformError(f"no fixed vector found up to the cap n = {cap}")
+        n += 1
+    raise TriformError(f"no fixed vector found at a table level up to {MAX_LEVEL}")

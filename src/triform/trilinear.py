@@ -85,10 +85,13 @@ def ext(f: CompactInducedFn, model1: InducedModel, model2: InducedModel, level: 
     p = ctx.p
     rows = []
     for z1, t1 in table.rows:
+        if z1 % p**f.n:
+            # sigma = (z2 t2; z1 t1) has primitive rows and D = 1, so it lies in
+            # T I(n) iff it lies in I(n): iff Delta is a unit and p^n divides z1
+            rows.append(Section(model2, ()))
+            continue
         row = []
         for z2, t2 in table.rows:
-            # the section matrix sigma = (z2 t2; z1 t1) lies in T I(n) only if
-            # its determinant Delta is a unit, so near pairs contribute 0
             delta = z2 * t1 - t2 * z1
             if not delta % p:
                 row.append(ctx.zero())
@@ -163,8 +166,22 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     is mu_1(pi) mu_2(pi)/q = ab on the Steinberg model.  That regime has a
     second term, proportional to the K-average of v and at another ratio: it
     vanishes on Sp, and a Steinberg-model v outside Sp is refused as such.
-    Where chi~ is ramified the strata past e0 sum a ramified character of eta
-    over all units and vanish.
+
+    The zero tail.  Where chi~ and psi = chi~ chi_d/chi_a are ramified (on units
+    chi_d^-1 and chi_a^-1: the test is on the ints c(chi~), c(chi_a)), strata e >= L*
+    are 0 and the head stops below L*.  Per cell, s = eta pi^e, x = 1/s, u = pi(rep) v.
+    - Only the read moves with eta: chi_1 and mu_2/mu_1 are unramified, and as
+      w b_s = (-s 1; 0 1) nbar(s), nbar(s) in K(e), normal in K (the row (sx + z, sy + t)
+      is (z, t) mod p^e), F(rep, w b_s rep) = (mu_2 delta^{1/2})(diag(-s, 1)) F(rep, rep).
+    - b_s = diag(s, 1) n(x), so the read is (chi_2/chi_1)(diag(s, 1)) phi(pi(n(x)) u),
+      and eta's classes average x over A = pi^-e O*.  Average over x each annulus
+      y in pi^k O* of phi's integral of u(wbar n(x + y)) chi~(y) d*y; tau = x + y.
+    - val tau > -e (so k = -e; the read's K-average term): y = tau - x runs over
+      A with x, and chi~ averages to 0 over A.
+    - val tau <= -e: u is right-K(e)-invariant, so wbar n(tau) = (-1/tau 1; 0 tau)
+      nbar(1/tau) gives u(wbar n(tau)) = chi_a(-1) (chi_d/chi_a)(tau) q^{val tau} u(1).
+      With x = tau xi, dx dy = |tau| dtau dxi on (annulus of tau) x (a xi-set fixed
+      by valuations) and chi~(y) = chi~(tau) chi~(1 - xi): psi integrates to 0 there.
     """
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
@@ -228,7 +245,10 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
                 weights[n] = ctx.scalar(weight * n)
             yield weights[n], *tup
 
-    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, e0))))
+    zero_tail = phi.chtil.c and phi.model3.borel.chi_a.c  # strata L* and deeper are 0
+    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, Lstar if zero_tail else e0))))
+    if zero_tail:
+        return head
     t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (e0, e0 + 1))
     try:
         rest = close_tail(t0, t1, phi.tail_ratios["depth"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from triform import Context
@@ -49,6 +51,11 @@ def setup34():  # mu3 of order 6: mu3^-2 of a pivot is not +-1
 @pytest.fixture(scope="session")
 def setup52():
     return Env(ScenarioConfig(5, 2))
+
+
+@pytest.fixture(scope="session")
+def setup52z():  # the specialized-zeta4 benchmark's configuration: a = 2, b = 3, u = 5
+    return Env(ScenarioConfig(5, 2, specialize={"a": Fraction(2), "b": Fraction(3), "u": Fraction(5)}))
 
 
 def image_exponent(ch, residue: int) -> int:

@@ -152,6 +152,17 @@ def test_annulus_resolution(setup21, setup32, setup24):
                         assert got == unit_average(phi, target, k, prec), (s.cfg.p, s.cfg.n, level, k, prec)
 
 
+def test_annulus_reads_the_rows_of_the_group_element_route(setup21, setup32, setup52):
+    """annulus reads wbar n(y) as the int bottom row (den, eps num)/den with
+    det -1, and gets the Scalar that unit_average gets from GroupElement
+    products at the same resolution, on v3 and a gamma-translate of it."""
+    for s in (setup21, setup32, setup52):
+        for target in (s.v3, s.v3.translated(s.gamma(-1))):
+            R = max(target.table_level(), s.phi.chtil.c)
+            for k in range(-4, 5):
+                assert s.phi.annulus(target, k) == unit_average(s.phi, target, k, R), (s.cfg.p, k)
+
+
 def test_reference_route_on_the_empty_section(setup21, setup32):
     """The empty sum is K-invariant (level bound 0); at (2,1) chi~ is unramified
     too, so annulus still averages over the units mod p, and both it and the

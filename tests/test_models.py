@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from triform import Context
 from triform.characters import SmoothCharacter, parse_character_spec
+from triform.context import MAX_LEVEL
 from triform.cosets import enumerate_K_mod, p1_table
 from triform.errors import TriformError
 from triform.matrices import GroupElement, iwasawa
@@ -135,6 +136,14 @@ def test_ramified_solve_and_conductor(setup32, setup24):
         assert len(fixed_space(s.V3, expected)) == 1
         with pytest.raises(TriformError, match="fixed space has dimension 0"):
             new_vector_by_solve(s.V3, expected - 1)
+
+
+def test_conductor_search_runs_to_the_top_level():
+    """The search stops only where the fixed space no longer fits in a table
+    of level MAX_LEVEL: at (2,8) it finds the conductor 8 = MAX_LEVEL."""
+    V3 = Env(ScenarioConfig(2, 8)).V3
+    assert V3.fixed_level(8) == MAX_LEVEL == 8
+    assert conductor_search(V3) == 8
 
 
 def test_unramified_solve_matches_spherical(setup31):

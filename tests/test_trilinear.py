@@ -28,6 +28,48 @@ from triform.verifier import Env, ScenarioConfig, run_scenario
 from conftest import borel_diagonal, rand_G, rand_K, rand_section
 
 
+def random_support(ctx, rng: random.Random, n: int, level: int) -> frozenset:
+    """A random nonempty union of the (T cap K)\\I(n)/K(level) orbits, as the verifier draws one."""
+    keys = [iwahori_orbit_key(ctx, rep, n, level) for rep in torus_orbit_reps(ctx, n, level).reps]
+    return frozenset(k for k in keys if rng.random() < 0.5) or frozenset(keys[:1])
+
+
+def all_pairs_ext(f: CompactInducedFn, model1, model2, level: int):
+    """ext's rows by the loop over every cell pair: f read on each section
+    matrix sigma = (z2 t2; z1 t1) through in_T_In, times the Borel factors of
+    the two det-one reps, each row a list of Scalars over the level's cells."""
+    ctx, p = f.ctx, f.ctx.p
+    rows = p1_table(ctx, max(level, f.level, f.n, 1)).rows
+    out = []
+    for z1, t1 in rows:
+        row = []
+        for z2, t2 in rows:
+            delta = z2 * t1 - t2 * z1
+            fv = f.eval(GroupElement(p, z2, t2, z1, t1)) if delta % p else ctx.zero()
+            row.append(model1.borel.eval((1, delta), (1, 1)) * model2.borel.eval((-1, delta), (1, 1)) * fv if not fv.is_zero() else ctx.zero())
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("key", ["setup21", "setup32", "setup24", "setup52"])
+def test_ext_equals_the_all_pairs_loop(request, key):
+    """ext builds only the rows with p^n | z1 and leaves every other row
+    empty; each row equals the all-pairs loop's, on the indicator and on five
+    random supports."""
+    s = request.getfixturevalue(key)
+    ctx, n, rng = s.ctx, s.cfg.n, random.Random(9)
+    level = s.level + 1  # past n, so that some rows with p^n | z1 have z1 != 0
+    fs = [s.f] + [CompactInducedFn(ctx, s.mu1, s.mu2, n, level, support=random_support(ctx, rng, n, level)) for _ in range(5)]
+    for f in fs:
+        F = ext(f, s.V1, s.V2, level)
+        reps = p1_table(ctx, F.level).reps
+        assert F.level == level
+        for (z1, _), row, want in zip(p1_table(ctx, level).rows, F.rows, all_pairs_ext(f, s.V1, s.V2, level)):
+            assert [row.eval(rep) for rep in reps] == want
+            if z1 % ctx.p**n:
+                assert not row.terms
+
+
 def test_ext_is_the_pair_indicator(setup21, setup32):
     for s in (setup21, setup32):
         f = CompactInducedFn(s.ctx, s.mu1, s.mu2, s.cfg.n, s.cfg.n)
@@ -119,11 +161,8 @@ def test_chain_consistency_random_supports(setup21):
     s = setup21
     rng = random.Random(2)
     n, level = 1, 2
-    table = torus_orbit_reps(s.ctx, n, level)
-    keys = [iwahori_orbit_key(s.ctx, rep, n, level) for rep in table.reps]
     for _ in range(3):
-        support = frozenset(k for k in keys if rng.random() < 0.5) or frozenset([keys[0]])
-        f = CompactInducedFn(s.ctx, s.mu1, s.mu2, n, level, support=support)
+        f = CompactInducedFn(s.ctx, s.mu1, s.mu2, n, level, support=random_support(s.ctx, rng, n, level))
         F = ext(f, s.V1, s.V2, level)
         assert ell_chain(s.phi, F, s.v3) == Phi_eval(s.phi, f, s.v3)
 
@@ -152,11 +191,11 @@ def three_term_closure(t0, t1, t2):
     return t2 * rho / (1 - rho)
 
 
-def reference_ell_chain(phi, F, v, depth_margin=2):
-    """The chain term by term: F(w sigma) is one Scalar per cell pair formed
-    from GroupElement products, each stratum a separate deferred sum, the
-    strata added one at a time, and the tail closed past e0 + depth_margin
-    by three_term_closure."""
+def reference_parts(phi, F, v, depth_margin=2):
+    """The chain term by term: L*, the unit-distance sum and the weighted sums
+    of strata 1 .. e0 + depth_margin.  F(w sigma) is one Scalar per cell pair
+    formed from GroupElement products, and each stratum is a separate deferred
+    sum."""
     if depth_margin < 2:
         raise ValueError(f"depth margin {depth_margin} < 2: the three-term closure needs strata e0 .. e0 + 2")
     ctx = phi.ctx
@@ -188,12 +227,21 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
                     for term in read(bs.X, bs.Y, bs.T):
                         yield borel1.eval(*borel_diagonal(bs)), Fv, *term
 
-    total = sum_products(ctx.field, unit_distance())
-    depth_sums = []
-    for e in range(1, Lstar + 2 + depth_margin):
-        depth_sums.append(ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, stratum(e)))
-        total = total + depth_sums[-1]
+    depth_sums = [ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, stratum(e)) for e in range(1, Lstar + 2 + depth_margin)]
+    return Lstar, sum_products(ctx.field, unit_distance()), depth_sums
+
+
+def reference_close(total, depth_sums):
+    """The unit-distance sum with the strata added one at a time, and the tail
+    past the last closed by three_term_closure."""
+    for t in depth_sums:
+        total = total + t
     return total + three_term_closure(*depth_sums[-3:])
+
+
+def reference_ell_chain(phi, F, v, depth_margin=2):
+    """reference_parts closed by reference_close."""
+    return reference_close(*reference_parts(phi, F, v, depth_margin)[1:])
 
 
 def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
@@ -272,9 +320,7 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
         s2 = rand_section(s.ctx, rng, s.V2, 1).translated(rng.choice(moves))
         F = TensorFn.pure(ctx, c, s1, s2)
     else:
-        table = torus_orbit_reps(ctx, s.cfg.n, s.level)
-        keys = [iwahori_orbit_key(ctx, rep, s.cfg.n, s.level) for rep in table.reps]
-        support = frozenset(k for k in keys if rng.random() < 0.5) or frozenset(keys[:1])
+        support = random_support(ctx, rng, s.cfg.n, s.level)
         F = ext(CompactInducedFn(ctx, s.mu1, s.mu2, s.cfg.n, s.level, support=support), s.V1, s.V2, s.level)
     v = rng.choice([s.v3, s.v3.translated(rng.choice(moves[:3])), None])
     if v is None:
@@ -284,6 +330,31 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
         v = tbl.as_section()
     got = ell_chain(s.phi, F, v)
     assert got == reference_ell_chain(s.phi, F, v), (setup, kind, seed)
+
+
+@pytest.mark.parametrize("key", ["setup32", "setup24", "setup52z"])
+def test_the_skipped_depth_strata_vanish(request, key):
+    """Where chi~ and chi_a are ramified, ell_chain sums no stratum from L* on
+    (the zero tail derived in its docstring).  On pure tensors, ext of random
+    supports, their translates and random tables at V3's least level, strata
+    L* .. e0 + 2 summed term by term are each exactly 0, and the chain equals
+    the reference closed from them."""
+    s = request.getfixturevalue(key)
+    ctx, rng = s.ctx, random.Random(41)
+    assert s.phi.chtil.c and s.V3.borel.chi_a.c
+    g = rand_G(ctx, rng, 1)
+    while g.cartan_gap() < 1:
+        g = rand_G(ctx, rng, 1)
+    pure = TensorFn.pure(ctx, s.a + 2, s.v1.translated(s.gamma(-1)) + rand_section(ctx, rng, s.V1, 1), rand_section(ctx, rng, s.V2, 1))
+    support = random_support(ctx, rng, s.cfg.n, s.level)
+    extF = ext(CompactInducedFn(ctx, s.mu1, s.mu2, s.cfg.n, s.level, support=support), s.V1, s.V2, s.level)
+    v_rand = rand_section(ctx, rng, s.V3, s.V3.min_level)
+    inputs = [(F, v) for F in (pure, extF) for v in (s.v3, v_rand)]
+    inputs += [(F.translated(h), s.v3.translated(h)) for F in (pure, extF) for h in (rand_K(ctx, rng), GroupElement.w(ctx.p), s.gamma(-1), g)]
+    for F, v in inputs:
+        Lstar, head, depth_sums = reference_parts(s.phi, F, v)
+        assert len(depth_sums) == Lstar + 3 and all(t.is_zero() for t in depth_sums[Lstar - 1:]), key
+        assert ell_chain(s.phi, F, v) == reference_close(head, depth_sums)
 
 
 def test_psi_vanishing_n2(setup32):
