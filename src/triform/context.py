@@ -40,11 +40,7 @@ class Context:
     @cached_property
     def zeta_powers(self) -> tuple:
         """zeta_M^j for j mod M: every value of a unit character, shared."""
-        return tuple(self.zeta_sum({j: 1}) for j in range(self.field.m))
-
-    def zeta_sum(self, counts: dict) -> Scalar:
-        """sum_j counts[j] zeta_M^j, an integer character sum, as one Scalar."""
-        return Scalar(self.field, Poly.zeta_sum(self.field, counts))
+        return tuple(Scalar(self.field, Poly.zeta_sum(self.field, {j: 1})) for j in range(self.field.m))
 
     def zero(self) -> Scalar:
         return self._zero

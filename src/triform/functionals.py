@@ -14,7 +14,6 @@ K-action on cells, over the table's support: no translate is built.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,7 +24,7 @@ from .errors import TailError, TriformError
 from .matrices import GroupElement, in_T_In
 from .models import InducedModel, Section, TableSection
 from .padic import ratio_val, unit_residue
-from .scalars import Scalar, products_equal, sum_products, zeta_products
+from .scalars import Scalar, products_equal, sum_products
 
 
 def close_tail(t0: Scalar, t1: Scalar, rho: Scalar) -> Scalar:
@@ -136,8 +135,9 @@ class TorusFunctional:
 
         Each window of the integral is a unit sum  factor * sum_eps
         chi~(eps) W(pi^k key(eps)); its values chi~(eps) and the twist of W are
-        roots of unity, so the window is counted as an integer histogram of
-        (cell, zeta exponent) and becomes one Scalar per cell.  The units run
+        roots of unity, so the window counts (cell, zeta exponent) in ints and
+        appends one item (factor * scale, e, count) per count to its cell, and
+        each cell is one sum_products.  The units run
         mod p^level: a summand reads eps through chi~ (conductor chi_d.c),
         through the twist chi_d/chi_a of W and through cells mod p^level, and
         require_level makes the level at least both conductors.
@@ -153,21 +153,18 @@ class TorusFunctional:
         cmass_s = ctx.scalar(Fraction(1, (q - 1) * q ** (m - 1)))
         X = self.chtil.value_at_pi
         chexp = self.chtil.unit_exponent
-        vec = [ctx.zero()] * p1_size(p, m)
-
-        def add(cell: int, s: Scalar):
-            if not s.is_zero():
-                vec[cell] = vec[cell] + s
+        cells: list[list] = [[] for _ in range(p1_size(p, m))]  # cell -> items for sum_products
 
         def window(k: int, factor: Scalar, keyed_units):
             """Add factor * sum over (key, eps) of chi~(eps) W(pi^k key)."""
-            hists: dict[int, Counter] = defaultdict(Counter)  # cell -> zeta exponent -> count
+            counts: dict = {}  # (cell, zeta exponent) -> count
             for key, eps in keyed_units:
                 cell, e = W.term(k, key)
-                hists[cell][(e + chexp(eps)) % M] += 1
-            factor = factor * W.scale(k)
-            for cell, hist in hists.items():
-                add(cell, factor * ctx.zeta_sum(hist))
+                ce = cell, (e + chexp(eps)) % M
+                counts[ce] = counts.get(ce, 0) + 1
+            fs = (factor * W.scale(k),)
+            for (cell, e), n in counts.items():
+                cells[cell].append((fs, e, n))
 
         def plain_window(k: int, shift: int = 0):
             window(k, X**k * cmass_s, (((eps + shift) % mod, eps) for eps in units))
@@ -178,7 +175,7 @@ class TorusFunctional:
             if ch.c != 0:
                 return  # the unit integral kills every deep annulus
             # annulus k - 1 over annulus k: 1/(X (chi_d/chi_a)(pi) q)
-            add(0, W.sign_factor * self.tail_ratios["negative"].geometric_tail(-k_hi))  # cell 0: z = 0
+            cells[0].append(((W.sign_factor, self.tail_ratios["negative"].geometric_tail(-k_hi)), 0, 1))  # cell 0: z = 0
 
         def plain_upto(k_hi: int):
             plain_neg_tail(min(k_hi, -m))
@@ -212,7 +209,7 @@ class TorusFunctional:
             tail_mass = Fraction(q, q - 1) * Fraction(1, q**d_plus)
             window(K0 + d_plus, xk0 * ctx.scalar(tail_mass), ((1, -1),))
 
-        self._vectors[cache_key] = vec
+        vec = self._vectors[cache_key] = [sum_products(ctx.field, items) if items else ctx.zero() for items in cells]
         return vec
 
     # -- public evaluation -----------------------------------------------------
@@ -224,8 +221,9 @@ class TorusFunctional:
         (chi_2/chi_1 is trivial on units), so this is <T, W> for the Tate vector T
         of val x0 and W[i] = tbl(rep_i g), g = diag(1/u, 1) rep_cell.  It is read
         through the transpose, over tbl's support: where the actions of g^{-1} (read_actions) take
-        s to (i, zeta_M^e), W[i] = zeta_M^-e tbl[s], counted in ints (TableSection.zeta,
-        zeta_products) against each nonzero T[i]; an opaque tbl[s] is multiplied into T[i]."""
+        s to (i, zeta_M^e), W[i] = zeta_M^-e tbl[s], counted in ints (TableSection.zeta)
+        as sum_products items ((T[i],), -e, n) over the table's den for each nonzero T[i];
+        an opaque tbl[s] joins T[i] as a second factor."""
         p, level = self.ctx.p, tbl.level
         v = ratio_val(x0, den, p)
         v, u = (None, 1) if v >= level else (v, unit_residue(x0, den, p, level))  # x0 = 0 has val inf
@@ -237,7 +235,7 @@ class TorusFunctional:
             d, zeta = tbl.zeta
             steps = ((value, counts, e1, *fold[j]) for s, (value, counts) in zeta.items() for j, e1 in (back[s],))
             reads = (((t,) if o is None else (o, t), e - e1 - e2, n) for o, counts, e1, i, e2 in steps for t in (tate[i],) if t.num.terms for e, n in counts)
-            out = tbl.phi_values[key] = zeta_products(self.ctx.field, reads, d)
+            out = tbl.phi_values[key] = sum_products(self.ctx.field, reads, d)
         return out
 
     def reader(self, section: Section, k: GroupElement | None = None):
@@ -265,7 +263,7 @@ class TorusFunctional:
 
     def eval(self, section: Section) -> Scalar:
         """phi of a formal sum of lazy translates, through the reader at b = k = 1."""
-        return sum_products(self.ctx.field, self.reader(section)())
+        return sum_products(self.ctx.field, ((fs, 0, 1) for fs in self.reader(section)()))
 
     # -- the independent slow route (oracle for tests) --------------------------
     def annulus(self, section: Section, k: int) -> Scalar:
@@ -288,8 +286,8 @@ class TorusFunctional:
         units = units_mod(ctx.p, max(section.table_level(), self.chtil.c))
         num, den = ctx.p ** max(k, 0), ctx.p ** max(-k, 0)  # y = eps num/den = eps pi^k
         # wbar n(y) = (0 1; 1 y): bottom row (den, eps num)/den and det -1
-        terms = ((*f, ctx.zeta_powers[self.chtil.unit_exponent(eps)]) for eps in units for f in section.factors(den, eps * num, den, -den * den))
-        return sum_products(ctx.field, terms) * ctx.scalar(Fraction(1, len(units)))
+        items = ((f, self.chtil.unit_exponent(eps), 1) for eps in units for f in section.factors(den, eps * num, den, -den * den))
+        return sum_products(ctx.field, items, len(units))
 
     def eval_reference(self, section: Section, depths: int = 4) -> list:
         """Direct annulus-by-annulus summation through Section.eval, with the
@@ -370,7 +368,7 @@ def Phi_eval(phi: TorusFunctional, f: CompactInducedFn, v: Section) -> Scalar:
     over the unit-orbit cells with the fixed measure conventions."""
     ctx = phi.ctx
     wt, reps = f.orbit_cells()
-    return ctx.scalar(wt) * sum_products(ctx.field, ((phi.eval(v.translated(rep)),) for rep in reps))
+    return ctx.scalar(wt) * sum_products(ctx.field, (((phi.eval(v.translated(rep)),), 0, 1) for rep in reps))
 
 
 def coset_constant(ctx: Context, n: int) -> Fraction:

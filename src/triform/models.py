@@ -150,7 +150,8 @@ class TableSection:
 
     @property
     def zeta(self) -> tuple:
-        """(den, counts), the support counted in ints over one int den on first read (phi, the kernel):
+        """(den, counts), the support counted in ints over one int den on first read (phi, the kernel),
+        whose (e, n) and den become their sum_products items:
         cell -> (None, pairs), the value being sum n zeta_M^e / den over (e, n) in pairs
         (Scalar.zeta_counts), or cell -> (value, ((0, den),)) for a value outside Q(zeta_M), one object per value."""
         if self._zeta is None:
@@ -180,7 +181,7 @@ class TableSection:
         if self.model.borel.conductor() != 0:
             raise TriformError("K-average is only computed on unramified-twist models")
         mass = self.ctx.scalar(p1_table(self.ctx, self.level).cell_mass)
-        return sum_products(self.ctx.field, ((mass, v) for v in self.support.values()))
+        return sum_products(self.ctx.field, (((mass, v), 0, 1) for v in self.support.values()))
 
     def dump(self) -> str:
         """Deterministic cell -> scalar dump: `cell (z:t) -> scalar`."""
@@ -229,7 +230,7 @@ class Section:
                 yield c, f, v
 
     def eval(self, x: GroupElement) -> Scalar:
-        return sum_products(self.ctx.field, self.factors(x.Z, x.T, x.D, x.N))
+        return sum_products(self.ctx.field, ((fs, 0, 1) for fs in self.factors(x.Z, x.T, x.D, x.N)))
 
     def translated(self, h: GroupElement) -> "Section":
         """The right-translation action: result(x) = self(x * h)."""

@@ -31,12 +31,14 @@ product with a monomial, a Laurent one included, skips the trial divisions: a
 unit cannot change divisibility.  `render` and `specialize` see the negative
 exponents as one monomial factor, sorted among the others.
 
-Sums of products are deferred: `sum_products` adds the numerator products of
-terms with the same denominator multiset and canonicalizes once per multiset,
-not once per term, which saves the trial divisions of the partial sums.  It
-classifies factors by their fields and multiplies each term straight into its
-multiset's int accumulator with `Poly.__mul__`'s term-product loop, building
-no product Poly per term (S. C. Johnson, Sparse polynomial arithmetic, 1974).
+Every exact sum of the engine is one call of `sum_products`, whose items
+(factors, e, n) stand for n zeta_M^e times the product of the Scalars factors.
+It adds the numerator products of items with the same denominator multiset and
+canonicalizes once per multiset, not once per term, which saves the trial
+divisions of the partial sums.  It classifies factors by their fields and
+multiplies each item straight into its multiset's int accumulator with
+`Poly.__mul__`'s term-product loop, building no product Poly per item
+(S. C. Johnson, Sparse polynomial arithmetic, 1974).
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ class FieldSpec:
         """zeta^k in the power basis, for every k below M and below 2 deg Phi_M - 1."""
         phi = cyclotomic_polynomial(self.m)
         return power_rows(phi, max(self.m, 2 * len(phi) - 3))
+
+    @cached_property
+    def zeta_terms(self) -> tuple:
+        """zeta^k for k < M as the terms of a Poly, shared: the rows of zeta_rows."""
+        return tuple({(0, 0, 0, 0, j): c for j, c in row} for row in self.zeta_rows[: self.m])
 
     @cached_property
     def reduction(self) -> tuple:
@@ -631,96 +638,72 @@ def _canonicalize(field: FieldSpec, num: Poly, den: tuple, trial: bool = True) -
     return num, tuple(out)
 
 
-def sum_products(field: FieldSpec, products) -> Scalar:
-    """The sum over `products` of each factor tuple's product, canonicalized
-    once per denominator multiset.  A factor is classified by its fields: a zero
-    skips the tuple, a one is dropped, and only denominator factors make the
-    multiset key (none: the key ()).  A group of one tuple is that tuple's Scalar
-    product; a larger group's numerators are multiplied into one int accumulator
-    in place (`_accumulate`).  `products` is consumed as it streams; () is 1."""
+def sum_products(field: FieldSpec, items, den: int = 1) -> Scalar:
+    """The sum over items (factors, e, n) of n zeta_M^e times the product of the Scalars
+    `factors`, over the int den: the one accumulator of the engine's exact sums.  A factor
+    is classified by its fields: a zero skips the item, a one is dropped, and only
+    denominator factors make the multiset key (none: the key ()).  A multiset of one item
+    with e = 0, n = 1 and den = 1 is that item's Scalar product; any other multiset's
+    items are multiplied into one int accumulator in place (`_add_product`) and become one
+    Scalar.  A multiset whose items all carry one Scalar skips the trial divisions: a
+    nonzero element of Q(zeta_M) is a unit.  `items` is consumed as it streams; () is 1."""
     groups: dict = {}
-    for factors in products:
-        fs, den = [], ()
+    for factors, e, n in items:
+        fs, dens = [], ()
         for f in factors:
             terms = f.num.terms
             if not terms:
                 break
             if f.den:
-                den += f.den
+                dens += f.den
             elif len(terms) == 1 and f.num.den == 1 and terms.get(_CONST) == 1:
                 continue
             fs.append(f)
         else:
-            key = tuple(sorted(g.den_key() for g in den)) if den else ()
+            key = tuple(sorted(g.den_key() for g in dens)) if dens else ()
+            lone = fs[0] if len(fs) == 1 else None
             group = groups.get(key)
             if group is None:
-                groups[key] = [den, fs, None, 1]  # the numerators are summed once a second tuple joins
+                groups[key] = [dens, lone, (fs, e, n), None, 1]  # the accumulator starts once a second item joins
                 continue
-            if group[2] is None:
-                group[2] = {}
-                group[3] = _accumulate(field, group[2], 1, group[1])
-            group[3] = _accumulate(field, group[2], group[3], fs)
+            if group[3] is None:
+                group[3] = {}
+                group[4] = _add_product(field, group[3], 1, *group[2])
+            if lone is not group[1]:
+                group[1] = None
+            group[4] = _add_product(field, group[3], group[4], fs, e, n)
     out = None
-    for den, fs, acc, acc_den in groups.values():
-        if acc is None:
+    for dens, lone, (fs, e, n), acc, d in groups.values():
+        if acc is None and not e and n == 1 == den:
             term = fs[0] if fs else Scalar.from_rational(field, 1)
             for f in fs[1:]:
                 term = term * f
         else:
-            term = Scalar(field, Poly._make(field, acc, acc_den), den)
+            if acc is None:
+                acc = {}
+                d = _add_product(field, acc, 1, fs, e, n)
+            term = Scalar(field, Poly._make(field, acc, d * den), dens, trial=lone is None)
         out = term if out is None else out + term
     return Scalar(field, Poly.zero(field)) if out is None else out
 
 
-def _accumulate(field: FieldSpec, acc: dict, den: int, fs: list) -> int:
-    """Add the numerators' product of fs to the int terms acc over den in place (the last
-    one multiplied straight in); return the lcm of the denominators, acc's new one."""
-    last = fs[-1].num if fs else _product(field, ())
-    lead, pd = ({_CONST: 1}, last.den) if len(fs) < 2 else (fs[0].num.terms, fs[0].num.den * last.den)
-    for f in fs[1:-1]:
-        lead, terms = {}, lead
-        _mul_into(lead, field, terms, f.num.terms, 1)
+def _add_product(field: FieldSpec, acc: dict, den: int, fs: list, e: int, n: int) -> int:
+    """Add n zeta_M^e times the numerators' product of fs to the int terms acc over den in
+    place (the last one multiplied straight in); return the lcm of the denominators, acc's new one."""
+    e %= field.m
+    lead, head = (field.zeta_terms[e], fs[:-1]) if e or len(fs) < 2 else (fs[0].num.terms, fs[1:-1])
+    for f in head:
+        lead, prev = {}, lead
+        _mul_into(lead, field, prev, f.num.terms, 1)
+    pd = 1
+    for f in fs:
         pd *= f.num.den
     d = lcm(den, pd)
     if d != den:
         for mo in acc:
             acc[mo] *= d // den
-    _mul_into(acc, field, lead, last.terms, d // pd)
+    _mul_into(acc, field, lead, fs[-1].num.terms if fs else {_CONST: 1}, n * (d // pd))
     return d
-
-
-def zeta_products(field: FieldSpec, items, den: int = 1) -> Scalar:
-    """The sum over items (fs, e, n) of n zeta_M^e times the product of the Scalars
-    fs, over the int den: the accumulator of phi's table reads and the kernel's resolved sum.
-    An item adds its numerator product (a lone factor's own numerator) to the int terms
-    of its denominator multiset, zeta exponents moved up by e mod M, and each multiset
-    is reduced by Phi_M once and becomes one Scalar.  A multiset whose items all carry
-    one Scalar skips the trial divisions: a nonzero element of Q(zeta_M) is a unit."""
-    groups: dict = {}
-    m = field.m
-    for fs, e, n in items:
-        dens = ()
-        for f in fs:
-            if f.den:
-                dens += f.den
-        key = tuple(sorted(g.den_key() for g in dens)) if dens else ()
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [dens, {}, 1, fs[0] if len(fs) == 1 else None]
-        elif len(fs) > 1 or fs[0] is not group[3]:
-            group[3] = None  # not one canonical Scalar times an element of Q(zeta_M): try the factors
-        num = fs[0].num if len(fs) == 1 else _product(field, [f.num for f in fs])
-        acc, d = group[1], lcm(group[2], num.den)
-        if d != group[2]:
-            for mo in acc:
-                acc[mo] *= d // group[2]
-            group[2] = d
-        n *= d // num.den
-        for (a, b, u, r, k), c in num.terms.items():
-            mo = (a, b, u, r, (k + e) % m)
-            acc[mo] = acc[mo] + c * n if mo in acc else c * n
-    terms = [Scalar(field, Poly.zeta_reduced(field, acc, d * den), dens, trial=lone is None) for dens, acc, d, lone in groups.values()]
-    return sum(terms[1:], terms[0]) if terms else Scalar(field, Poly.zero(field))
 
 
 def products_equal(field: FieldSpec, lhs, rhs) -> bool:

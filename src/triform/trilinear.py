@@ -30,7 +30,7 @@ from .errors import KernelUnsupportedError, TailError, TriformError
 from .functionals import CompactInducedFn, TorusFunctional, close_tail
 from .matrices import GroupElement
 from .models import InducedModel, Section, TableSection, table_level
-from .scalars import Scalar, sum_products, zeta_products
+from .scalars import Scalar, sum_products
 
 
 class TensorFn:
@@ -132,7 +132,7 @@ def simple_case_pairing(F: TensorFn, mu1: SmoothCharacter, mu2: SmoothCharacter,
     lvl = table_level(max(F.level_bound(), v3.level_bound()))
     table = p1_table(ctx, lvl)
     mass = ctx.scalar(table.cell_mass)
-    return sum_products(ctx.field, ((mass, F.eval_pair(rep, rep), v3.eval(rep)) for rep in table.reps))
+    return sum_products(ctx.field, (((mass, F.eval_pair(rep, rep), v3.eval(rep)), 0, 1) for rep in table.reps))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +149,9 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     memoized factors: chi_1, a (c, Borel factor, table value) of
     Section.factors and a reader term of phi, all read from int bottom rows.
     Each stratum's tuples are counted by the identity of their factors, and
-    each distinct tuple is streamed once, led by its weight times its
-    multiplicity.  The unit-distance pairs and the strata below e0 = L* + 1
-    are one deferred sum (`sum_products`); strata e0 and e0 + 1 are separate
+    each distinct tuple is streamed once, as the sum_products item
+    ((weight, *tuple), 0, count).  The unit-distance pairs and the strata below
+    e0 = L* + 1 are one deferred sum (`sum_products`); strata e0 and e0 + 1 are separate
     Scalars, which close_tail checks against the derived depth ratio.
 
     The depth ratio.  Per step e -> e + 1 (s = eta pi^e, b_s = (s 1; 0 1)) a
@@ -212,7 +212,7 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
                 fs = list(row.factors(z2, t2, 1, -delta))
                 if fs:
                     chi = borel1.eval((delta, 1), (1, 1))
-                    yield from products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1)))
+                    yield from ((tup, 0, 1) for tup in products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1))))
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
     # at least the invariance level (level_bound) of F in either slot and of v.
@@ -238,12 +238,9 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
                 if fs:
                     for tup in products((chi,), fs, list(read(s, 1, 1))):
                         seen.setdefault(tuple(map(id, tup)), [tup, 0])[1] += 1
-        weight = table.cell_mass * Fraction(q**e, q**R)
-        weights: dict = {}
+        weight = ctx.scalar(table.cell_mass * Fraction(q**e, q**R))
         for tup, n in seen.values():
-            if n not in weights:
-                weights[n] = ctx.scalar(weight * n)
-            yield weights[n], *tup
+            yield (weight, *tup), 0, n
 
     zero_tail = phi.chtil.c and phi.model3.borel.chi_a.c  # strata L* and deeper are 0
     head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, Lstar if zero_tail else e0))))
@@ -344,8 +341,8 @@ class KernelForm:
     def eval(self, f1: Section, f2: Section, f3: Section) -> Scalar:
         """The resolved sum over cells (c1, c2, c3) of the tables' supports, counted in ints: a
         term adds its values' zeta counts (TableSection.zeta) times its wedges' zeta exponents to
-        the histogram of (wedge valuations, opaque values by identity), which zeta_products sums led
-        by mass^3, the characters' values at pi to those valuations and the opaque values."""
+        the histogram of (wedge valuations, opaque values by identity), summed as sum_products items (lead,
+        e, count), led by mass^3, the characters' values at pi to those valuations and the opaque values."""
         m = self.ctx.field.m
         L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), self.model3.min_level)
         (d1, z1), (d2, z2), (d3, z3) = (f.as_table(L0).zeta for f in (f1, f2, f3))
@@ -373,4 +370,4 @@ class KernelForm:
                         for f, k in h3:
                             hist[(e + f + e13 + e23) % m] += n * k
         items = ((lead, e, n) for lead, hist in groups.values() for e, n in hist.items() if n)
-        return zeta_products(self.ctx.field, items, d1 * d2 * d3)
+        return sum_products(self.ctx.field, items, d1 * d2 * d3)

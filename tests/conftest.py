@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -6,6 +7,7 @@ from triform import Context
 from triform.characters import _dlog_table
 from triform.matrices import GroupElement
 from triform.models import TableSection
+from triform.scalars import Poly, Scalar
 from triform.verifier import Env, ScenarioConfig, rand_G, rand_K, rand_section  # noqa: F401  (the test modules' drawers)
 
 
@@ -103,3 +105,58 @@ def translate(tbl: TableSection, k: GroupElement) -> TableSection:
     InducedModel.action: cell i takes zeta_M^e * values[j] for the action's (j, e)."""
     zeta = tbl.ctx.zeta_powers
     return TableSection(tbl.model, tbl.level, [zeta[e] * tbl.values[j] for j, e in tbl.model.action(k, tbl.level)])
+
+
+def reference_sum_products(field, items, den: int = 1) -> Scalar:
+    """The sum over items (factors, e, n) of n zeta_M^e times the factors'
+    product, over the int den, by a route that shares no accumulation code with
+    sum_products: that function's oracle, and the sum the test-side references
+    use.  is_zero and is_one per factor, the items grouped by denominator
+    multiset, each item's numerators expanded with unreduced exponents into its
+    group's int terms, and those reduced once, by r^2 = q and the row of
+    zeta^(k mod M) (FieldSpec.zeta_rows), as the group becomes a Scalar.  A
+    group of one item with e = 0, n = 1 and den = 1 is that item's Scalar
+    product, as in sum_products, so the canonical forms agree."""
+    groups: dict = {}
+    for factors, e, n in items:
+        fs = []
+        for f in factors:
+            if f.is_zero():
+                break
+            if not f.is_one():
+                fs.append(f)
+        else:
+            groups.setdefault(tuple(sorted(g.den_key() for f in fs for g in f.den)), []).append((fs, e, n))
+    out = Scalar(field, Poly.zero(field))
+    for group in groups.values():
+        fs, e, n = group[0]
+        if len(group) == 1 and not e and n == 1 == den:
+            term = fs[0] if fs else Scalar.from_rational(field, 1)
+            for f in fs[1:]:
+                term = term * f
+            out = out + term
+            continue
+        acc, acc_den = {}, 1
+        for item_fs, e, n in group:
+            terms, d = {(0, 0, 0, 0, e): n}, 1
+            for f in item_fs:
+                expanded: dict = {}
+                for (a1, b1, u1, r1, z1), c1 in terms.items():
+                    for (a2, b2, u2, r2, z2), c2 in f.num.terms.items():
+                        mo = (a1 + a2, b1 + b2, u1 + u2, r1 + r2, z1 + z2)
+                        expanded[mo] = expanded.get(mo, 0) + c1 * c2
+                terms, d = expanded, d * f.num.den
+            common = lcm(acc_den, d)
+            if common != acc_den:
+                acc = {mo: c * (common // acc_den) for mo, c in acc.items()}
+            for mo, c in terms.items():
+                acc[mo] = acc.get(mo, 0) + c * (common // d)
+            acc_den = common
+        reduced: dict = {}
+        for (a, b, u, r, z), c in acc.items():
+            c *= field.q ** (r // 2)
+            for j, k in field.zeta_rows[z % field.m]:
+                mo = (a, b, u, r % 2, j)
+                reduced[mo] = reduced.get(mo, 0) + c * k
+        out = out + Scalar(field, Poly._make(field, reduced, acc_den * den), tuple(g for f in fs for g in f.den))
+    return out

@@ -173,7 +173,7 @@ def reference_eval(ch: SmoothCharacter, x: Fraction) -> Scalar:
     """chi(x) uncached: value_at_pi^v times the unit image as a fresh Scalar."""
     p, n, d = ch.ctx.p, x.numerator, x.denominator
     v = ratio_val(n, d, p)
-    unit = ch.ctx.zeta_sum({image_exponent(ch, unit_residue(n, d, p, max(1, ch.c))): 1})
+    unit = ch.ctx.zeta_powers[image_exponent(ch, unit_residue(n, d, p, max(1, ch.c)))]
     return ch.value_at_pi**v * unit
 
 

@@ -25,7 +25,7 @@ from triform.models import Section, TableSection, principal_series_model, steinb
 from triform.padic import ratio_val, unit_residue
 from triform.scalars import sum_products
 
-from conftest import image_exponent, rand_G, rand_K, rand_section, translate
+from conftest import image_exponent, rand_G, rand_K, rand_section, reference_sum_products, translate
 
 
 def test_twist_derivation(setup21, setup32):
@@ -115,7 +115,7 @@ def test_reader_matches_eval_of_the_translate(setup21, setup32, setup24, case, s
     t = GroupElement.diag(p, unit() * Fraction(p) ** rng.randint(-3, 3), unit() * Fraction(p) ** rng.randint(-3, 3))
     b = t * GroupElement.upper(p, Fraction(rng.randint(-40, 40)) / unit() / p ** rng.randint(0, 3))
     # b = (alpha beta; 0 delta)/D, and the scalar 1/D acts trivially on phi
-    got = sum_products(ctx.field, s.phi.reader(v, rep)(b.X, b.Y, b.T))
+    got = sum_products(ctx.field, ((fs, 0, 1) for fs in s.phi.reader(v, rep)(b.X, b.Y, b.T)))
     assert got == s.phi.eval(v.translated(b * rep)), (s.cfg.p, s.cfg.n, seed)
 
 
@@ -302,7 +302,7 @@ def reference_tate_vector(phi: TorusFunctional, level: int, x0_key) -> list:
     X = chtil.value_at_pi
 
     def zeta(ch, residue):
-        return ctx.zeta_sum({image_exponent(ch, residue): 1})
+        return ctx.zeta_powers[image_exponent(ch, residue)]
 
     sign = zeta(borel.chi_a, -1)
     ratio_pi_q = ratio.value_at_pi * ctx.scalar(q)
@@ -450,7 +450,7 @@ def reference_read(phi: TorusFunctional, tbl: TableSection, x0: int, den: int, c
     """phi_table by the dot product it replaced, kept as its oracle: the two
     transposed actions as root-of-unity Scalars c, read back as c^-1, and one
     factor tuple (value, c1^-1, c2^-1, T[i]) per support cell, summed by
-    sum_products."""
+    reference_sum_products."""
     ctx, p, level = phi.ctx, phi.ctx.p, tbl.level
     v = ratio_val(x0, den, p)
     v, u = (None, 1) if v >= level else (v, unit_residue(x0, den, p, level))
@@ -459,7 +459,7 @@ def reference_read(phi: TorusFunctional, tbl: TableSection, x0: int, den: int, c
     fold = tbl.model.action(GroupElement.diag(p, u, 1), level)
     steps = ((value, zeta[e1], *fold[j]) for s, value in tbl.support.items() for j, e1 in (back[s],))
     reads = ((value, c1**-1, zeta[e2] ** -1, tate[i]) for value, c1, i, e2 in steps if not tate[i].is_zero())
-    return sum_products(ctx.field, reads)
+    return reference_sum_products(ctx.field, ((fs, 0, 1) for fs in reads))
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,7 +515,7 @@ def dense_reader(phi: TorusFunctional, section: Section, k: GroupElement | None)
                 v = None
             else:
                 moved = translate(moved, GroupElement.diag(p, unit_residue(den, x0, p, moved.level), 1))
-            read = sum_products(phi.ctx.field, zip(moved.values, phi.tate_vector(moved.level, v)))
+            read = reference_sum_products(phi.ctx.field, ((fs, 0, 1) for fs in zip(moved.values, phi.tate_vector(moved.level, v))))
             yield c, phi.ratio21.eval(den, delta * T), read
 
     return terms
@@ -542,8 +542,8 @@ def test_reader_matches_the_two_split_route(request, setup, sparse, seed):
     for _ in range(3):
         b = GroupElement.diag(p, rng.choice(units) * Fraction(p) ** rng.randint(-3, 3), rng.choice(units))
         b = b * GroupElement.upper(p, Fraction(rng.randint(-40, 40), rng.choice(units) * p ** rng.randint(0, 3)))
-        got = sum_products(ctx.field, s.phi.reader(v, k)(b.X, b.Y, b.T))
-        want = sum_products(ctx.field, dense_reader(s.phi, v, k)(b.X, b.Y, b.T))
+        got = sum_products(ctx.field, ((fs, 0, 1) for fs in s.phi.reader(v, k)(b.X, b.Y, b.T)))
+        want = reference_sum_products(ctx.field, ((fs, 0, 1) for fs in dense_reader(s.phi, v, k)(b.X, b.Y, b.T)))
         assert got == want, (setup, sparse, seed)
 
 

@@ -5,7 +5,7 @@ import cmath
 import re
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from triform import Context, PoleError, TriformError
 from triform.cyclo import Cyclo, cyclotomic_polynomial
 from triform.scalars import Poly, Scalar, parse_scalar, sum_products
+
+from conftest import reference_sum_products
 
 ctx = Context(3, zeta_order=2)
 ctx4 = Context(5, zeta_order=4)
@@ -429,120 +431,87 @@ def sum_factors(c):
     return st.one_of(quotients(c), st.sampled_from([c.zero(), c.one(), c.r, z, third * z, third, -c.r / 5, z * c.r]))
 
 
-# one group whose second tuple's numerator is over 7 and its first's over 1
-RESCALED = (ctx4, [[ctx4.a, ctx4.r], [ctx4.scalar(Fraction(3, 7)), ctx4.scalar(ctx4.zeta(4))]])
+# one group whose second item's numerator is over 7 and its first's over 1
+RESCALED = (ctx4, [([ctx4.a, ctx4.r], 0, 1), ([ctx4.scalar(Fraction(3, 7)), ctx4.scalar(ctx4.zeta(4))], 0, 1)], 1)
 
 
-def left_fold(c, products):
+def left_fold(c, items, den=1):
     out = c.zero()
-    for factors in products:
-        term = c.one()
+    for factors, e, n in items:
+        term = c.scalar(Fraction(n, den)) * c.zeta(c.field.m, e)
         for f in factors:
             term = term * f
         out = out + term
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([ctx, ctx4, ctx6]).flatmap(
-        lambda c: st.tuples(st.just(c), st.lists(st.lists(sum_factors(c), max_size=4), max_size=6))
+def sum_items(c, max_factors, max_items):
+    """(c, items, den): items (factors, e, n) with e in [0, 2M), so e >= M occurs,
+    and n in 1 ... 3, over an int den; e = 0, n = 1 and den = 1 are drawn often."""
+    item = st.tuples(
+        st.lists(sum_factors(c), max_size=max_factors),
+        st.one_of(st.just(0), st.integers(0, 2 * c.field.m - 1)),
+        st.one_of(st.just(1), st.integers(1, 3)),
     )
-)
+    return st.tuples(st.just(c), st.lists(item, max_size=max_items), st.sampled_from((1, 1, 2, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ctx, ctx4, ctx6]).flatmap(lambda c: sum_items(c, 4, 6)))
 @example(RESCALED)
 def test_sum_products_is_the_left_fold(case):
-    """The deferred sum is the fold of + and * over the factor tuples, which
-    may be empty, hold zero factors, multiply r and zeta past reduction, or
-    put numerators over different int denominators in one group."""
-    c, products = case
-    got = sum_products(c.field, (tuple(fs) for fs in products))
-    assert got == left_fold(c, products)
+    """The deferred sum is the fold of + and * over the items, each factor
+    tuple times n zeta^e / den; a tuple may be empty, hold zero factors,
+    multiply r and zeta past reduction, or put numerators over different int
+    denominators in one group."""
+    c, items, den = case
+    got = sum_products(c.field, ((tuple(fs), e, n) for fs, e, n in items), den)
+    assert got == left_fold(c, items, den)
     assert got.den == tuple(sorted(got.den, key=Poly.den_key))
 
 
-def reference_sum_products(field, products):
-    """sum_products as it was before the fused accumulate, kept as its oracle:
-    is_zero and is_one per factor, then one product Poly per tuple added into
-    its group's int accumulator."""
-
-    def product(polys):
-        acc = None
-        for f in polys:
-            acc = f if acc is None else acc * f
-        return Poly._raw(field, {(0, 0, 0, 0, 0): 1}) if acc is None else acc
-
-    def add_into(acc, den, poly):
-        d = lcm(den, poly.den)
-        if d != den:
-            for mo in acc:
-                acc[mo] *= d // den
-        for mo, c in poly.terms.items():
-            c *= d // poly.den
-            acc[mo] = acc[mo] + c if mo in acc else c
-        return d
-
-    groups = {}
-    for factors in products:
-        fs = []
-        for f in factors:
-            if f.is_zero():
-                break
-            if not f.is_one():
-                fs.append(f)
-        else:
-            den = tuple(g for f in fs for g in f.den)
-            key = tuple(sorted(g.den_key() for g in den))
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [den, fs, None, 1]
-                continue
-            if group[2] is None:
-                group[2] = {}
-                group[3] = add_into(group[2], 1, product(f.num for f in group[1]))
-            group[3] = add_into(group[2], group[3], product(f.num for f in fs))
-    out = None
-    for den, fs, acc, acc_den in groups.values():
-        if acc is None:
-            term = fs[0] if fs else Scalar.from_rational(field, 1)
-            for f in fs[1:]:
-                term = term * f
-        else:
-            term = Scalar(field, Poly._make(field, acc, acc_den), den)
-        out = term if out is None else out + term
-    return Scalar(field, Poly.zero(field)) if out is None else out
-
-
 @settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([ctx, ctx4, ctx6]).flatmap(
-        lambda c: st.tuples(st.just(c), st.lists(st.lists(sum_factors(c), max_size=6), max_size=8))
-    )
-)
+@given(st.sampled_from([ctx, ctx4, ctx6]).flatmap(lambda c: sum_items(c, 6, 8)))
 @example(RESCALED)
 def test_sum_products_canonical_form_does_not_depend_on_the_path(case):
     """The fused accumulate gives the very canonical form, numerator Poly and
-    factor tuple, that one product Poly per tuple gave."""
-    c, products = case
-    got = sum_products(c.field, (tuple(fs) for fs in products))
-    ref = reference_sum_products(c.field, products)
+    factor tuple, that one product Poly per item gave, also where a group's
+    items all carry one Scalar and skip the trial divisions."""
+    c, items, den = case
+    got = sum_products(c.field, ((tuple(fs), e, n) for fs, e, n in items), den)
+    ref = reference_sum_products(c.field, items, den)
     assert got.num == ref.num and got.den == ref.den
 
 
 def test_sum_products_cases():
     a, b, r = ctx.a, ctx.b, ctx.r
+
+    def plain(products):
+        return [(fs, 0, 1) for fs in products]
+
     z = ctx4.scalar(ctx4.zeta(4))
     assert sum_products(ctx.field, []).is_zero()
-    assert sum_products(ctx.field, [()]).is_one()
-    assert sum_products(ctx.field, [(a, ctx.zero(), b)]).is_zero()
-    assert sum_products(ctx.field, [(r, r), (r, a, r)]) == 3 + 3 * a
-    assert sum_products(ctx4.field, [(z, z, z, z)]).is_one()
-    assert sum_products(ctx4.field, [(z, ctx4.r), (z * ctx4.r, z, z)]).is_zero()
+    assert sum_products(ctx.field, plain([()])).is_one()
+    assert sum_products(ctx.field, plain([(a, ctx.zero(), b)])).is_zero()
+    assert sum_products(ctx.field, plain([(r, r), (r, a, r)])) == 3 + 3 * a
+    assert sum_products(ctx4.field, plain([(z, z, z, z)])).is_one()
+    assert sum_products(ctx4.field, plain([(z, ctx4.r), (z * ctx4.r, z, z)])).is_zero()
     # one group whose numerator the shared denominator divides
-    one = sum_products(ctx.field, [(1 / (a - 1), a), (-1 / (a - 1),)])
+    one = sum_products(ctx.field, plain([(1 / (a - 1), a), (-1 / (a - 1),)]))
     assert one.is_one() and one.den == ()
     # repeated and monomial factors, in one group and across groups
-    rep = sum_products(ctx.field, [(1 / (a - 1), 1 / (a - 1)), (a / (a - 1) ** 2,), (b / a, 1 / a), (1 / (a * a),)])
+    rep = sum_products(ctx.field, plain([(1 / (a - 1), 1 / (a - 1)), (a / (a - 1) ** 2,), (b / a, 1 / a), (1 / (a * a),)]))
     assert rep == (1 + a) / (a - 1) ** 2 + (b + 1) / (a * a)
+    # a group whose items all carry one Scalar x skips the trial divisions, and lands
+    # on x times 2 zeta + 3 zeta^3 + zeta^6 = -1 - zeta canonicalized with them
+    a4, b4 = ctx4.a, ctx4.b
+    x = (a4 * a4 - b4) / ((a4 - 1) * (a4 + b4))
+    lone = sum_products(ctx4.field, [((x,), 1, 2), ((x,), 3, 3), ((x,), 6, 1)])
+    full = Scalar(ctx4.field, x.num * (-1 - z).num, x.den)
+    assert lone.num == full.num and lone.den == full.den
+    # a group of one item with e != 0 is n zeta^e / den times its product
+    assert sum_products(ctx4.field, [((a4, 1 / (b4 - 1)), 3, 2)], 6) == a4 * z**3 / (3 * (b4 - 1))
+    assert sum_products(ctx4.field, [((x,), 5, 1)]) == x * z
 
 
 # canonical forms, factor order included, that must not move: the eight over Q

@@ -129,7 +129,7 @@ def test_sum_products_matches_sympy(case):
     """The deferred sum of products is the oracle's sum of products."""
     m, products = case
     ctx = CONTEXTS[m]
-    got = sum_products(ctx.field, [[evaluate(ctx, t) for t in ts] for ts in products])
+    got = sum_products(ctx.field, [([evaluate(ctx, t) for t in ts], 0, 1) for ts in products])
     expected = sum((prod((as_sympy(t) for t in ts), start=FIELD.one) for ts in products), FIELD.zero)
     assert oracle_is_zero(as_field(got) - expected, ctx.q)
 

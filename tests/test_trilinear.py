@@ -25,7 +25,7 @@ from triform.trilinear import (
 
 from triform.verifier import Env, ScenarioConfig, run_scenario
 
-from conftest import borel_diagonal, rand_G, rand_K, rand_section
+from conftest import borel_diagonal, rand_G, rand_K, rand_section, reference_sum_products
 
 
 def random_support(ctx, rng: random.Random, n: int, level: int) -> frozenset:
@@ -227,8 +227,8 @@ def reference_parts(phi, F, v, depth_margin=2):
                     for term in read(bs.X, bs.Y, bs.T):
                         yield borel1.eval(*borel_diagonal(bs)), Fv, *term
 
-    depth_sums = [ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, stratum(e)) for e in range(1, Lstar + 2 + depth_margin)]
-    return Lstar, sum_products(ctx.field, unit_distance()), depth_sums
+    depth_sums = [ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, ((fs, 0, 1) for fs in stratum(e))) for e in range(1, Lstar + 2 + depth_margin)]
+    return Lstar, sum_products(ctx.field, ((fs, 0, 1) for fs in unit_distance())), depth_sums
 
 
 def reference_close(total, depth_sums):
@@ -430,7 +430,7 @@ def kernel_reference(kform: KernelForm, f1: Section, f2: Section, f3: Section):
     """KernelForm.eval by a triple loop of Scalars, kept as its oracle: the
     distinct-cell triples of the tables' supports whose wedges w all have
     val(w) + c(nu) <= L0, each term a factor tuple (mass^3, values, pair
-    characters at the wedges) summed by sum_products."""
+    characters at the wedges) summed by reference_sum_products."""
     ctx = kform.ctx
     L0 = max(f1.level_bound(), f2.level_bound(), f3.level_bound(), kform.model3.min_level)
     vals1, vals2, vals3 = (f.as_table(L0).support for f in (f1, f2, f3))
@@ -444,14 +444,14 @@ def kernel_reference(kform: KernelForm, f1: Section, f2: Section, f3: Section):
         return {ij: nu.eval(w) for ij, w in wedge.items() if valuation(w, ctx.p) + nu.c <= L0}
 
     W12, W13, W23 = wedges(kform.nu12), wedges(kform.nu13), wedges(kform.nu23)
-    terms = (
-        (mass3, x1, x2, x3, W12[i, j], W13[i, k], W23[j, k])
+    items = (
+        ((mass3, x1, x2, x3, W12[i, j], W13[i, k], W23[j, k]), 0, 1)
         for i, x1 in vals1.items()
         for j, x2 in vals2.items()
         for k, x3 in vals3.items()
         if (i, j) in W12 and (i, k) in W13 and (j, k) in W23
     )
-    return sum_products(ctx.field, terms)
+    return reference_sum_products(ctx.field, items)
 
 
 def mixed_section(ctx, rng: random.Random, model, level: int) -> Section:

@@ -514,6 +514,18 @@ def test_tracer_entry_points_resolve():
         assert isinstance(verifier._RUNNERS.get(sid), types.FunctionType), sid
 
 
+def test_tracer_installs_in_a_fresh_interpreter():
+    """perfbench's Tracer installs on triform.verifier and uninstalls in a fresh
+    interpreter with only src and perfbench on its path.  Installing audits the
+    referrers of every wrapped function, so a module alias, closure or default
+    argument that still holds an unwrapped original fails here, and not only in
+    the benchmark's traced pass."""
+    root = Path(__file__).resolve().parent.parent
+    code = "import sys; sys.path[:0] = sys.argv[1:]; from triform import verifier; from tracer import Tracer; t = Tracer(); t.install(verifier); t.uninstall()"
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(root / "src"), str(root / "perfbench")], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 def test_benchmark_jobs_match_the_goldens(monkeypatch):
     """Job seed 0 of each benchmark workload, certified by perfbench's own
     run_job and checked by its check_job against perfbench/goldens.json (read,
