@@ -256,6 +256,23 @@ class Section:
         largest of those levels; the empty sum is K-invariant."""
         return max((tbl.k_level + g.cartan_gap() for _, g, tbl in self.terms), default=0)
 
+    def invariance_level(self, floor: int) -> int:
+        """The least l >= floor (floor at least the model's min_level) at which the section
+        is checked right-K(l)-invariant; level_bound() itself where that is at most floor.
+        Its table at level_bound() is built once, and l goes down while that table is fixed
+        by n(p^l), nbar(p^l), diag(1 + p^l, 1) and diag(1, 1 + p^l) (InducedModel.action).
+        They suffice: from min_level on, K(l) moves each cell within its class mod p^l with
+        no twist, and n(p^l) and nbar(p^l) alone run through each class."""
+        level = self.level_bound()
+        if level <= floor:
+            return level
+        p, zeta, vals = self.ctx.p, self.ctx.zeta_powers, self.as_table(level).values
+        for l in range(level - 1, floor - 1, -1):
+            gens = (GroupElement.upper(p, p**l), GroupElement.lower(p, p**l), GroupElement.diag(p, 1 + p**l, 1), GroupElement.diag(p, 1, 1 + p**l))
+            if not all(zeta[e] * vals[j] == x for g in gens for x, (j, e) in zip(vals, self.model.action(g, level))):
+                return l + 1
+        return floor
+
     def table_level(self) -> int:
         """The least level a table or unit group of the section is built at."""
         return table_level(self.level_bound())

@@ -145,31 +145,41 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
 
     Weights: c_K = (p+1)/p normalizes the unit-distance region to total mass
     1 = mass((T cap K)\\K); the near-diagonal stratum (cell, depth e, unit
-    class mod p^R) carries weight cell_mass * q^{e-R}.  A term is a tuple of
-    memoized factors: chi_1, a (c, Borel factor, table value) of
-    Section.factors and a reader term of phi, all read from int bottom rows.
-    Each stratum's tuples are counted by the identity of their factors, and
-    each distinct tuple is streamed once, as the sum_products item
-    ((weight, *tuple), 0, count).  The unit-distance pairs and the strata below
-    e0 = L* + 1 are one deferred sum (`sum_products`); strata e0 and e0 + 1 are separate
-    Scalars, which close_tail checks against the derived depth ratio.
+    class mod p^R) carries weight cell_mass * q^{e-R}, where R = L* is the largest
+    of F's level bound in either slot, the model's min_level and v's checked
+    invariance level (Section.invariance_level).  A term is a tuple of memoized
+    factors: chi_1, a (c, Borel factor, table value) of Section.factors and a
+    reader term of phi, all read from int bottom rows.  Each stratum's tuples
+    are counted by the identity of their factors, and each distinct tuple is
+    streamed once, as the sum_products item ((weight, *tuple), 0, count).  The
+    unit-distance pairs and the strata below R are one deferred sum
+    (`sum_products`); strata R and R + 1 are separate Scalars, which close_tail
+    checks against the derived depth ratio.
 
-    The depth ratio.  Per step e -> e + 1 (s = eta pi^e, b_s = (s 1; 0 1)) a
-    term of stratum e >= e0 moves by q from the weight q^{e-R}; by
-    mu_1(pi)/sqrt(q) from chi_1(b_s) = mu_1(s)|s|^{1/2}; by mu_2(pi)/sqrt(q)
-    from the row's Borel factor, as w b_s rep g has det -s det(g) and a bottom
-    row fixed mod p^level (so its cell and pivot stay); by (mu_2/mu_1)(pi) from
-    the reader's torus factor at t = diag(s X, T); and, as x0 = y/x + t/(s x)
-    drops one valuation in phi's deep-negative Tate regime
-    C (chi~ chi_d/chi_a)(x0) q^{val x0}, by 1/(chi~(pi) (chi_d/chi_a)(pi) q).
-    So rho = mu_2(pi)^2/(chi~(pi) (chi_d/chi_a)(pi) q) (`tail_ratios`), which
-    is mu_1(pi) mu_2(pi)/q = ab on the Steinberg model.  That regime has a
-    second term, proportional to the K-average of v and at another ratio: it
-    vanishes on Sp, and a Steinberg-model v outside Sp is refused as such.
+    The depth ratio.  Per step e -> e + 1 (s = eta pi^e, b_s = (s 1; 0 1) =
+    diag(s, 1) n(x), x = 1/s) a term of stratum e >= R moves by q from the
+    weight q^{e-R}; by mu_1(pi)/sqrt(q) from chi_1(b_s) = mu_1(s)|s|^{1/2}; by
+    mu_2(pi)/sqrt(q) from the row's Borel factor, as w b_s = (-s 1; 0 1) nbar(s)
+    with nbar(s) in K(e), inside K(R), and F(rep, .) is right-K(R)-invariant;
+    by (mu_2/mu_1)(pi) from the reader's torus factor at diag(s, 1); and by
+    1/(chi~(pi) (chi_d/chi_a)(pi) q) from phi(pi(n(x)) u), u = pi(rep) v.  This
+    branch runs on the Steinberg model: chi~ is unramified, and u is right-K(R)-
+    invariant, so u(wbar n(tau)) = |tau|^-2 u(1) where val tau <= -R.  Split at tau = x + y:
+    - val tau <= -R: with y = x y', this is u(1) chi~(x) |x|^-2 times the
+      integral of |1 + y'|^-2 chi~(y') d*y' over val(1 + y') <= e - R, which is
+      C + q^{e-R}: each shell val(1 + y') = k in 1 .. e - R adds (1 - 1/q) q^k.
+    - val tau > -R: as -R >= -e, val y = -e and chi~(y) = chi~(x), so this is
+      chi~(x) |x|^-1 times the integral of u(wbar n(tau)) over val tau > -R.
+    The q^{e-R} part, u(1) chi~(x) |x|^-1 times the integral of |tau|^-2 over
+    val tau <= -R, joins the second into chi~(x) |x|^-1 times the open-cell
+    integral of u, a multiple of the K-average of v: 0 on Sp (a Steinberg-model
+    v outside Sp is refused as such).  What is left, C u(1) chi~(x) |x|^-2, moves
+    as (chi~ chi_d/chi_a)(x) q^{val x} from e = R on.  So rho = mu_2(pi)^2/(chi~(pi)
+    (chi_d/chi_a)(pi) q) (`tail_ratios`), mu_1(pi) mu_2(pi)/q = ab on the Steinberg model.
 
     The zero tail.  Where chi~ and psi = chi~ chi_d/chi_a are ramified (on units
-    chi_d^-1 and chi_a^-1: the test is on the ints c(chi~), c(chi_a)), strata e >= L*
-    are 0 and the head stops below L*.  Per cell, s = eta pi^e, x = 1/s, u = pi(rep) v.
+    chi_d^-1 and chi_a^-1: the test is on the ints c(chi~), c(chi_a)), strata e >= R
+    are 0 and the head is all there is.  Per cell, s = eta pi^e, x = 1/s, u = pi(rep) v.
     - Only the read moves with eta: chi_1 and mu_2/mu_1 are unramified, and as
       w b_s = (-s 1; 0 1) nbar(s), nbar(s) in K(e), normal in K (the row (sx + z, sy + t)
       is (z, t) mod p^e), F(rep, w b_s rep) = (mu_2 delta^{1/2})(diag(-s, 1)) F(rep, rep).
@@ -185,8 +195,9 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     """
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
-    Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level)
-    table = p1_table(ctx, Lstar)
+    floor = max(F.level_bound(), phi.model3.min_level)
+    R = max(floor, v.invariance_level(floor))
+    table = p1_table(ctx, R)
 
     # Everything that does not move with sigma = b rep (b upper triangular) is
     # hoisted per cell: F(b rep, .) = chi_1(b) F(rep, .), and phi's reader
@@ -214,14 +225,11 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
                     chi = borel1.eval((delta, 1), (1, 1))
                     yield from ((tup, 0, 1) for tup in products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1))))
 
-    # near-diagonal strata, collapsed to (cell, e, eta mod p^R) with R = Lstar,
-    # at least the invariance level (level_bound) of F in either slot and of v.
-    # Moving eta by p^R moves sigma = b_s rep to sigma k with
-    # k = rep^-1 diag(1 + p^R d, 1) rep, which lies in K(R) as rep is in K.
+    # near-diagonal strata, collapsed to (cell, e, eta mod p^R): F in either slot
+    # and v are right-K(R)-invariant.  Moving eta by p^R moves sigma = b_s rep to
+    # sigma k with k = rep^-1 diag(1 + p^R d, 1) rep, in K(R) as rep is in K.
     # So F(sigma k, w sigma k) = F(sigma, w sigma) and pi(sigma k) v = pi(sigma) v:
     # every term of a class is the term at its eta.
-    R = Lstar
-    e0 = R + 1
     units = units_mod(p, R)
 
     def stratum(e):
@@ -242,16 +250,15 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
         for tup, n in seen.values():
             yield (weight, *tup), 0, n
 
-    zero_tail = phi.chtil.c and phi.model3.borel.chi_a.c  # strata L* and deeper are 0
-    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, Lstar if zero_tail else e0))))
-    if zero_tail:
+    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, R))))
+    if phi.chtil.c and phi.model3.borel.chi_a.c:  # the zero tail: strata R and deeper are 0
         return head
-    t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (e0, e0 + 1))
+    t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (R, R + 1))
     try:
         rest = close_tail(t0, t1, phi.tail_ratios["depth"])
     except TailError:
         if phi.model3.steinberg:
-            avg = v.as_table(Lstar).k_average()
+            avg = v.as_table().k_average()
             if not avg.is_zero():
                 raise TriformError(f"v lies outside Sp: its K-average is {avg.render()}, not 0, so the depth tail diverges from the Sp regime") from None
         raise

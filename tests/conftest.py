@@ -36,6 +36,11 @@ def setup31():
 
 
 @pytest.fixture(scope="session")
+def setup51():
+    return Env(ScenarioConfig(5, 1))
+
+
+@pytest.fixture(scope="session")
 def setup32():
     return Env(ScenarioConfig(3, 2))
 

@@ -436,3 +436,49 @@ def test_constant_tables_count_at_the_cartan_gap(key):
         values[rng.randrange(len(values))] = 4  # at least two distinct values
         tbl = TableSection(env.V1, 1, values)
         assert tbl.as_section().translated(g).level_bound() == 1 + g.cartan_gap(), (key, g)
+
+
+def brute_invariance_level(s, floor: int, rng: random.Random) -> int:
+    """The least l in floor .. level_bound() at which s equals its translates by
+    n(p^l), nbar(p^l), diag(1 + p^l, 1), diag(1, 1 + p^l) and 20 random
+    k = 1 + p^l M in K(l), compared as tables by sections_equal (Section.eval,
+    no InducedModel.action); level_bound() where no lower l passes."""
+    p, bound = s.ctx.p, s.level_bound()
+    for l in range(floor, bound):
+        m = p**l
+        ks = [GroupElement.upper(p, m), GroupElement.lower(p, m), GroupElement.diag(p, 1 + m, 1), GroupElement.diag(p, 1, 1 + m)]
+        ks += [GroupElement(p, *(d + m * rng.randrange(p**3) for d in (1, 0, 0, 1))) for _ in range(20)]
+        if all(sections_equal(s.translated(k), s) for k in ks):
+            return l
+    return bound
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_invariance_level_matches_brute_force(key):
+    """Section.invariance_level(floor) at V3's min_level equals the brute-force
+    least level on v3; at n = 1 on pi(g) v3 and v3' = ab pi(g^-1) v3 + v3 with
+    g = (0 1; p 0), which normalizes K0(p), so both come down from their bound 2
+    to level 1; on a rand_G translate of v3, which stays at its bound; and on
+    random tables at level 2 and random level-1 tables refined to level 2, and
+    at p <= 3 random tables at level 3 and level-1 and level-2 ones refined to
+    it, whose bound is their table level."""
+    env = Env(ScenarioConfig(*key))
+    ctx, p, rng = env.ctx, env.ctx.p, random.Random(sum(key))
+    floor = env.V3.min_level
+    g = GroupElement(p, 0, 1, p, 0)
+    moved = rand_G(ctx, rng, 1)
+    while moved.cartan_gap() != 1:
+        moved = rand_G(ctx, rng, 1)
+    cases = [env.v3, env.v3.translated(moved)]
+    if key[1] == 1:
+        at_one = [env.v3.translated(g), env.v3.translated(g.inv()).scaled(env.a * env.b) + env.v3]
+        assert [s.level_bound() for s in at_one] == [2, 2]
+        assert [s.invariance_level(floor) for s in at_one] == [1, 1]
+        cases += at_one
+    for level in (2, 3) if p <= 3 else (2,):
+        cases.append(rand_section(ctx, rng, env.V3, level))
+        cases += [rand_section(ctx, rng, env.V3, low).as_table(level).as_section() for low in range(1, level)]
+    for s in cases:
+        assert s.invariance_level(floor) == brute_invariance_level(s, floor, rng), (key, s.level_bound())
+    assert cases[1].invariance_level(floor) == cases[1].level_bound() == 2 + (key[1] == 2)
+    assert env.v3.invariance_level(floor) == key[1]

@@ -12,7 +12,6 @@ from triform.errors import KernelUnsupportedError, TailError, TriformError
 from triform.functionals import CompactInducedFn, Phi_eval
 from triform.matrices import GroupElement
 from triform.models import Section, TableSection, new_vector_unramified, principal_series_model
-from triform.scalars import sum_products
 from triform.trilinear import (
     KernelForm,
     TensorFn,
@@ -192,12 +191,13 @@ def three_term_closure(t0, t1, t2):
 
 
 def reference_parts(phi, F, v, depth_margin=2):
-    """The chain term by term: L*, the unit-distance sum and the weighted sums
-    of strata 1 .. e0 + depth_margin.  F(w sigma) is one Scalar per cell pair
-    formed from GroupElement products, and each stratum is a separate deferred
-    sum."""
+    """The chain term by term: L* (from level_bound, so it cross-checks the
+    chain's tighter R), the unit-distance sum and the weighted sums of strata
+    1 .. L* + 1 + depth_margin.  F(w sigma) is one Scalar per cell pair formed
+    from GroupElement products, and each stratum is a separate sum by
+    reference_sum_products, which shares no accumulation code with the engine."""
     if depth_margin < 2:
-        raise ValueError(f"depth margin {depth_margin} < 2: the three-term closure needs strata e0 .. e0 + 2")
+        raise ValueError(f"depth margin {depth_margin} < 2: the three-term closure needs strata L* + 1 .. L* + 3")
     ctx = phi.ctx
     p, q = ctx.p, ctx.q
     Lstar = max(F.level_bound(), v.level_bound(), phi.model3.min_level, 1)
@@ -227,8 +227,8 @@ def reference_parts(phi, F, v, depth_margin=2):
                     for term in read(bs.X, bs.Y, bs.T):
                         yield borel1.eval(*borel_diagonal(bs)), Fv, *term
 
-    depth_sums = [ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * sum_products(ctx.field, ((fs, 0, 1) for fs in stratum(e))) for e in range(1, Lstar + 2 + depth_margin)]
-    return Lstar, sum_products(ctx.field, ((fs, 0, 1) for fs in unit_distance())), depth_sums
+    depth_sums = [ctx.scalar(table.cell_mass * Fraction(q**e, q**Lstar)) * reference_sum_products(ctx.field, ((fs, 0, 1) for fs in stratum(e))) for e in range(1, Lstar + 2 + depth_margin)]
+    return Lstar, reference_sum_products(ctx.field, ((fs, 0, 1) for fs in unit_distance())), depth_sums
 
 
 def reference_close(total, depth_sums):
@@ -245,9 +245,10 @@ def reference_ell_chain(phi, F, v, depth_margin=2):
 
 
 def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
-    """The near-diagonal depths are geometric from e0 = L* + 1 on: the chain,
-    closed from strata e0 and e0 + 1 at the derived ratio, equals the
-    reference closed two or four depths past e0 at the ratio it observes."""
+    """The near-diagonal depths are geometric from R = L* on: the chain,
+    closed from strata R and R + 1 at the derived ratio, equals the reference,
+    whose strata run two or four depths past L* + 1 (its L* from level_bound,
+    at least R), closed at the ratio it observes."""
     for s in (setup21, setup31, setup32):
         tensors = (
             TensorFn.pure(s.ctx, 1, s.v1.translated(s.gamma(-s.cfg.n)), s.v2),
@@ -261,14 +262,54 @@ def test_depth_margin_does_not_change_ell(setup21, setup31, setup32):
 
 
 def test_depth_margin_below_two_is_refused(setup21, setup32):
-    """The tail is closed only from depths past e0 = L* + 1: the reference's
-    three-term closure needs strata through e0 + 2, so a margin below 2 is
+    """The reference closes its tail only from depths past L* + 1: its
+    three-term closure needs strata through L* + 3, so a margin below 2 is
     refused."""
     for s in (setup21, setup32):
         F = TensorFn.pure(s.ctx, 1, s.v1, s.v2)
         for margin in (-1, 0, 1):
             with pytest.raises(ValueError):
                 reference_ell_chain(s.phi, F, s.v3, depth_margin=margin)
+
+
+def chain_level(phi, F, v):
+    """The chain's R: the largest of F's level bound, V3's min_level and v's checked invariance level."""
+    floor = max(F.level_bound(), phi.model3.min_level)
+    return max(floor, v.invariance_level(floor))
+
+
+@pytest.mark.parametrize("key", ["setup21", "setup31", "setup51"])
+def test_the_depth_tail_starts_at_the_checked_level(request, key):
+    """At n = 1 the strata are geometric at the derived ratio from R on: for
+    e = R .. R + 2, stratum e + 1, summed term by term by the reference (its
+    classes at level_bound), is rho times stratum e.  Inputs: gamma^-i v1 (x)
+    gamma^-j v2 (x) v3 for i, j <= 2, ext f, their K-, w- and rand_G-translates
+    (gamma^-1 v1 (x) v2 and ext f), and the Atkin-Lehner inputs of nb-swap and
+    n1-identity, pi(g) v3 and v3' with g = (0 1; p 0), bounded at 2 and checked
+    at R = 1.  Below R the tail has not started: under the rand_G translate of
+    Cartan gap 1 (the first of seed 3), R = L* = 2 and stratum 2 is not rho
+    times stratum 1."""
+    s = request.getfixturevalue(key)
+    ctx, p, rng = s.ctx, s.ctx.p, random.Random(3)
+    rho = s.phi.tail_ratios["depth"]
+    pure = {(i, j): TensorFn.pure(ctx, 1, s.v1.translated(s.gamma(-i)), s.v2.translated(s.gamma(-j))) for i in range(3) for j in range(3)}
+    g = rand_G(ctx, rng, 1)
+    while g.cartan_gap() != 1:
+        g = rand_G(ctx, rng, 1)
+    al = GroupElement(p, 0, 1, p, 0)
+    atkin_lehner = [(pure[0, 1], s.v3.translated(al)), (pure[1, 0], s.v3.translated(al.inv()).scaled(s.a * s.b) + s.v3)]
+    inputs = [(F, s.v3) for F in pure.values()] + [(s.ext_f, s.v3)] + atkin_lehner
+    inputs += [(F.translated(h), s.v3.translated(h)) for h in (rand_K(ctx, rng), GroupElement.w(p), g) for F in (pure[1, 0], s.ext_f)]
+    for F, v in inputs:
+        R = chain_level(s.phi, F, v)
+        strata = reference_parts(s.phi, F, v)[2]  # strata[e - 1] is stratum e
+        for e in range(R, R + 3):
+            assert strata[e] == rho * strata[e - 1], (key, e)
+    for F, v in atkin_lehner:
+        assert v.level_bound() == 2 and chain_level(s.phi, F, v) == 1, key
+    F, v = pure[1, 0].translated(g), s.v3.translated(g)
+    strata = reference_parts(s.phi, F, v)[2]
+    assert chain_level(s.phi, F, v) == 2 and strata[1] != rho * strata[0], key
 
 
 def test_wrong_mu1_fails_the_depth_guard(setup21, setup31):
@@ -334,10 +375,10 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
 
 @pytest.mark.parametrize("key", ["setup32", "setup24", "setup52z"])
 def test_the_skipped_depth_strata_vanish(request, key):
-    """Where chi~ and chi_a are ramified, ell_chain sums no stratum from L* on
+    """Where chi~ and chi_a are ramified, ell_chain sums no stratum from R on
     (the zero tail derived in its docstring).  On pure tensors, ext of random
     supports, their translates and random tables at V3's least level, strata
-    L* .. e0 + 2 summed term by term are each exactly 0, and the chain equals
+    L* .. L* + 3 (the reference's L*, at least R) summed term by term are each exactly 0, and the chain equals
     the reference closed from them."""
     s = request.getfixturevalue(key)
     ctx, rng = s.ctx, random.Random(41)

@@ -15,10 +15,12 @@ on both engines.
 With --setup it measures `setup_s` instead: each pair starts each checkout's
 own `perfbench/probe.py` in a fresh interpreter, swapping which goes first on
 every pair, after one discarded warm-up probe of each, and takes import_s +
-env_s as perfbench/run.py does.  The probes run in this environment, so
-`PYTHONDONTWRITEBYTECODE=1` with no `__pycache__` in either checkout
-measures an import that compiles, and without it the later probes read
-bytecode caches as an installed package does.
+env_s as perfbench/run.py does.  Each checkout's probes get their own fresh
+`PYTHONPYCACHEPREFIX`, so no probe reads a `__pycache__` left in a checkout,
+stale or not, and both start from the same cache state.  The probes run in
+this environment otherwise: with `PYTHONDONTWRITEBYTECODE=1` every probe
+measures an import that compiles, and without it the warm-up writes the
+bytecode caches that the later probes read, as an installed package does.
 
 Prints each pair's ratio new/base, then one JSON object: the quartiles of
 the paired ratio and of each engine's times, and the two parts of the
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -79,22 +82,24 @@ def certify_times(args, workload) -> dict:
 def setup_times(args, workload) -> dict:
     """setup_s of each checkout's own set-up probe, alternated in fresh interpreters."""
     probes = {name: Path(src).resolve().parent / "perfbench" / "probe.py" for name, src in (("base", args.base), ("new", args.new))}
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = {name: dict(os.environ, PYTHONPYCACHEPREFIX=str(Path(tmp) / name)) for name in probes}
 
-    def probe(name: str) -> float:
-        cmd = [sys.executable, str(probes[name]), "--workload", workload.name, "--seed", "0", "--seconds", str(PROBE_SECONDS)]
-        proc = subprocess.run(cmd, cwd=probes[name].parent.parent, capture_output=True, text=True, timeout=120)
-        if proc.returncode != 0:
-            raise SystemExit(f"{name}: set-up probe failed:\n{proc.stderr}")
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
-        return out["import_s"] + out["env_s"]
+        def probe(name: str) -> float:
+            cmd = [sys.executable, str(probes[name]), "--workload", workload.name, "--seed", "0", "--seconds", str(PROBE_SECONDS)]
+            proc = subprocess.run(cmd, cwd=probes[name].parent.parent, env=envs[name], capture_output=True, text=True, timeout=120)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name}: set-up probe failed:\n{proc.stderr}")
+            out = json.loads(proc.stdout.strip().splitlines()[-1])
+            return out["import_s"] + out["env_s"]
 
-    for name in ("base", "new"):
-        probe(name)  # warm-up: fills the file cache, and the bytecode caches where they are written
-    times: dict = {"base": [], "new": []}
-    for k in range(args.pairs):
-        for name in order(k):
-            times[name].append(probe(name))
-        report_pair(k, times)
+        for name in ("base", "new"):
+            probe(name)  # warm-up: fills the file cache, and the bytecode caches where they are written
+        times: dict = {"base": [], "new": []}
+        for k in range(args.pairs):
+            for name in order(k):
+                times[name].append(probe(name))
+            report_pair(k, times)
     return times
 
 
