@@ -32,6 +32,7 @@ from .models import (
     TableSection,
     conductor_search,
     fixed_space,
+    iwahori_generators,
     new_vector_by_solve,
     new_vector_unramified,
     principal_series_model,
@@ -557,25 +558,21 @@ def scenario_Phi_lambda(env: Env, checks: Records, rng: random.Random):
 
 
 def scenario_conductor_vanishing(env: Env, checks: Records, rng: random.Random):
-    ctx, n = env.ctx, env.cfg.n
+    ctx, n, L = env.ctx, env.cfg.n, env.level
     if n < 2:
         _skip(checks, "conductor-vanishing", "psi-vanishing needs conductor n >= 2", "requires n >= 2")
         return
-    n_random = 5 if ctx.p**n <= 9 else 3
     for m in (n - 2, n - 1):
-        F = TensorFn.pure(ctx, 1, env.v1.translated(env.gamma(-m)), env.v2)
-        ok = env.ell_pure(m, 0).is_zero()
-        for _ in range(n_random):
-            sec = rand_section(ctx, rng, env.V3, env.level)
-            if not env.ell(F, sec).is_zero():
-                ok = False
-                break
+        gens = iwahori_generators(ctx, m, L)  # I(m) = K0(p^m) modulo K(L)
+        fixed = all(v.level_bound() <= L and all(sections_equal(v.translated(g), v) for g in gens)
+                    for v in (env.v1.translated(env.gamma(-m)), env.v2))
         _check(
             checks,
             f"conductor-vanishing.depth{m}",
-            f"the functional v -> ell(gamma^-{m} v1 (x) v2 (x) v) is identically zero on level-{env.level} "
-            "vectors (the dual conductor kills it)",
-            ok,
+            f"the functional v -> ell(gamma^-{m} v1 (x) v2 (x) v) is identically zero on V3, proved, not sampled: "
+            f"gamma^-{m} v1 (x) v2 is I({m})-fixed and V3 has no I({m})-fixed vector at level {L}, so the "
+            "G-invariance of ell kills it (the dual conductor); the chain gives 0 at v3",
+            fixed and not fixed_space(env.V3, m, L) and env.ell_pure(m, 0).is_zero(),
         )
 
 

@@ -15,8 +15,8 @@ which needs no third representation, is an input of
 test_trilinear.py::test_closed_form_matches_ext); there both kernel
 scenarios run on pair characters of conductor 2.  (3, 4) runs the claims on
 phi (its equivariance, its nonvanishing on the new vector and
-Phi = lambda phi), the main theorem, the proportionality of the two
-evaluators and the intro vanishing.  (5, 2) runs
+Phi = lambda phi), the depth vanishing below the conductor, the main
+theorem, the proportionality of the two evaluators and the intro vanishing.  (5, 2) runs
 every scenario symbolic in a, b and u over Q(zeta_4), last, as it is the
 slowest configuration.
 
@@ -36,8 +36,9 @@ from triform.verifier import COVERAGE, SCENARIOS, Env, ScenarioConfig, run_check
 # (p, n) -> the scenarios the gate runs there, in report order.  (2, 4) leaves
 # out the Steinberg-only scenarios and the enumeration and open-orbit blocks,
 # which (2, 1), (3, 1) and (3, 2) cover.  (3, 4) runs the three phi scenarios,
-# main-theorem, proportionality and intro-vanishing; tools/reach.py times its
-# other chain scenarios (g-invariance's chain half alone takes about 8 s).
+# conductor-vanishing, main-theorem, proportionality and intro-vanishing;
+# tools/reach.py times its other chain scenarios (g-invariance's chain half
+# alone takes about 3 s).
 GATE = {
     (2, 1): SCENARIOS,
     (3, 1): SCENARIOS,
@@ -54,7 +55,15 @@ GATE = {
         "intro-vanishing",
     ),
     (5, 1): SCENARIOS,
-    (3, 4): ("phi-equivariance", "phi-nonvanishing", "Phi-lambda", "main-theorem", "proportionality", "intro-vanishing"),
+    (3, 4): (
+        "phi-equivariance",
+        "phi-nonvanishing",
+        "Phi-lambda",
+        "conductor-vanishing",
+        "main-theorem",
+        "proportionality",
+        "intro-vanishing",
+    ),
     (5, 2): SCENARIOS,
 }
 

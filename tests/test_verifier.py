@@ -19,7 +19,7 @@ from triform.context import MAX_LEVEL, Context
 from triform.errors import PoleError, TailError, TriformError
 from triform.functionals import TorusFunctional
 from triform.matrices import GroupElement
-from triform.models import Section
+from triform.models import Section, fixed_space, iwahori_generators
 from triform.scalars import FieldSpec
 from triform.trilinear import KernelForm
 from triform.verifier import (
@@ -463,6 +463,30 @@ def test_stabilization_fails_on_a_perturbed_annulus(setup32, monkeypatch, side):
     stab = checks["phi-nonvanishing.stabilization"]
     assert stab.verdict == "FAIL"
     assert ("tail not stabilized" if side == "negative" else "depths D and D+2 differ") in stab.reason
+
+
+@pytest.mark.parametrize("key", ["setup32", "setup24"])
+def test_conductor_vanishing_fails_on_the_next_fixed_space(request, monkeypatch, key):
+    """With V3's I(m + 1)-fixed space in place of its I(m)-fixed space, depth n-1
+    reads V3^I(n), the new vector's line, so conductor-vanishing.depth{n-1} FAILs;
+    V3^I(n-1) is still 0, so depth{n-2} stands."""
+    env = request.getfixturevalue(key)
+    n = env.cfg.n
+    monkeypatch.setattr(verifier, "fixed_space", lambda model, m, level=None: fixed_space(model, m + 1, level))
+    verdicts = {c.id: c.verdict for c in verifier.run_checks(env, ["conductor-vanishing"])}
+    assert verdicts == {f"conductor-vanishing.depth{n - 2}": "PASS", f"conductor-vanishing.depth{n - 1}": "FAIL"}
+
+
+@pytest.mark.parametrize("key", ["setup32", "setup24"])
+def test_conductor_vanishing_fails_on_a_larger_iwahori(request, monkeypatch, key):
+    """Checked against the generators of I(m - 1), gamma^-m v1 (x) v2 is not fixed
+    for m >= 1 (lower(p^(m-1)) moves gamma^-m v1), so depth{m} FAILs; at m = 0
+    the generators stay those of K."""
+    env = request.getfixturevalue(key)
+    n = env.cfg.n
+    monkeypatch.setattr(verifier, "iwahori_generators", lambda ctx, m, level: iwahori_generators(ctx, max(m - 1, 0), level))
+    verdicts = {c.id: c.verdict for c in verifier.run_checks(env, ["conductor-vanishing"])}
+    assert verdicts == {f"conductor-vanishing.depth{m}": "PASS" if m == 0 else "FAIL" for m in (n - 2, n - 1)}
 
 
 def test_kernel_form_built_once_per_env(setup21, setup24, setup32):
