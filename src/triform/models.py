@@ -292,7 +292,7 @@ def sections_equal(s1: Section, s2: Section) -> bool:
     lvl = max(s1.table_level(), s2.table_level())
     t1 = s1.as_table(lvl)
     t2 = s2.as_table(lvl)
-    return all((x - y).is_zero() for x, y in zip(t1.values, t2.values))
+    return all(x == y for x, y in zip(t1.values, t2.values))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from .characters import SmoothCharacter
 from .context import Context
@@ -147,14 +147,14 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     1 = mass((T cap K)\\K); the near-diagonal stratum (cell, depth e, unit
     class mod p^R) carries weight cell_mass * q^{e-R}, where R = L* is the largest
     of F's level bound in either slot, the model's min_level and v's checked
-    invariance level (Section.invariance_level).  A term is a tuple of memoized
-    factors: chi_1, a (c, Borel factor, table value) of Section.factors and a
-    reader term of phi, all read from int bottom rows.  Each stratum's tuples
-    are counted by the identity of their factors, and each distinct tuple is
-    streamed once, as the sum_products item ((weight, *tuple), 0, count).  The
-    unit-distance pairs and the strata below R are one deferred sum
-    (`sum_products`); strata R and R + 1 are separate Scalars, which close_tail
-    checks against the derived depth ratio.
+    invariance level (Section.invariance_level).  Every term is read at a point
+    sigma = b rep, b = (alpha beta; 0 1): a tuple of memoized factors chi_1,
+    a (c, Borel factor, table value) of Section.factors and a reader term of
+    phi, all from int bottom rows.  Each weight class (the unit-distance pairs,
+    each stratum) counts its tuples by factor identity and streams each distinct
+    one once, as the sum_products item ((weight, *tuple), 0, count).  The
+    unit-distance pairs and the strata below R are one deferred sum; strata R
+    and R + 1 are separate Scalars, which close_tail checks against the derived depth ratio.
 
     The depth ratio.  Per step e -> e + 1 (s = eta pi^e, b_s = (s 1; 0 1) =
     diag(s, 1) n(x), x = 1/s) a term of stratum e >= R moves by q from the
@@ -203,57 +203,51 @@ def ell_chain(phi: TorusFunctional, F: TensorFn, v: Section) -> Scalar:
     # hoisted per cell: F(b rep, .) = chi_1(b) F(rep, .), and phi's reader
     # splits rep g once per term g of v.  rep = (x y; z t) has det 1.
     cell_pre = [(rep.X, rep.Y, z, t, F.slot1(rep), phi.reader(v, rep)) for rep, (z, t) in zip(table.reps, table.rows)]
-
-    def products(lead, row_factors, read_terms):
-        """The factor tuples lead + (c, Borel factor, value) of a row + a reader term."""
-        return ((*lead, *f, *t) for f in row_factors for t in read_terms)
-
-    # unit-distance pairs: an exact finite sum.  sigma = (z2 t2; z1 t1) has
-    # det Delta = z2 t1 - t2 z1, so w sigma has bottom row (z2, t2) and det
-    # -Delta, and b = sigma rep^-1 = (Delta, t2 x - z2 y; 0 1).
     borel1 = F.model1.borel
-    w0 = ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)
+    chis: dict = {}  # alpha -> chi_1(diag(alpha, 1))
 
+    def counted(weight, points):
+        """The terms at the points (cell, alpha, beta): sigma = b rep, b = (alpha beta; 0 1), so w sigma
+        has bottom row (alpha x + beta z, alpha y + beta t) and det -alpha.  Streams each distinct
+        tuple (chi_1(diag(alpha, 1)), a factor of F(rep, w sigma), a reader term) once, with its count."""
+        seen: dict = {}  # factor ids -> [tuple, count]; the stored tuple keeps its ids unreused
+        for (x, y, z, t, row, read), alpha, beta in points:
+            fs = list(row.factors(alpha * x + beta * z, alpha * y + beta * t, 1, -alpha))
+            if fs:
+                if alpha not in chis:
+                    chis[alpha] = borel1.eval((alpha, 1), (1, 1))
+                for f, r in product(fs, read(alpha, beta, 1)):
+                    tup = (chis[alpha], *f, *r)
+                    seen.setdefault(tuple(map(id, tup)), [tup, 0])[1] += 1
+        for tup, n in seen.values():
+            yield (weight, *tup), 0, n
+
+    # unit-distance pairs: an exact finite sum.  sigma = (z2 t2; z1 t1) has det
+    # Delta = z2 t1 - t2 z1, so as det rep = 1, b = sigma rep^-1 = (Delta, t2 x - z2 y; 0 1).
     def unit_distance():
-        for x, y, z1, t1, row, read in cell_pre:
+        for cell in cell_pre:
+            x, y, z1, t1 = cell[:4]
             for z2, t2 in table.rows:
                 delta = z2 * t1 - t2 * z1
-                if not delta % p:
-                    continue
-                fs = list(row.factors(z2, t2, 1, -delta))
-                if fs:
-                    chi = borel1.eval((delta, 1), (1, 1))
-                    yield from ((tup, 0, 1) for tup in products((w0, chi), fs, list(read(delta, t2 * x - z2 * y, 1))))
+                if delta % p:
+                    yield cell, delta, t2 * x - z2 * y
 
     # near-diagonal strata, collapsed to (cell, e, eta mod p^R): F in either slot
     # and v are right-K(R)-invariant.  Moving eta by p^R moves sigma = b_s rep to
     # sigma k with k = rep^-1 diag(1 + p^R d, 1) rep, in K(R) as rep is in K.
     # So F(sigma k, w sigma k) = F(sigma, w sigma) and pi(sigma k) v = pi(sigma) v:
-    # every term of a class is the term at its eta.
+    # every term of a class is the term at its eta, the point b_s = (eta p^e 1; 0 1).
     units = units_mod(p, R)
 
     def stratum(e):
-        """The terms chi_1(bs) F phi of depth e, one per (eta, cell, factor of
-        the row, term of v), each distinct one once, led by weight times count.
-        w b_s rep has bottom row (s x + z, s y + t) and det -s."""
-        seen: dict = {}  # factor ids -> [tuple, count]; the stored tuple keeps its ids unreused
-        for eta in units:
-            s = eta * p**e
-            chi = borel1.eval((s, 1), (1, 1))
-            for x, y, z, t, row, read in cell_pre:
-                # F(sigma, w sigma) / chi_1(bs) with sigma = bs rep
-                fs = list(row.factors(s * x + z, s * y + t, 1, -s))
-                if fs:
-                    for tup in products((chi,), fs, list(read(s, 1, 1))):
-                        seen.setdefault(tuple(map(id, tup)), [tup, 0])[1] += 1
-        weight = ctx.scalar(table.cell_mass * Fraction(q**e, q**R))
-        for tup, n in seen.values():
-            yield (weight, *tup), 0, n
+        return ((cell, eta * p**e, 1) for eta in units for cell in cell_pre)
 
-    head = sum_products(ctx.field, chain(unit_distance(), *(stratum(e) for e in range(1, R))))
+    # weight class 0 is the unit-distance pairs, class e >= 1 stratum e
+    weight = [ctx.scalar(Fraction(p + 1, p) * table.cell_mass * table.cell_mass)] + [ctx.scalar(table.cell_mass * Fraction(q**e, q**R)) for e in range(1, R + 2)]
+    head = sum_products(ctx.field, chain(counted(weight[0], unit_distance()), *(counted(weight[e], stratum(e)) for e in range(1, R))))
     if phi.chtil.c and phi.model3.borel.chi_a.c:  # the zero tail: strata R and deeper are 0
         return head
-    t0, t1 = (sum_products(ctx.field, stratum(e)) for e in (R, R + 1))
+    t0, t1 = (sum_products(ctx.field, counted(weight[e], stratum(e))) for e in (R, R + 1))
     try:
         rest = close_tail(t0, t1, phi.tail_ratios["depth"])
     except TailError:

@@ -12,6 +12,7 @@ from triform.errors import KernelUnsupportedError, TailError, TriformError
 from triform.functionals import CompactInducedFn, Phi_eval
 from triform.matrices import GroupElement
 from triform.models import Section, TableSection, new_vector_unramified, principal_series_model
+from triform import trilinear
 from triform.trilinear import (
     KernelForm,
     TensorFn,
@@ -371,6 +372,29 @@ def test_chain_matches_the_term_by_term_reference(request, setup, kind, seed):
         v = tbl.as_section()
     got = ell_chain(s.phi, F, v)
     assert got == reference_ell_chain(s.phi, F, v), (setup, kind, seed)
+
+
+def test_the_chain_streams_each_distinct_term_once(monkeypatch):
+    """Every weight class of the chain, the unit-distance pairs included,
+    counts its factor tuples by identity: no sum_products call of ell_chain
+    streams the same tuple of factors twice.  A fresh Env, so that
+    ell_pure runs its chains here."""
+    calls = []
+    real = trilinear.sum_products
+
+    def spy(field, items, *args):
+        items = list(items)  # held, so that no factor's id is reused while the call is checked
+        calls.append(items)
+        return real(field, items, *args)
+
+    monkeypatch.setattr(trilinear, "sum_products", spy)
+    s = Env(ScenarioConfig(3, 2))
+    s.ell_pure(2, 0)
+    s.ell_pure(0, 2)
+    assert calls
+    for items in calls:
+        keys = [tuple(map(id, factors)) for factors, _, _ in items]
+        assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("key", ["setup32", "setup24", "setup52z"])
